@@ -8,6 +8,7 @@ sphere; this module only manipulates 1-D node sets with uniform spacing.
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 # Stencil widths.  CENTER_HALF=2 gives the 5-point 4th-order interior stencil;
 # EDGE_POINTS=6 keeps one-sided closures at 4th order for second derivatives.
@@ -91,55 +92,47 @@ def radial_quadrature(rho: np.ndarray, drho: float) -> np.ndarray:
     return w
 
 
-def stencil_table(
-    n_nodes: int,
-    drho: float,
-    deriv: int,
-) -> list[list[tuple[int, float, bool]]]:
-    """Per-row stencil entries (col, weight, mirrored) for d^deriv/drho^deriv.
+def stencil_table(n_nodes: int, drho: float, deriv: int) -> list[list[tuple[int, float]]]:
+    """Per-row stencil entries (col, weight) for d^deriv/drho^deriv.
 
-    Rows near rho=0 reach across the pole: a ghost node at -(g+1/2)*drho holds
-    the value of node g on the antipodal meridian, so its entries are flagged
-    mirrored=True and the caller applies the phi -> phi+pi identification.
-    The last two rows are closed with 6-point one-sided stencils.
+    Rows near rho=0 reach across the pole: a negative col names the ghost node
+    at -(g+1/2)*drho with g = -1-col, which holds the value of node g on the
+    antipodal meridian (see :func:`stencil_pair`).  The last two rows are
+    closed with 6-point one-sided stencils.
     """
     if deriv not in (1, 2):
         raise ValueError("deriv must be 1 or 2")
     R = n_nodes
-    h = drho
     offs = np.arange(-CENTER_HALF, CENTER_HALF + 1)
-    centered = fornberg_weights(offs * h, 0.0, deriv)[:, deriv]
-
-    rows: list[list[tuple[int, float, bool]]] = []
-
-    def centered_row(j: int) -> list[tuple[int, float, bool]]:
-        out = []
-        for o, c in zip(offs, centered):
-            col = j + int(o)
-            if col < 0:
-                out.append((-1 - col, float(c), True))
-            else:
-                out.append((col, float(c), False))
-        return out
-
+    centered = fornberg_weights(offs * drho, 0.0, deriv)[:, deriv]
+    rows = []
     for j in range(R):
         if j <= R - 1 - CENTER_HALF:
-            rows.append(centered_row(j))
+            rows.append([(j + int(o), float(c)) for o, c in zip(offs, centered)])
         else:
             idx = np.arange(R - EDGE_POINTS, R)
-            w = fornberg_weights((idx - j) * h, 0.0, deriv)[:, deriv]
-            rows.append([(int(k), float(c), False) for k, c in zip(idx, w)])
+            w = fornberg_weights((idx - j) * drho, 0.0, deriv)[:, deriv]
+            rows.append([(int(k), float(c)) for k, c in zip(idx, w)])
     return rows
 
 
-def table_to_matrix(table, n_nodes: int, mirror_sign: float) -> np.ndarray:
-    """Dense (R, R) matrix from a stencil table for one azimuthal parity class.
+def stencil_pair(rows, n_nodes: int) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """Sparse (plain, mirror) pair of an (n_nodes, n_nodes) radial operator.
 
-    mirror_sign is +1 for even Fourier modes and -1 for odd ones, realising the
-    value flip that the phi -> phi+pi identification induces across the pole.
+    rows[j] lists the (col, weight) entries of output row j; a negative col
+    names the ghost node -1-col, whose value lives on the antipodal meridian.
+    On a field V of shape (n_nodes, n_phi) the operator is
+    plain @ V + mirror @ roll(V, n_phi // 2, axis=1), and on the flattened
+    field kron(plain, I) + kron(mirror, half-turn shift).  Repeated entries
+    are summed; explicit zeros are dropped.
     """
-    D = np.zeros((n_nodes, n_nodes))
-    for j, row in enumerate(table):
-        for col, val, mirrored in row:
-            D[j, col] += val * (mirror_sign if mirrored else 1.0)
-    return D
+    entries = [(j, col, w) for j, row in enumerate(rows) for col, w in row]
+    j, col, w = (np.array(x) for x in zip(*entries))
+    ghost = col < 0
+
+    def build(mask, cols):
+        m = sp.csr_matrix((w[mask], (j[mask], cols[mask])), shape=(n_nodes, n_nodes))
+        m.eliminate_zeros()
+        return m
+
+    return build(~ghost, col), build(ghost, -1 - col)

@@ -11,12 +11,13 @@ combinations and a bit-exact JSON round trip.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
 import numpy as np
 
-from .capgrid import CapGrid, a_of, robin_residual
+from .capgrid import CapGrid, a_of, robin_residual, tensor_eigenvalues
 
 # A support function certifies as convex when the smallest eigenvalue of its
 # shape tensor clears this floor (relative to max(1, sup|h|)); the floor only
@@ -86,19 +87,20 @@ def ell_values(grid: CapGrid) -> np.ndarray:
 
 def min_shape_eig(grid: CapGrid, values: np.ndarray) -> float:
     """Smallest eigenvalue of the shape tensor over all nodes."""
-    A = a_of(grid, values)
-    mean = 0.5 * (A[..., 0, 0] + A[..., 1, 1])
-    rad = np.sqrt((0.5 * (A[..., 0, 0] - A[..., 1, 1])) ** 2 + A[..., 0, 1] ** 2)
-    return float(np.min(mean - rad))
+    return float(np.min(tensor_eigenvalues(a_of(grid, values))[0]))
 
 
 def certify(grid: CapGrid, values: np.ndarray, provenance: dict | None = None) -> CertifyResult:
     """Check Robin compatibility and convexity; never raises on bad data.
 
     Robin gate is relative to the sup norm (see capgrid.ROBIN_GATE); the
-    convexity gate requires min_eig > EIG_GATE * max(1, sup|h|).
+    convexity gate requires min_eig > EIG_GATE * max(1, sup|h|).  A field of
+    the wrong shape or with NaN or inf entries is rejected with NaN margins.
     """
-    values = grid.check_field(values)
+    try:
+        values = grid.check_field(values)
+    except ValueError as exc:
+        return CertifyResult(False, None, math.nan, math.nan, [str(exc)])
     scale = max(1.0, float(np.max(np.abs(values))))
     rmax = float(np.max(np.abs(robin_residual(grid, values))))
     meig = min_shape_eig(grid, values)
@@ -156,8 +158,7 @@ def from_neumann(grid: CapGrid, u: np.ndarray, gate: float | None = None) -> Cap
     checked with the one-sided boundary stencil and violations are rejected.
     """
     u = grid.check_field(u)
-    f_r = grid.d_rho(u, 1)
-    du = float(np.max(np.abs(f_r[grid.boundary_index, :])))
+    du = float(np.max(np.abs(grid.boundary_d_rho(u))))
     scale = max(1.0, float(np.max(np.abs(u))))
     if gate is None:
         gate = grid.robin_gate

@@ -10,13 +10,16 @@ store components in the orthonormal frame (e_rho, e_phi).
 Node layout: rho_j = (j + 1/2) * drho with drho = theta / (n_rho + 1/2), so the
 pole is never a node and the last row sits exactly on the boundary circle
 rho = theta.  Azimuthal nodes are the n_phi equispaced angles on [0, 2*pi).
+Radial derivatives are sparse stencils in physical space; near the pole they
+reach across it to the antipodal meridian, a half-turn roll of the field.  They
+use no BLAS or FFT.  Azimuthal derivatives are Fourier.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ._stencil import radial_quadrature, stencil_table, table_to_matrix
+from ._stencil import CENTER_HALF, EDGE_POINTS, radial_quadrature, stencil_pair, stencil_table
 
 MIN_RHO = 8
 MIN_PHI = 8
@@ -81,17 +84,15 @@ class CapGrid:
         self.quad_weights = np.outer(w_rho * self.sin_rho, np.full(n_phi, self.dphi))
 
         R = n_rho + 1
-        self._tables = {d: stencil_table(R, self.drho, d) for d in (1, 2)}
-        self._dmats = {
-            (d, s): table_to_matrix(self._tables[d], R, s)
-            for d in (1, 2)
-            for s in (+1.0, -1.0)
-        }
+        tables = {d: stencil_table(R, self.drho, d) for d in (1, 2)}
+        pairs = {d: stencil_pair(rows, R) for d, rows in tables.items()}
+        # Ghost nodes occur only in the first CENTER_HALF rows, and they are
+        # nodes 0..CENTER_HALF-1 on the antipodal meridian.
+        self._radial = {d: (p, m[:CENTER_HALF, :CENTER_HALF]) for d, (p, m) in pairs.items()}
+        self._boundary_d1 = [w for _, w in tables[1][-1]]  # 6-point one-sided
         k = np.arange(n_phi // 2 + 1)
-        self._mode_even = (k % 2 == 0)
         self._sym_d1 = 1j * k.astype(float)
-        if n_phi % 2 == 0:
-            self._sym_d1[-1] = 0.0  # Nyquist mode has no well-defined odd derivative
+        self._sym_d1[-1] = 0.0  # Nyquist mode has no well-defined odd derivative
         self._sym_d2 = -(k.astype(float) ** 2)
         self.robin_gate = ROBIN_GATE
 
@@ -101,21 +102,31 @@ class CapGrid:
         return (self.n_rho + 1, self.n_phi)
 
     def check_field(self, values: np.ndarray) -> np.ndarray:
+        """Node values as a float array; rejects a wrong shape and NaN or inf."""
         values = np.asarray(values, dtype=float)
         if values.shape != self.node_shape:
             raise ValueError(f"field shape {values.shape} does not match grid {self.node_shape}")
+        if not np.isfinite(values).all():
+            raise ValueError("field holds non-finite values")
         return values
 
     # -- derivative engines ----------------------------------------------
     def d_rho(self, values: np.ndarray, order: int = 1) -> np.ndarray:
-        """Radial derivative, 4th order, pole handled by parity reflection."""
+        """Radial derivative, 4th order; the pole is crossed by a half-turn roll.
+
+        Sparse products only, no BLAS or FFT, so the result does not depend on
+        the BLAS thread count.
+        """
         values = self.check_field(values)
-        F = np.fft.rfft(values, axis=1)
-        out = np.empty_like(F)
-        ev = self._mode_even
-        out[:, ev] = self._dmats[(order, +1.0)] @ F[:, ev]
-        out[:, ~ev] = self._dmats[(order, -1.0)] @ F[:, ~ev]
-        return np.fft.irfft(out, n=self.n_phi, axis=1)
+        plain, mirror = self._radial[order]
+        out = plain @ values
+        out[:CENTER_HALF] += mirror @ np.roll(values[:CENTER_HALF], self.n_phi // 2, axis=1)
+        return out
+
+    def boundary_d_rho(self, values: np.ndarray) -> np.ndarray:
+        """First radial derivative on the boundary row only (6-point one-sided)."""
+        w, rows = self._boundary_d1, self.check_field(values)[-EDGE_POINTS:]
+        return sum((c * row for c, row in zip(w[1:], rows[1:])), w[0] * rows[0])
 
     def d_phi(self, values: np.ndarray, order: int = 1) -> np.ndarray:
         """Azimuthal derivative by Fourier differentiation."""
@@ -123,9 +134,6 @@ class CapGrid:
         F = np.fft.rfft(values, axis=1)
         F *= self._sym_d1 if order == 1 else self._sym_d2
         return np.fft.irfft(F, n=self.n_phi, axis=1)
-
-    def d_rho_phi(self, values: np.ndarray) -> np.ndarray:
-        return self.d_rho(self.d_phi(values, 1), 1)
 
     # -- quadrature --------------------------------------------------------
     def integrate(self, values: np.ndarray) -> float:
@@ -189,6 +197,13 @@ def a_of(grid: CapGrid, values: np.ndarray) -> np.ndarray:
     return A
 
 
+def tensor_eigenvalues(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pointwise (smaller, larger) eigenvalues of symmetric 2x2 tensor fields."""
+    mean = 0.5 * (A[..., 0, 0] + A[..., 1, 1])
+    rad = np.sqrt((0.5 * (A[..., 0, 0] - A[..., 1, 1])) ** 2 + A[..., 0, 1] ** 2)
+    return mean - rad, mean + rad
+
+
 def robin_residual(grid: CapGrid, values: np.ndarray) -> np.ndarray:
     """Boundary defect d f/d rho - cot(theta) f on the row rho = theta.
 
@@ -196,6 +211,4 @@ def robin_residual(grid: CapGrid, values: np.ndarray) -> np.ndarray:
     compatible with the prescribed contact angle.
     """
     values = grid.check_field(values)
-    f_r = grid.d_rho(values, 1)
-    j = grid.boundary_index
-    return f_r[j, :] - grid.cot_theta * values[j, :]
+    return grid.boundary_d_rho(values) - grid.cot_theta * values[grid.boundary_index, :]

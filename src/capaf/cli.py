@@ -2,9 +2,10 @@
 
 Reports are deterministic for a fixed configuration: the JSON body contains
 only config, values and verdicts, while wall-clock metadata goes to a separate
-.meta.json sidecar so repeated runs stay byte-identical.  Exit codes: 0 all
-checks passed, 2 a tolerance was breached (the report is still written),
-3 the configuration was invalid.
+.meta.json sidecar so repeated runs stay byte-identical; no NaN or infinity
+reaches a report.  Exit codes: 0 all checks passed, 2 a tolerance was breached
+(the report is still written), 3 the configuration was invalid, 4 a numerical
+failure (no convex body within the amplitude halvings, or a non-finite result).
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .capfun import (
     random_capillary_field,
     save_body,
 )
-from .mixedvol import quermass_report, quermassintegral, steiner_check
+from .mixedvol import quermass_report, quermass_tensors, quermassintegral, steiner_check
 from .reconstruct import (
     boundary_form_quermass,
     contact_angle_residual,
@@ -47,6 +48,7 @@ from .spectral import WeightedSpace, af_check, quermass_chain_check, spectrum
 EXIT_OK = 0
 EXIT_BREACH = 2
 EXIT_CONFIG = 3
+EXIT_NUMERIC = 4
 
 # Reference spacing for grid-anchored tolerances: the documented accuracy
 # statements hold on the 128x128 grid and degrade with the scheme order when
@@ -171,8 +173,11 @@ def write_report(out_dir: Path, name: str, payload: dict, csv_text: str | None,
                  want_csv: bool) -> Path:
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"{name}.json"
-    path.write_text(json.dumps(jsonable(payload), indent=1, sort_keys=True) + "\n",
-                    encoding="utf-8")
+    try:
+        text = json.dumps(jsonable(payload), indent=1, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise RuntimeError(f"{name}: non-finite value in the report") from exc
+    path.write_text(text + "\n", encoding="utf-8")
     sidecar = {
         "written_at": datetime.now(timezone.utc).isoformat(),
         "report": path.name,
@@ -281,6 +286,8 @@ def _af_equality_trial(grid, base, i):
 
 def cmd_af(args) -> bool:
     grid = build_grid_checked(args)
+    if args.trials < 1:
+        raise ConfigError(f"trials must be positive, got {args.trials}")
     tol = make_tolerances(args.tolerance_profile, args.n_rho)
     threads = thread_count()
     mode = "equality" if args.equality_family else "random"
@@ -322,6 +329,8 @@ def cmd_af(args) -> bool:
 
 def cmd_chain(args) -> bool:
     grid = build_grid_checked(args)
+    if args.trials < 1:
+        raise ConfigError(f"trials must be positive, got {args.trials}")
     tol = make_tolerances(args.tolerance_profile, args.n_rho)
     threads = thread_count()
 
@@ -470,11 +479,12 @@ def cmd_reconstruct(args) -> bool:
     planar = planarity_residual(patch)
     interior = interior_min_height(patch)
     vol_mesh = enclosed_volume(patch)
-    vol_quad = quermassintegral(grid, body, 0)
+    tensors = quermass_tensors(grid, body)
+    quad_route = {f"V_{j}": quermassintegral(grid, body, j, tensors) for j in range(4)}
+    vol_quad = quad_route["V_0"]
     vol_err = abs(vol_mesh - vol_quad) / max(abs(vol_quad), 1e-300)
     boundary = {f"V_{k + 1}": boundary_form_quermass(grid, body, k)
                 for k in (1, 2)}
-    quad_route = {f"V_{j}": quermassintegral(grid, body, j) for j in range(4)}
     breach = (contact > 1e-12) or (planar > tol.identity) or (interior <= 0.0) \
         or (vol_err > tol.volume)
     out = Path(args.out)
@@ -638,9 +648,12 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"capaf: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ValueError, RuntimeError) as exc:
+    except ValueError as exc:
         print(f"capaf: error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except RuntimeError as exc:
+        print(f"capaf: numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
     return EXIT_BREACH if breach else EXIT_OK
 
 

@@ -116,37 +116,55 @@ def _unwrap(grid: CapGrid, obj) -> np.ndarray:
     return grid.check_field(values)
 
 
-def mixed_volume(grid: CapGrid, f1, rest) -> float:
+def mixed_volume(grid: CapGrid, f1, rest=None, *, tensors=None) -> float:
     """V(f1, f2, f3) = (1/3) * integral of f1 Q(A[f2], A[f3]).
 
-    rest holds the two fields entering through their shape tensors.  The value
-    is multilinear in all slots by construction; permutation symmetry holds
-    only for fields satisfying the contact-angle condition and only up to
-    discretization error.
+    rest holds the two fields entering through their shape tensors; a caller
+    holding those tensors passes tensors=(A[f2], A[f3]) instead, so a field in
+    several slots has its tensor computed once.  The value is multilinear in
+    all slots by construction; permutation symmetry holds only for fields
+    satisfying the contact-angle condition and only up to discretization error.
     """
-    if len(rest) != 2:
-        raise ValueError(f"need exactly 2 shape-slot fields, got {len(rest)}")
-    v1 = _unwrap(grid, f1)
-    A2 = a_of(grid, _unwrap(grid, rest[0]))
-    A3 = a_of(grid, _unwrap(grid, rest[1]))
-    return grid.integrate(v1 * q2(A2, A3)) / 3.0
+    if (rest is None) == (tensors is None):
+        raise ValueError("pass the shape slots either as fields or as tensors")
+    if tensors is None:
+        if len(rest) != 2:
+            raise ValueError(f"need exactly 2 shape-slot fields, got {len(rest)}")
+        tensors = [a_of(grid, _unwrap(grid, f)) for f in rest]
+    A2, A3 = tensors
+    return grid.integrate(_unwrap(grid, f1) * q2(A2, A3)) / 3.0
 
 
-def quermassintegral(grid: CapGrid, body, j: int) -> float:
+def quermass_tensors(grid: CapGrid, body) -> tuple[np.ndarray, np.ndarray]:
+    """Shape tensors (A[body], A[unit cap]) for :func:`quermassintegral`."""
+    return a_of(grid, _unwrap(grid, body)), a_of(grid, ell_values(grid))
+
+
+def quermassintegral(grid: CapGrid, body, j: int, tensors=None) -> float:
     """Mixed volume with j slots holding the unit cap and 3-j holding the body.
 
     j=0 is the enclosed volume, j=3 the unit-cap volume b_theta regardless of
-    the body (degree of the Gauss map).
+    the body (degree of the Gauss map).  tensors, from :func:`quermass_tensors`,
+    lets a caller that needs several indices compute each tensor once.
     """
     if not 0 <= j <= 3:
         raise ValueError(f"quermassintegral index must lie in 0..3, got {j}")
     h = _unwrap(grid, body)
     lv = ell_values(grid)
-    slots = [h, h, h]
-    for i in range(j):
-        slots[i] = lv
-    # Put the cheapest field (no tensor needed) in the scalar slot.
-    return mixed_volume(grid, slots[2], (slots[0], slots[1]))
+    if tensors is None:
+        tensors = (a_of(grid, h) if j <= 1 else None, a_of(grid, lv) if j >= 1 else None)
+    # The cap fills the tensor slots first; the scalar slot needs no tensor.
+    fields = [lv] * j + [h] * (3 - j)
+    A = [tensors[1]] * j + [tensors[0]] * (3 - j)
+    return mixed_volume(grid, fields[2], tensors=(A[0], A[1]))
+
+
+def _h_k(A: np.ndarray, k: int) -> np.ndarray:
+    if k == 0:
+        return np.ones(A.shape[:-2])
+    if k == 1:
+        return 0.5 * (A[..., 0, 0] + A[..., 1, 1])
+    return A[..., 0, 0] * A[..., 1, 1] - A[..., 0, 1] ** 2
 
 
 def h_k_field(grid: CapGrid, h, k: int) -> np.ndarray:
@@ -159,10 +177,7 @@ def h_k_field(grid: CapGrid, h, k: int) -> np.ndarray:
     values = _unwrap(grid, h)
     if k == 0:
         return np.ones(grid.node_shape)
-    A = a_of(grid, values)
-    if k == 1:
-        return 0.5 * (A[..., 0, 0] + A[..., 1, 1])
-    return A[..., 0, 0] * A[..., 1, 1] - A[..., 0, 1] ** 2
+    return _h_k(a_of(grid, values), k)
 
 
 def minkowski_identity_residual(grid: CapGrid, f, k: int) -> float:
@@ -170,9 +185,9 @@ def minkowski_identity_residual(grid: CapGrid, f, k: int) -> float:
     if k not in (1, 2):
         raise ValueError(f"k must be 1 or 2, got {k}")
     values = _unwrap(grid, f)
-    lv = ell_values(grid)
-    lhs = grid.integrate(values * h_k_field(grid, values, k - 1))
-    rhs = grid.integrate(lv * h_k_field(grid, values, k))
+    A = a_of(grid, values)
+    lhs = grid.integrate(values * _h_k(A, k - 1))
+    rhs = grid.integrate(ell_values(grid) * _h_k(A, k))
     scale = max(abs(lhs), abs(rhs), 1e-300)
     return abs(lhs - rhs) / scale
 
@@ -185,12 +200,16 @@ def symmetry_residual(grid: CapGrid, f1, f2, f3) -> float:
     do not cancel otherwise.
     """
     fields = [_unwrap(grid, f) for f in (f1, f2, f3)]
-    v_id = mixed_volume(grid, fields[0], (fields[1], fields[2]))
+    tensors = [a_of(grid, f) for f in fields]
+
+    def volume(i, j, k):
+        return mixed_volume(grid, fields[i], tensors=(tensors[j], tensors[k]))
+
+    v_id = volume(0, 1, 2)
     denom = max(abs(v_id), 1e-30)
     worst = 0.0
     for perm in itertools.permutations(range(3)):
-        v = mixed_volume(grid, fields[perm[0]], (fields[perm[1]], fields[perm[2]]))
-        worst = max(worst, abs(v - v_id) / denom)
+        worst = max(worst, abs(volume(*perm) - v_id) / denom)
     return worst
 
 
@@ -241,7 +260,8 @@ class QuermassReport:
 
 
 def quermass_report(grid: CapGrid, body: CapillaryBody) -> QuermassReport:
-    values = [quermassintegral(grid, body, j) for j in range(4)]
+    tensors = quermass_tensors(grid, body)
+    values = [quermassintegral(grid, body, j, tensors) for j in range(4)]
     ref = b_theta(grid.theta)
     top_err = abs(values[3] - ref) / ref
     return QuermassReport(grid.theta, grid.n_rho, grid.n_phi, values, ref, top_err)
@@ -291,7 +311,8 @@ def steiner_check(grid: CapGrid, body: CapillaryBody, t_values) -> SteinerReport
     vols = []
     for t in ts:
         g = h + t * lv
-        vols.append(mixed_volume(grid, g, (g, g)))
+        A = a_of(grid, g)
+        vols.append(mixed_volume(grid, g, tensors=(A, A)))
     # Vandermonde least squares in the monomial basis; t stays O(1) so
     # conditioning is not a concern at degree 3.
     v = np.vander(np.array(ts), 4, increasing=True)
@@ -299,7 +320,8 @@ def steiner_check(grid: CapGrid, body: CapillaryBody, t_values) -> SteinerReport
     fit_residual = float(np.sqrt(res[0])) if res.size else float(
         np.max(np.abs(v @ coef - np.array(vols)))
     )
-    refs = [math.comb(3, k) * quermassintegral(grid, body, k) for k in range(4)]
+    tensors = quermass_tensors(grid, body)
+    refs = [math.comb(3, k) * quermassintegral(grid, body, k, tensors) for k in range(4)]
     errs = [abs(c - r) / max(abs(r), 1e-300) for c, r in zip(coef, refs)]
     return SteinerReport(
         ts, vols, [float(c) for c in coef], refs, errs, max(errs), fit_residual

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .capgrid import CapGrid, a_of, surface_gradient
+from .capgrid import CapGrid, a_of, surface_gradient, tensor_eigenvalues
 from .capfun import CapillaryBody, ell_values, field_values
 from .mixedvol import h_k_field
 
@@ -136,10 +136,7 @@ def enclosed_volume(patch: EmbeddedPatch) -> float:
 
 def principal_radii(grid: CapGrid, body) -> tuple[np.ndarray, np.ndarray]:
     """Per-node principal curvature radii: sorted eigenvalues of the shape tensor."""
-    A = a_of(grid, grid.check_field(field_values(body)))
-    mean = 0.5 * (A[..., 0, 0] + A[..., 1, 1])
-    rad = np.sqrt((0.5 * (A[..., 0, 0] - A[..., 1, 1])) ** 2 + A[..., 0, 1] ** 2)
-    return mean - rad, mean + rad
+    return tensor_eigenvalues(a_of(grid, grid.check_field(field_values(body))))
 
 
 def _ring_fourier_derivatives(xy: np.ndarray, order: int) -> np.ndarray:

@@ -25,16 +25,10 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from ._stencil import fornberg_weights
-from .capgrid import CapGrid, a_of, robin_residual
-from .capfun import (
-    CapillaryBody,
-    certify,
-    ell_values,
-    field_values,
-    horizontal_linear,
-)
-from .mixedvol import mixed_volume, q2, quermassintegral
+from ._stencil import fornberg_weights, stencil_pair
+from .capgrid import CapGrid, a_of, robin_residual, tensor_eigenvalues
+from .capfun import CapillaryBody, certify, ell_values, field_values
+from .mixedvol import mixed_volume, q2, quermass_tensors, quermassintegral
 
 # Largest node count solved by dense diagonalization (48x64 grid).
 DENSE_CAP = 3200
@@ -75,12 +69,7 @@ class WeightedSpace:
             values = self._translate_positive(values)
         self.f2 = values
         self.A2 = a_of(grid, values)
-        mean = 0.5 * (self.A2[..., 0, 0] + self.A2[..., 1, 1])
-        rad = np.sqrt(
-            (0.5 * (self.A2[..., 0, 0] - self.A2[..., 1, 1])) ** 2
-            + self.A2[..., 0, 1] ** 2
-        )
-        min_eig = float(np.min(mean - rad))
+        min_eig = float(np.min(tensor_eigenvalues(self.A2)[0]))
         if min_eig <= 0.0:
             raise ValueError(
                 f"degenerate weight: reference shape tensor has eigenvalue "
@@ -113,9 +102,12 @@ class WeightedSpace:
         return math.sqrt(max(self.inner(u, u), 0.0))
 
     def apply(self, f) -> np.ndarray:
-        """Pointwise operator application through the spectral derivatives."""
+        """Pointwise operator application through the grid derivatives."""
         values = self.grid.check_field(field_values(f))
-        Af = a_of(self.grid, values)
+        return self.apply_tensor(a_of(self.grid, values))
+
+    def apply_tensor(self, Af: np.ndarray) -> np.ndarray:
+        """The operator on a field given by its shape tensor Af."""
         return self.f2 * q2(Af, self.A2) / self.detA2
 
     def bilinear(self, f, g) -> float:
@@ -133,23 +125,14 @@ def self_adjoint_residual(space: WeightedSpace, f, g) -> float:
 
 # -- matrix assembly -----------------------------------------------------------
 
-def _phi_fd_matrix(n_phi: int, dphi: float) -> sp.csr_matrix:
-    # 4th-order centred periodic first difference; banded so that the
-    # stiffness products below stay sparse.
-    w = np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * dphi)
-    offs = [-2, -1, 1, 2]
+def _periodic(n_phi: int, stencil) -> sp.csr_matrix:
+    """Circulant matrix of a periodic azimuthal stencil ((offset, weight), ...)."""
     rows, cols, vals = [], [], []
-    for off, c in zip(offs, w):
+    for off, c in stencil:
         rows.extend(range(n_phi))
         cols.extend((np.arange(n_phi) + off) % n_phi)
         vals.extend([c] * n_phi)
     return sp.csr_matrix((vals, (rows, cols)), shape=(n_phi, n_phi))
-
-
-def _half_shift(n_phi: int) -> sp.csr_matrix:
-    rows = np.arange(n_phi)
-    cols = (rows + n_phi // 2) % n_phi
-    return sp.csr_matrix((np.ones(n_phi), (rows, cols)), shape=(n_phi, n_phi))
 
 
 # Undivided third-difference coefficients for the odd-even dissipation term:
@@ -158,29 +141,11 @@ _D3 = ((-1, -1.0), (0, 3.0), (1, -3.0), (2, 1.0))
 _DISSIPATION = 0.25
 
 
-def _third_difference_phi(n_phi: int) -> sp.csr_matrix:
-    rows, cols, vals = [], [], []
-    for off, c in _D3:
-        rows.extend(range(n_phi))
-        cols.extend((np.arange(n_phi) + off) % n_phi)
-        vals.extend([c] * n_phi)
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n_phi, n_phi))
-
-
-def _third_difference_rho(n: int) -> tuple[np.ndarray, np.ndarray]:
+def _third_difference_rho(n: int) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     # The pole row reflects through the axis (antipodal meridian); the last
     # rows shift the stencil inward so it stays on the lattice.
-    plain = np.zeros((n, n))
-    mirror = np.zeros((n, n))
-    for j in range(n):
-        base = min(j, n - 1 - 2)
-        for off, c in _D3:
-            col = base + off
-            if col < 0:
-                mirror[j, -1 - col] += c
-            else:
-                plain[j, col] += c
-    return plain, mirror
+    rows = [[(min(j, n - 3) + off, c) for off, c in _D3] for j in range(n)]
+    return stencil_pair(rows, n)
 
 
 # Summation-by-parts first derivative of interior order 4 with its diagonal
@@ -198,28 +163,20 @@ _SBP_H_EDGE = (17 / 48, 59 / 48, 43 / 48, 49 / 48)
 _SBP_CENTER = (1 / 12, -2 / 3, 0.0, 2 / 3, -1 / 12)
 
 
-def _sbp_radial(n: int, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _sbp_radial(n: int, h: float) -> tuple[sp.csr_matrix, sp.csr_matrix, np.ndarray]:
     """Radial derivative split into plain and mirrored parts, plus its norm.
 
     The lattice has no axis boundary: rows near rho=0 stay centred and reach
-    across to the antipodal meridian (mirrored columns).  The contact boundary
+    across to the antipodal meridian (ghost columns).  The contact boundary
     at rho=theta gets the four-row edge closure, reversed and negated.
     """
-    plain = np.zeros((n, n))
-    mirror = np.zeros((n, n))
+    rows = [[(j + off, c / h) for off, c in zip(range(-2, 3), _SBP_CENTER)]
+            for j in range(n - 4)]
+    rows += [[(n - 1 - k, -c / h) for k, c in enumerate(edge)]
+             for edge in reversed(_SBP_D_EDGE)]
     weights = np.full(n, h)
-    for j in range(n - 4):
-        for off, c in zip(range(-2, 3), _SBP_CENTER):
-            col = j + off
-            if col < 0:
-                mirror[j, -1 - col] += c
-            else:
-                plain[j, col] += c
-    for i, row in enumerate(_SBP_D_EDGE):
-        weights[n - 1 - i] = _SBP_H_EDGE[i] * h
-        for k, c in enumerate(row):
-            plain[n - 1 - i, n - 1 - k] -= c
-    return plain / h, mirror / h, weights
+    weights[n - 4:] = np.array(_SBP_H_EDGE[::-1]) * h
+    return (*stencil_pair(rows, n), weights)
 
 
 @dataclass
@@ -263,10 +220,12 @@ def assemble_operator(space: WeightedSpace) -> DiscreteOperator:
     N = R * P
 
     B1, C1, h_rho = _sbp_radial(R, g.drho)
-    shift = _half_shift(P)
+    shift = _periodic(P, ((P // 2, 1.0),))
     eyeP = sp.identity(P, format="csr")
-    G_rho = sp.kron(sp.csr_matrix(B1), eyeP) + sp.kron(sp.csr_matrix(C1), shift)
-    phi1 = _phi_fd_matrix(P, g.dphi)
+    G_rho = sp.kron(B1, eyeP) + sp.kron(C1, shift)
+    # 4th-order centred periodic first difference; banded so that the
+    # stiffness products below stay sparse.
+    phi1 = _periodic(P, zip((-2, -1, 1, 2), np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * g.dphi)))
     G_phi = sp.kron(sp.diags(1.0 / g.sin_rho), phi1)
 
     W = space.A2
@@ -292,10 +251,10 @@ def assemble_operator(space: WeightedSpace) -> DiscreteOperator:
     # the spectrum.  An undivided third-difference penalty is positive
     # semidefinite, moves those modes far below the window, and perturbs
     # resolved fields only at sixth order in the spacing.
-    d3p = _third_difference_phi(P)
+    d3p = _periodic(P, _D3)
     B3, C3 = _third_difference_rho(R)
     pen = dia(_DISSIPATION * w * mass_density)
-    rho3 = sp.kron(sp.csr_matrix(B3), eyeP) + sp.kron(sp.csr_matrix(C3), shift)
+    rho3 = sp.kron(B3, eyeP) + sp.kron(C3, shift)
     phi3 = sp.kron(sp.identity(R, format="csr"), d3p)
     dissipation = rho3.T @ pen @ rho3 + phi3.T @ pen @ phi3
 
@@ -631,17 +590,18 @@ def af_check(space: WeightedSpace, f, f1) -> AFReport:
         if not res.accepted:
             raise ValueError("f1 must be convex: " + "; ".join(res.reasons))
 
-    f2v = space.f2
-    v_m = mixed_volume(g, fv, (f1v, f2v))
-    v_m_swap = mixed_volume(g, f1v, (fv, f2v))
-    v_ff = mixed_volume(g, fv, (fv, f2v))
-    v_11 = mixed_volume(g, f1v, (f1v, f2v))
+    # One shape tensor per field: the reference's is the space's own.
+    A, A1, A2 = a_of(g, fv), a_of(g, f1v), space.A2
+    v_m = mixed_volume(g, fv, tensors=(A1, A2))
+    v_m_swap = mixed_volume(g, f1v, tensors=(A, A2))
+    v_ff = mixed_volume(g, fv, tensors=(A, A2))
+    v_11 = mixed_volume(g, f1v, tensors=(A1, A2))
     lhs = v_m * v_m
     rhs = v_ff * v_11
     gap = lhs - rhs
     rel = gap / max(abs(rhs), 1e-300)
 
-    bil = space.bilinear(fv, f1v)
+    bil = space.inner(fv, space.apply_tensor(A1))
     consistency = abs(bil - v_m) / max(abs(v_m), abs(bil), 1e-300)
 
     swap_err = abs(v_m - v_m_swap)
@@ -753,7 +713,8 @@ def quermass_chain_check(grid: CapGrid, body) -> QuermassChainReport:
     copy of the body); they are listed for completeness but excluded from the
     minimum, which would otherwise be pinned at zero.
     """
-    q = [quermassintegral(grid, body, j) for j in range(4)]
+    tensors = quermass_tensors(grid, body)
+    q = [quermassintegral(grid, body, j, tensors) for j in range(4)]
     ratios = [v / q[3] for v in q]
     pairs = []
     min_rel = math.inf

@@ -1,5 +1,6 @@
 """Command line driver: parsing, exit codes, determinism, report bundles."""
 
+import functools
 import json
 import os
 
@@ -67,6 +68,26 @@ def test_config_errors_exit_three(tmp_path):
     assert run(["spectrum", "--sweep", "16", "--out", tmp_path]) == 3
     assert run(["nosuchcommand"]) == 3
     assert run([]) == 3
+
+
+@pytest.mark.parametrize("command", ["af", "chain"])
+def test_zero_trials_is_a_config_error(tmp_path, command):
+    assert run([command, "--grid", "16x16", "--trials", "0", "--out", tmp_path]) == 3
+    assert not (tmp_path / f"{command}_report.json").exists()
+
+
+def test_reports_refuse_non_finite_values(tmp_path):
+    with pytest.raises(RuntimeError, match="non-finite"):
+        cli.write_report(tmp_path, "x_report", {"gap": float("inf")}, None, False)
+    assert not (tmp_path / "x_report.json").exists()
+
+
+def test_generation_failure_exits_four(tmp_path, monkeypatch):
+    # no amplitude halving allowed: a rough body cannot be certified convex
+    monkeypatch.setattr(cli, "random_body",
+                        functools.partial(capaf.random_body, max_halvings=0))
+    assert run(["gen", "--grid", "16x16", "--amplitude", "50",
+                "--out", tmp_path]) == cli.EXIT_NUMERIC == 4
 
 
 def test_help_exits_zero():

@@ -1,5 +1,7 @@
 """Admissible fields, certification, random generation, serialization."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,28 @@ def test_certify_accepts_the_cap_and_rejects_bad_fields():
     bad_convex = capaf.certify(g, values)
     assert not bad_convex.accepted
     assert any("eigenvalue" in r for r in bad_convex.reasons)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_certify_rejects_non_finite_fields_without_raising(bad):
+    g = grid(1.0, 16, 16)
+    values = capaf.ell_values(g)
+    values[4, 2] = bad
+    res = capaf.certify(g, values)
+    assert not res.accepted and res.body is None
+    assert any("non-finite" in r for r in res.reasons)
+    assert np.isnan(res.min_eig)
+
+
+def test_load_body_rejects_a_non_finite_value(tmp_path):
+    g = grid(1.0, 16, 16)
+    path = tmp_path / "body.json"
+    capaf.save_body(capaf.ell(g), path)
+    data = json.loads(path.read_text())
+    data["values"][7] = float("nan")
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match="non-finite"):
+        capaf.load_body(path, g)
 
 
 @pytest.mark.parametrize("theta", THETAS)

@@ -1,5 +1,9 @@
 """Grid construction, derivatives, quadrature and the boundary defect."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -37,6 +41,36 @@ def test_check_field_shape_gate():
     g = grid(1.2, 16, 16)
     with pytest.raises(ValueError, match="does not match grid"):
         g.check_field(np.zeros((16, 16)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_check_field_rejects_non_finite_values(bad):
+    g = grid(1.2, 16, 16)
+    values = np.ones(g.node_shape)
+    values[3, 5] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        g.check_field(values)
+
+
+def test_a_of_is_byte_identical_across_blas_thread_counts():
+    # Radial derivatives are sparse stencil products, so the shape tensor must
+    # not depend on how many threads the BLAS library uses.
+    script = (
+        "import hashlib, capaf\n"
+        "g = capaf.build_grid(2.2, 128, 128)\n"
+        "f = capaf.random_capillary_field(g, seed=9).values\n"
+        "print(hashlib.sha256(capaf.a_of(g, f).tobytes()).hexdigest())\n"
+    )
+    src = os.path.dirname(os.path.dirname(capaf.__file__))
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                             capture_output=True, text=True)
+        digests.append(out.stdout.strip())
+    assert len(digests[0]) == 64
+    assert digests[0] == digests[1]
 
 
 @pytest.mark.parametrize("theta", [0.5, np.pi / 2, 2.2])

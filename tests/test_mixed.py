@@ -49,6 +49,35 @@ def test_mixed_volume_slot_count_is_checked():
         capaf.mixed_volume(g, lv, (lv,))
 
 
+def test_quermassintegral_rejects_a_non_finite_body():
+    g = grid(1.3, 16, 16)
+    values = capaf.ell_values(g)
+    values[-1, 3] = np.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        capaf.quermassintegral(g, values, 0)
+
+
+def test_shape_tensors_are_computed_once_per_field(monkeypatch):
+    g = grid(2.2, 24, 24)
+    body = capaf.random_body(g, 11)
+    space = capaf.WeightedSpace(g, capaf.random_body(g, 12))
+    f = capaf.random_capillary_field(g, 13)
+    calls = []
+    original = capaf.capgrid.a_of
+
+    def counted(grid_, values):
+        calls.append(1)
+        return original(grid_, values)
+
+    for mod in (capaf.capgrid, capaf.capfun, capaf.mixedvol, capaf.spectral):
+        monkeypatch.setattr(mod, "a_of", counted)
+    capaf.af_check(space, f, body)
+    assert len(calls) == 2
+    calls.clear()
+    capaf.quermass_report(g, body)
+    assert len(calls) == 2
+
+
 def test_symmetry_residual_converges_for_admissible_fields():
     errs = []
     for n in (16, 32, 64):

@@ -22,6 +22,14 @@ def test_weighted_space_rejects_a_bad_reference():
         capaf.WeightedSpace(g, np.ones(g.node_shape))
 
 
+def test_weighted_space_rejects_a_non_finite_reference():
+    g = grid(1.2, 24, 24)
+    values = capaf.ell_values(g)
+    values[0, 0] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        capaf.WeightedSpace(g, values)
+
+
 def test_reference_translation_is_projected_out():
     # base body without any azimuthal mode-one content, so the projection
     # removes exactly the added linear

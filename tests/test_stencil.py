@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from capaf._stencil import (
+    CENTER_HALF,
     fornberg_weights,
     panel_weights,
     radial_quadrature,
+    stencil_pair,
     stencil_table,
-    table_to_matrix,
 )
 
 
@@ -70,16 +71,33 @@ def test_radial_quadrature_rejects_tiny_grids():
 
 
 @pytest.mark.parametrize("deriv", [1, 2])
-def test_stencil_table_matrix_differentiates_even_fields(deriv):
-    # An even polynomial extends smoothly across the pole, so the mirrored
-    # entries (mirror_sign=+1) must reproduce the derivative exactly.
-    n, theta = 24, 1.1
+def test_stencil_pair_differentiates_across_the_pole(deriv):
+    # Smooth fields extend across the pole through the antipodal meridian, so
+    # plain @ V + mirror @ roll(V, n_phi/2) must reproduce the derivative: an
+    # even field (rho^4) and an odd one (rho^5 cos phi), whose ghost values
+    # flip sign.
+    n, theta, n_phi = 24, 1.1, 8
     drho = theta / (n + 0.5)
     rho = (np.arange(n + 1) + 0.5) * drho
-    D = table_to_matrix(stencil_table(n + 1, drho, deriv), n + 1, +1.0)
-    f = rho**4
+    cos = np.cos(2 * np.pi * np.arange(n_phi) / n_phi)
+    plain, mirror = stencil_pair(stencil_table(n + 1, drho, deriv), n + 1)
+    assert mirror.nnz > 0
+
+    def apply(V):
+        return plain @ V + mirror @ np.roll(V, n_phi // 2, axis=1)
+
+    even = np.repeat((rho**4)[:, None], n_phi, axis=1)
     ref = 4 * 3 * rho**2 if deriv == 2 else 4 * rho**3
-    np.testing.assert_allclose(D @ f, ref, atol=1e-9)
+    np.testing.assert_allclose(apply(even), np.repeat(ref[:, None], n_phi, axis=1),
+                               atol=1e-9)
+
+    odd = np.outer(rho**5, cos)
+    ref = 5 * 4 * rho**3 if deriv == 2 else 5 * rho**4
+    if deriv == 1:
+        # The 5-point first difference misses a quintic by exactly
+        # -h^4 f^(5) / 30 = -4 h^4; the one-sided edge rows are exact.
+        ref = ref - 4 * drho**4 * (np.arange(n + 1) < n + 1 - CENTER_HALF)
+    np.testing.assert_allclose(apply(odd), np.outer(ref, cos), atol=1e-9)
 
 
 def test_stencil_table_rejects_bad_order():
