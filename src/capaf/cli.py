@@ -6,6 +6,11 @@ only config, values and verdicts, while wall-clock metadata goes to a separate
 reaches a report.  Exit codes: 0 all checks passed, 2 a tolerance was breached
 (the report is still written), 3 the configuration was invalid, 4 a numerical
 failure (no convex body within the amplitude halvings, or a non-finite result).
+
+Each subparser is the only definition of its command's options and defaults,
+and a report's config block lists exactly those options.  ``report`` runs each
+section by parsing the section's own command line with the same parser, so
+every bundle section is the standalone command run with the bundle's flags.
 """
 
 from __future__ import annotations
@@ -59,7 +64,9 @@ ANCHOR_RHO = 128
 AF_ANCHOR_RHO = 256
 
 
-class ConfigError(Exception):
+# An ArgumentTypeError, so that a parse_grid failure inside argparse becomes a
+# usage error (exit 3) with this message.
+class ConfigError(argparse.ArgumentTypeError):
     pass
 
 
@@ -146,8 +153,8 @@ def config_dict(args: argparse.Namespace) -> dict:
             continue
         if key == "bodies":
             value = [Path(p).name for p in value]
-        if isinstance(value, Path):
-            value = str(value)
+        elif key == "body" and value is not None:
+            value = Path(value).name
         keep[key] = value
     return keep
 
@@ -200,7 +207,7 @@ def csv_table(header: list[str], rows: list[list]) -> str:
 
 def build_grid_checked(args) -> CapGrid:
     try:
-        return build_grid(args.theta, args.n_rho, args.n_phi)
+        return build_grid(args.theta, *args.grid)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -235,7 +242,7 @@ def cmd_gen(args) -> bool:
 
 def cmd_quermass(args) -> bool:
     grid = build_grid_checked(args)
-    tol = make_tolerances(args.tolerance_profile, args.n_rho)
+    tol = make_tolerances(args.tolerance_profile, grid.n_rho)
     if not args.bodies:
         raise ConfigError("quermass needs at least one body file")
     reports = []
@@ -288,7 +295,7 @@ def cmd_af(args) -> bool:
     grid = build_grid_checked(args)
     if args.trials < 1:
         raise ConfigError(f"trials must be positive, got {args.trials}")
-    tol = make_tolerances(args.tolerance_profile, args.n_rho)
+    tol = make_tolerances(args.tolerance_profile, grid.n_rho)
     threads = thread_count()
     mode = "equality" if args.equality_family else "random"
     fn = _af_equality_trial if args.equality_family else _af_random_trial
@@ -331,7 +338,7 @@ def cmd_chain(args) -> bool:
     grid = build_grid_checked(args)
     if args.trials < 1:
         raise ConfigError(f"trials must be positive, got {args.trials}")
-    tol = make_tolerances(args.tolerance_profile, args.n_rho)
+    tol = make_tolerances(args.tolerance_profile, grid.n_rho)
     threads = thread_count()
 
     def one(i):
@@ -384,23 +391,18 @@ def _spectrum_sweep(args) -> tuple[dict, str]:
             else random_body(g, args.seed, amplitude=0.2, mode_cap=2)
         rep = spectrum(WeightedSpace(g, ref), how_many=4)
         rows.append([n, g.drho, abs(rep.lambda1 - 1.0)])
-    logs = [(math.log(h), math.log(max(e, 1e-300))) for _, h, e in rows]
-    n = len(logs)
-    mx = sum(x for x, _ in logs) / n
-    my = sum(y for _, y in logs) / n
-    sxx = sum((x - mx) ** 2 for x, _ in logs)
-    slope = sum((x - mx) * (y - my) for x, y in logs) / sxx if sxx > 0 else 0.0
+    _, h, err = np.array(rows).T
     section = {
         "sizes": sizes,
         "pairs": [{"n": r[0], "h": r[1], "lambda1_err": r[2]} for r in rows],
-        "observed_order": slope,
+        "observed_order": np.polyfit(np.log(h), np.log(np.maximum(err, 1e-300)), 1)[0],
     }
     return section, csv_table(["n", "h", "lambda1_err"], rows)
 
 
 def cmd_spectrum(args) -> bool:
     grid = build_grid_checked(args)
-    tol = make_tolerances(args.tolerance_profile, args.n_rho)
+    tol = make_tolerances(args.tolerance_profile, grid.n_rho)
     if args.reference == "cap":
         ref = ell(grid)
     else:
@@ -437,7 +439,7 @@ def cmd_spectrum(args) -> bool:
 
 def cmd_steiner(args) -> bool:
     grid = build_grid_checked(args)
-    tol = make_tolerances(args.tolerance_profile, args.n_rho)
+    tol = make_tolerances(args.tolerance_profile, grid.n_rho)
     try:
         t_values = [float(p) for p in args.t_samples.split(",")]
     except ValueError as exc:
@@ -469,9 +471,9 @@ def cmd_steiner(args) -> bool:
 
 def cmd_reconstruct(args) -> bool:
     grid = build_grid_checked(args)
-    tol = make_tolerances(args.tolerance_profile, args.n_rho)
-    if args.bodies:
-        body = load_body(args.bodies[0], grid)
+    tol = make_tolerances(args.tolerance_profile, grid.n_rho)
+    if args.body:
+        body = load_body(args.body, grid)
     else:
         body = random_body(grid, args.seed)
     patch = embed(grid, body)
@@ -516,34 +518,38 @@ def cmd_reconstruct(args) -> bool:
 
 
 def cmd_report(args) -> bool:
-    """Small deterministic bundle of all verifications on one grid."""
-    sections = {}
-    overall = False
-    sub = argparse.Namespace(**vars(args))
+    """Small deterministic bundle of all verifications on one grid.
+
+    Each section is parsed from its own command line, so its report equals
+    the standalone command's.  The parser is built here, at call time, so the
+    sections dispatch to whatever ``cmd_*`` functions the module holds now.
+    """
+    parser = build_parser()
     out = Path(args.out)
+    shared = [f"--theta={args.theta!r}", "--grid={}x{}".format(*args.grid),
+              f"--seed={args.seed}", f"--tolerance-profile={args.tolerance_profile}"]
+    shared += ["--csv"] if args.csv else []
 
-    sub.count, sub.base_radius, sub.amplitude = 2, 1.0, 0.25
-    sub.out = str(out / "bodies")
-    cmd_gen(sub)
+    def run(command, *argv, out=out):
+        sub = parser.parse_args([command, *shared, f"--out={out}", *argv])
+        return sub.func(sub)
 
-    sub.out = str(out)
-    sub.bodies = [str(Path(sub.out) / "bodies" / f"body_{i:04d}.json")
-                  for i in range(2)]
-    for name, fn in (
-        ("quermass", cmd_quermass),
-        ("steiner", cmd_steiner),
-        ("reconstruct", cmd_reconstruct),
-        ("chain", cmd_chain),
-        ("af", cmd_af),
-        ("spectrum", cmd_spectrum),
-    ):
-        breach = fn(sub)
-        sections[name] = "breach" if breach else "pass"
-        overall = overall or breach
+    bodies = [str(out / "bodies" / f"body_{i:04d}.json") for i in range(2)]
+    run("gen", "--count=2", out=out / "bodies")
+    trials = f"--trials={args.trials}"
+    breaches = {
+        "quermass": run("quermass", "--", *bodies),
+        "steiner": run("steiner"),
+        "reconstruct": run("reconstruct", "--", bodies[0]),
+        "chain": run("chain", trials),
+        "af": run("af", trials),
+        "spectrum": run("spectrum"),
+    }
+    overall = any(breaches.values())
     payload = {
         "config": config_dict(args),
         "identity": "full verification bundle",
-        "sections": sections,
+        "sections": {name: "breach" if b else "pass" for name, b in breaches.items()},
         "breach": overall,
     }
     write_report(out, "summary_report", payload, None, False)
@@ -558,12 +564,10 @@ def build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--theta", type=float, default=math.pi / 2,
                         help="contact angle in (0, pi)")
-    common.add_argument("--grid", type=str, default="32x32",
+    common.add_argument("--grid", type=parse_grid, default="32x32",
                         help="radial x azimuthal node counts, e.g. 64x64")
     common.add_argument("--seed", type=int, default=1)
     common.add_argument("--out", type=str, default=".")
-    common.add_argument("--json", action="store_true",
-                        help="JSON report (always written; flag kept for symmetry)")
     common.add_argument("--csv", action="store_true",
                         help="also write a CSV table next to the JSON report")
     common.add_argument("--tolerance-profile", choices=("default", "strict"),
@@ -610,7 +614,7 @@ def build_parser() -> _Parser:
 
     p = subs.add_parser("reconstruct", parents=[common],
                         help="embed a body and cross-check volumes")
-    p.add_argument("bodies", nargs="*", help="optional body JSON file")
+    p.add_argument("body", nargs="?", help="optional body JSON file")
     p.set_defaults(func=cmd_reconstruct)
 
     p = subs.add_parser("report", parents=[common],
@@ -628,19 +632,7 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors; keep 2 reserved for breaches and
         # report malformed command lines as configuration errors instead.
         return EXIT_CONFIG if exc.code else EXIT_OK
-    # Subcommand-specific knobs that cmd_report forwards must exist even when
-    # the chosen subcommand does not define them.
-    defaults = {
-        "trials": 20, "count": 3, "base_radius": 1.0, "amplitude": 0.25,
-        "bodies": [], "equality_family": False, "reference": "cap",
-        "how_many": 8, "t_samples": "0.1,0.4,0.8,1.2,1.6,2.0", "cap": False,
-        "sweep": "",
-    }
-    for key, value in defaults.items():
-        if not hasattr(args, key):
-            setattr(args, key, value)
     try:
-        args.n_rho, args.n_phi = parse_grid(args.grid)
         breach = args.func(args)
     except ConfigError as exc:
         print(f"capaf: config error: {exc}", file=sys.stderr)

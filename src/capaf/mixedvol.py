@@ -12,10 +12,7 @@ Steiner, permutation symmetry) become testable residuals.
 
 from __future__ import annotations
 
-import csv
-import io
 import itertools
-import json
 import math
 from dataclasses import dataclass
 
@@ -244,19 +241,6 @@ class QuermassReport:
             "b_theta_formula": "pi*(1-cos(theta))**2*(2+cos(theta))/3",
             "top_rel_err": self.top_rel_err,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=1, sort_keys=True)
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["k", "value", "reference", "rel_err"])
-        for k, v, ref, err in self.rows():
-            writer.writerow(
-                [k, repr(v), "" if ref is None else repr(ref), "" if err is None else repr(err)]
-            )
-        return buf.getvalue()
 
 
 def quermass_report(grid: CapGrid, body: CapillaryBody) -> QuermassReport:

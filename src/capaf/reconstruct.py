@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .capgrid import CapGrid, a_of, surface_gradient, tensor_eigenvalues
-from .capfun import CapillaryBody, ell_values, field_values
+from .capfun import CapillaryBody, ell_values, field_values, horizontal_linear
 from .mixedvol import h_k_field
 
 # Relative area floor below which a triangle counts as degenerate.
@@ -216,8 +216,8 @@ def parallel_body(grid: CapGrid, body: CapillaryBody, t: float) -> ParallelCheck
 
     xi = np.stack(
         [
-            grid.sin_rho[:, None] * np.cos(grid.phi_nodes)[None, :],
-            grid.sin_rho[:, None] * np.sin(grid.phi_nodes)[None, :],
+            horizontal_linear(grid, (1, 0)).values,
+            horizontal_linear(grid, (0, 1)).values,
             np.broadcast_to((grid.cos_rho - grid.cos_theta)[:, None], grid.node_shape),
         ],
         axis=-1,

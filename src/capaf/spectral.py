@@ -27,7 +27,7 @@ import scipy.sparse.linalg as spla
 
 from ._stencil import fornberg_weights, stencil_pair
 from .capgrid import CapGrid, a_of, robin_residual, tensor_eigenvalues
-from .capfun import CapillaryBody, certify, ell_values, field_values
+from .capfun import CapillaryBody, certify, ell_values, field_values, horizontal_linear
 from .mixedvol import mixed_volume, q2, quermass_tensors, quermassintegral
 
 # Largest node count solved by dense diagonalization (48x64 grid).
@@ -35,12 +35,6 @@ DENSE_CAP = 3200
 WINDOW = (0.01, 0.99)
 # Fixed Lanczos start vector seed: reports must not depend on entropy.
 _EIGSH_SEED = 20240811
-
-
-def _linear_pair(grid: CapGrid) -> tuple[np.ndarray, np.ndarray]:
-    l1 = grid.sin_rho[:, None] * np.cos(grid.phi_nodes)[None, :]
-    l2 = grid.sin_rho[:, None] * np.sin(grid.phi_nodes)[None, :]
-    return l1, l2
 
 
 class WeightedSpace:
@@ -84,7 +78,8 @@ class WeightedSpace:
 
     def _translate_positive(self, values: np.ndarray) -> np.ndarray:
         g = self.grid
-        l1, l2 = _linear_pair(g)
+        l1 = horizontal_linear(g, (1, 0)).values
+        l2 = horizontal_linear(g, (0, 1)).values
         a1 = g.integrate(values * l1) / g.integrate(l1 * l1)
         a2 = g.integrate(values * l2) / g.integrate(l2 * l2)
         out = values - a1 * l1 - a2 * l2
@@ -330,7 +325,8 @@ def _kernel_cosine(space: WeightedSpace, vectors: np.ndarray) -> float | None:
     if vectors.shape[1] == 0:
         return None
     g = space.grid
-    l1, l2 = _linear_pair(g)
+    l1 = horizontal_linear(g, (1, 0)).values
+    l2 = horizontal_linear(g, (0, 1)).values
     lins = np.stack([l1.reshape(-1), l2.reshape(-1)], axis=1)
     w = space.omega.reshape(-1)
 
@@ -452,7 +448,8 @@ def spectrum(space: WeightedSpace, how_many: int = 8) -> SpectrumReport:
     # two orders below the first true negative eigenvalue on the coarsest
     # supported grids).  The relative floor keeps the threshold meaningful on
     # grids fine enough to beat both anchors.
-    l1, l2 = _linear_pair(g)
+    l1 = horizontal_linear(g, (1, 0)).values
+    l2 = horizontal_linear(g, (0, 1)).values
     lins = np.stack(
         [l1[:-1].reshape(-1), l2[:-1].reshape(-1)], axis=1
     )
@@ -511,7 +508,8 @@ def equality_decompose(space: WeightedSpace, f, f1) -> Decomposition:
     g = space.grid
     fv = g.check_field(field_values(f))
     f1v = g.check_field(field_values(f1))
-    l1, l2 = _linear_pair(g)
+    l1 = horizontal_linear(g, (1, 0)).values
+    l2 = horizontal_linear(g, (0, 1)).values
     basis = [f1v, l1, l2]
     G = np.array([[space.inner(a, b) for b in basis] for a in basis])
     rhs = np.array([space.inner(b, fv) for b in basis])

@@ -66,6 +66,8 @@ def test_config_errors_exit_three(tmp_path):
     assert run(["quermass", "--out", tmp_path, str(tmp_path / "missing.json")]) == 3
     assert run(["quermass", "--out", tmp_path]) == 3
     assert run(["spectrum", "--sweep", "16", "--out", tmp_path]) == 3
+    assert run(["reconstruct", "--out", tmp_path, "a.json", "b.json"]) == 3
+    assert run(["af", "--json", "--out", tmp_path]) == 3
     assert run(["nosuchcommand"]) == 3
     assert run([]) == 3
 
@@ -244,3 +246,48 @@ def test_report_bundle_is_deterministic(tmp_path):
     for name in ("summary", "af", "spectrum", "quermass"):
         assert ((tmp_path / "a" / f"{name}_report.json").read_bytes()
                 == (tmp_path / "b" / f"{name}_report.json").read_bytes()), name
+
+
+# Each bundle section and the standalone command that must reproduce it;
+# "@name" is a body file the bundle generated.
+SECTIONS = {
+    "gen": ["--count", "2"],
+    "quermass": ["@body_0000.json", "@body_0001.json"],
+    "steiner": [],
+    "reconstruct": ["@body_0000.json"],
+    "chain": ["--trials", "2"],
+    "af": ["--trials", "2"],
+    "spectrum": [],
+}
+BUNDLE_FLAGS = ["--theta", "1.2", "--grid", "16x16"]
+
+
+@pytest.fixture(scope="module")
+def bundle(tmp_path_factory):
+    out = tmp_path_factory.mktemp("bundle")
+    assert run(["report", *BUNDLE_FLAGS, "--trials", "2", "--out", out]) == 0
+    return out
+
+
+def section_report(bundle, section):
+    name = {"gen": "bodies/gen", "report": "summary"}.get(section, section)
+    return bundle / f"{name}_report.json"
+
+
+@pytest.mark.parametrize("section", list(SECTIONS))
+def test_report_sections_equal_their_standalone_commands(bundle, section, tmp_path):
+    args = [bundle / "bodies" / a[1:] if a.startswith("@") else a
+            for a in SECTIONS[section]]
+    assert run([section, *BUNDLE_FLAGS, "--out", tmp_path, *args]) == 0
+    assert ((tmp_path / f"{section}_report.json").read_bytes()
+            == section_report(bundle, section).read_bytes())
+
+
+def test_report_configs_list_only_their_command_options(bundle):
+    parser = cli.build_parser()
+    for section in [*SECTIONS, "report"]:
+        config = json.loads(section_report(bundle, section).read_text())["config"]
+        assert set(config) == set(vars(parser.parse_args([section]))) - {"func", "out"}
+    assert not {"amplitude", "cap", "sweep"} & set(read_report(bundle, "af_report.json")["config"])
+    assert "trials" not in read_report(bundle, "quermass_report.json")["config"]
+    assert read_report(bundle, "reconstruct_report.json")["config"]["body"] == "body_0000.json"
