@@ -42,8 +42,6 @@ from .mixedvol import (
     b_theta,
     h_k_field,
     minkowski_identity_residual,
-    mixed_discriminant,
-    mixed_discriminant_polarization,
     mixed_volume,
     quermass_report,
     quermassintegral,
@@ -90,8 +88,7 @@ __all__ = [
     "minkowski_combine", "random_body", "random_capillary_field", "save_body",
     "translate_horizontal",
     "QuermassReport", "SteinerReport", "b_theta", "h_k_field",
-    "minkowski_identity_residual", "mixed_discriminant",
-    "mixed_discriminant_polarization", "mixed_volume", "quermass_report",
+    "minkowski_identity_residual", "mixed_volume", "quermass_report",
     "quermassintegral", "steiner_check", "symmetry_residual",
     "AFReport", "ChainReport", "SpectrumReport", "WeightedSpace",
     "af_chain_check", "af_check", "assemble_operator",

@@ -412,7 +412,7 @@ def cmd_spectrum(args) -> bool:
     breach = abs(rep.lambda1 - 1.0) > tol.lambda1
     breach = breach or not rep.lambda1_simple or rep.lambda1_gap < 0.9
     breach = breach or len(rep.kernel_indices) != 2
-    breach = breach or rep.window_empty is not True
+    breach = breach or not rep.window_empty
     if args.reference == "cap" and rep.kernel_cosine is not None:
         breach = breach or rep.kernel_cosine < 1.0 - tol.kernel_cos
     rows = [[i, v, r] for i, (v, r) in

@@ -1,4 +1,4 @@
-"""Mixed discriminants, mixed volumes and quermassintegrals on the cap.
+"""Mixed volumes and quermassintegrals on the cap.
 
 The mixed volume of support-like fields f1, f2, f3 is
 
@@ -21,8 +21,6 @@ import numpy as np
 from .capgrid import CapGrid, a_of
 from .capfun import CapillaryBody, ell_values, field_values
 
-SYM_GATE = 1e-10
-
 
 def b_theta(theta: float) -> float:
     """Volume of the unit solid cap: pi (1-cos t)^2 (2+cos t) / 3."""
@@ -30,72 +28,7 @@ def b_theta(theta: float) -> float:
     return math.pi * (1.0 - c) ** 2 * (2.0 + c) / 3.0
 
 
-# -- mixed discriminants -------------------------------------------------------
-
-def _check_symmetric_stack(matrices) -> np.ndarray:
-    mats = np.asarray(matrices, dtype=float)
-    if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
-        raise ValueError(f"expected a list of square matrices, got shape {mats.shape}")
-    n = mats.shape[0]
-    if mats.shape[1] != n:
-        raise ValueError(
-            f"need exactly n matrices of size n x n, got {n} of size {mats.shape[1]}"
-        )
-    skew = np.max(np.abs(mats - np.transpose(mats, (0, 2, 1))))
-    scale = max(1.0, float(np.max(np.abs(mats))))
-    if skew > SYM_GATE * scale:
-        raise ValueError(f"matrices must be symmetric, asymmetry {skew:.3e}")
-    return mats
-
-
-def mixed_discriminant(matrices) -> float:
-    """Mixed discriminant of n symmetric n x n matrices, n <= 4.
-
-    Uses the double-permutation expansion
-    Q = (1/n!) sum_{s,t} sign(s) sign(t) prod_k A_k[s(k), t(k)],
-    which is exact and cheap for n <= 4 (at most 576 terms).
-    """
-    mats = _check_symmetric_stack(matrices)
-    n = mats.shape[0]
-    if n > 4:
-        raise ValueError(f"permutation expansion limited to n <= 4, got n = {n}")
-    if n == 1:
-        return float(mats[0, 0, 0])
-    if n == 2:
-        a, b = mats
-        return 0.5 * (a[0, 0] * b[1, 1] + a[1, 1] * b[0, 0] - 2.0 * a[0, 1] * b[0, 1])
-    perms = list(itertools.permutations(range(n)))
-    signs = {}
-    for p in perms:
-        inv = 0
-        for i in range(n):
-            for j in range(i + 1, n):
-                if p[i] > p[j]:
-                    inv += 1
-        signs[p] = -1.0 if inv % 2 else 1.0
-    total = 0.0
-    for s in perms:
-        for t in perms:
-            term = signs[s] * signs[t]
-            for k in range(n):
-                term *= mats[k, s[k], t[k]]
-            total += term
-    return total / math.factorial(n)
-
-
-def mixed_discriminant_polarization(matrices) -> float:
-    """Inclusion-exclusion oracle: Q = (1/n!) sum_{S nonempty} (-1)^(n-|S|) det(sum_S A_i).
-
-    Slower than the expansion; kept as an independent cross-check.
-    """
-    mats = _check_symmetric_stack(matrices)
-    n = mats.shape[0]
-    total = 0.0
-    for r in range(1, n + 1):
-        for subset in itertools.combinations(range(n), r):
-            total += (-1.0) ** (n - r) * float(np.linalg.det(mats[list(subset)].sum(axis=0)))
-    return total / math.factorial(n)
-
+# -- mixed volumes -------------------------------------------------------------
 
 def q2(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Pointwise 2x2 mixed discriminant of tensor fields shaped (..., 2, 2)."""
@@ -105,8 +38,6 @@ def q2(A: np.ndarray, B: np.ndarray) -> np.ndarray:
         - 2.0 * A[..., 0, 1] * B[..., 0, 1]
     )
 
-
-# -- mixed volumes -------------------------------------------------------------
 
 def _unwrap(grid: CapGrid, obj) -> np.ndarray:
     values = field_values(obj)

@@ -73,6 +73,25 @@ def test_a_of_is_byte_identical_across_blas_thread_counts():
     assert digests[0] == digests[1]
 
 
+def test_report_bundle_is_byte_identical_across_blas_thread_counts(tmp_path):
+    # The whole bundle, spectrum section included, must not depend on how many
+    # threads the BLAS library uses.
+    src = os.path.dirname(os.path.dirname(capaf.__file__))
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"blas{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        subprocess.run([sys.executable, "-m", "capaf", "report", "--theta", "1.2",
+                        "--grid", "48x64", "--trials", "1", "--out", str(out)],
+                       env=env, check=True, capture_output=True)
+        reports.append({p.relative_to(out).as_posix(): p.read_bytes()
+                        for p in sorted(out.rglob("*_report.json"))})
+    assert "spectrum_report.json" in reports[0]
+    assert len(reports[0]) == 8
+    assert reports[0] == reports[1]
+
+
 @pytest.mark.parametrize("theta", [0.5, np.pi / 2, 2.2])
 def test_quadrature_matches_cap_area(theta):
     # integral of 1 over the cap is the geodesic-ball area 2 pi (1 - cos theta)

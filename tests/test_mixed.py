@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import capaf
+from capaf.mixedvol import q2
 
 from helpers import grid, smooth_body, smooth_field, solid_cap_volume
 
@@ -195,35 +196,13 @@ def test_h_k_field_of_the_cap_is_one():
         capaf.h_k_field(g, lv, 3)
 
 
-def test_mixed_discriminant_matches_the_polarization_formula():
-    rng = np.random.default_rng(0)
-    for n in (2, 3, 4):
-        for _ in range(20):
-            mats = [m + m.T for m in rng.normal(size=(n, n, n))]
-            d1 = capaf.mixed_discriminant(mats)
-            d2 = capaf.mixed_discriminant_polarization(mats)
-            assert abs(d1 - d2) <= 1e-10 * max(1.0, abs(d1))
-
-
 def test_mixed_discriminant_closed_forms():
     A = np.array([[2.0, 0.3], [0.3, 1.0]])
     B = np.array([[1.5, -0.4], [-0.4, 3.0]])
     closed = 0.5 * (A[0, 0] * B[1, 1] + A[1, 1] * B[0, 0] - 2 * A[0, 1] * B[0, 1])
-    assert capaf.mixed_discriminant([A, B]) == pytest.approx(closed, rel=1e-14)
-    assert capaf.mixed_discriminant([A, A]) == pytest.approx(np.linalg.det(A),
-                                                             rel=1e-14)
-    assert capaf.mixed_discriminant([B, A]) == pytest.approx(closed, rel=1e-14)
-
-
-def test_mixed_discriminant_input_validation():
-    eye = np.eye(3)
-    with pytest.raises(ValueError, match="n <= 4"):
-        capaf.mixed_discriminant([np.eye(5)] * 5)
-    with pytest.raises(ValueError, match="exactly n matrices"):
-        capaf.mixed_discriminant([eye, eye])
-    skew = eye + 0.1 * np.array([[0, 1, 0], [-1, 0, 0], [0, 0, 0]])
-    with pytest.raises(ValueError, match="symmetric"):
-        capaf.mixed_discriminant([skew, eye, eye])
+    assert q2(A, B) == pytest.approx(closed, rel=1e-14)
+    assert q2(A, A) == pytest.approx(np.linalg.det(A), rel=1e-14)
+    assert q2(B, A) == pytest.approx(closed, rel=1e-14)
 
 
 def test_pairwise_discriminant_inequality_two_by_two():
@@ -233,20 +212,7 @@ def test_pairwise_discriminant_inequality_two_by_two():
     A = G @ np.swapaxes(G, 1, 2) + 0.05 * np.eye(2)
     H = rng.normal(size=(100000, 2, 2))
     B = H @ np.swapaxes(H, 1, 2) + 0.05 * np.eye(2)
-    dab = 0.5 * (A[:, 0, 0] * B[:, 1, 1] + A[:, 1, 1] * B[:, 0, 0]
-                 - 2 * A[:, 0, 1] * B[:, 0, 1])
+    dab = q2(A, B)
     gap = dab ** 2 - np.linalg.det(A) * np.linalg.det(B)
     scale = np.maximum(1.0, dab ** 2)
     assert float(np.min(gap / scale)) > -1e-12
-
-
-def test_pairwise_discriminant_inequality_three_by_three():
-    rng = np.random.default_rng(8)
-    for _ in range(200):
-        G = rng.normal(size=(3, 3, 3))
-        A1, A2, A3 = (g @ g.T + 0.05 * np.eye(3) for g in G)
-        dab = capaf.mixed_discriminant([A1, A2, A3])
-        gap = (dab ** 2
-               - capaf.mixed_discriminant([A1, A1, A3])
-               * capaf.mixed_discriminant([A2, A2, A3]))
-        assert gap > -1e-12 * max(1.0, dab ** 2)

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse as sp
 
 import capaf
 
@@ -169,7 +171,6 @@ def test_equality_decompose_flags_a_degenerate_slot():
 def test_hemisphere_spectrum_shows_the_dichotomy():
     g = grid(np.pi / 2, 24, 24)
     rep = capaf.spectrum(cap_space(np.pi / 2, 24, 24), how_many=6)
-    assert rep.solver == "dense"
     assert rep.lambda1 == pytest.approx(1.0, abs=1e-8)
     assert rep.lambda1_simple
     assert rep.kernel_indices == [1, 2]
@@ -198,19 +199,52 @@ def test_random_reference_spectrum_keeps_the_dichotomy():
     assert all(e < 0 for e in others)
 
 
-def test_spectrum_is_deterministic_for_both_solvers():
-    # dense path
-    sp = cap_space(1.5, 24, 24)
-    a = capaf.spectrum(sp, how_many=6)
-    b = capaf.spectrum(sp, how_many=6)
-    assert a.solver == "dense"
+@pytest.mark.parametrize("n", [24, 64])
+def test_spectrum_is_deterministic(n):
+    # the Lanczos start vector is seeded
+    space = cap_space(1.5, n, n)
+    a = capaf.spectrum(space, how_many=6)
+    b = capaf.spectrum(space, how_many=6)
     assert a.eigenvalues == b.eigenvalues
-    # iterative path with a seeded start vector
-    sp64 = cap_space(1.5, 64, 64)
-    a = capaf.spectrum(sp64, how_many=6)
-    b = capaf.spectrum(sp64, how_many=6)
-    assert a.solver == "shift-invert"
-    assert a.eigenvalues == b.eigenvalues
+
+
+def _dense_pencil_eigenvalues(space):
+    """Every eigenvalue of the reduced pencil, largest first, by dense eigh."""
+    op = capaf.assemble_operator(space)
+    basis = capaf.spectral._robin_basis(space.grid)
+    A = (basis.T @ op.form @ basis).toarray()
+    M = (basis.T @ sp.diags(op.mass) @ basis).toarray()
+    return scipy.linalg.eigh(A, M, eigvals_only=True)[::-1]
+
+
+def _cap_reference(theta):
+    return cap_space(theta, 24, 24)
+
+
+def _random_reference(theta):
+    g = grid(theta, 24, 24)
+    return capaf.WeightedSpace(g, capaf.random_body(g, 40, amplitude=0.2))
+
+
+# The cap at theta = 0.05 has a second eigenvalue 0.9688 inside the window, so
+# it is the witness for window_empty = False.  If the operator is changed so
+# that this eigenvalue leaves the window, pick another witness for that case.
+@pytest.mark.parametrize("make_space, theta, window_empty", [
+    (_cap_reference, np.pi / 2, True),
+    (_random_reference, 2.2, True),
+    (_cap_reference, 0.05, False),
+], ids=["cap-1.57", "random-2.2", "cap-0.05"])
+def test_spectrum_matches_the_dense_pencil(make_space, theta, window_empty):
+    space = make_space(theta)
+    rep = capaf.spectrum(space, how_many=6)
+    dense = _dense_pencil_eigenvalues(space)
+    k = len(rep.eigenvalues)
+    assert k == 6
+    np.testing.assert_allclose(rep.eigenvalues, dense[:k], rtol=0, atol=1e-9)
+    lo, hi = rep.window
+    inside = int(np.count_nonzero((dense > lo) & (dense < hi)))
+    assert rep.window_empty == (inside == 0)
+    assert rep.window_empty is window_empty
 
 
 def test_spectrum_report_serializes_to_json():
