@@ -130,10 +130,13 @@ class CapGrid:
 
     def d_phi(self, values: np.ndarray, order: int = 1) -> np.ndarray:
         """Azimuthal derivative by Fourier differentiation."""
-        values = self.check_field(values)
-        F = np.fft.rfft(values, axis=1)
-        F *= self._sym_d1 if order == 1 else self._sym_d2
-        return np.fft.irfft(F, n=self.n_phi, axis=1)
+        return self.d_phi_orders(values, (order,))[0]
+
+    def d_phi_orders(self, values: np.ndarray, orders) -> list[np.ndarray]:
+        """Azimuthal derivatives of several orders from one forward transform."""
+        F = np.fft.rfft(self.check_field(values), axis=1)
+        return [np.fft.irfft(F * (self._sym_d1 if order == 1 else self._sym_d2),
+                             n=self.n_phi, axis=1) for order in orders]
 
     # -- quadrature --------------------------------------------------------
     def integrate(self, values: np.ndarray) -> float:
@@ -175,8 +178,7 @@ def hessian(grid: CapGrid, values: np.ndarray) -> np.ndarray:
     values = grid.check_field(values)
     f_r = grid.d_rho(values, 1)
     f_rr = grid.d_rho(values, 2)
-    f_p = grid.d_phi(values, 1)
-    f_pp = grid.d_phi(values, 2)
+    f_p, f_pp = grid.d_phi_orders(values, (1, 2))
     f_rp = grid.d_rho(f_p, 1)
     sin = grid.sin_rho[:, None]
     cot = grid.cot_rho[:, None]

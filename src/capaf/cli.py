@@ -62,6 +62,11 @@ ANCHOR_RHO = 128
 # The equality-family gap floor shrinks with the fourth power of the spacing
 # and clears 1e-8 only around 256 radial nodes, so its budget is anchored there.
 AF_ANCHOR_RHO = 256
+# Largest eigenpair residual a spectrum may report.  The shift-invert factor
+# pivots on the diagonal without a numerical pivot search, and this gate is
+# what would catch a factor spoiled by a tiny pivot; sound solves stay below
+# 1e-10 on every grid and angle tried.
+SPECTRUM_RESIDUAL_GATE = 1e-8
 
 
 # An ArgumentTypeError, so that a parse_grid failure inside argparse becomes a
@@ -177,7 +182,12 @@ def jsonable(value):
 
 
 def write_report(out_dir: Path, name: str, payload: dict, csv_text: str | None,
-                 want_csv: bool) -> Path:
+                 want_csv: bool, meta: dict | None = None) -> Path:
+    """Write name.json, its .meta.json sidecar and optionally name.csv.
+
+    meta holds run statistics (solver counts and the like); they go into the
+    sidecar next to the timestamp, never into the report.
+    """
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"{name}.json"
     try:
@@ -188,6 +198,7 @@ def write_report(out_dir: Path, name: str, payload: dict, csv_text: str | None,
     sidecar = {
         "written_at": datetime.now(timezone.utc).isoformat(),
         "report": path.name,
+        **jsonable(meta or {}),
     }
     (out_dir / f"{name}.meta.json").write_text(
         json.dumps(sidecar, indent=1) + "\n", encoding="utf-8")
@@ -413,6 +424,7 @@ def cmd_spectrum(args) -> bool:
     breach = breach or not rep.lambda1_simple or rep.lambda1_gap < 0.9
     breach = breach or len(rep.kernel_indices) != 2
     breach = breach or not rep.window_empty
+    breach = breach or max(rep.residuals) > SPECTRUM_RESIDUAL_GATE
     if args.reference == "cap" and rep.kernel_cosine is not None:
         breach = breach or rep.kernel_cosine < 1.0 - tol.kernel_cos
     rows = [[i, v, r] for i, (v, r) in
@@ -433,7 +445,8 @@ def cmd_spectrum(args) -> bool:
         out.mkdir(parents=True, exist_ok=True)
         (out / "spectrum_sweep.csv").write_text(sweep_csv, encoding="utf-8")
     write_report(out, "spectrum_report", payload,
-                 csv_table(["index", "eigenvalue", "residual"], rows), args.csv)
+                 csv_table(["index", "eigenvalue", "residual"], rows), args.csv,
+                 meta={"factor_nnz": rep.factor_nnz, "lanczos_solves": rep.n_solves})
     return breach
 
 

@@ -202,6 +202,28 @@ def test_timestamps_live_only_in_the_sidecar(tmp_path):
     assert "written_at" in meta
 
 
+def test_spectrum_solver_statistics_live_only_in_the_sidecar(tmp_path):
+    assert run(["spectrum", "--theta", "1.5", "--grid", "16x16",
+                "--out", tmp_path]) == 0
+    body = (tmp_path / "spectrum_report.json").read_text()
+    assert "factor_nnz" not in body and "lanczos_solves" not in body
+    meta = read_report(tmp_path, "spectrum_report.meta.json")
+    assert meta["factor_nnz"] > 0
+    assert meta["lanczos_solves"] > 0
+
+
+def test_a_large_spectrum_residual_is_a_breach(tmp_path, monkeypatch):
+    def spoiled(space, how_many):
+        rep = capaf.spectrum(space, how_many=how_many)
+        rep.residuals[-1] = 10.0 * cli.SPECTRUM_RESIDUAL_GATE
+        return rep
+
+    monkeypatch.setattr(cli, "spectrum", spoiled)
+    assert run(["spectrum", "--theta", "1.5", "--grid", "16x16",
+                "--out", tmp_path]) == cli.EXIT_BREACH == 2
+    assert read_report(tmp_path, "spectrum_report.json")["breach"] is True
+
+
 def test_strict_profile_flags_a_coarse_grid_breach(tmp_path):
     # the kernel-cosine budget of 1e-6 is not attainable on a 16x16 grid
     rc = run(["spectrum", "--theta", "1.5", "--grid", "16x16",

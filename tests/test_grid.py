@@ -73,6 +73,23 @@ def test_a_of_is_byte_identical_across_blas_thread_counts():
     assert digests[0] == digests[1]
 
 
+def test_spectrum_at_96_is_byte_identical_across_blas_thread_counts(tmp_path):
+    # The operator's scale is a numpy pairwise sum, not BLAS nrm2, and the
+    # shift-invert factor is sparse, so the report does not depend on BLAS
+    # threads.
+    src = os.path.dirname(os.path.dirname(capaf.__file__))
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"blas{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        subprocess.run([sys.executable, "-m", "capaf", "spectrum", "--theta", "2.2",
+                        "--grid", "96x96", "--reference", "random", "--out", str(out)],
+                       env=env, check=True, capture_output=True)
+        reports.append((out / "spectrum_report.json").read_bytes())
+    assert reports[0] == reports[1]
+
+
 def test_report_bundle_is_byte_identical_across_blas_thread_counts(tmp_path):
     # The whole bundle, spectrum section included, must not depend on how many
     # threads the BLAS library uses.
@@ -129,6 +146,32 @@ def test_d_phi_is_spectrally_exact():
     ref = -3.0 * np.sin(3.0 * g.phi_nodes)[None, :] * np.ones((g.n_rho + 1, 1))
     np.testing.assert_allclose(g.d_phi(f, 1), ref, atol=1e-11)
     np.testing.assert_allclose(g.d_phi(f, 2), -9.0 * f, atol=1e-10)
+
+
+def test_a_of_takes_one_azimuthal_transform_and_equals_the_two_transform_form(
+        monkeypatch):
+    g = grid(2.2, 64, 64)
+    f = capaf.random_capillary_field(g, seed=9).values
+    # the shape tensor as built from one transform per azimuthal derivative
+    f_r, f_rr = g.d_rho(f, 1), g.d_rho(f, 2)
+    f_p, f_pp = g.d_phi(f, 1), g.d_phi(f, 2)
+    sin, cot = g.sin_rho[:, None], g.cot_rho[:, None]
+    two = np.empty(g.node_shape + (2, 2))
+    two[..., 0, 0] = f_rr + f
+    two[..., 0, 1] = two[..., 1, 0] = (g.d_rho(f_p, 1) - cot * f_p) / sin
+    two[..., 1, 1] = f_pp / sin**2 + cot * f_r + f
+
+    rfft = np.fft.rfft
+    calls = []
+
+    def counting_rfft(*args, **kwargs):
+        calls.append(args)
+        return rfft(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", counting_rfft)
+    A = capaf.a_of(g, f)
+    assert len(calls) == 1
+    assert A.tobytes() == two.tobytes()
 
 
 @pytest.mark.parametrize("m", [0, 1, 2])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg
 
 import capaf
 
@@ -245,6 +246,34 @@ def test_spectrum_matches_the_dense_pencil(make_space, theta, window_empty):
     inside = int(np.count_nonzero((dense > lo) & (dense < hi)))
     assert rep.window_empty == (inside == 0)
     assert rep.window_empty is window_empty
+    assert max(rep.residuals) < 1e-8
+
+
+def _shifted_pencil(space):
+    op = capaf.assemble_operator(space)
+    basis = capaf.spectral._robin_basis(space.grid)
+    K = basis.T @ (op.form - 0.5 * sp.diags(op.mass)) @ basis
+    R, P = space.grid.node_shape
+    return K.tocsc(), (R - 1, P)
+
+
+def test_dissection_order_is_a_deterministic_permutation():
+    K, shape = _shifted_pencil(_random_reference(2.2))
+    p = capaf.spectral._dissection_order(K, shape)
+    np.testing.assert_array_equal(np.sort(p), np.arange(K.shape[0]))
+    np.testing.assert_array_equal(p, capaf.spectral._dissection_order(K, shape))
+
+
+def test_dissection_order_factor_fills_less_than_the_default_factor():
+    g = grid(2.2, 48, 64)
+    space = capaf.WeightedSpace(g, capaf.random_body(g, 1, amplitude=0.2, mode_cap=2))
+    K, shape = _shifted_pencil(space)
+    p = capaf.spectral._dissection_order(K, shape)
+    ordered = scipy.sparse.linalg.splu(
+        K[p][:, p], permc_spec="NATURAL", diag_pivot_thresh=0.0,
+        options={"SymmetricMode": True})
+    default = scipy.sparse.linalg.splu(K)
+    assert ordered.nnz < default.nnz
 
 
 def test_spectrum_report_serializes_to_json():
