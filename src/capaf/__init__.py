@@ -42,6 +42,7 @@ from .mixedvol import (
     b_theta,
     h_k_field,
     minkowski_identity_residual,
+    mixed_sequence,
     mixed_volume,
     quermass_report,
     quermassintegral,
@@ -88,7 +89,7 @@ __all__ = [
     "minkowski_combine", "random_body", "random_capillary_field", "save_body",
     "translate_horizontal",
     "QuermassReport", "SteinerReport", "b_theta", "h_k_field",
-    "minkowski_identity_residual", "mixed_volume", "quermass_report",
+    "minkowski_identity_residual", "mixed_sequence", "mixed_volume", "quermass_report",
     "quermassintegral", "steiner_check", "symmetry_residual",
     "AFReport", "ChainReport", "SpectrumReport", "WeightedSpace",
     "af_chain_check", "af_check", "assemble_operator",

@@ -28,14 +28,19 @@ EIG_GATE = 1e-6
 
 @dataclass
 class CapillaryField:
-    """Scalar field on the cap satisfying the contact-angle Robin condition."""
+    """Scalar field on the cap satisfying the contact-angle Robin condition.
+
+    robin_max, the largest boundary Robin residual, is computed from the
+    values on construction, so it always describes them.
+    """
 
     grid: CapGrid
     values: np.ndarray
-    robin_max: float
+    robin_max: float = field(init=False)
 
     def __post_init__(self):
         self.values = self.grid.check_field(self.values)
+        self.robin_max = float(np.max(np.abs(robin_residual(self.grid, self.values))))
 
 
 @dataclass
@@ -98,11 +103,11 @@ def certify(grid: CapGrid, values: np.ndarray, provenance: dict | None = None) -
     the wrong shape or with NaN or inf entries is rejected with NaN margins.
     """
     try:
-        values = grid.check_field(values)
+        support = CapillaryField(grid, values)
     except ValueError as exc:
         return CertifyResult(False, None, math.nan, math.nan, [str(exc)])
+    values, rmax = support.values, support.robin_max
     scale = max(1.0, float(np.max(np.abs(values))))
-    rmax = float(np.max(np.abs(robin_residual(grid, values))))
     meig = min_shape_eig(grid, values)
     reasons = []
     if rmax > grid.robin_gate * scale:
@@ -113,8 +118,7 @@ def certify(grid: CapGrid, values: np.ndarray, provenance: dict | None = None) -
         reasons.append(f"min shape-tensor eigenvalue {meig:.3e} not positive")
     if reasons:
         return CertifyResult(False, None, meig, rmax, reasons)
-    body = CapillaryBody(CapillaryField(grid, values, rmax), meig, provenance)
-    return CertifyResult(True, body, meig, rmax, reasons)
+    return CertifyResult(True, CapillaryBody(support, meig, provenance), meig, rmax, reasons)
 
 
 def _certified(grid: CapGrid, values: np.ndarray, provenance: dict | None = None) -> CapillaryBody:
@@ -146,8 +150,7 @@ def horizontal_linear(grid: CapGrid, direction: Sequence[float]) -> CapillaryFie
     values = grid.sin_rho[:, None] * (
         d[0] * np.cos(grid.phi_nodes)[None, :] + d[1] * np.sin(grid.phi_nodes)[None, :]
     )
-    rmax = float(np.max(np.abs(robin_residual(grid, values))))
-    return CapillaryField(grid, values, rmax)
+    return CapillaryField(grid, values)
 
 
 def from_neumann(grid: CapGrid, u: np.ndarray, gate: float | None = None) -> CapillaryField:
@@ -168,8 +171,7 @@ def from_neumann(grid: CapGrid, u: np.ndarray, gate: float | None = None) -> Cap
             f"(gate {gate * scale:.3e})"
         )
     values = ell_values(grid) * u
-    rmax = float(np.max(np.abs(robin_residual(grid, values))))
-    return CapillaryField(grid, values, rmax)
+    return CapillaryField(grid, values)
 
 
 # -- random generation ------------------------------------------------------
@@ -279,7 +281,6 @@ def random_body(
         values = enforce_contact_angle(grid, base_radius * lv + amp * lv * u)
         meig = min_shape_eig(grid, values)
         if meig >= margin * base_radius:
-            rmax = float(np.max(np.abs(robin_residual(grid, values))))
             prov = {
                 "seed": int(seed),
                 "params": {
@@ -289,7 +290,7 @@ def random_body(
                     "mode_cap": int(mode_cap),
                 },
             }
-            return CapillaryBody(CapillaryField(grid, values, rmax), meig, prov)
+            return CapillaryBody(CapillaryField(grid, values), meig, prov)
         amp *= 0.5
     raise RuntimeError(
         f"generation failed: no convex body within {max_halvings} amplitude halvings "
@@ -317,8 +318,7 @@ def random_capillary_field(
         a1, a2 = rng.uniform(-0.5, 0.5, size=2)
         values = values + horizontal_linear(grid, (a1, a2)).values
     values = enforce_contact_angle(grid, values)
-    rmax = float(np.max(np.abs(robin_residual(grid, values))))
-    return CapillaryField(grid, values, rmax)
+    return CapillaryField(grid, values)
 
 
 # -- algebra ------------------------------------------------------------------

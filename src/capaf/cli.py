@@ -38,7 +38,7 @@ from .capfun import (
     random_capillary_field,
     save_body,
 )
-from .mixedvol import quermass_report, quermass_tensors, quermassintegral, steiner_check
+from .mixedvol import quermass_report, quermassintegral, steiner_check
 from .reconstruct import (
     boundary_form_quermass,
     contact_angle_residual,
@@ -48,7 +48,13 @@ from .reconstruct import (
     interior_min_height,
     planarity_residual,
 )
-from .spectral import WeightedSpace, af_check, quermass_chain_check, spectrum
+from .spectral import (
+    WeightedSpace,
+    af_chain_check,
+    af_check,
+    quermass_chain_check,
+    spectrum,
+)
 
 EXIT_OK = 0
 EXIT_BREACH = 2
@@ -282,23 +288,23 @@ def cmd_quermass(args) -> bool:
     return breach
 
 
-def _af_random_trial(grid, space_seed_base, i):
-    f2 = random_body(grid, trial_seed(space_seed_base, 3 * i))
-    space = WeightedSpace(grid, f2)
-    f1 = random_body(grid, trial_seed(space_seed_base, 3 * i + 1))
-    f = random_capillary_field(grid, trial_seed(space_seed_base, 3 * i + 2))
-    rep = af_check(space, f, f1)
-    return rep
+def _af_trial(grid, base, i, equality):
+    """AF trial i: f2 from seed 3i, f1 from 3i+1, and f from 3i+2.
 
-
-def _af_equality_trial(grid, base, i):
+    f is a random admissible field, or on the equality family a*f1 plus a
+    horizontal linear.
+    """
     f2 = random_body(grid, trial_seed(base, 3 * i))
     space = WeightedSpace(grid, f2)
     f1 = random_body(grid, trial_seed(base, 3 * i + 1))
-    rng = np.random.default_rng(trial_seed(base, 3 * i + 2))
-    a = rng.uniform(0.5, 2.0)
-    b1, b2 = rng.uniform(-0.5, 0.5, size=2)
-    f = a * f1.values + horizontal_linear(grid, (b1, b2)).values
+    seed = trial_seed(base, 3 * i + 2)
+    if equality:
+        rng = np.random.default_rng(seed)
+        a = rng.uniform(0.5, 2.0)
+        b1, b2 = rng.uniform(-0.5, 0.5, size=2)
+        f = a * f1.values + horizontal_linear(grid, (b1, b2)).values
+    else:
+        f = random_capillary_field(grid, seed)
     return af_check(space, f, f1)
 
 
@@ -309,9 +315,10 @@ def cmd_af(args) -> bool:
     tol = make_tolerances(args.tolerance_profile, grid.n_rho)
     threads = thread_count()
     mode = "equality" if args.equality_family else "random"
-    fn = _af_equality_trial if args.equality_family else _af_random_trial
 
-    reports = run_indexed(args.trials, lambda i: fn(grid, args.seed, i), threads)
+    reports = run_indexed(
+        args.trials, lambda i: _af_trial(grid, args.seed, i, args.equality_family),
+        threads)
     rows, trials = [], []
     breach = False
     min_rel = math.inf
@@ -354,35 +361,38 @@ def cmd_chain(args) -> bool:
 
     def one(i):
         body = random_body(grid, trial_seed(args.seed, i))
-        return quermass_chain_check(grid, body)
+        return body, quermass_chain_check(grid, body)
 
-    reports = run_indexed(args.trials, one, threads)
+    bodies, reports = zip(*run_indexed(args.trials, one, threads))
+    pairs = run_indexed(args.trials - 1,
+                        lambda i: af_chain_check(grid, bodies[i], bodies[i + 1]),
+                        threads)
     cap_rep = quermass_chain_check(grid, ell(grid))
     rows = []
-    breach = False
-    min_rel = math.inf
-    for i, rep in enumerate(reports):
-        min_rel = min(min_rel, rep.min_relative_slack)
-        if rep.min_relative_slack < -tol.af:
-            breach = True
-        for p in rep.pairs:
-            rows.append([i, p["l"], p["k"], p["lhs"], p["rhs"], p["slack"]])
-    cap_equality = max(abs(p["relative_slack"]) for p in cap_rep.pairs)
-    if cap_equality > 1e-12:
-        breach = True
+    for kind, reps in (("body", reports), ("pair", pairs)):
+        for n, rep in enumerate(reps):
+            for t in rep.triples:
+                rows.append([kind, n, t["i"], t["j"], t["k"],
+                             t["lhs"], t["rhs"], t["slack"]])
+    min_rel = min(rep.min_relative_slack for rep in (*reports, *pairs))
+    cap_equality = max(abs(t["relative_slack"]) for t in cap_rep.triples)
+    breach = min_rel < -tol.af or cap_equality > 1e-12
     payload = {
         "config": config_dict(args),
-        "identity": "normalized quermassintegral chain: "
-                    "V_k/V_3 >= (V_l/V_3)^((3-k)/(3-l)) for l < k, "
-                    "with equality exactly on caps",
+        "identity": "mixed-volume chain V_j/V_k >= (V_i/V_k)^((k-j)/(k-i)) "
+                    "for i < j < k, V_i = V(L x i, K x (3-i)): quermassintegrals "
+                    "of each body K (L the unit cap, equality exactly on caps) "
+                    "and consecutive body pairs (K, L) = (K_n, K_n+1)",
         "tolerance": tol.af,
         "min_relative_slack": min_rel,
         "cap_equality_defect": cap_equality,
         "breach": breach,
         "bodies": [rep.to_dict() for rep in reports],
+        "pairs": [rep.to_dict() for rep in pairs],
     }
     write_report(Path(args.out), "chain_report", payload,
-                 csv_table(["body", "l", "k", "lhs", "rhs", "slack"], rows),
+                 csv_table(["kind", "index", "i", "j", "k", "lhs", "rhs", "slack"],
+                           rows),
                  args.csv)
     return breach
 
@@ -494,8 +504,7 @@ def cmd_reconstruct(args) -> bool:
     planar = planarity_residual(patch)
     interior = interior_min_height(patch)
     vol_mesh = enclosed_volume(patch)
-    tensors = quermass_tensors(grid, body)
-    quad_route = {f"V_{j}": quermassintegral(grid, body, j, tensors) for j in range(4)}
+    quad_route = {f"V_{j}": w for j, w in enumerate(quermassintegral(grid, body))}
     vol_quad = quad_route["V_0"]
     vol_err = abs(vol_mesh - vol_quad) / max(abs(vol_quad), 1e-300)
     boundary = {f"V_{k + 1}": boundary_form_quermass(grid, body, k)
@@ -606,7 +615,8 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_af)
 
     p = subs.add_parser("chain", parents=[common],
-                        help="normalized quermassintegral chain " "inequalities")
+                        help="mixed-volume chain inequalities: quermassintegrals "
+                             "and consecutive body pairs")
     p.add_argument("--trials", type=int, default=100)
     p.set_defaults(func=cmd_chain)
 

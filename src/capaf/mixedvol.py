@@ -63,28 +63,24 @@ def mixed_volume(grid: CapGrid, f1, rest=None, *, tensors=None) -> float:
     return grid.integrate(_unwrap(grid, f1) * q2(A2, A3)) / 3.0
 
 
-def quermass_tensors(grid: CapGrid, body) -> tuple[np.ndarray, np.ndarray]:
-    """Shape tensors (A[body], A[unit cap]) for :func:`quermassintegral`."""
-    return a_of(grid, _unwrap(grid, body)), a_of(grid, ell_values(grid))
+def mixed_sequence(grid: CapGrid, body0, body1) -> list[float]:
+    """[V(body1 x i, body0 x (3-i)) for i in 0..3] from two shape tensors.
 
-
-def quermassintegral(grid: CapGrid, body, j: int, tensors=None) -> float:
-    """Mixed volume with j slots holding the unit cap and 3-j holding the body.
-
-    j=0 is the enclosed volume, j=3 the unit-cap volume b_theta regardless of
-    the body (degree of the Gauss map).  tensors, from :func:`quermass_tensors`,
-    lets a caller that needs several indices compute each tensor once.
+    body1 fills the two shape slots before the scalar slot: slot s of V_i
+    holds body1 when s < i, so only V_3 integrates body1 itself.
     """
-    if not 0 <= j <= 3:
-        raise ValueError(f"quermassintegral index must lie in 0..3, got {j}")
-    h = _unwrap(grid, body)
-    lv = ell_values(grid)
-    if tensors is None:
-        tensors = (a_of(grid, h) if j <= 1 else None, a_of(grid, lv) if j >= 1 else None)
-    # The cap fills the tensor slots first; the scalar slot needs no tensor.
-    fields = [lv] * j + [h] * (3 - j)
-    A = [tensors[1]] * j + [tensors[0]] * (3 - j)
-    return mixed_volume(grid, fields[2], tensors=(A[0], A[1]))
+    h = (_unwrap(grid, body0), _unwrap(grid, body1))
+    A = (a_of(grid, h[0]), a_of(grid, h[1]))
+    return [mixed_volume(grid, h[2 < i], tensors=(A[0 < i], A[1 < i])) for i in range(4)]
+
+
+def quermassintegral(grid: CapGrid, body) -> list[float]:
+    """Quermassintegrals W_0..W_3: W_j has j slots holding the unit cap.
+
+    W_0 is the enclosed volume, W_3 the unit-cap volume b_theta regardless of
+    the body (degree of the Gauss map).
+    """
+    return mixed_sequence(grid, body, ell_values(grid))
 
 
 def _h_k(A: np.ndarray, k: int) -> np.ndarray:
@@ -175,8 +171,7 @@ class QuermassReport:
 
 
 def quermass_report(grid: CapGrid, body: CapillaryBody) -> QuermassReport:
-    tensors = quermass_tensors(grid, body)
-    values = [quermassintegral(grid, body, j, tensors) for j in range(4)]
+    values = quermassintegral(grid, body)
     ref = b_theta(grid.theta)
     top_err = abs(values[3] - ref) / ref
     return QuermassReport(grid.theta, grid.n_rho, grid.n_phi, values, ref, top_err)
@@ -235,8 +230,7 @@ def steiner_check(grid: CapGrid, body: CapillaryBody, t_values) -> SteinerReport
     fit_residual = float(np.sqrt(res[0])) if res.size else float(
         np.max(np.abs(v @ coef - np.array(vols)))
     )
-    tensors = quermass_tensors(grid, body)
-    refs = [math.comb(3, k) * quermassintegral(grid, body, k, tensors) for k in range(4)]
+    refs = [math.comb(3, k) * w for k, w in enumerate(quermassintegral(grid, body))]
     errs = [abs(c - r) / max(abs(r), 1e-300) for c, r in zip(coef, refs)]
     return SteinerReport(
         ts, vols, [float(c) for c in coef], refs, errs, max(errs), fit_residual

@@ -27,7 +27,7 @@ import scipy.sparse.linalg as spla
 from ._stencil import fornberg_weights, stencil_pair
 from .capgrid import CapGrid, a_of, robin_residual, tensor_eigenvalues
 from .capfun import CapillaryBody, certify, ell_values, field_values, horizontal_linear
-from .mixedvol import mixed_volume, q2, quermass_tensors, quermassintegral
+from .mixedvol import mixed_sequence, mixed_volume, q2
 
 WINDOW = (0.01, 0.99)
 # Fixed Lanczos start vector seed: reports must not depend on entropy.
@@ -43,7 +43,7 @@ class WeightedSpace:
     since the weight would vanish or flip sign there.
     """
 
-    def __init__(self, grid: CapGrid, f2, auto_translate: bool = True):
+    def __init__(self, grid: CapGrid, f2):
         self.grid = grid
         values = grid.check_field(field_values(f2))
         rmax = float(np.max(np.abs(robin_residual(grid, values))))
@@ -55,8 +55,6 @@ class WeightedSpace:
             )
         self.translation = (0.0, 0.0)
         if np.min(values) <= 0.0:
-            if not auto_translate:
-                raise ValueError("reference field must be positive")
             values = self._translate_positive(values)
         self.f2 = values
         self.A2 = a_of(grid, values)
@@ -672,7 +670,7 @@ def af_check(space: WeightedSpace, f, f1) -> AFReport:
 
 @dataclass
 class ChainReport:
-    """Log-concavity chain of the interpolating mixed volumes."""
+    """Log-concavity chain of a mixed-volume sequence."""
 
     values: list[float]
     triples: list[dict]
@@ -686,94 +684,38 @@ class ChainReport:
         }
 
 
-def af_chain_check(
-    grid: CapGrid,
-    body0,
-    body1,
-    m: int = 3,
-    references=None,
-) -> ChainReport:
-    """All inequalities V_(j)^(k-i) >= V_(i)^(k-j) V_(k)^(j-i), i<j<k<=m.
+def af_chain_check(grid: CapGrid, body0, body1) -> ChainReport:
+    """Check V_j / V_k >= (V_i / V_k)^((k-j)/(k-i)) for every i < j < k.
 
-    V_(i) interpolates between the two bodies: i slots hold body1, m-i hold
-    body0, and any slots beyond m hold reference bodies (unit cap by default).
+    V_i = V(body1 x i, body0 x (3-i)) is :func:`mixed_sequence`, so the chain
+    is the log-concavity of i -> V_i that the general Alexandrov-Fenchel
+    inequality gives.  Normalizing by V_k rather than a closed form keeps
+    homothetic bodies exactly on the equality case.
     """
-    if not 1 <= m <= 3:
-        raise ValueError(f"m must lie in 1..3, got {m}")
-    h0 = grid.check_field(field_values(body0))
-    h1 = grid.check_field(field_values(body1))
-    if references is None:
-        references = []
-    refs = [grid.check_field(field_values(r)) for r in references]
-    if len(refs) < 3 - m:
-        refs = refs + [ell_values(grid)] * (3 - m - len(refs))
-    if len(refs) != 3 - m:
-        raise ValueError(f"need exactly {3 - m} reference fields, got {len(refs)}")
-
-    values = []
-    for i in range(m + 1):
-        slots = [h1] * i + [h0] * (m - i) + refs
-        values.append(mixed_volume(grid, slots[0], (slots[1], slots[2])))
-
+    values = mixed_sequence(grid, body0, body1)
     triples = []
-    min_rel = 0.0 if m < 2 else math.inf
-    for i, j, k in itertools.combinations(range(m + 1), 3):
-        lhs = values[j] ** (k - i)
-        rhs = values[i] ** (k - j) * values[k] ** (j - i)
+    for i, j, k in itertools.combinations(range(4), 3):
+        lhs = values[j] / values[k]
+        rhs = (values[i] / values[k]) ** ((k - j) / (k - i))
         slack = lhs - rhs
         rel = slack / max(abs(lhs), abs(rhs), 1e-300)
-        min_rel = min(min_rel, rel)
         triples.append(
             {"i": i, "j": j, "k": k, "lhs": lhs, "rhs": rhs,
              "slack": slack, "relative_slack": rel}
         )
+    min_rel = min(t["relative_slack"] for t in triples)
     return ChainReport([float(v) for v in values], triples, float(min_rel))
 
 
-@dataclass
-class QuermassChainReport:
-    """Normalized quermassintegral inequalities for one body."""
+def quermass_chain_check(grid: CapGrid, body) -> ChainReport:
+    """The chain of the quermassintegrals W_0..W_3 of one body.
 
-    ratios: list[float]
-    pairs: list[dict]
-    min_relative_slack: float
-
-    def to_dict(self) -> dict:
-        return {
-            "ratios": self.ratios,
-            "pairs": self.pairs,
-            "min_relative_slack": self.min_relative_slack,
-        }
-
-
-def quermass_chain_check(grid: CapGrid, body) -> QuermassChainReport:
-    """Check V_k / V_3 >= (V_l / V_3)^((3-k)/(3-l)) for every l < k.
-
-    Normalizing by the discrete top quermassintegral rather than the closed
-    form keeps cap bodies exactly on the equality case, so the slack isolates
-    the body's deviation from a cap instead of quadrature bias.  Pairs with
-    k = 3 reduce to 1 >= 1 after normalization (the top integral carries no
-    copy of the body); they are listed for completeness but excluded from the
-    minimum, which would otherwise be pinned at zero.
+    This is :func:`af_chain_check` with the unit cap as the second body; the
+    k = 3 triples are the normalized inequalities
+    W_j / W_3 >= (W_i / W_3)^((3-j)/(3-i)), and a cap body sits exactly on
+    the equality case.
     """
-    tensors = quermass_tensors(grid, body)
-    q = [quermassintegral(grid, body, j, tensors) for j in range(4)]
-    ratios = [v / q[3] for v in q]
-    pairs = []
-    min_rel = math.inf
-    for l in range(3):
-        for k in range(l + 1, 4):
-            lhs = ratios[k]
-            rhs = ratios[l] ** ((3.0 - k) / (3.0 - l))
-            slack = lhs - rhs
-            rel = slack / max(abs(lhs), abs(rhs), 1e-300)
-            if k < 3:
-                min_rel = min(min_rel, rel)
-            pairs.append(
-                {"l": l, "k": k, "lhs": lhs, "rhs": rhs,
-                 "slack": slack, "relative_slack": rel}
-            )
-    return QuermassChainReport([float(r) for r in ratios], pairs, float(min_rel))
+    return af_chain_check(grid, body, ell_values(grid))
 
 
 def eigen_estimate_residual(space: WeightedSpace, g_field) -> float:

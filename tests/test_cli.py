@@ -250,6 +250,46 @@ def test_steiner_and_chain_and_reconstruct_pass(tmp_path):
     assert rec["degenerate_triangles"] == 0
 
 
+CHAIN_FLAGS = ["chain", "--theta", "1.2", "--grid", "16x16"]
+
+
+def test_chain_checks_each_body_and_each_consecutive_pair(tmp_path):
+    assert run(CHAIN_FLAGS + ["--trials", "3", "--csv", "--out", tmp_path]) == 0
+    rep = read_report(tmp_path, "chain_report.json")
+    assert len(rep["bodies"]) == 3
+    assert len(rep["pairs"]) == 2
+    slacks = [r["min_relative_slack"] for r in rep["bodies"] + rep["pairs"]]
+    assert rep["min_relative_slack"] == min(slacks)
+    assert rep["cap_equality_defect"] == 0.0
+    lines = (tmp_path / "chain_report.csv").read_text().splitlines()
+    assert lines[0] == "kind,index,i,j,k,lhs,rhs,slack"
+    # four triples (i, j, k) per body and per pair
+    assert [line.split(",")[0] for line in lines[1:]] == ["body"] * 12 + ["pair"] * 8
+
+
+def test_chain_with_one_trial_checks_no_pairs(tmp_path):
+    assert run(CHAIN_FLAGS + ["--trials", "1", "--out", tmp_path]) == 0
+    rep = read_report(tmp_path, "chain_report.json")
+    assert len(rep["bodies"]) == 1
+    assert rep["pairs"] == []
+    assert rep["breach"] is False
+
+
+def test_a_negative_pair_slack_is_a_breach(tmp_path, monkeypatch):
+    real = cli.af_chain_check
+
+    def violated(grid, body0, body1):
+        rep = real(grid, body0, body1)
+        rep.min_relative_slack = -1.0
+        return rep
+
+    monkeypatch.setattr(cli, "af_chain_check", violated)
+    assert run(CHAIN_FLAGS + ["--trials", "2", "--out", tmp_path]) == 2
+    rep = read_report(tmp_path, "chain_report.json")
+    assert rep["breach"] is True
+    assert rep["min_relative_slack"] == -1.0
+
+
 def test_report_bundle_runs_every_section(tmp_path):
     assert run(["report", "--theta", "1.2", "--grid", "16x16",
                 "--out", tmp_path]) == 0

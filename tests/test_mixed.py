@@ -55,7 +55,7 @@ def test_quermassintegral_rejects_a_non_finite_body():
     values = capaf.ell_values(g)
     values[-1, 3] = np.inf
     with pytest.raises(ValueError, match="non-finite"):
-        capaf.quermassintegral(g, values, 0)
+        capaf.quermassintegral(g, values)
 
 
 def test_shape_tensors_are_computed_once_per_field(monkeypatch):
@@ -77,6 +77,22 @@ def test_shape_tensors_are_computed_once_per_field(monkeypatch):
     calls.clear()
     capaf.quermass_report(g, body)
     assert len(calls) == 2
+    calls.clear()
+    capaf.quermass_chain_check(g, body)
+    assert len(calls) == 2
+    calls.clear()
+    capaf.af_chain_check(g, body, space.f2)
+    assert len(calls) == 2
+
+
+def test_mixed_sequence_fills_the_shape_slots_with_the_second_body():
+    g = grid(2.2, 24, 24)
+    h0 = capaf.random_body(g, 21).values
+    h1 = capaf.random_body(g, 22).values
+    seq = capaf.mixed_sequence(g, h0, h1)
+    for i, v in enumerate(seq):
+        slots = [h1] * i + [h0] * (3 - i)
+        assert v == capaf.mixed_volume(g, slots[2], (slots[0], slots[1]))
 
 
 def test_symmetry_residual_converges_for_admissible_fields():
@@ -119,8 +135,7 @@ def test_quermassintegrals_of_scaled_caps():
     g = grid(2.2, 24, 24)
     b = capaf.b_theta(2.2)
     r = 1.7
-    for j in range(4):
-        q = capaf.quermassintegral(g, r * capaf.ell_values(g), j)
+    for j, q in enumerate(capaf.quermassintegral(g, r * capaf.ell_values(g))):
         assert q / b == pytest.approx(r ** (3 - j), rel=1e-5)
 
 
@@ -128,10 +143,8 @@ def test_top_quermassintegral_ignores_the_body():
     # degree of the Gauss map: j=3 integrates the cap against itself
     g = grid(2.2, 24, 24)
     body = capaf.random_body(g, 33)
-    q3 = capaf.quermassintegral(g, body, 3)
+    q3 = capaf.quermassintegral(g, body)[3]
     assert q3 == pytest.approx(capaf.b_theta(2.2), rel=1e-5)
-    with pytest.raises(ValueError, match="0..3"):
-        capaf.quermassintegral(g, body, 4)
 
 
 def test_quermass_report_on_the_cap():
