@@ -30,17 +30,25 @@ EIG_GATE = 1e-6
 class CapillaryField:
     """Scalar field on the cap satisfying the contact-angle Robin condition.
 
-    robin_max, the largest boundary Robin residual, is computed from the
-    values on construction, so it always describes them.
+    robin_max, the largest boundary Robin residual, and scale, max(1, sup|h|)
+    which every gate on the field is relative to, are computed from the values
+    on construction, so they always describe them.
     """
 
     grid: CapGrid
     values: np.ndarray
     robin_max: float = field(init=False)
+    scale: float = field(init=False)
 
     def __post_init__(self):
         self.values = self.grid.check_field(self.values)
         self.robin_max = float(np.max(np.abs(robin_residual(self.grid, self.values))))
+        self.scale = max(1.0, float(np.max(np.abs(self.values))))
+
+    @property
+    def robin_gate(self) -> float:
+        """Largest admissible robin_max: capgrid.ROBIN_GATE times scale."""
+        return self.grid.robin_gate * self.scale
 
 
 @dataclass
@@ -106,19 +114,19 @@ def certify(grid: CapGrid, values: np.ndarray, provenance: dict | None = None) -
         support = CapillaryField(grid, values)
     except ValueError as exc:
         return CertifyResult(False, None, math.nan, math.nan, [str(exc)])
-    values, rmax = support.values, support.robin_max
-    scale = max(1.0, float(np.max(np.abs(values))))
-    meig = min_shape_eig(grid, values)
+    rmax = support.robin_max
+    meig = min_shape_eig(grid, support.values)
     reasons = []
-    if rmax > grid.robin_gate * scale:
+    if rmax > support.robin_gate:
         reasons.append(
-            f"robin residual {rmax:.3e} exceeds gate {grid.robin_gate * scale:.3e}"
+            f"robin residual {rmax:.3e} exceeds gate {support.robin_gate:.3e}"
         )
-    if meig <= EIG_GATE * scale:
+    if meig <= EIG_GATE * support.scale:
         reasons.append(f"min shape-tensor eigenvalue {meig:.3e} not positive")
     if reasons:
         return CertifyResult(False, None, meig, rmax, reasons)
-    return CertifyResult(True, CapillaryBody(support, meig, provenance), meig, rmax, reasons)
+    body = CapillaryBody(support, meig, provenance)
+    return CertifyResult(True, body, meig, rmax, reasons)
 
 
 def _certified(grid: CapGrid, values: np.ndarray, provenance: dict | None = None) -> CapillaryBody:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -66,12 +66,16 @@ def mixed_volume(grid: CapGrid, f1, rest=None, *, tensors=None) -> float:
 def mixed_sequence(grid: CapGrid, body0, body1) -> list[float]:
     """[V(body1 x i, body0 x (3-i)) for i in 0..3] from two shape tensors.
 
-    body1 fills the two shape slots before the scalar slot: slot s of V_i
-    holds body1 when s < i, so only V_3 integrates body1 itself.
+    body1 fills the two shape slots before the scalar slot: the slots of V_i
+    hold s = [1] * i + [0] * (3 - i), so only V_3 integrates body1 itself.
     """
     h = (_unwrap(grid, body0), _unwrap(grid, body1))
     A = (a_of(grid, h[0]), a_of(grid, h[1]))
-    return [mixed_volume(grid, h[2 < i], tensors=(A[0 < i], A[1 < i])) for i in range(4)]
+    values = []
+    for i in range(4):
+        s = [1] * i + [0] * (3 - i)
+        values.append(mixed_volume(grid, h[s[2]], tensors=(A[s[0]], A[s[1]])))
+    return values
 
 
 def quermassintegral(grid: CapGrid, body) -> list[float]:
@@ -190,15 +194,7 @@ class SteinerReport:
     fit_residual: float
 
     def to_dict(self) -> dict:
-        return {
-            "t_values": self.t_values,
-            "volumes": self.volumes,
-            "coefficients": self.coefficients,
-            "references": self.references,
-            "rel_errs": self.rel_errs,
-            "max_rel_err": self.max_rel_err,
-            "fit_residual": self.fit_residual,
-        }
+        return asdict(self)
 
 
 def steiner_check(grid: CapGrid, body: CapillaryBody, t_values) -> SteinerReport:

@@ -18,15 +18,22 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from ._stencil import fornberg_weights, stencil_pair
-from .capgrid import CapGrid, a_of, robin_residual, tensor_eigenvalues
-from .capfun import CapillaryBody, certify, ell_values, field_values, horizontal_linear
+from .capgrid import CapGrid, a_of, tensor_eigenvalues
+from .capfun import (
+    CapillaryBody,
+    CapillaryField,
+    certify,
+    ell_values,
+    field_values,
+    horizontal_linear,
+)
 from .mixedvol import mixed_sequence, mixed_volume, q2
 
 WINDOW = (0.01, 0.99)
@@ -45,14 +52,13 @@ class WeightedSpace:
 
     def __init__(self, grid: CapGrid, f2):
         self.grid = grid
-        values = grid.check_field(field_values(f2))
-        rmax = float(np.max(np.abs(robin_residual(grid, values))))
-        scale = max(1.0, float(np.max(np.abs(values))))
-        if rmax > grid.robin_gate * scale:
+        ref = CapillaryField(grid, field_values(f2))
+        if ref.robin_max > ref.robin_gate:
             raise ValueError(
                 f"reference field violates the contact-angle condition "
-                f"(residual {rmax:.3e})"
+                f"(residual {ref.robin_max:.3e})"
             )
+        values = ref.values
         self.translation = (0.0, 0.0)
         if np.min(values) <= 0.0:
             values = self._translate_positive(values)
@@ -537,14 +543,7 @@ class Decomposition:
     ill_conditioned: bool
 
     def to_dict(self) -> dict:
-        return {
-            "a": self.a,
-            "a1": self.a1,
-            "a2": self.a2,
-            "residual_norm": self.residual_norm,
-            "relative_residual": self.relative_residual,
-            "ill_conditioned": self.ill_conditioned,
-        }
+        return asdict(self)
 
 
 def equality_decompose(space: WeightedSpace, f, f1) -> Decomposition:
@@ -588,23 +587,7 @@ class AFReport:
     decomposition: Decomposition | None
 
     def to_dict(self) -> dict:
-        out = {
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "gap": self.gap,
-            "relative_gap": self.relative_gap,
-            "v_mixed": self.v_mixed,
-            "v_ff": self.v_ff,
-            "v_f1f1": self.v_f1f1,
-            "bilinear_mixed": self.bilinear_mixed,
-            "form_consistency": self.form_consistency,
-            "noise_estimate": self.noise_estimate,
-            "equality_within_resolution": self.equality_within_resolution,
-            "decomposition": None
-            if self.decomposition is None
-            else self.decomposition.to_dict(),
-        }
-        return out
+        return asdict(self)
 
 
 def af_check(space: WeightedSpace, f, f1) -> AFReport:
@@ -616,13 +599,13 @@ def af_check(space: WeightedSpace, f, f1) -> AFReport:
     reported as form_consistency.
     """
     g = space.grid
-    fv = g.check_field(field_values(f))
-    scale_f = max(1.0, float(np.max(np.abs(fv))))
-    rres = float(np.max(np.abs(robin_residual(g, fv))))
-    if rres > g.robin_gate * scale_f:
+    free = CapillaryField(g, field_values(f))
+    if free.robin_max > free.robin_gate:
         raise ValueError(
-            f"free field violates the contact-angle condition (residual {rres:.3e})"
+            f"free field violates the contact-angle condition "
+            f"(residual {free.robin_max:.3e})"
         )
+    fv = free.values
     if isinstance(f1, CapillaryBody):
         f1v = f1.values
     else:
@@ -677,11 +660,7 @@ class ChainReport:
     min_relative_slack: float
 
     def to_dict(self) -> dict:
-        return {
-            "values": self.values,
-            "triples": self.triples,
-            "min_relative_slack": self.min_relative_slack,
-        }
+        return asdict(self)
 
 
 def af_chain_check(grid: CapGrid, body0, body1) -> ChainReport:
@@ -693,6 +672,9 @@ def af_chain_check(grid: CapGrid, body0, body1) -> ChainReport:
     homothetic bodies exactly on the equality case.
     """
     values = mixed_sequence(grid, body0, body1)
+    if min(values) <= 0.0:
+        i = int(np.argmin(values))
+        raise ValueError(f"mixed volume V_{i} = {values[i]:.3e} is not positive")
     triples = []
     for i, j, k in itertools.combinations(range(4), 3):
         lhs = values[j] / values[k]

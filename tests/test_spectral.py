@@ -319,6 +319,13 @@ def test_af_chain_on_random_bodies_has_positive_slack():
     assert rep.min_relative_slack > 0
 
 
+def test_af_chain_rejects_a_non_positive_mixed_volume():
+    g = grid(1.2, 24, 24)
+    # V_0 of the reflected cap is -b_theta: the chain's ratios are undefined
+    with pytest.raises(ValueError, match="V_0 .* is not positive"):
+        capaf.af_chain_check(g, -capaf.ell_values(g), capaf.ell(g))
+
+
 def test_quermass_chain_on_the_cap():
     g = grid(1.2, 24, 24)
     rep = capaf.quermass_chain_check(g, capaf.ell(g))
