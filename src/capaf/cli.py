@@ -68,10 +68,11 @@ ANCHOR_RHO = 128
 # The equality-family gap floor shrinks with the fourth power of the spacing
 # and clears 1e-8 only around 256 radial nodes, so its budget is anchored there.
 AF_ANCHOR_RHO = 256
-# Largest eigenpair residual a spectrum may report.  The shift-invert factor
-# pivots on the diagonal without a numerical pivot search, and this gate is
-# what would catch a factor spoiled by a tiny pivot; sound solves stay below
-# 1e-10 on every grid and angle tried.
+# Largest eigenpair residual a spectrum may report.  The sparse factor used
+# for references that are not rotationally invariant pivots on the diagonal
+# without a numerical pivot search, and this gate is what would catch a
+# factor spoiled by a tiny pivot.  Sound solves measure 4.7e-12 (cap, 64x64)
+# to 2.7e-11 (cap at 128x128, random reference at 96x96).
 SPECTRUM_RESIDUAL_GATE = 1e-8
 
 
@@ -456,7 +457,8 @@ def cmd_spectrum(args) -> bool:
         (out / "spectrum_sweep.csv").write_text(sweep_csv, encoding="utf-8")
     write_report(out, "spectrum_report", payload,
                  csv_table(["index", "eigenvalue", "residual"], rows), args.csv,
-                 meta={"factor_nnz": rep.factor_nnz, "lanczos_solves": rep.n_solves})
+                 meta={"shift_invert": rep.shift_invert, "factor_nnz": rep.factor_nnz,
+                       "lanczos_solves": rep.n_solves})
     return breach
 
 

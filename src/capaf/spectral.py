@@ -11,7 +11,10 @@ a two-dimensional kernel spanned by the horizontal linear functions, and the
 rest nonpositive.  This module builds the weight, assembles the operator as a
 sparse symmetric weak form (the contact-angle condition enters as a natural
 boundary term), solves for the eigenvalues nearest 1/2 by shift-invert
-Lanczos, and packages the inequality checks that follow from it.
+Lanczos, and packages the inequality checks that follow from it.  The shifted
+pencil is inverted exactly either way: by one banded solve per azimuthal
+Fourier mode when the reference is rotationally invariant (then the pencil is
+block-circulant in phi), and by a sparse factor otherwise.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from ._stencil import fornberg_weights, stencil_pair
 from .capgrid import CapGrid, a_of, tensor_eigenvalues
@@ -305,7 +309,10 @@ class SpectrumReport:
     window_note: str
     asymmetry: float
     n_unknowns: int
-    # Solver statistics for the run's sidecar, not part of the report.
+    # Solver statistics for the run's sidecar, not part of the report:
+    # which inverse of the shifted pencil ran ("azimuthal_modes" or
+    # "sparse_factor") and how many entries it stores.
+    shift_invert: str
     factor_nnz: int
     n_solves: int
     eigenvectors: np.ndarray | None = field(default=None, repr=False)
@@ -425,6 +432,87 @@ def _dissection_order(K: sp.spmatrix, node_shape: tuple[int, int]) -> np.ndarray
     return np.concatenate(order)
 
 
+def _sparse_factor_solver(K: sp.spmatrix, node_shape: tuple[int, int]):
+    """Solve with K through one sparse factor.
+
+    Returns the solve and the number of entries of L + U.
+
+    K is factored in nested-dissection order with symmetric diagonal pivots.
+    Diagonal pivoting does no numerical pivot search, so the eigenpair
+    residuals are the check that the factor held.
+    """
+    perm = _dissection_order(K, node_shape)
+    lu = spla.splu(K[perm][:, perm], permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                   options={"SymmetricMode": True})
+
+    def solve(x):
+        y = np.empty_like(x)
+        y[perm] = lu.solve(x[perm])
+        return y
+
+    return solve, int(lu.nnz)
+
+
+def _azimuthal_mode_solver(K: sp.spmatrix, node_shape: tuple[int, int]):
+    """Solve with a block-circulant K, one azimuthal mode at a time.
+
+    Returns the solve and the number of entries its band factors store.
+
+    Unknown k sits at lattice index (k // n_phi, k % n_phi).  When K couples
+    (i, j) to (i', j') by a coefficient that depends on j' - j (mod n_phi)
+    only, an rfft along phi splits it into one banded (n_rho x n_rho) matrix
+    per Fourier mode m: the radial band of K, with each azimuthal offset d
+    weighted by exp(2 pi i m d / n_phi).  The pole mirror is the offset
+    n_phi/2 and needs no special case.  Each wrapped diagonal is averaged over
+    phi (the optimal circulant of K), which is K itself when K is
+    block-circulant.  Each mode matrix is factored by banded LU with partial
+    pivoting; a singular mode raises RuntimeError.
+    """
+    n_rho, n_phi = node_shape
+    coo = K.tocoo()
+    i, j = np.divmod(coo.row, n_phi)
+    i2, j2 = np.divmod(coo.col, n_phi)
+    bw = int(np.max(np.abs(i2 - i)))
+    key = np.ravel_multi_index((i, i2 - i + bw, (j2 - j) % n_phi),
+                               (n_rho, 2 * bw + 1, n_phi))
+    # Mean of each wrapped diagonal, taken as one of its entries plus the
+    # mean deviation from it: a running sum of n_phi nearly equal entries
+    # rounds at several ulps, which raised the solve's residual tenfold.
+    keys, first, inverse, count = np.unique(
+        key, return_index=True, return_inverse=True, return_counts=True)
+    ref = coo.data[first]
+    dev = np.bincount(inverse, weights=coo.data - ref[inverse])
+    coef = np.zeros((n_rho, 2 * bw + 1, n_phi))
+    coef.flat[keys] = ref * (count / n_phi) + dev / n_phi
+    # rfft weighs offset d by exp(-2 pi i m d / n_phi); K's mode m takes the
+    # conjugate weight.
+    modes = np.conj(np.fft.rfft(coef, axis=2))
+    # LAPACK band storage: row 2*bw + r - c of column c holds entry (r, c),
+    # and the top bw rows are room for the pivoting fill.
+    band = np.zeros((modes.shape[2], 3 * bw + 1, n_rho), dtype=complex)
+    for off in range(-bw, bw + 1):
+        rows = np.arange(max(0, -off), min(n_rho, n_rho - off))
+        band[:, 2 * bw - off, rows + off] = modes[rows, off + bw, :].T
+    factors = []
+    for m, ab in enumerate(band):
+        lu, piv, info = lapack.zgbtrf(ab, bw, bw)
+        if info != 0:
+            raise RuntimeError(f"azimuthal mode {m} of the shifted pencil is "
+                               f"singular (zgbtrf info {info})")
+        factors.append((lu, piv))
+
+    def solve(x):
+        coeffs = np.fft.rfft(x.reshape(n_rho, n_phi), axis=1).T.copy()
+        for m, (lu, piv) in enumerate(factors):
+            coeffs[m], info = lapack.zgbtrs(lu, bw, bw, coeffs[m], piv)
+            if info != 0:
+                raise RuntimeError(f"banded solve of azimuthal mode {m} failed "
+                                   f"(zgbtrs info {info})")
+        return np.fft.irfft(coeffs.T, n=n_phi, axis=1).reshape(-1)
+
+    return solve, int(sum(lu.size for lu, _ in factors))
+
+
 def spectrum(space: WeightedSpace, how_many: int = 8) -> SpectrumReport:
     """Solve for the eigenpairs nearest 1/2 and classify them.
 
@@ -432,11 +520,16 @@ def spectrum(space: WeightedSpace, how_many: int = 8) -> SpectrumReport:
     and solved as a generalized pencil against the weight Gram matrix by
     shift-invert Lanczos at sigma=1/2, which returns the k eigenvalues nearest
     the centre of the window (0.01, 0.99); the window verdict needs no other
-    eigenvalue.  The shifted matrix K = A - M/2 is factored once, in
-    nested-dissection order with symmetric diagonal pivots, and every Lanczos
-    step reuses that factor.  Diagonal pivoting does no numerical pivot
-    search, so the eigenpair residuals are the check that the factor held.
+    eigenvalue.  k is how_many, but at least 6, which the window argument
+    needs.  Every Lanczos step solves with the
+    shifted matrix K = A - M/2, set up once.  For a rotationally invariant
+    reference (constant along every ring) K is block-circulant in phi and is
+    inverted exactly by one banded solve per azimuthal mode; any other
+    reference gets a sparse factor in nested-dissection order with symmetric
+    diagonal pivots, whose eigenpair residuals are the check that it held.
     """
+    if how_many < 1:
+        raise ValueError(f"how_many must be at least 1, got {how_many}")
     g = space.grid
     op = assemble_operator(space)
     asym = op.asymmetry
@@ -447,17 +540,19 @@ def spectrum(space: WeightedSpace, how_many: int = 8) -> SpectrumReport:
     k = int(min(max(how_many, 6), N - 2))
 
     K = (A_red - 0.5 * M_red).tocsc()
-    perm = _dissection_order(K, (g.node_shape[0] - 1, g.node_shape[1]))
-    lu = spla.splu(K[perm][:, perm], permc_spec="NATURAL", diag_pivot_thresh=0.0,
-                   options={"SymmetricMode": True})
+    # A reference constant along every ring, bit for bit, makes K
+    # block-circulant in phi.
+    if np.all(space.f2 == space.f2[:, :1]):
+        shift_invert, make_solver = "azimuthal_modes", _azimuthal_mode_solver
+    else:
+        shift_invert, make_solver = "sparse_factor", _sparse_factor_solver
+    inverse, factor_nnz = make_solver(K, (g.node_shape[0] - 1, g.node_shape[1]))
     n_solves = 0
 
     def solve(x):
         nonlocal n_solves
         n_solves += 1
-        y = np.empty_like(x)
-        y[perm] = lu.solve(x[perm])
-        return y
+        return inverse(x)
 
     OPinv = spla.LinearOperator((N, N), matvec=solve, dtype=float)
     rng = np.random.default_rng(_EIGSH_SEED)
@@ -523,7 +618,8 @@ def spectrum(space: WeightedSpace, how_many: int = 8) -> SpectrumReport:
         window_note=window_note,
         asymmetry=asym,
         n_unknowns=N,
-        factor_nnz=int(lu.nnz),
+        shift_invert=shift_invert,
+        factor_nnz=factor_nnz,
         n_solves=n_solves,
         eigenvectors=node_vecs,
     )

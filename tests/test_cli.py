@@ -66,6 +66,8 @@ def test_config_errors_exit_three(tmp_path):
     assert run(["quermass", "--out", tmp_path, str(tmp_path / "missing.json")]) == 3
     assert run(["quermass", "--out", tmp_path]) == 3
     assert run(["spectrum", "--sweep", "16", "--out", tmp_path]) == 3
+    assert run(["spectrum", "--grid", "16x16", "--how-many", "0", "--out", tmp_path]) == 3
+    assert run(["spectrum", "--grid", "16x16", "--how-many", "-5", "--out", tmp_path]) == 3
     assert run(["reconstruct", "--out", tmp_path, "a.json", "b.json"]) == 3
     assert run(["af", "--json", "--out", tmp_path]) == 3
     assert run(["nosuchcommand"]) == 3
@@ -203,13 +205,18 @@ def test_timestamps_live_only_in_the_sidecar(tmp_path):
 
 
 def test_spectrum_solver_statistics_live_only_in_the_sidecar(tmp_path):
-    assert run(["spectrum", "--theta", "1.5", "--grid", "16x16",
-                "--out", tmp_path]) == 0
-    body = (tmp_path / "spectrum_report.json").read_text()
-    assert "factor_nnz" not in body and "lanczos_solves" not in body
-    meta = read_report(tmp_path, "spectrum_report.meta.json")
-    assert meta["factor_nnz"] > 0
-    assert meta["lanczos_solves"] > 0
+    for reference, shift_invert in [("cap", "azimuthal_modes"),
+                                    ("random", "sparse_factor")]:
+        out = tmp_path / reference
+        assert run(["spectrum", "--theta", "1.5", "--grid", "16x16",
+                    "--reference", reference, "--out", out]) == 0
+        body = (out / "spectrum_report.json").read_text()
+        for key in ("shift_invert", "factor_nnz", "lanczos_solves"):
+            assert key not in body
+        meta = read_report(out, "spectrum_report.meta.json")
+        assert meta["shift_invert"] == shift_invert
+        assert meta["factor_nnz"] > 0
+        assert meta["lanczos_solves"] > 0
 
 
 def test_a_large_spectrum_residual_is_a_breach(tmp_path, monkeypatch):

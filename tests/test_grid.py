@@ -74,20 +74,51 @@ def test_a_of_is_byte_identical_across_blas_thread_counts():
 
 
 def test_spectrum_at_96_is_byte_identical_across_blas_thread_counts(tmp_path):
-    # The operator's scale is a numpy pairwise sum, not BLAS nrm2, and the
-    # shift-invert factor is sparse, so the report does not depend on BLAS
-    # threads.
+    # The operator's scale is a numpy pairwise sum, not BLAS nrm2, and both
+    # shift-invert solves (the sparse factor for the random reference, banded
+    # per-mode LU for the cap) keep the report independent of BLAS threads.
     src = os.path.dirname(os.path.dirname(capaf.__file__))
-    reports = []
+    for name, argv in [
+        ("random", ("--theta", "2.2", "--grid", "96x96", "--reference", "random")),
+        ("cap", ("--theta", "1.57", "--grid", "96x96")),
+    ]:
+        reports = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"{name}_blas{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            subprocess.run([sys.executable, "-m", "capaf", "spectrum", *argv,
+                            "--out", str(out)],
+                           env=env, check=True, capture_output=True)
+            reports.append((out / "spectrum_report.json").read_bytes())
+        assert reports[0] == reports[1], name
+
+
+def test_azimuthal_mode_solve_is_byte_identical_across_blas_thread_counts():
+    # Banded LU per mode, not a dense inverse: a dense per-mode inverse
+    # changes its output bytes with the BLAS thread count at this size.
+    script = (
+        "import hashlib, numpy as np, scipy.sparse as sp, capaf\n"
+        "from capaf import spectral\n"
+        "g = capaf.build_grid(1.57, 128, 128)\n"
+        "space = capaf.WeightedSpace(g, capaf.ell(g))\n"
+        "op = capaf.assemble_operator(space)\n"
+        "basis = spectral._robin_basis(g)\n"
+        "K = (basis.T @ (op.form - 0.5 * sp.diags(op.mass)) @ basis).tocsc()\n"
+        "solve, _ = spectral._azimuthal_mode_solver(K, (128, 128))\n"
+        "x = np.random.default_rng(11).standard_normal(K.shape[0])\n"
+        "print(hashlib.sha256(solve(x).tobytes()).hexdigest())\n"
+    )
+    src = os.path.dirname(os.path.dirname(capaf.__file__))
+    digests = []
     for threads in ("1", "2"):
-        out = tmp_path / f"blas{threads}"
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                    PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        subprocess.run([sys.executable, "-m", "capaf", "spectrum", "--theta", "2.2",
-                        "--grid", "96x96", "--reference", "random", "--out", str(out)],
-                       env=env, check=True, capture_output=True)
-        reports.append((out / "spectrum_report.json").read_bytes())
-    assert reports[0] == reports[1]
+        out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                             capture_output=True, text=True)
+        digests.append(out.stdout.strip())
+    assert len(digests[0]) == 64
+    assert digests[0] == digests[1]
 
 
 def test_report_bundle_is_byte_identical_across_blas_thread_counts(tmp_path):

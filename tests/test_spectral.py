@@ -232,7 +232,8 @@ def _random_reference(theta):
     (_cap_reference, np.pi / 2, True),
     (_random_reference, 2.2, True),
     (_cap_reference, 0.05, False),
-], ids=["cap-1.57", "random-2.2", "cap-0.05"])
+    (_cap_reference, 2.2, True),
+], ids=["cap-1.57", "random-2.2", "cap-0.05", "cap-2.2"])
 def test_spectrum_matches_the_dense_pencil(make_space, theta, window_empty):
     space = make_space(theta)
     rep = capaf.spectrum(space, how_many=6)
@@ -272,6 +273,41 @@ def test_dissection_order_factor_fills_less_than_the_default_factor():
         options={"SymmetricMode": True})
     default = scipy.sparse.linalg.splu(K)
     assert ordered.nnz < default.nnz
+
+
+@pytest.mark.parametrize("n_rho, n_phi", [(48, 64), (128, 128)])
+def test_azimuthal_mode_solve_matches_the_sparse_factor(n_rho, n_phi):
+    K, shape = _shifted_pencil(cap_space(np.pi / 2, n_rho, n_phi))
+    solve, stored = capaf.spectral._azimuthal_mode_solver(K, shape)
+    x = np.random.default_rng(5).standard_normal(K.shape[0])
+    expected = scipy.sparse.linalg.splu(K).solve(x)
+    assert np.linalg.norm(solve(x) - expected) <= 1e-12 * np.linalg.norm(expected)
+    # K's radial bandwidth is 4: one band of 13 rows per mode 0..n_phi/2
+    assert stored == (n_phi // 2 + 1) * 13 * shape[0]
+
+
+def test_a_singular_azimuthal_mode_raises():
+    # A periodic second difference on every ring: the constant mode is singular.
+    ring = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(8, 8)).tolil()
+    ring[0, 7] = ring[7, 0] = -1.0
+    K = sp.kron(sp.identity(3), ring.tocsr()).tocsc()
+    with pytest.raises(RuntimeError, match="azimuthal mode 0"):
+        capaf.spectral._azimuthal_mode_solver(K, (3, 8))
+
+
+def test_only_a_rotationally_invariant_reference_takes_the_mode_solve():
+    g = grid(1.2, 24, 24)
+    cap = capaf.ell(g)
+    translated = cap.values + 0.05 * capaf.horizontal_linear(g, (1, 0)).values
+    cases = [
+        (cap.values, "azimuthal_modes"),
+        (capaf.random_body(g, 40, amplitude=0.2).values, "sparse_factor"),
+        (translated, "sparse_factor"),
+    ]
+    for ref, shift_invert in cases:
+        space = capaf.WeightedSpace(g, ref)
+        assert space.translation == (0.0, 0.0)
+        assert capaf.spectrum(space, how_many=6).shift_invert == shift_invert
 
 
 def test_spectrum_report_serializes_to_json():
