@@ -372,7 +372,7 @@ def body_to_dict(body: CapillaryBody) -> dict:
         "theta": body.grid.theta,
         "n_rho": body.grid.n_rho,
         "n_phi": body.grid.n_phi,
-        "values": [float(v) for v in body.values.ravel(order="C")],
+        "values": body.values.ravel(order="C").tolist(),
         "provenance": body.provenance,
     }
 
@@ -387,9 +387,18 @@ def body_from_dict(data: dict, grid: CapGrid | None = None) -> CapillaryBody:
 
 
 def save_body(body: CapillaryBody, path) -> None:
+    """Write body_to_dict(body) as json.dump(..., indent=1) does, plus a newline.
+
+    json's indenting encoder runs in Python, so the values list, nearly all of
+    the file, is formatted instead by one C-level join of float reprs: that
+    is how json writes a finite float, and a certified body holds no other.
+    """
+    data = body_to_dict(body)
+    values = ",\n  ".join(map(repr, data["values"]))
+    data["values"] = None
+    head, tail = json.dumps(data, indent=1).split('"values": null', 1)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(body_to_dict(body), fh, indent=1)
-        fh.write("\n")
+        fh.write(f'{head}"values": [\n  {values}\n ]{tail}\n')
 
 
 def load_body(path, grid: CapGrid | None = None) -> CapillaryBody:

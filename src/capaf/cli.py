@@ -38,7 +38,7 @@ from .capfun import (
     random_capillary_field,
     save_body,
 )
-from .mixedvol import quermass_report, quermassintegral, steiner_check
+from .mixedvol import quermass_report, quermassintegral, shaped, steiner_check
 from .reconstruct import (
     boundary_form_quermass,
     contact_angle_residual,
@@ -52,7 +52,6 @@ from .spectral import (
     WeightedSpace,
     af_chain_check,
     af_check,
-    quermass_chain_check,
     spectrum,
 )
 
@@ -239,6 +238,7 @@ def cmd_gen(args) -> bool:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     files = []
+    body_bytes = 0
     for i in range(args.count):
         body = random_body(
             grid,
@@ -249,12 +249,14 @@ def cmd_gen(args) -> bool:
         path = out / f"body_{i:04d}.json"
         save_body(body, path)
         files.append(path.name)
+        body_bytes += path.stat().st_size
     payload = {
         "config": config_dict(args),
         "identity": "seeded generation of certified convex support functions",
         "files": files,
     }
-    write_report(out, "gen_report", payload, None, False)
+    write_report(out, "gen_report", payload, None, False,
+                 meta={"body_bytes": body_bytes})
     return False
 
 
@@ -360,15 +362,19 @@ def cmd_chain(args) -> bool:
     tol = make_tolerances(args.tolerance_profile, grid.n_rho)
     threads = thread_count()
 
+    # Each body and the unit cap are shaped once: a body enters its own
+    # quermassintegral chain (against the cap) and up to two pair chains.
+    cap = shaped(grid, ell(grid))
+
     def one(i):
-        body = random_body(grid, trial_seed(args.seed, i))
-        return body, quermass_chain_check(grid, body)
+        body = shaped(grid, random_body(grid, trial_seed(args.seed, i)))
+        return body, af_chain_check(grid, body, cap)
 
     bodies, reports = zip(*run_indexed(args.trials, one, threads))
     pairs = run_indexed(args.trials - 1,
                         lambda i: af_chain_check(grid, bodies[i], bodies[i + 1]),
                         threads)
-    cap_rep = quermass_chain_check(grid, ell(grid))
+    cap_rep = af_chain_check(grid, cap, cap)
     rows = []
     for kind, reps in (("body", reports), ("pair", pairs)):
         for n, rep in enumerate(reps):
@@ -509,13 +515,13 @@ def cmd_reconstruct(args) -> bool:
     quad_route = {f"V_{j}": w for j, w in enumerate(quermassintegral(grid, body))}
     vol_quad = quad_route["V_0"]
     vol_err = abs(vol_mesh - vol_quad) / max(abs(vol_quad), 1e-300)
-    boundary = {f"V_{k + 1}": boundary_form_quermass(grid, body, k)
-                for k in (1, 2)}
+    boundary = {f"V_{k + 1}": boundary_form_quermass(patch, k) for k in (1, 2)}
     breach = (contact > 1e-12) or (planar > tol.identity) or (interior <= 0.0) \
         or (vol_err > tol.volume)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    export_mesh(patch, out / "patch.obj")
+    mesh = out / "patch.obj"
+    export_mesh(patch, mesh)
     payload = {
         "config": config_dict(args),
         "identity": "support-function embedding meets the plane at the "
@@ -537,7 +543,9 @@ def cmd_reconstruct(args) -> bool:
         "degenerate_triangles": len(patch.degenerate_triangles),
         "breach": breach,
     }
-    write_report(out, "reconstruct_report", payload, None, args.csv)
+    # embed_calls: every route above reads the one patch embedded here.
+    write_report(out, "reconstruct_report", payload, None, args.csv,
+                 meta={"mesh_bytes": mesh.stat().st_size, "embed_calls": 1})
     return breach
 
 

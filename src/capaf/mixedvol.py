@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,14 +64,34 @@ def mixed_volume(grid: CapGrid, f1, rest=None, *, tensors=None) -> float:
     return grid.integrate(_unwrap(grid, f1) * q2(A2, A3)) / 3.0
 
 
+class ShapedField(NamedTuple):
+    """A field's node values with its shape tensor A[values]."""
+
+    values: np.ndarray
+    tensor: np.ndarray
+
+
+def shaped(grid: CapGrid, obj) -> ShapedField:
+    """The field's values and shape tensor; a ShapedField is returned as is.
+
+    A caller that puts one field into several mixed-volume sequences shapes
+    it once and passes the ShapedField, so its tensor is computed once.
+    """
+    if isinstance(obj, ShapedField):
+        return obj
+    values = _unwrap(grid, obj)
+    return ShapedField(values, a_of(grid, values))
+
+
 def mixed_sequence(grid: CapGrid, body0, body1) -> list[float]:
     """[V(body1 x i, body0 x (3-i)) for i in 0..3] from two shape tensors.
 
     body1 fills the two shape slots before the scalar slot: the slots of V_i
     hold s = [1] * i + [0] * (3 - i), so only V_3 integrates body1 itself.
+    Either body may be a :class:`ShapedField`, whose tensor is then reused.
     """
-    h = (_unwrap(grid, body0), _unwrap(grid, body1))
-    A = (a_of(grid, h[0]), a_of(grid, h[1]))
+    b0, b1 = shaped(grid, body0), shaped(grid, body1)
+    h, A = (b0.values, b1.values), (b0.tensor, b1.tensor)
     values = []
     for i in range(4):
         s = [1] * i + [0] * (3 - i)

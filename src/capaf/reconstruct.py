@@ -30,6 +30,7 @@ DEGENERATE_AREA = 1e-16
 class EmbeddedPatch:
     """Triangulated embedded surface with per-node normals.
 
+    values are the support-function node values the patch was built from;
     positions and normals are (n_rho+1, n_phi, 3); triangles index into the
     row-major flattening of the node array.  The pole hole inside the first
     node ring is closed by a polygon fan, so the mesh is a topological disk
@@ -37,6 +38,7 @@ class EmbeddedPatch:
     """
 
     grid: CapGrid
+    values: np.ndarray
     positions: np.ndarray
     normals: np.ndarray
     triangles: np.ndarray
@@ -53,20 +55,21 @@ class EmbeddedPatch:
 
 
 def _triangulate(n_rows: int, n_phi: int) -> tuple[np.ndarray, np.ndarray]:
-    """Fan over the pole hole plus split quads; outward (counterclockwise) order."""
-    tris = []
-    # Ring 0 is a small convex polygon around the pole; fan from its vertex 0.
-    for i in range(1, n_phi - 1):
-        tris.append((0, i, i + 1))
-    for j in range(n_rows - 1):
-        base = j * n_phi
-        nxt = base + n_phi
-        for i in range(n_phi):
-            ip = (i + 1) % n_phi
-            tris.append((base + i, nxt + i, nxt + ip))
-            tris.append((base + i, nxt + ip, base + ip))
+    """Fan over the pole hole plus split quads; outward (counterclockwise) order.
+
+    Ring 0 is a small convex polygon around the pole, fanned from its vertex 0.
+    Each quad between rings j and j+1 is split into two triangles, listed
+    quad by quad in row-major order.
+    """
+    i = np.arange(1, n_phi - 1, dtype=np.int64)
+    fan = np.stack([np.zeros_like(i), i, i + 1], axis=1)
+    # Node (j, i) of each quad and its neighbours (j, i+1), (j+1, i), (j+1, i+1).
+    lo = np.arange((n_rows - 1) * n_phi, dtype=np.int64).reshape(n_rows - 1, n_phi)
+    lo_next = np.roll(lo, -1, axis=1)
+    hi, hi_next = lo + n_phi, lo_next + n_phi
+    quads = np.stack([lo, hi, hi_next, lo, hi_next, lo_next], axis=-1)
     boundary = np.arange((n_rows - 1) * n_phi, n_rows * n_phi)
-    return np.array(tris, dtype=np.int64), boundary
+    return np.concatenate([fan, quads.reshape(-1, 3)]), boundary
 
 
 def embed(grid: CapGrid, body) -> EmbeddedPatch:
@@ -86,7 +89,7 @@ def embed(grid: CapGrid, body) -> EmbeddedPatch:
 
     positions = grad[..., 0:1] * e_rho + grad[..., 1:2] * e_phi + h[..., None] * nu
     tris, ring = _triangulate(grid.n_rho + 1, grid.n_phi)
-    patch = EmbeddedPatch(grid, positions, nu, tris, ring)
+    patch = EmbeddedPatch(grid, h, positions, nu, tris, ring)
     patch.degenerate_triangles = _find_degenerate(patch)
     return patch
 
@@ -149,21 +152,20 @@ def _ring_fourier_derivatives(xy: np.ndarray, order: int) -> np.ndarray:
     return np.fft.irfft(sym[:, None] * np.fft.rfft(xy, axis=0), n=n, axis=0)
 
 
-def boundary_form_quermass(grid: CapGrid, body: CapillaryBody, k: int) -> float:
+def boundary_form_quermass(patch: EmbeddedPatch, k: int) -> float:
     """Quermassintegral of index k+1 from surface plus boundary-ring integrals.
 
     The surface term pulls the k-th normalized symmetric curvature function
     back to the cap, where it turns into the (2-k)-th symmetric function of
-    the shape tensor.  The ring term needs arclength for k=1 and the signed
-    planar curvature for k=2; the ring is traversed counterclockwise, so the
-    curvature of a convex ring is positive.
+    the shape tensor of the patch's support values.  The ring term needs
+    arclength for k=1 and the signed planar curvature for k=2; the ring is
+    traversed counterclockwise, so the curvature of a convex ring is positive.
     """
     if k not in (1, 2):
         raise ValueError(f"k must be 1 or 2, got {k}")
-    h = grid.check_field(field_values(body))
-    surface = grid.integrate(h_k_field(grid, h, 2 - k))
+    grid = patch.grid
+    surface = grid.integrate(h_k_field(grid, patch.values, 2 - k))
 
-    patch = embed(grid, body)
     ring = patch.positions[grid.boundary_index, :, :2]
     d1 = _ring_fourier_derivatives(ring, 1)
     speed2 = np.einsum("ij,ij->i", d1, d1)
@@ -234,17 +236,20 @@ def parallel_body(grid: CapGrid, body: CapillaryBody, t: float) -> ParallelCheck
 # -- mesh I/O ------------------------------------------------------------------
 
 def export_mesh(patch: EmbeddedPatch, path) -> None:
-    """Write the patch as an ASCII OBJ file with full-precision floats."""
-    lines = []
-    for x, y, z in patch.flat_positions:
-        lines.append(f"v {x:.17g} {y:.17g} {z:.17g}")
-    for x, y, z in patch.flat_normals:
-        lines.append(f"vn {x:.17g} {y:.17g} {z:.17g}")
-    for a, b, c in patch.triangles:
-        lines.append(f"f {a + 1}//{a + 1} {b + 1}//{b + 1} {c + 1}//{c + 1}")
+    """Write the patch as an ASCII OBJ file with full-precision floats.
+
+    Lines are ``v x y z`` and ``vn x y z`` at %.17g, then ``f a//a b//b c//c``
+    with 1-based indices.  Each block is one ``%`` over a repeated line
+    template, so every number is formatted in C.
+    """
+    n_nodes, n_faces = len(patch.flat_positions), len(patch.triangles)
+    blocks = [("v %.17g %.17g %.17g\n" * n_nodes, patch.flat_positions),
+              ("vn %.17g %.17g %.17g\n" * n_nodes, patch.flat_normals),
+              ("f %d//%d %d//%d %d//%d\n" * n_faces,
+               np.repeat(patch.triangles + 1, 2, axis=1))]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines))
-        fh.write("\n")
+        for template, numbers in blocks:
+            fh.write(template % tuple(numbers.ravel().tolist()))
 
 
 def load_mesh(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -765,7 +765,8 @@ def af_chain_check(grid: CapGrid, body0, body1) -> ChainReport:
     V_i = V(body1 x i, body0 x (3-i)) is :func:`mixed_sequence`, so the chain
     is the log-concavity of i -> V_i that the general Alexandrov-Fenchel
     inequality gives.  Normalizing by V_k rather than a closed form keeps
-    homothetic bodies exactly on the equality case.
+    homothetic bodies exactly on the equality case.  Either body may be a
+    ``mixedvol.ShapedField``, so a body in several chains is shaped once.
     """
     values = mixed_sequence(grid, body0, body1)
     if min(values) <= 0.0:

@@ -297,6 +297,59 @@ def test_a_negative_pair_slack_is_a_breach(tmp_path, monkeypatch):
     assert rep["min_relative_slack"] == -1.0
 
 
+def test_chain_shapes_each_body_and_the_cap_once(tmp_path, monkeypatch):
+    # trials 4: four body tensors and one unit-cap tensor serve 4 quermass
+    # chains, 3 pair chains and the cap chain (16 tensors without reuse)
+    calls = []
+    real = capaf.mixedvol.a_of
+
+    def counted(grid, values):
+        calls.append(1)
+        return real(grid, values)
+
+    monkeypatch.setenv("CAPAF_THREADS", "1")
+    monkeypatch.setattr(capaf.mixedvol, "a_of", counted)
+    assert run(CHAIN_FLAGS + ["--trials", "4", "--out", tmp_path]) == 0
+    assert len(calls) == 5
+
+
+def test_reconstruct_embeds_once_and_ignores_the_thread_count(tmp_path, monkeypatch):
+    assert run(["gen", "--theta", "1.2", "--grid", "32x32", "--count", "1",
+                "--out", tmp_path / "bodies"]) == 0
+    body = tmp_path / "bodies" / "body_0000.json"
+    gen_meta = read_report(tmp_path / "bodies", "gen_report.meta.json")
+    assert gen_meta["body_bytes"] == body.stat().st_size
+    assert "body_bytes" not in (tmp_path / "bodies" / "gen_report.json").read_text()
+
+    calls = []
+
+    def counted(module):
+        real = module.embed
+
+        def embed(grid, body):
+            calls.append(module.__name__)
+            return real(grid, body)
+        return embed
+
+    for module in (cli, capaf.reconstruct):
+        monkeypatch.setattr(module, "embed", counted(module))
+    outs = {}
+    for threads in ("1", "2"):
+        monkeypatch.setenv("CAPAF_THREADS", threads)
+        calls.clear()
+        out = outs[threads] = tmp_path / f"threads-{threads}"
+        assert run(["reconstruct", "--theta", "1.2", "--grid", "32x32", body,
+                    "--out", out]) == 0
+        assert calls == ["capaf.cli"]
+        meta = read_report(out, "reconstruct_report.meta.json")
+        assert meta["embed_calls"] == len(calls)
+        assert meta["mesh_bytes"] == (out / "patch.obj").stat().st_size
+    for name in ("patch.obj", "reconstruct_report.json"):
+        assert (outs["1"] / name).read_bytes() == (outs["2"] / name).read_bytes()
+    report = (outs["1"] / "reconstruct_report.json").read_text()
+    assert "mesh_bytes" not in report and "embed_calls" not in report
+
+
 def test_report_bundle_runs_every_section(tmp_path):
     assert run(["report", "--theta", "1.2", "--grid", "16x16",
                 "--out", tmp_path]) == 0

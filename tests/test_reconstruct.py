@@ -1,4 +1,8 @@
-"""Embedding, planarity and contact checks, volume routes, mesh round trips."""
+"""Embedding, planarity and contact checks, volume routes, mesh round trips,
+and byte pins of the mesh and body writers against per-line oracles."""
+
+import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -99,7 +103,7 @@ def test_volume_routes_agree_on_a_random_body():
 @pytest.mark.parametrize("k", (1, 2))
 def test_boundary_form_quermass_matches_the_cap_value(k):
     g = grid(1.1, 32, 32)
-    q = capaf.boundary_form_quermass(g, capaf.ell(g), k)
+    q = capaf.boundary_form_quermass(capaf.embed(g, capaf.ell(g)), k)
     assert q == pytest.approx(capaf.b_theta(1.1), rel=1e-6)
 
 
@@ -107,7 +111,7 @@ def test_boundary_form_quermass_matches_the_cap_value(k):
 def test_boundary_form_quermass_matches_the_quadrature_route(k):
     g = grid(1.1, 32, 32)
     b = capaf.random_body(g, 5)
-    via_ring = capaf.boundary_form_quermass(g, b, k)
+    via_ring = capaf.boundary_form_quermass(capaf.embed(g, b), k)
     via_quad = capaf.quermassintegral(g, b)[k + 1]
     assert via_ring == pytest.approx(via_quad, rel=1e-4)
 
@@ -115,7 +119,7 @@ def test_boundary_form_quermass_matches_the_quadrature_route(k):
 def test_boundary_form_quermass_index_gate():
     g = grid(1.1, 16, 16)
     with pytest.raises(ValueError, match="1 or 2"):
-        capaf.boundary_form_quermass(g, capaf.ell(g), 0)
+        capaf.boundary_form_quermass(capaf.embed(g, capaf.ell(g)), 0)
 
 
 def test_principal_radii_of_caps_are_constant():
@@ -161,3 +165,99 @@ def test_mesh_export_roundtrip_is_exact(tmp_path):
     again = tmp_path / "again.obj"
     capaf.export_mesh(patch, again)
     assert path.read_bytes() == again.read_bytes()
+
+
+def test_patch_keeps_the_support_values_it_was_built_from():
+    g = grid(1.1, 16, 16)
+    b = capaf.random_body(g, 5)
+    np.testing.assert_array_equal(capaf.embed(g, b).values, b.values)
+
+
+# -- writer byte pins ------------------------------------------------------------
+
+def obj_per_line(patch) -> bytes:
+    """The OBJ text as the per-line writer formatted it: the reference bytes."""
+    lines = []
+    for x, y, z in patch.flat_positions:
+        lines.append(f"v {x:.17g} {y:.17g} {z:.17g}")
+    for x, y, z in patch.flat_normals:
+        lines.append(f"vn {x:.17g} {y:.17g} {z:.17g}")
+    for a, b, c in patch.triangles:
+        lines.append(f"f {a + 1}//{a + 1} {b + 1}//{b + 1} {c + 1}//{c + 1}")
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def extreme_patch():
+    """A random-body patch with signed zeros, subnormals and huge magnitudes."""
+    g = grid(1.1, 8, 8)
+    patch = capaf.embed(g, capaf.random_body(g, 3))
+    positions = patch.positions.copy()
+    normals = patch.normals.copy()
+    specials = [-0.0, 0.0, 5e-324, -1e-310, 2.5e-301, -1e300, 1.0 / 3.0]
+    positions.reshape(-1)[: len(specials)] = specials
+    normals.reshape(-1)[-len(specials):] = specials
+    return dataclasses.replace(patch, positions=positions, normals=normals)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: capaf.embed(grid(1.1, 32, 32), capaf.random_body(grid(1.1, 32, 32), 5)),
+    lambda: cap_patch(2.2, 16)[1],
+    extreme_patch,
+], ids=["random-body", "unit-cap", "extreme-values"])
+def test_export_mesh_matches_the_per_line_writer(make, tmp_path):
+    patch = make()
+    path = tmp_path / "patch.obj"
+    capaf.export_mesh(patch, path)
+    assert path.read_bytes() == obj_per_line(patch)
+
+
+def triangulate_loop(n_rows, n_phi):
+    """The per-triangle loop the vectorised triangulation must reproduce."""
+    tris = [(0, i, i + 1) for i in range(1, n_phi - 1)]
+    for j in range(n_rows - 1):
+        base = j * n_phi
+        nxt = base + n_phi
+        for i in range(n_phi):
+            ip = (i + 1) % n_phi
+            tris.append((base + i, nxt + i, nxt + ip))
+            tris.append((base + i, nxt + ip, base + ip))
+    boundary = np.arange((n_rows - 1) * n_phi, n_rows * n_phi)
+    return np.array(tris, dtype=np.int64), boundary
+
+
+@pytest.mark.parametrize("n_rows,n_phi", [(2, 3), (3, 4), (17, 5), (33, 32), (257, 256)])
+def test_triangulation_matches_the_loop(n_rows, n_phi):
+    from capaf.reconstruct import _triangulate
+
+    tris, ring = _triangulate(n_rows, n_phi)
+    ref_tris, ref_ring = triangulate_loop(n_rows, n_phi)
+    assert tris.dtype == ref_tris.dtype == np.int64
+    np.testing.assert_array_equal(tris, ref_tris)
+    assert ring.dtype == ref_ring.dtype
+    np.testing.assert_array_equal(ring, ref_ring)
+
+
+def test_save_body_matches_json_dump(tmp_path):
+    g = grid(1.1, 12, 16)
+    values = capaf.random_body(g, 2).values.copy()
+    values.reshape(-1)[:6] = [-0.0, 5e-324, -1e-310, 1e300, 0.1, 2.0]
+    provenance = {
+        "kind": "test", "nested": {"a": [1, 2.5, {"b": -0.0}], "tiny": 5e-324},
+        "lists": [[1.0, 2], [], {}], "text": "cap \u00e9", "none": None,
+        "flag": True, "values": None,
+    }
+    body = capaf.CapillaryBody(capaf.CapillaryField(g, values), 1.0, provenance)
+    path = tmp_path / "body.json"
+    capaf.save_body(body, path)
+    ref = tmp_path / "ref.json"
+    with open(ref, "w", encoding="utf-8") as fh:
+        json.dump(capaf.capfun.body_to_dict(body), fh, indent=1)
+        fh.write("\n")
+    assert path.read_bytes() == ref.read_bytes()
+
+    seeded = capaf.random_body(g, 4)
+    capaf.save_body(seeded, path)
+    with open(ref, "w", encoding="utf-8") as fh:
+        json.dump(capaf.capfun.body_to_dict(seeded), fh, indent=1)
+        fh.write("\n")
+    assert path.read_bytes() == ref.read_bytes()
