@@ -38,7 +38,6 @@ from .capfun import (
 )
 from .mixedvol import (
     QuermassReport,
-    ShapedField,
     SteinerReport,
     b_theta,
     h_k_field,
@@ -47,7 +46,6 @@ from .mixedvol import (
     mixed_volume,
     quermass_report,
     quermassintegral,
-    shaped,
     steiner_check,
     symmetry_residual,
 )
@@ -90,9 +88,9 @@ __all__ = [
     "load_body",
     "minkowski_combine", "random_body", "random_capillary_field", "save_body",
     "translate_horizontal",
-    "QuermassReport", "ShapedField", "SteinerReport", "b_theta", "h_k_field",
+    "QuermassReport", "SteinerReport", "b_theta", "h_k_field",
     "minkowski_identity_residual", "mixed_sequence", "mixed_volume", "quermass_report",
-    "quermassintegral", "shaped", "steiner_check", "symmetry_residual",
+    "quermassintegral", "steiner_check", "symmetry_residual",
     "AFReport", "ChainReport", "SpectrumReport", "WeightedSpace",
     "af_chain_check", "af_check", "assemble_operator",
     "eigen_estimate_residual", "equality_decompose", "quermass_chain_check",

@@ -52,6 +52,7 @@ from .spectral import (
     WeightedSpace,
     af_chain_check,
     af_check,
+    quermass_chain_check,
     spectrum,
 )
 
@@ -364,6 +365,8 @@ def cmd_chain(args) -> bool:
 
     # Each body and the unit cap are shaped once: a body enters its own
     # quermassintegral chain (against the cap) and up to two pair chains.
+    # The cap's own chain goes through quermass_chain_check, which shapes
+    # the cap once more as its second body.
     cap = shaped(grid, ell(grid))
 
     def one(i):
@@ -374,7 +377,7 @@ def cmd_chain(args) -> bool:
     pairs = run_indexed(args.trials - 1,
                         lambda i: af_chain_check(grid, bodies[i], bodies[i + 1]),
                         threads)
-    cap_rep = af_chain_check(grid, cap, cap)
+    cap_rep = quermass_chain_check(grid, cap)
     rows = []
     for kind, reps in (("body", reports), ("pair", pairs)):
         for n, rep in enumerate(reps):
@@ -543,9 +546,8 @@ def cmd_reconstruct(args) -> bool:
         "degenerate_triangles": len(patch.degenerate_triangles),
         "breach": breach,
     }
-    # embed_calls: every route above reads the one patch embedded here.
     write_report(out, "reconstruct_report", payload, None, args.csv,
-                 meta={"mesh_bytes": mesh.stat().st_size, "embed_calls": 1})
+                 meta={"mesh_bytes": mesh.stat().st_size})
     return breach
 
 

@@ -792,7 +792,7 @@ def quermass_chain_check(grid: CapGrid, body) -> ChainReport:
     This is :func:`af_chain_check` with the unit cap as the second body; the
     k = 3 triples are the normalized inequalities
     W_j / W_3 >= (W_i / W_3)^((3-j)/(3-i)), and a cap body sits exactly on
-    the equality case.
+    the equality case.  body may be a ``mixedvol.ShapedField``.
     """
     return af_chain_check(grid, body, ell_values(grid))
 
