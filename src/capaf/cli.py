@@ -443,6 +443,10 @@ def cmd_spectrum(args) -> bool:
     breach = abs(rep.lambda1 - 1.0) > tol.lambda1
     breach = breach or not rep.lambda1_simple or rep.lambda1_gap < 0.9
     breach = breach or len(rep.kernel_indices) != 2
+    # The returned eigenvalues are the k nearest 1/2.  Only when the smallest
+    # lies below the kernel band could no unreturned one fall inside it, so
+    # only then is the kernel count a count of the whole spectrum.
+    breach = breach or rep.eigenvalues[-1] > -rep.kernel_threshold
     breach = breach or not rep.window_empty
     breach = breach or max(rep.residuals) > SPECTRUM_RESIDUAL_GATE
     if args.reference == "cap" and rep.kernel_cosine is not None:

@@ -45,25 +45,6 @@ def _unwrap(grid: CapGrid, obj) -> np.ndarray:
     return grid.check_field(values)
 
 
-def mixed_volume(grid: CapGrid, f1, rest=None, *, tensors=None) -> float:
-    """V(f1, f2, f3) = (1/3) * integral of f1 Q(A[f2], A[f3]).
-
-    rest holds the two fields entering through their shape tensors; a caller
-    holding those tensors passes tensors=(A[f2], A[f3]) instead, so a field in
-    several slots has its tensor computed once.  The value is multilinear in
-    all slots by construction; permutation symmetry holds only for fields
-    satisfying the contact-angle condition and only up to discretization error.
-    """
-    if (rest is None) == (tensors is None):
-        raise ValueError("pass the shape slots either as fields or as tensors")
-    if tensors is None:
-        if len(rest) != 2:
-            raise ValueError(f"need exactly 2 shape-slot fields, got {len(rest)}")
-        tensors = [a_of(grid, _unwrap(grid, f)) for f in rest]
-    A2, A3 = tensors
-    return grid.integrate(_unwrap(grid, f1) * q2(A2, A3)) / 3.0
-
-
 class ShapedField(NamedTuple):
     """A field's node values with its shape tensor A[values]."""
 
@@ -74,13 +55,28 @@ class ShapedField(NamedTuple):
 def shaped(grid: CapGrid, obj) -> ShapedField:
     """The field's values and shape tensor; a ShapedField is returned as is.
 
-    A caller that puts one field into several mixed-volume sequences shapes
-    it once and passes the ShapedField, so its tensor is computed once.
+    A caller that puts one field into several mixed-volume slots or sequences
+    shapes it once and passes the ShapedField, so its tensor is computed once.
     """
     if isinstance(obj, ShapedField):
         return obj
     values = _unwrap(grid, obj)
     return ShapedField(values, a_of(grid, values))
+
+
+def mixed_volume(grid: CapGrid, f1, rest) -> float:
+    """V(f1, f2, f3) = (1/3) * integral of f1 Q(A[f2], A[f3]).
+
+    rest holds the two fields entering through their shape tensors; either may
+    be a :class:`ShapedField`, whose tensor is then reused, so a field in
+    several slots has its tensor computed once.  The value is multilinear in
+    all slots by construction; permutation symmetry holds only for fields
+    satisfying the contact-angle condition and only up to discretization error.
+    """
+    if len(rest) != 2:
+        raise ValueError(f"need exactly 2 shape-slot fields, got {len(rest)}")
+    A2, A3 = (shaped(grid, f).tensor for f in rest)
+    return grid.integrate(_unwrap(grid, f1) * q2(A2, A3)) / 3.0
 
 
 def mixed_sequence(grid: CapGrid, body0, body1) -> list[float]:
@@ -90,12 +86,11 @@ def mixed_sequence(grid: CapGrid, body0, body1) -> list[float]:
     hold s = [1] * i + [0] * (3 - i), so only V_3 integrates body1 itself.
     Either body may be a :class:`ShapedField`, whose tensor is then reused.
     """
-    b0, b1 = shaped(grid, body0), shaped(grid, body1)
-    h, A = (b0.values, b1.values), (b0.tensor, b1.tensor)
+    b = (shaped(grid, body0), shaped(grid, body1))
     values = []
     for i in range(4):
         s = [1] * i + [0] * (3 - i)
-        values.append(mixed_volume(grid, h[s[2]], tensors=(A[s[0]], A[s[1]])))
+        values.append(mixed_volume(grid, b[s[2]].values, (b[s[0]], b[s[1]])))
     return values
 
 
@@ -148,11 +143,10 @@ def symmetry_residual(grid: CapGrid, f1, f2, f3) -> float:
     contact-angle condition; the boundary terms in the integration by parts
     do not cancel otherwise.
     """
-    fields = [_unwrap(grid, f) for f in (f1, f2, f3)]
-    tensors = [a_of(grid, f) for f in fields]
+    fields = [shaped(grid, f) for f in (f1, f2, f3)]
 
     def volume(i, j, k):
-        return mixed_volume(grid, fields[i], tensors=(tensors[j], tensors[k]))
+        return mixed_volume(grid, fields[i].values, (fields[j], fields[k]))
 
     v_id = volume(0, 1, 2)
     denom = max(abs(v_id), 1e-30)
@@ -237,9 +231,8 @@ def steiner_check(grid: CapGrid, body: CapillaryBody, t_values) -> SteinerReport
     lv = ell_values(grid)
     vols = []
     for t in ts:
-        g = h + t * lv
-        A = a_of(grid, g)
-        vols.append(mixed_volume(grid, g, tensors=(A, A)))
+        g = shaped(grid, h + t * lv)
+        vols.append(mixed_volume(grid, g.values, (g, g)))
     # Vandermonde least squares in the monomial basis; t stays O(1) so
     # conditioning is not a concern at degree 3.
     v = np.vander(np.array(ts), 4, increasing=True)

@@ -38,7 +38,7 @@ from .capfun import (
     field_values,
     horizontal_linear,
 )
-from .mixedvol import mixed_sequence, mixed_volume, q2
+from .mixedvol import ShapedField, mixed_sequence, mixed_volume, q2, shaped
 
 WINDOW = (0.01, 0.99)
 # Fixed Lanczos start vector seed: reports must not depend on entropy.
@@ -196,9 +196,6 @@ class DiscreteOperator:
     form: sp.csr_matrix
     mass: np.ndarray
     asymmetry: float
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        return (self.form @ v) / self.mass
 
 
 def _frobenius(m: sp.spmatrix) -> float:
@@ -384,73 +381,18 @@ def _robin_basis(grid: CapGrid) -> sp.csr_matrix:
     return sp.vstack([sp.identity(nred, format="csr"), ring_block]).tocsr()
 
 
-# Regions of at most this many unknowns are not cut further; smaller leaves
-# change the factor's fill by well under one percent.
-_DISSECTION_LEAF = 16
-
-
-def _dissection_order(K: sp.spmatrix, node_shape: tuple[int, int]) -> np.ndarray:
-    """Nested-dissection permutation of the unknowns of a lattice matrix K.
-
-    Unknown k sits at lattice index (k // n_phi, k % n_phi) of node_shape.
-    Each region is cut at the median of its longer index extent, and the
-    separator is the set of nodes on the lower side that have a neighbour in
-    K on the upper side; taking it from K's own adjacency catches the periodic
-    seam in phi and the coupling across the pole with no special cases.  Both
-    halves are ordered before their separator, so eliminating one half never
-    fills the other.
-    """
-    n = K.shape[0]
-    ii, jj = np.divmod(np.arange(n), node_shape[1])
-    adj = K.tocoo()
-    off = adj.row != adj.col
-    label = np.zeros(n, dtype=np.int8)  # 0 lower, 1 upper, 2 separator
-    order = []
-
-    def cut(nodes, r, c):
-        ci, cj = ii[nodes], jj[nodes]
-        coord = ci if np.ptp(ci) >= np.ptp(cj) else cj
-        median = np.sort(coord)[coord.size // 2]
-        # A region with more than half its nodes on its first line cannot be
-        # halved at the median; it is kept whole.
-        if nodes.size <= _DISSECTION_LEAF or median == coord.min():
-            order.append(nodes)
-            return
-        label[nodes] = coord >= median
-        label[r[(label[r] == 0) & (label[c] == 1)]] = 2
-        halves = []
-        for side in (0, 1):
-            inner = (label[r] == side) & (label[c] == side)
-            halves.append((nodes[label[nodes] == side], r[inner], c[inner]))
-        separator = nodes[label[nodes] == 2]
-        for half in halves:
-            if half[0].size:
-                cut(*half)
-        order.append(separator)
-
-    cut(np.arange(n), adj.row[off], adj.col[off])
-    return np.concatenate(order)
-
-
-def _sparse_factor_solver(K: sp.spmatrix, node_shape: tuple[int, int]):
+def _sparse_factor_solver(K: sp.spmatrix):
     """Solve with K through one sparse factor.
 
     Returns the solve and the number of entries of L + U.
 
-    K is factored in nested-dissection order with symmetric diagonal pivots.
-    Diagonal pivoting does no numerical pivot search, so the eigenpair
-    residuals are the check that the factor held.
+    K is factored in SuperLU's minimum-degree order on K + K^T with symmetric
+    diagonal pivots.  Diagonal pivoting does no numerical pivot search, so the
+    eigenpair residuals are the check that the factor held.
     """
-    perm = _dissection_order(K, node_shape)
-    lu = spla.splu(K[perm][:, perm], permc_spec="NATURAL", diag_pivot_thresh=0.0,
+    lu = spla.splu(K, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                    options={"SymmetricMode": True})
-
-    def solve(x):
-        y = np.empty_like(x)
-        y[perm] = lu.solve(x[perm])
-        return y
-
-    return solve, int(lu.nnz)
+    return lu.solve, int(lu.nnz)
 
 
 def _azimuthal_mode_solver(K: sp.spmatrix, node_shape: tuple[int, int]):
@@ -525,7 +467,7 @@ def spectrum(space: WeightedSpace, how_many: int = 8) -> SpectrumReport:
     shifted matrix K = A - M/2, set up once.  For a rotationally invariant
     reference (constant along every ring) K is block-circulant in phi and is
     inverted exactly by one banded solve per azimuthal mode; any other
-    reference gets a sparse factor in nested-dissection order with symmetric
+    reference gets a sparse factor in minimum-degree order with symmetric
     diagonal pivots, whose eigenpair residuals are the check that it held.
     """
     if how_many < 1:
@@ -543,10 +485,12 @@ def spectrum(space: WeightedSpace, how_many: int = 8) -> SpectrumReport:
     # A reference constant along every ring, bit for bit, makes K
     # block-circulant in phi.
     if np.all(space.f2 == space.f2[:, :1]):
-        shift_invert, make_solver = "azimuthal_modes", _azimuthal_mode_solver
+        shift_invert = "azimuthal_modes"
+        inverse, factor_nnz = _azimuthal_mode_solver(
+            K, (g.node_shape[0] - 1, g.node_shape[1]))
     else:
-        shift_invert, make_solver = "sparse_factor", _sparse_factor_solver
-    inverse, factor_nnz = make_solver(K, (g.node_shape[0] - 1, g.node_shape[1]))
+        shift_invert = "sparse_factor"
+        inverse, factor_nnz = _sparse_factor_solver(K)
     n_solves = 0
 
     def solve(x):
@@ -711,17 +655,17 @@ def af_check(space: WeightedSpace, f, f1) -> AFReport:
             raise ValueError("f1 must be convex: " + "; ".join(res.reasons))
 
     # One shape tensor per field: the reference's is the space's own.
-    A, A1, A2 = a_of(g, fv), a_of(g, f1v), space.A2
-    v_m = mixed_volume(g, fv, tensors=(A1, A2))
-    v_m_swap = mixed_volume(g, f1v, tensors=(A, A2))
-    v_ff = mixed_volume(g, fv, tensors=(A, A2))
-    v_11 = mixed_volume(g, f1v, tensors=(A1, A2))
+    S, S1, S2 = shaped(g, fv), shaped(g, f1v), ShapedField(space.f2, space.A2)
+    v_m = mixed_volume(g, fv, (S1, S2))
+    v_m_swap = mixed_volume(g, f1v, (S, S2))
+    v_ff = mixed_volume(g, fv, (S, S2))
+    v_11 = mixed_volume(g, f1v, (S1, S2))
     lhs = v_m * v_m
     rhs = v_ff * v_11
     gap = lhs - rhs
     rel = gap / max(abs(rhs), 1e-300)
 
-    bil = space.inner(fv, space.apply_tensor(A1))
+    bil = space.inner(fv, space.apply_tensor(S1.tensor))
     consistency = abs(bil - v_m) / max(abs(v_m), abs(bil), 1e-300)
 
     swap_err = abs(v_m - v_m_swap)

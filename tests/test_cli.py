@@ -231,6 +231,21 @@ def test_a_large_spectrum_residual_is_a_breach(tmp_path, monkeypatch):
     assert read_report(tmp_path, "spectrum_report.json")["breach"] is True
 
 
+def test_an_uncounted_kernel_band_is_a_breach(tmp_path, monkeypatch):
+    # With the smallest returned eigenvalue inside (-thr, thr), an unreturned
+    # eigenvalue could sit in the kernel band too, so two kernel indices are
+    # not a count of the whole spectrum.
+    def truncated(space, how_many):
+        rep = capaf.spectrum(space, how_many=how_many)
+        rep.eigenvalues[-1] = -0.5 * rep.kernel_threshold
+        return rep
+
+    monkeypatch.setattr(cli, "spectrum", truncated)
+    assert run(["spectrum", "--theta", "1.5", "--grid", "16x16",
+                "--out", tmp_path]) == cli.EXIT_BREACH == 2
+    assert read_report(tmp_path, "spectrum_report.json")["breach"] is True
+
+
 def test_strict_profile_flags_a_coarse_grid_breach(tmp_path):
     # the kernel-cosine budget of 1e-6 is not attainable on a 16x16 grid
     rc = run(["spectrum", "--theta", "1.5", "--grid", "16x16",

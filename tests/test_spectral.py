@@ -233,7 +233,8 @@ def _random_reference(theta):
     (_random_reference, 2.2, True),
     (_cap_reference, 0.05, False),
     (_cap_reference, 2.2, True),
-], ids=["cap-1.57", "random-2.2", "cap-0.05", "cap-2.2"])
+    (_random_reference, 0.5, True),
+], ids=["cap-1.57", "random-2.2", "cap-0.05", "cap-2.2", "random-0.5"])
 def test_spectrum_matches_the_dense_pencil(make_space, theta, window_empty):
     space = make_space(theta)
     rep = capaf.spectrum(space, how_many=6)
@@ -256,23 +257,15 @@ def _shifted_pencil(space):
     return K.tocsc(), (R - 1, P)
 
 
-def test_dissection_order_is_a_deterministic_permutation():
-    K, shape = _shifted_pencil(_random_reference(2.2))
-    p = capaf.spectral._dissection_order(K, shape)
-    np.testing.assert_array_equal(np.sort(p), np.arange(K.shape[0]))
-    np.testing.assert_array_equal(p, capaf.spectral._dissection_order(K, shape))
-
-
-def test_dissection_order_factor_fills_less_than_the_default_factor():
+def test_sparse_factor_solve_matches_the_default_factor():
     g = grid(2.2, 48, 64)
     space = capaf.WeightedSpace(g, capaf.random_body(g, 1, amplitude=0.2, mode_cap=2))
-    K, shape = _shifted_pencil(space)
-    p = capaf.spectral._dissection_order(K, shape)
-    ordered = scipy.sparse.linalg.splu(
-        K[p][:, p], permc_spec="NATURAL", diag_pivot_thresh=0.0,
-        options={"SymmetricMode": True})
-    default = scipy.sparse.linalg.splu(K)
-    assert ordered.nnz < default.nnz
+    K, _ = _shifted_pencil(space)
+    solve, stored = capaf.spectral._sparse_factor_solver(K)
+    x = np.random.default_rng(5).standard_normal(K.shape[0])
+    expected = scipy.sparse.linalg.splu(K).solve(x)
+    assert np.linalg.norm(solve(x) - expected) <= 1e-12 * np.linalg.norm(expected)
+    assert stored > K.nnz
 
 
 @pytest.mark.parametrize("n_rho, n_phi", [(48, 64), (128, 128)])
