@@ -17,7 +17,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .capgrid import CapGrid, a_of, robin_residual, tensor_eigenvalues
+from .capgrid import ROBIN_GATE, CapGrid, a_of, robin_residual, tensor_eigenvalues
 
 # A support function certifies as convex when the smallest eigenvalue of its
 # shape tensor clears this floor (relative to max(1, sup|h|)); the floor only
@@ -32,13 +32,16 @@ class CapillaryField:
 
     robin_max, the largest boundary Robin residual, and scale, max(1, sup|h|)
     which every gate on the field is relative to, are computed from the values
-    on construction, so they always describe them.
+    on construction, the shape tensor on first read; values must not be mutated.
     """
 
     grid: CapGrid
     values: np.ndarray
     robin_max: float = field(init=False)
     scale: float = field(init=False)
+    # Not a cached property: its class-wide lock would queue threads on each
+    # other's tensors.  Two threads racing on one field write the same bytes.
+    _tensor: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.values = self.grid.check_field(self.values)
@@ -48,7 +51,19 @@ class CapillaryField:
     @property
     def robin_gate(self) -> float:
         """Largest admissible robin_max: capgrid.ROBIN_GATE times scale."""
-        return self.grid.robin_gate * self.scale
+        return ROBIN_GATE * self.scale
+
+    @property
+    def tensor(self) -> np.ndarray:
+        """Shape tensor Hess(f) + f * metric, shaped (n_rho+1, n_phi, 2, 2)."""
+        if self._tensor is None:
+            self._tensor = a_of(self.grid, self.values)
+        return self._tensor
+
+    @property
+    def min_eig(self) -> float:
+        """Smallest eigenvalue of the shape tensor over all nodes."""
+        return float(np.min(tensor_eigenvalues(self.tensor)[0]))
 
 
 @dataclass
@@ -83,13 +98,15 @@ class CertifyResult:
     reasons: list[str]
 
 
-def field_values(obj) -> np.ndarray:
-    """Unwrap CapillaryBody / CapillaryField / ndarray to node values."""
+def as_field(grid: CapGrid, obj) -> CapillaryField:
+    """A body's support or a field on grid as it is; anything else wrapped anew."""
     if isinstance(obj, CapillaryBody):
-        return obj.support.values
+        obj = obj.support
     if isinstance(obj, CapillaryField):
-        return obj.values
-    return np.asarray(obj, dtype=float)
+        if obj.grid is grid:
+            return obj
+        obj = obj.values
+    return CapillaryField(grid, obj)
 
 
 def ell_values(grid: CapGrid) -> np.ndarray:
@@ -98,12 +115,7 @@ def ell_values(grid: CapGrid) -> np.ndarray:
     return np.repeat(col[:, None], grid.n_phi, axis=1)
 
 
-def min_shape_eig(grid: CapGrid, values: np.ndarray) -> float:
-    """Smallest eigenvalue of the shape tensor over all nodes."""
-    return float(np.min(tensor_eigenvalues(a_of(grid, values))[0]))
-
-
-def certify(grid: CapGrid, values: np.ndarray, provenance: dict | None = None) -> CertifyResult:
+def certify(grid: CapGrid, values, provenance: dict | None = None) -> CertifyResult:
     """Check Robin compatibility and convexity; never raises on bad data.
 
     Robin gate is relative to the sup norm (see capgrid.ROBIN_GATE); the
@@ -111,11 +123,11 @@ def certify(grid: CapGrid, values: np.ndarray, provenance: dict | None = None) -
     the wrong shape or with NaN or inf entries is rejected with NaN margins.
     """
     try:
-        support = CapillaryField(grid, values)
+        support = as_field(grid, values)
     except ValueError as exc:
         return CertifyResult(False, None, math.nan, math.nan, [str(exc)])
     rmax = support.robin_max
-    meig = min_shape_eig(grid, support.values)
+    meig = support.min_eig
     reasons = []
     if rmax > support.robin_gate:
         reasons.append(
@@ -161,7 +173,7 @@ def horizontal_linear(grid: CapGrid, direction: Sequence[float]) -> CapillaryFie
     return CapillaryField(grid, values)
 
 
-def from_neumann(grid: CapGrid, u: np.ndarray, gate: float | None = None) -> CapillaryField:
+def from_neumann(grid: CapGrid, u: np.ndarray) -> CapillaryField:
     """Lift a Neumann datum to an admissible field: f = ell * u.
 
     Because the unit-cap support function itself satisfies the Robin condition,
@@ -170,13 +182,11 @@ def from_neumann(grid: CapGrid, u: np.ndarray, gate: float | None = None) -> Cap
     """
     u = grid.check_field(u)
     du = float(np.max(np.abs(grid.boundary_d_rho(u))))
-    scale = max(1.0, float(np.max(np.abs(u))))
-    if gate is None:
-        gate = grid.robin_gate
-    if du > gate * scale:
+    gate = ROBIN_GATE * max(1.0, float(np.max(np.abs(u))))
+    if du > gate:
         raise ValueError(
             f"neumann violation: max |du/drho| = {du:.3e} on the boundary row "
-            f"(gate {gate * scale:.3e})"
+            f"(gate {gate:.3e})"
         )
     values = ell_values(grid) * u
     return CapillaryField(grid, values)
@@ -287,7 +297,8 @@ def random_body(
     amp = float(amplitude)
     for _ in range(max_halvings + 1):
         values = enforce_contact_angle(grid, base_radius * lv + amp * lv * u)
-        meig = min_shape_eig(grid, values)
+        support = CapillaryField(grid, values)
+        meig = support.min_eig
         if meig >= margin * base_radius:
             prov = {
                 "seed": int(seed),
@@ -298,7 +309,7 @@ def random_body(
                     "mode_cap": int(mode_cap),
                 },
             }
-            return CapillaryBody(CapillaryField(grid, values), meig, prov)
+            return CapillaryBody(support, meig, prov)
         amp *= 0.5
     raise RuntimeError(
         f"generation failed: no convex body within {max_halvings} amplitude halvings "

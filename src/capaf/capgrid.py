@@ -94,7 +94,6 @@ class CapGrid:
         self._sym_d1 = 1j * k.astype(float)
         self._sym_d1[-1] = 0.0  # Nyquist mode has no well-defined odd derivative
         self._sym_d2 = -(k.astype(float) ** 2)
-        self.robin_gate = ROBIN_GATE
 
     # -- shapes ----------------------------------------------------------
     @property

@@ -38,7 +38,7 @@ from .capfun import (
     random_capillary_field,
     save_body,
 )
-from .mixedvol import quermass_report, quermassintegral, shaped, steiner_check
+from .mixedvol import quermass_report, quermassintegral, steiner_check
 from .reconstruct import (
     boundary_form_quermass,
     contact_angle_residual,
@@ -76,8 +76,8 @@ AF_ANCHOR_RHO = 256
 SPECTRUM_RESIDUAL_GATE = 1e-8
 
 
-# An ArgumentTypeError, so that a parse_grid failure inside argparse becomes a
-# usage error (exit 3) with this message.
+# An ArgumentTypeError, so that a parse_grid or positive_int failure inside
+# argparse becomes a usage error (exit 3) with this message.
 class ConfigError(argparse.ArgumentTypeError):
     pass
 
@@ -129,6 +129,14 @@ def parse_grid(text: str) -> tuple[int, int]:
     return n_rho, n_phi
 
 
+def positive_int(text: str) -> int:
+    """argparse type for counts: a 0 is a usage error before any work."""
+    n = int(text)
+    if n < 1:
+        raise ConfigError(f"must be a positive integer, got {n}")
+    return n
+
+
 def thread_count() -> int:
     raw = os.environ.get("CAPAF_THREADS", "1")
     try:
@@ -171,21 +179,11 @@ def config_dict(args: argparse.Namespace) -> dict:
     return keep
 
 
-def jsonable(value):
-    """Recursively strip numpy scalar and array types out of a payload."""
-    if isinstance(value, dict):
-        return {k: jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [jsonable(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [jsonable(v) for v in value.tolist()]
-    if isinstance(value, np.bool_):
-        return bool(value)
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    return value
+def _numpy_to_json(value):
+    """json.dumps default hook: numpy scalars and arrays as Python values."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def write_report(out_dir: Path, name: str, payload: dict, csv_text: str | None,
@@ -198,17 +196,18 @@ def write_report(out_dir: Path, name: str, payload: dict, csv_text: str | None,
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"{name}.json"
     try:
-        text = json.dumps(jsonable(payload), indent=1, sort_keys=True, allow_nan=False)
+        text = json.dumps(payload, indent=1, sort_keys=True, allow_nan=False,
+                          default=_numpy_to_json)
     except ValueError as exc:
         raise RuntimeError(f"{name}: non-finite value in the report") from exc
     path.write_text(text + "\n", encoding="utf-8")
     sidecar = {
         "written_at": datetime.now(timezone.utc).isoformat(),
         "report": path.name,
-        **jsonable(meta or {}),
+        **(meta or {}),
     }
     (out_dir / f"{name}.meta.json").write_text(
-        json.dumps(sidecar, indent=1) + "\n", encoding="utf-8")
+        json.dumps(sidecar, indent=1, default=_numpy_to_json) + "\n", encoding="utf-8")
     if want_csv and csv_text is not None:
         (out_dir / f"{name}.csv").write_text(csv_text, encoding="utf-8")
     return path
@@ -234,8 +233,6 @@ def build_grid_checked(args) -> CapGrid:
 
 def cmd_gen(args) -> bool:
     grid = build_grid_checked(args)
-    if args.count < 1:
-        raise ConfigError(f"count must be positive, got {args.count}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     files = []
@@ -314,8 +311,6 @@ def _af_trial(grid, base, i, equality):
 
 def cmd_af(args) -> bool:
     grid = build_grid_checked(args)
-    if args.trials < 1:
-        raise ConfigError(f"trials must be positive, got {args.trials}")
     tol = make_tolerances(args.tolerance_profile, grid.n_rho)
     threads = thread_count()
     mode = "equality" if args.equality_family else "random"
@@ -358,19 +353,15 @@ def cmd_af(args) -> bool:
 
 def cmd_chain(args) -> bool:
     grid = build_grid_checked(args)
-    if args.trials < 1:
-        raise ConfigError(f"trials must be positive, got {args.trials}")
     tol = make_tolerances(args.tolerance_profile, grid.n_rho)
     threads = thread_count()
 
-    # Each body and the unit cap are shaped once: a body enters its own
-    # quermassintegral chain (against the cap) and up to two pair chains.
-    # The cap's own chain goes through quermass_chain_check, which shapes
-    # the cap once more as its second body.
-    cap = shaped(grid, ell(grid))
+    # Bodies keep the tensors that certified them, so each body and the cap are
+    # shaped once for all their chains; the cap's own chain shapes it once more.
+    cap = ell(grid)
 
     def one(i):
-        body = shaped(grid, random_body(grid, trial_seed(args.seed, i)))
+        body = random_body(grid, trial_seed(args.seed, i))
         return body, af_chain_check(grid, body, cap)
 
     bodies, reports = zip(*run_indexed(args.trials, one, threads))
@@ -614,7 +605,7 @@ def build_parser() -> _Parser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("gen", parents=[common], help="generate random bodies")
-    p.add_argument("--count", type=int, default=3)
+    p.add_argument("--count", type=positive_int, default=3)
     p.add_argument("--base-radius", type=float, default=1.0)
     p.add_argument("--amplitude", type=float, default=0.25)
     p.set_defaults(func=cmd_gen)
@@ -626,20 +617,20 @@ def build_parser() -> _Parser:
 
     p = subs.add_parser("af", parents=[common],
                         help="quadratic mixed-volume inequality trials")
-    p.add_argument("--trials", type=int, default=500)
+    p.add_argument("--trials", type=positive_int, default=500)
     p.add_argument("--equality-family", action="store_true")
     p.set_defaults(func=cmd_af)
 
     p = subs.add_parser("chain", parents=[common],
                         help="mixed-volume chain inequalities: quermassintegrals "
                              "and consecutive body pairs")
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=positive_int, default=100)
     p.set_defaults(func=cmd_chain)
 
     p = subs.add_parser("spectrum", parents=[common],
                         help="operator spectrum and classification")
     p.add_argument("--reference", choices=("cap", "random"), default="cap")
-    p.add_argument("--how-many", type=int, default=8)
+    p.add_argument("--how-many", type=positive_int, default=8)
     p.add_argument("--sweep", type=str, default="",
                    help="comma list of square grid sizes for a first-"
                         "eigenvalue refinement study, e.g. 16,24,32")
@@ -658,7 +649,7 @@ def build_parser() -> _Parser:
 
     p = subs.add_parser("report", parents=[common],
                         help="run the full verification bundle")
-    p.add_argument("--trials", type=int, default=20)
+    p.add_argument("--trials", type=positive_int, default=20)
     p.set_defaults(func=cmd_report)
     return parser
 

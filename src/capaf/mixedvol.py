@@ -15,12 +15,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import asdict, dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .capgrid import CapGrid, a_of
-from .capfun import CapillaryBody, ell_values, field_values
+from .capgrid import CapGrid
+from .capfun import CapillaryBody, CapillaryField, as_field, ell_values
 
 
 def b_theta(theta: float) -> float:
@@ -40,43 +39,19 @@ def q2(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     )
 
 
-def _unwrap(grid: CapGrid, obj) -> np.ndarray:
-    values = field_values(obj)
-    return grid.check_field(values)
-
-
-class ShapedField(NamedTuple):
-    """A field's node values with its shape tensor A[values]."""
-
-    values: np.ndarray
-    tensor: np.ndarray
-
-
-def shaped(grid: CapGrid, obj) -> ShapedField:
-    """The field's values and shape tensor; a ShapedField is returned as is.
-
-    A caller that puts one field into several mixed-volume slots or sequences
-    shapes it once and passes the ShapedField, so its tensor is computed once.
-    """
-    if isinstance(obj, ShapedField):
-        return obj
-    values = _unwrap(grid, obj)
-    return ShapedField(values, a_of(grid, values))
-
-
 def mixed_volume(grid: CapGrid, f1, rest) -> float:
     """V(f1, f2, f3) = (1/3) * integral of f1 Q(A[f2], A[f3]).
 
-    rest holds the two fields entering through their shape tensors; either may
-    be a :class:`ShapedField`, whose tensor is then reused, so a field in
-    several slots has its tensor computed once.  The value is multilinear in
-    all slots by construction; permutation symmetry holds only for fields
-    satisfying the contact-angle condition and only up to discretization error.
+    rest holds the two fields entering through their shape tensors; a body or
+    a CapillaryField keeps its tensor, so a field in several slots has it
+    computed once.  The value is multilinear in all slots by construction;
+    permutation symmetry holds only for fields satisfying the contact-angle
+    condition and only up to discretization error.
     """
     if len(rest) != 2:
         raise ValueError(f"need exactly 2 shape-slot fields, got {len(rest)}")
-    A2, A3 = (shaped(grid, f).tensor for f in rest)
-    return grid.integrate(_unwrap(grid, f1) * q2(A2, A3)) / 3.0
+    A2, A3 = (as_field(grid, f).tensor for f in rest)
+    return grid.integrate(as_field(grid, f1).values * q2(A2, A3)) / 3.0
 
 
 def mixed_sequence(grid: CapGrid, body0, body1) -> list[float]:
@@ -84,13 +59,12 @@ def mixed_sequence(grid: CapGrid, body0, body1) -> list[float]:
 
     body1 fills the two shape slots before the scalar slot: the slots of V_i
     hold s = [1] * i + [0] * (3 - i), so only V_3 integrates body1 itself.
-    Either body may be a :class:`ShapedField`, whose tensor is then reused.
     """
-    b = (shaped(grid, body0), shaped(grid, body1))
+    b = (as_field(grid, body0), as_field(grid, body1))
     values = []
     for i in range(4):
         s = [1] * i + [0] * (3 - i)
-        values.append(mixed_volume(grid, b[s[2]].values, (b[s[0]], b[s[1]])))
+        values.append(mixed_volume(grid, b[s[2]], (b[s[0]], b[s[1]])))
     return values
 
 
@@ -118,20 +92,19 @@ def h_k_field(grid: CapGrid, h, k: int) -> np.ndarray:
     """
     if not 0 <= k <= 2:
         raise ValueError(f"k must lie in 0..2, got {k}")
-    values = _unwrap(grid, h)
+    field = as_field(grid, h)
     if k == 0:
         return np.ones(grid.node_shape)
-    return _h_k(a_of(grid, values), k)
+    return _h_k(field.tensor, k)
 
 
 def minkowski_identity_residual(grid: CapGrid, f, k: int) -> float:
     """Relative defect of: integral f H_{k-1}(A[f]) = integral ell H_k(A[f])."""
     if k not in (1, 2):
         raise ValueError(f"k must be 1 or 2, got {k}")
-    values = _unwrap(grid, f)
-    A = a_of(grid, values)
-    lhs = grid.integrate(values * _h_k(A, k - 1))
-    rhs = grid.integrate(ell_values(grid) * _h_k(A, k))
+    field = as_field(grid, f)
+    lhs = grid.integrate(field.values * _h_k(field.tensor, k - 1))
+    rhs = grid.integrate(ell_values(grid) * _h_k(field.tensor, k))
     scale = max(abs(lhs), abs(rhs), 1e-300)
     return abs(lhs - rhs) / scale
 
@@ -143,10 +116,10 @@ def symmetry_residual(grid: CapGrid, f1, f2, f3) -> float:
     contact-angle condition; the boundary terms in the integration by parts
     do not cancel otherwise.
     """
-    fields = [shaped(grid, f) for f in (f1, f2, f3)]
+    fields = [as_field(grid, f) for f in (f1, f2, f3)]
 
     def volume(i, j, k):
-        return mixed_volume(grid, fields[i].values, (fields[j], fields[k]))
+        return mixed_volume(grid, fields[i], (fields[j], fields[k]))
 
     v_id = volume(0, 1, 2)
     denom = max(abs(v_id), 1e-30)
@@ -227,12 +200,12 @@ def steiner_check(grid: CapGrid, body: CapillaryBody, t_values) -> SteinerReport
         raise ValueError("parallel distances must be positive")
     if any(b - a < 1e-12 for a, b in zip(ts, ts[1:])):
         raise ValueError("parallel distances must be distinct")
-    h = _unwrap(grid, body)
+    h = as_field(grid, body)
     lv = ell_values(grid)
     vols = []
     for t in ts:
-        g = shaped(grid, h + t * lv)
-        vols.append(mixed_volume(grid, g.values, (g, g)))
+        g = CapillaryField(grid, h.values + t * lv)
+        vols.append(mixed_volume(grid, g, (g, g)))
     # Vandermonde least squares in the monomial basis; t stays O(1) so
     # conditioning is not a concern at degree 3.
     v = np.vander(np.array(ts), 4, increasing=True)
@@ -240,7 +213,7 @@ def steiner_check(grid: CapGrid, body: CapillaryBody, t_values) -> SteinerReport
     fit_residual = float(np.sqrt(res[0])) if res.size else float(
         np.max(np.abs(v @ coef - np.array(vols)))
     )
-    refs = [math.comb(3, k) * w for k, w in enumerate(quermassintegral(grid, body))]
+    refs = [math.comb(3, k) * w for k, w in enumerate(quermassintegral(grid, h))]
     errs = [abs(c - r) / max(abs(r), 1e-300) for c, r in zip(coef, refs)]
     return SteinerReport(
         ts, vols, [float(c) for c in coef], refs, errs, max(errs), fit_residual

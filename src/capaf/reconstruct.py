@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .capgrid import CapGrid, a_of, surface_gradient, tensor_eigenvalues
-from .capfun import CapillaryBody, ell_values, field_values, horizontal_linear
+from .capgrid import CapGrid, surface_gradient, tensor_eigenvalues
+from .capfun import CapillaryBody, CapillaryField, as_field, ell_values, horizontal_linear
 from .mixedvol import h_k_field
 
 # Relative area floor below which a triangle counts as degenerate.
@@ -30,20 +30,24 @@ DEGENERATE_AREA = 1e-16
 class EmbeddedPatch:
     """Triangulated embedded surface with per-node normals.
 
-    values are the support-function node values the patch was built from;
-    positions and normals are (n_rho+1, n_phi, 3); triangles index into the
-    row-major flattening of the node array.  The pole hole inside the first
-    node ring is closed by a polygon fan, so the mesh is a topological disk
-    whose boundary is the contact ring.
+    support is the support function the patch was built from, values its
+    node values; positions and normals are (n_rho+1, n_phi, 3); triangles
+    index into the row-major flattening of the node array.  The pole hole
+    inside the first node ring is closed by a polygon fan, so the mesh is a
+    topological disk whose boundary is the contact ring.
     """
 
     grid: CapGrid
-    values: np.ndarray
+    support: CapillaryField
     positions: np.ndarray
     normals: np.ndarray
     triangles: np.ndarray
     boundary_ring: np.ndarray
     degenerate_triangles: list[int] = field(default_factory=list)
+
+    @property
+    def values(self) -> np.ndarray:
+        return self.support.values
 
     @property
     def flat_positions(self) -> np.ndarray:
@@ -74,7 +78,8 @@ def _triangulate(n_rows: int, n_phi: int) -> tuple[np.ndarray, np.ndarray]:
 
 def embed(grid: CapGrid, body) -> EmbeddedPatch:
     """Embed a body from its support function; accepts a body or raw values."""
-    h = grid.check_field(field_values(body))
+    support = as_field(grid, body)
+    h = support.values
     grad = surface_gradient(grid, h)
     cosr = grid.cos_rho[:, None]
     sinr = grid.sin_rho[:, None]
@@ -89,7 +94,7 @@ def embed(grid: CapGrid, body) -> EmbeddedPatch:
 
     positions = grad[..., 0:1] * e_rho + grad[..., 1:2] * e_phi + h[..., None] * nu
     tris, ring = _triangulate(grid.n_rho + 1, grid.n_phi)
-    patch = EmbeddedPatch(grid, h, positions, nu, tris, ring)
+    patch = EmbeddedPatch(grid, support, positions, nu, tris, ring)
     patch.degenerate_triangles = _find_degenerate(patch)
     return patch
 
@@ -139,7 +144,7 @@ def enclosed_volume(patch: EmbeddedPatch) -> float:
 
 def principal_radii(grid: CapGrid, body) -> tuple[np.ndarray, np.ndarray]:
     """Per-node principal curvature radii: sorted eigenvalues of the shape tensor."""
-    return tensor_eigenvalues(a_of(grid, grid.check_field(field_values(body))))
+    return tensor_eigenvalues(as_field(grid, body).tensor)
 
 
 def _ring_fourier_derivatives(xy: np.ndarray, order: int) -> np.ndarray:
@@ -164,7 +169,7 @@ def boundary_form_quermass(patch: EmbeddedPatch, k: int) -> float:
     if k not in (1, 2):
         raise ValueError(f"k must be 1 or 2, got {k}")
     grid = patch.grid
-    surface = grid.integrate(h_k_field(grid, patch.values, 2 - k))
+    surface = grid.integrate(h_k_field(grid, patch.support, 2 - k))
 
     ring = patch.positions[grid.boundary_index, :, :2]
     d1 = _ring_fourier_derivatives(ring, 1)

@@ -29,16 +29,16 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
 from ._stencil import fornberg_weights, stencil_pair
-from .capgrid import CapGrid, a_of, tensor_eigenvalues
+from .capgrid import CapGrid
 from .capfun import (
     CapillaryBody,
     CapillaryField,
+    as_field,
     certify,
     ell_values,
-    field_values,
     horizontal_linear,
 )
-from .mixedvol import ShapedField, mixed_sequence, mixed_volume, q2, shaped
+from .mixedvol import mixed_sequence, mixed_volume, q2
 
 WINDOW = (0.01, 0.99)
 # Fixed Lanczos start vector seed: reports must not depend on entropy.
@@ -56,19 +56,19 @@ class WeightedSpace:
 
     def __init__(self, grid: CapGrid, f2):
         self.grid = grid
-        ref = CapillaryField(grid, field_values(f2))
+        ref = as_field(grid, f2)
         if ref.robin_max > ref.robin_gate:
             raise ValueError(
                 f"reference field violates the contact-angle condition "
                 f"(residual {ref.robin_max:.3e})"
             )
-        values = ref.values
         self.translation = (0.0, 0.0)
-        if np.min(values) <= 0.0:
-            values = self._translate_positive(values)
-        self.f2 = values
-        self.A2 = a_of(grid, values)
-        min_eig = float(np.min(tensor_eigenvalues(self.A2)[0]))
+        if np.min(ref.values) <= 0.0:
+            ref = CapillaryField(grid, self._translate_positive(ref.values))
+        self.ref = ref
+        self.f2 = ref.values
+        self.A2 = ref.tensor
+        min_eig = ref.min_eig
         if min_eig <= 0.0:
             raise ValueError(
                 f"degenerate weight: reference shape tensor has eigenvalue "
@@ -103,8 +103,7 @@ class WeightedSpace:
 
     def apply(self, f) -> np.ndarray:
         """Pointwise operator application through the grid derivatives."""
-        values = self.grid.check_field(field_values(f))
-        return self.apply_tensor(a_of(self.grid, values))
+        return self.apply_tensor(as_field(self.grid, f).tensor)
 
     def apply_tensor(self, Af: np.ndarray) -> np.ndarray:
         """The operator on a field given by its shape tensor Af."""
@@ -112,8 +111,7 @@ class WeightedSpace:
 
     def bilinear(self, f, g) -> float:
         """<f, A g>_omega; coincides with the mixed volume V(f, g, f2)."""
-        values = self.grid.check_field(field_values(f))
-        return self.inner(values, self.apply(g))
+        return self.inner(as_field(self.grid, f).values, self.apply(g))
 
 
 def self_adjoint_residual(space: WeightedSpace, f, g) -> float:
@@ -588,8 +586,8 @@ class Decomposition:
 
 def equality_decompose(space: WeightedSpace, f, f1) -> Decomposition:
     g = space.grid
-    fv = g.check_field(field_values(f))
-    f1v = g.check_field(field_values(f1))
+    fv = as_field(g, f).values
+    f1v = as_field(g, f1).values
     l1 = horizontal_linear(g, (1, 0)).values
     l2 = horizontal_linear(g, (0, 1)).values
     basis = [f1v, l1, l2]
@@ -639,40 +637,38 @@ def af_check(space: WeightedSpace, f, f1) -> AFReport:
     reported as form_consistency.
     """
     g = space.grid
-    free = CapillaryField(g, field_values(f))
-    if free.robin_max > free.robin_gate:
+    S = as_field(g, f)
+    if S.robin_max > S.robin_gate:
         raise ValueError(
             f"free field violates the contact-angle condition "
-            f"(residual {free.robin_max:.3e})"
+            f"(residual {S.robin_max:.3e})"
         )
-    fv = free.values
     if isinstance(f1, CapillaryBody):
-        f1v = f1.values
+        S1 = as_field(g, f1)
     else:
-        f1v = g.check_field(field_values(f1))
-        res = certify(g, f1v)
+        res = certify(g, f1)
         if not res.accepted:
             raise ValueError("f1 must be convex: " + "; ".join(res.reasons))
+        S1 = res.body.support
 
-    # One shape tensor per field: the reference's is the space's own.
-    S, S1, S2 = shaped(g, fv), shaped(g, f1v), ShapedField(space.f2, space.A2)
-    v_m = mixed_volume(g, fv, (S1, S2))
-    v_m_swap = mixed_volume(g, f1v, (S, S2))
-    v_ff = mixed_volume(g, fv, (S, S2))
-    v_11 = mixed_volume(g, f1v, (S1, S2))
+    # One shape tensor per field: a body's is its own, the reference's the space's.
+    v_m = mixed_volume(g, S, (S1, space.ref))
+    v_m_swap = mixed_volume(g, S1, (S, space.ref))
+    v_ff = mixed_volume(g, S, (S, space.ref))
+    v_11 = mixed_volume(g, S1, (S1, space.ref))
     lhs = v_m * v_m
     rhs = v_ff * v_11
     gap = lhs - rhs
     rel = gap / max(abs(rhs), 1e-300)
 
-    bil = space.inner(fv, space.apply_tensor(S1.tensor))
+    bil = space.inner(S.values, space.apply_tensor(S1.tensor))
     consistency = abs(bil - v_m) / max(abs(v_m), abs(bil), 1e-300)
 
     swap_err = abs(v_m - v_m_swap)
     noise = (2.0 * abs(v_m) + abs(v_ff) + abs(v_11)) * swap_err \
         + 1e-13 * max(abs(lhs), abs(rhs), 1.0)
     near_equality = abs(gap) <= 10.0 * noise
-    decomp = equality_decompose(space, fv, f1v) if near_equality else None
+    decomp = equality_decompose(space, S, S1) if near_equality else None
     return AFReport(
         lhs=lhs,
         rhs=rhs,
@@ -709,8 +705,8 @@ def af_chain_check(grid: CapGrid, body0, body1) -> ChainReport:
     V_i = V(body1 x i, body0 x (3-i)) is :func:`mixed_sequence`, so the chain
     is the log-concavity of i -> V_i that the general Alexandrov-Fenchel
     inequality gives.  Normalizing by V_k rather than a closed form keeps
-    homothetic bodies exactly on the equality case.  Either body may be a
-    ``mixedvol.ShapedField``, so a body in several chains is shaped once.
+    homothetic bodies exactly on the equality case.  A body or CapillaryField
+    keeps its shape tensor, so a body in several chains is shaped once.
     """
     values = mixed_sequence(grid, body0, body1)
     if min(values) <= 0.0:
@@ -736,7 +732,7 @@ def quermass_chain_check(grid: CapGrid, body) -> ChainReport:
     This is :func:`af_chain_check` with the unit cap as the second body; the
     k = 3 triples are the normalized inequalities
     W_j / W_3 >= (W_i / W_3)^((3-j)/(3-i)), and a cap body sits exactly on
-    the equality case.  body may be a ``mixedvol.ShapedField``.
+    the equality case.
     """
     return af_chain_check(grid, body, ell_values(grid))
 
@@ -747,8 +743,8 @@ def eigen_estimate_residual(space: WeightedSpace, g_field) -> float:
     Follows from the pointwise matrix inequality Q(A[g], W)^2 >= det W *
     Q(A[g], A[g]) for positive definite W, integrated against the weight.
     """
-    gv = space.grid.check_field(field_values(g_field))
-    Ag = space.apply(gv)
+    gf = as_field(space.grid, g_field)
+    Ag = space.apply(gf)
     lhs = space.inner(Ag, Ag)
-    rhs = space.inner(gv, Ag)
+    rhs = space.inner(gf.values, Ag)
     return (lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)

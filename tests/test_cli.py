@@ -30,17 +30,16 @@ def test_parse_grid_accepts_the_common_spellings():
             cli.parse_grid(bad)
 
 
-def test_jsonable_strips_numpy_types():
+def test_write_report_strips_numpy_types(tmp_path):
     payload = {
         "a": np.float64(1.5),
         "b": np.int32(2),
         "c": np.arange(3),
         "d": [np.bool_(True), (np.float32(0.5),)],
     }
-    clean = cli.jsonable(payload)
-    text = json.dumps(clean)
-    assert json.loads(text) == {"a": 1.5, "b": 2, "c": [0, 1, 2],
-                                "d": [True, [0.5]]}
+    cli.write_report(tmp_path, "x_report", payload, None, False)
+    assert read_report(tmp_path, "x_report.json") == {"a": 1.5, "b": 2, "c": [0, 1, 2],
+                                                      "d": [True, [0.5]]}
 
 
 def test_trial_seeds_are_distinct_per_index():
@@ -74,10 +73,10 @@ def test_config_errors_exit_three(tmp_path):
     assert run([]) == 3
 
 
-@pytest.mark.parametrize("command", ["af", "chain"])
+@pytest.mark.parametrize("command", ["af", "chain", "report"])
 def test_zero_trials_is_a_config_error(tmp_path, command):
     assert run([command, "--grid", "16x16", "--trials", "0", "--out", tmp_path]) == 3
-    assert not (tmp_path / f"{command}_report.json").exists()
+    assert not list(tmp_path.rglob("*_report.json"))
 
 
 def test_reports_refuse_non_finite_values(tmp_path):
@@ -313,20 +312,27 @@ def test_a_negative_pair_slack_is_a_breach(tmp_path, monkeypatch):
 
 
 def test_chain_shapes_each_body_and_the_cap_once(tmp_path, monkeypatch):
-    # trials 4: four body tensors and one unit-cap tensor serve 4 quermass
-    # chains and 3 pair chains; the cap chain shapes the cap once more as its
-    # second body (16 tensors without reuse)
-    calls = []
-    real = capaf.mixedvol.a_of
+    # trials 4: each body keeps the tensor of its accepted random_body
+    # attempt, and the unit cap the one that certified it; together they
+    # serve 4 quermass chains and 3 pair chains.  The cap chain shapes the
+    # cap once more as its second body.
+    calls, attempts = [], []
+    real, real_enforce = capaf.capfun.a_of, capaf.capfun.enforce_contact_angle
 
     def counted(grid, values):
         calls.append(1)
         return real(grid, values)
 
+    def enforce(grid, values):
+        attempts.append(1)
+        return real_enforce(grid, values)
+
     monkeypatch.setenv("CAPAF_THREADS", "1")
-    monkeypatch.setattr(capaf.mixedvol, "a_of", counted)
+    monkeypatch.setattr(capaf.capfun, "a_of", counted)
+    monkeypatch.setattr(capaf.capfun, "enforce_contact_angle", enforce)
     assert run(CHAIN_FLAGS + ["--trials", "4", "--out", tmp_path]) == 0
-    assert len(calls) == 6
+    assert len(attempts) >= 4
+    assert len(calls) == len(attempts) + 2
 
 
 def test_reconstruct_embeds_once_and_ignores_the_thread_count(tmp_path, monkeypatch):
@@ -363,6 +369,24 @@ def test_reconstruct_embeds_once_and_ignores_the_thread_count(tmp_path, monkeypa
         assert (outs["1"] / name).read_bytes() == (outs["2"] / name).read_bytes()
     report = (outs["1"] / "reconstruct_report.json").read_text()
     assert "mesh_bytes" not in report
+
+
+def test_reconstruct_shapes_the_body_and_the_cap_once(tmp_path, monkeypatch):
+    # the loaded body keeps the tensor that certified it for the quadrature
+    # volumes and both boundary-form terms; the unit cap is shaped once
+    assert run(["gen", "--theta", "1.2", "--grid", "16x16", "--count", "1",
+                "--out", tmp_path / "bodies"]) == 0
+    calls = []
+    real = capaf.capfun.a_of
+
+    def counted(grid, values):
+        calls.append(1)
+        return real(grid, values)
+
+    monkeypatch.setattr(capaf.capfun, "a_of", counted)
+    assert run(["reconstruct", "--theta", "1.2", "--grid", "16x16",
+                tmp_path / "bodies" / "body_0000.json", "--out", tmp_path]) == 0
+    assert len(calls) == 2
 
 
 def test_report_bundle_runs_every_section(tmp_path):

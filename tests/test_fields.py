@@ -1,6 +1,8 @@
 """Admissible fields, certification, random generation, serialization."""
 
 import json
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -25,6 +27,38 @@ def test_ell_is_certified_with_unit_curvature():
     assert body.provenance["kind"] == "unit-cap"
     fine = capaf.ell(grid(2.2, 64, 64))
     assert abs(fine.min_eig - 1.0) < 0.1 * abs(body.min_eig - 1.0)
+
+
+def test_as_field_reuses_a_field_only_on_its_own_grid():
+    g = grid(1.2, 16, 16)
+    body = capaf.random_body(g, 3)
+    assert capaf.capfun.as_field(g, body) is body.support
+    assert capaf.capfun.as_field(g, body.support) is body.support
+    other = grid(1.2, 16, 16)
+    moved = capaf.capfun.as_field(other, body)
+    assert moved.grid is other
+    np.testing.assert_array_equal(moved.values, body.values)
+    raw = capaf.capfun.as_field(g, body.values)
+    assert raw is not body.support
+    assert raw.tensor.tobytes() == body.support.tensor.tobytes()
+
+
+def test_threads_racing_on_one_field_read_the_same_shape_tensor():
+    g = grid(1.2, 16, 16)
+    values = capaf.random_body(g, 3).values
+    expected = capaf.a_of(g, values).tobytes()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            field = capaf.CapillaryField(g, values)
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(lambda: field.tensor) for _ in range(16)]
+                tensors = [f.result(timeout=60) for f in futures]
+            assert all(t.tobytes() == expected for t in tensors)
+            assert field.tensor.tobytes() == expected
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize("theta", THETAS)

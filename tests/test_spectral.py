@@ -19,6 +19,14 @@ def test_weight_is_positive_for_a_convex_reference():
     assert float(np.min(sp.omega)) > 0
 
 
+def test_weighted_space_reuses_the_reference_body_tensor():
+    g = grid(1.2, 24, 24)
+    body = capaf.random_body(g, 99)
+    space = capaf.WeightedSpace(g, body)
+    assert space.ref is body.support
+    assert space.A2 is body.support.tensor
+
+
 def test_weighted_space_rejects_a_bad_reference():
     g = grid(1.2, 24, 24)
     with pytest.raises(ValueError, match="reference field violates"):
