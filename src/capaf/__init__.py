@@ -13,9 +13,7 @@ from .capgrid import (
     CapGrid,
     a_of,
     build_grid,
-    cap_area,
     hessian,
-    integrate,
     robin_residual,
     surface_gradient,
 )
@@ -27,14 +25,11 @@ from .capfun import (
     ell,
     ell_values,
     enforce_contact_angle,
-    from_neumann,
     horizontal_linear,
     load_body,
-    minkowski_combine,
     random_body,
     random_capillary_field,
     save_body,
-    translate_horizontal,
 )
 from .mixedvol import (
     QuermassReport,
@@ -57,47 +52,35 @@ from .spectral import (
     af_chain_check,
     af_check,
     assemble_operator,
-    eigen_estimate_residual,
     equality_decompose,
     quermass_chain_check,
-    self_adjoint_residual,
     spectrum,
 )
 from .reconstruct import (
     EmbeddedPatch,
-    ParallelCheck,
     boundary_form_quermass,
     contact_angle_residual,
     embed,
     enclosed_volume,
     export_mesh,
     interior_min_height,
-    load_mesh,
-    parallel_body,
     planarity_residual,
-    principal_radii,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CapGrid", "a_of", "build_grid", "cap_area", "hessian", "integrate",
-    "robin_residual", "surface_gradient",
+    "CapGrid", "a_of", "build_grid", "hessian", "robin_residual", "surface_gradient",
     "CapillaryBody", "CapillaryField", "CertifyResult", "certify", "ell",
-    "ell_values", "enforce_contact_angle", "from_neumann", "horizontal_linear",
-    "load_body",
-    "minkowski_combine", "random_body", "random_capillary_field", "save_body",
-    "translate_horizontal",
+    "ell_values", "enforce_contact_angle", "horizontal_linear", "load_body",
+    "random_body", "random_capillary_field", "save_body",
     "QuermassReport", "SteinerReport", "b_theta", "h_k_field",
     "minkowski_identity_residual", "mixed_sequence", "mixed_volume", "quermass_report",
     "quermassintegral", "steiner_check", "symmetry_residual",
     "AFReport", "ChainReport", "SpectrumReport", "WeightedSpace",
-    "af_chain_check", "af_check", "assemble_operator",
-    "eigen_estimate_residual", "equality_decompose", "quermass_chain_check",
-    "self_adjoint_residual", "spectrum",
-    "EmbeddedPatch", "ParallelCheck", "boundary_form_quermass",
-    "contact_angle_residual", "embed", "enclosed_volume", "export_mesh",
-    "interior_min_height", "load_mesh", "parallel_body",
-    "planarity_residual", "principal_radii",
+    "af_chain_check", "af_check", "assemble_operator", "equality_decompose",
+    "quermass_chain_check", "spectrum",
+    "EmbeddedPatch", "boundary_form_quermass", "contact_angle_residual", "embed",
+    "enclosed_volume", "export_mesh", "interior_min_height", "planarity_residual",
     "__version__",
 ]

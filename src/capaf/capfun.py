@@ -4,8 +4,8 @@ A field is *admissible* here when it satisfies the Robin condition
 df/drho = cot(theta) f on the boundary circle; it is the support function of a
 convex body when additionally Hess(f) + f*metric is positive definite.  The
 module provides the canonical fields (unit-cap support function, horizontal
-linear functions), a seeded random body generator, certification, Minkowski
-combinations and a bit-exact JSON round trip.
+linear functions), a seeded random body generator, certification and a
+bit-exact JSON round trip.
 """
 
 from __future__ import annotations
@@ -173,25 +173,6 @@ def horizontal_linear(grid: CapGrid, direction: Sequence[float]) -> CapillaryFie
     return CapillaryField(grid, values)
 
 
-def from_neumann(grid: CapGrid, u: np.ndarray) -> CapillaryField:
-    """Lift a Neumann datum to an admissible field: f = ell * u.
-
-    Because the unit-cap support function itself satisfies the Robin condition,
-    the product does too whenever du/drho vanishes on the boundary row; that is
-    checked with the one-sided boundary stencil and violations are rejected.
-    """
-    u = grid.check_field(u)
-    du = float(np.max(np.abs(grid.boundary_d_rho(u))))
-    gate = ROBIN_GATE * max(1.0, float(np.max(np.abs(u))))
-    if du > gate:
-        raise ValueError(
-            f"neumann violation: max |du/drho| = {du:.3e} on the boundary row "
-            f"(gate {gate:.3e})"
-        )
-    values = ell_values(grid) * u
-    return CapillaryField(grid, values)
-
-
 # -- random generation ------------------------------------------------------
 
 def enforce_contact_angle(grid: CapGrid, values: np.ndarray) -> np.ndarray:
@@ -340,41 +321,6 @@ def random_capillary_field(
     return CapillaryField(grid, values)
 
 
-# -- algebra ------------------------------------------------------------------
-
-def minkowski_combine(bodies: Sequence[CapillaryBody], lambdas: Sequence[float]) -> CapillaryBody:
-    """Support function of sum(lambda_i * K_i); re-certified on return."""
-    if len(bodies) == 0:
-        raise ValueError("need at least one body")
-    if len(bodies) != len(lambdas):
-        raise ValueError(f"{len(bodies)} bodies but {len(lambdas)} coefficients")
-    lam = [float(x) for x in lambdas]
-    if any(x < 0 for x in lam):
-        raise ValueError("combination coefficients must be non-negative")
-    if sum(lam) <= 0:
-        raise ValueError("combination coefficients must not all vanish")
-    grid = bodies[0].grid
-    for b in bodies[1:]:
-        if b.grid is not grid and (
-            b.grid.theta != grid.theta or b.grid.node_shape != grid.node_shape
-        ):
-            raise ValueError("bodies live on different grids")
-    values = lam[0] * bodies[0].values
-    for b, x in zip(bodies[1:], lam[1:]):
-        values = values + x * b.values
-    return _certified(grid, values, {"kind": "minkowski-combination", "lambdas": lam})
-
-
-def translate_horizontal(body: CapillaryBody, shift: Sequence[float]) -> CapillaryBody:
-    """Translate the body horizontally by (s1, s2); support gains <shift, nu>."""
-    lin = horizontal_linear(body.grid, shift)
-    values = body.values + lin.values
-    res = certify(body.grid, values, body.provenance)
-    if not res.accepted:
-        raise ValueError("translation broke certification: " + "; ".join(res.reasons))
-    return res.body
-
-
 # -- serialization -------------------------------------------------------------
 
 def body_to_dict(body: CapillaryBody) -> dict:
@@ -389,6 +335,12 @@ def body_to_dict(body: CapillaryBody) -> dict:
 
 
 def body_from_dict(data: dict, grid: CapGrid | None = None) -> CapillaryBody:
+    """Inverse of body_to_dict; a malformed dict raises ValueError."""
+    if not isinstance(data, dict):
+        raise ValueError(f"body must be a JSON object, got {type(data).__name__}")
+    missing = [k for k in ("theta", "n_rho", "n_phi", "values") if k not in data]
+    if missing:
+        raise ValueError(f"body is missing {', '.join(missing)}")
     if grid is None:
         grid = CapGrid(data["theta"], data["n_rho"], data["n_phi"])
     elif (grid.theta, grid.n_rho, grid.n_phi) != (data["theta"], data["n_rho"], data["n_phi"]):

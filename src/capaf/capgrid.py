@@ -32,11 +32,6 @@ MIN_PHI = 8
 ROBIN_GATE = 5e-2
 
 
-def cap_area(theta: float) -> float:
-    """Area of the geodesic ball of radius theta in the unit sphere."""
-    return 2.0 * np.pi * (1.0 - np.cos(theta))
-
-
 class CapGrid:
     """Tensor-product grid on the cap; build through :func:`build_grid`.
 
@@ -150,10 +145,6 @@ class CapGrid:
 def build_grid(theta: float, n_rho: int, n_phi: int) -> CapGrid:
     """Validated grid constructor; see :class:`CapGrid` for the layout."""
     return CapGrid(theta, n_rho, n_phi)
-
-
-def integrate(grid: CapGrid, values: np.ndarray) -> float:
-    return grid.integrate(values)
 
 
 def surface_gradient(grid: CapGrid, values: np.ndarray) -> np.ndarray:

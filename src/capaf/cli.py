@@ -38,7 +38,12 @@ from .capfun import (
     random_capillary_field,
     save_body,
 )
-from .mixedvol import quermass_report, quermassintegral, steiner_check
+from .mixedvol import (
+    minkowski_identity_residual,
+    quermass_report,
+    quermassintegral,
+    steiner_check,
+)
 from .reconstruct import (
     boundary_form_quermass,
     contact_angle_residual,
@@ -481,7 +486,8 @@ def cmd_steiner(args) -> bool:
         rep = steiner_check(grid, body, t_values)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    breach = rep.max_rel_err > tol.identity
+    minkowski = {f"k{k}": minkowski_identity_residual(grid, body, k) for k in (1, 2)}
+    breach = max(rep.max_rel_err, *minkowski.values()) > tol.identity
     rows = [[k, rep.coefficients[k], rep.references[k], rep.rel_errs[k]]
             for k in range(4)]
     payload = {
@@ -490,6 +496,7 @@ def cmd_steiner(args) -> bool:
                     "binomial quermassintegral coefficients",
         "tolerance": tol.identity,
         "report": rep.to_dict(),
+        "minkowski_residuals": minkowski,
         "breach": breach,
     }
     write_report(Path(args.out), "steiner_report", payload,

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .capgrid import CapGrid, surface_gradient, tensor_eigenvalues
-from .capfun import CapillaryBody, CapillaryField, as_field, ell_values, horizontal_linear
+from .capgrid import CapGrid, surface_gradient
+from .capfun import CapillaryField, as_field
 from .mixedvol import h_k_field
 
 # Relative area floor below which a triangle counts as degenerate.
@@ -142,11 +142,6 @@ def enclosed_volume(patch: EmbeddedPatch) -> float:
     return float(np.sum(dets)) / 6.0
 
 
-def principal_radii(grid: CapGrid, body) -> tuple[np.ndarray, np.ndarray]:
-    """Per-node principal curvature radii: sorted eigenvalues of the shape tensor."""
-    return tensor_eigenvalues(as_field(grid, body).tensor)
-
-
 def _ring_fourier_derivatives(xy: np.ndarray, order: int) -> np.ndarray:
     """Periodic spectral derivative of ring coordinates, shape (P, 2)."""
     n = xy.shape[0]
@@ -185,59 +180,6 @@ def boundary_form_quermass(patch: EmbeddedPatch, k: int) -> float:
     return (surface - prefactor * ring_term) / 3.0
 
 
-@dataclass
-class ParallelCheck:
-    """Result of growing a body by t times the unit cap."""
-
-    body: CapillaryBody
-    max_displacement_dev: float
-    machine_tol: float
-    unit_embed_dev: float
-
-
-def parallel_body(grid: CapGrid, body: CapillaryBody, t: float) -> ParallelCheck:
-    """Outer parallel body at distance t, with the pointwise displacement check.
-
-    The support function of the grown body is h + t*ell, and embedding commutes
-    with that sum: X(h + t*ell) - X(h) equals t * X(ell) up to float roundoff,
-    which is the verified identity.  X(ell) itself reproduces the cap points to
-    discretization accuracy, reported separately as unit_embed_dev.
-    """
-    if t <= 0:
-        raise ValueError(f"parallel distance must be positive, got {t}")
-    from .capfun import certify
-
-    h = body.values
-    lv = ell_values(grid)
-    res = certify(grid, h + t * lv, {"kind": "parallel", "t": float(t)})
-    if not res.accepted:
-        raise ValueError("parallel body failed certification: " + "; ".join(res.reasons))
-    grown = res.body
-
-    x_h = embed(grid, h).positions
-    x_g = embed(grid, grown).positions
-    x_l = embed(grid, lv).positions
-    dev = float(np.max(np.abs(x_g - x_h - t * x_l)))
-    scale = max(1.0, float(np.max(np.abs(x_g))))
-    machine_tol = 1e-12 * scale * max(1.0, t)
-
-    xi = np.stack(
-        [
-            horizontal_linear(grid, (1, 0)).values,
-            horizontal_linear(grid, (0, 1)).values,
-            np.broadcast_to((grid.cos_rho - grid.cos_theta)[:, None], grid.node_shape),
-        ],
-        axis=-1,
-    )
-    unit_dev = float(np.max(np.abs(x_l - xi)))
-    if dev > machine_tol:
-        raise ValueError(
-            f"parallel displacement deviates by {dev:.3e}, above the roundoff "
-            f"allowance {machine_tol:.3e}"
-        )
-    return ParallelCheck(grown, dev, machine_tol, unit_dev)
-
-
 # -- mesh I/O ------------------------------------------------------------------
 
 def export_mesh(patch: EmbeddedPatch, path) -> None:
@@ -256,23 +198,3 @@ def export_mesh(patch: EmbeddedPatch, path) -> None:
         for template, numbers in blocks:
             fh.write(template % tuple(numbers.ravel().tolist()))
 
-
-def load_mesh(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read back an OBJ written by export_mesh: positions, normals, triangles."""
-    verts, norms, tris = [], [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            parts = line.split()
-            if not parts:
-                continue
-            if parts[0] == "v":
-                verts.append([float(p) for p in parts[1:4]])
-            elif parts[0] == "vn":
-                norms.append([float(p) for p in parts[1:4]])
-            elif parts[0] == "f":
-                tris.append([int(p.split("/")[0]) - 1 for p in parts[1:4]])
-    return (
-        np.array(verts, dtype=float),
-        np.array(norms, dtype=float),
-        np.array(tris, dtype=np.int64),
-    )

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -51,11 +51,14 @@ class WeightedSpace:
     The reference must be positive; if it is not, the horizontal-linear part
     is projected out first (a translation of the body, which changes no mixed
     volume).  A reference whose shape tensor degenerates anywhere is rejected,
-    since the weight would vanish or flip sign there.
+    since the weight would vanish or flip sign there.  linears holds the node
+    values of the horizontal linear functions nu_1 and nu_2, the kernel of
+    the operator.
     """
 
     def __init__(self, grid: CapGrid, f2):
         self.grid = grid
+        self.linears = tuple(horizontal_linear(grid, d).values for d in ((1, 0), (0, 1)))
         ref = as_field(grid, f2)
         if ref.robin_max > ref.robin_gate:
             raise ValueError(
@@ -83,8 +86,7 @@ class WeightedSpace:
 
     def _translate_positive(self, values: np.ndarray) -> np.ndarray:
         g = self.grid
-        l1 = horizontal_linear(g, (1, 0)).values
-        l2 = horizontal_linear(g, (0, 1)).values
+        l1, l2 = self.linears
         a1 = g.integrate(values * l1) / g.integrate(l1 * l1)
         a2 = g.integrate(values * l2) / g.integrate(l2 * l2)
         out = values - a1 * l1 - a2 * l2
@@ -112,13 +114,6 @@ class WeightedSpace:
     def bilinear(self, f, g) -> float:
         """<f, A g>_omega; coincides with the mixed volume V(f, g, f2)."""
         return self.inner(as_field(self.grid, f).values, self.apply(g))
-
-
-def self_adjoint_residual(space: WeightedSpace, f, g) -> float:
-    """|<f, A g> - <g, A f>| over the larger magnitude; zero in the continuum."""
-    fg = space.bilinear(f, g)
-    gf = space.bilinear(g, f)
-    return abs(fg - gf) / max(abs(fg), abs(gf), 1e-300)
 
 
 # -- matrix assembly -----------------------------------------------------------
@@ -310,7 +305,6 @@ class SpectrumReport:
     shift_invert: str
     factor_nnz: int
     n_solves: int
-    eigenvectors: np.ndarray | None = field(default=None, repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -331,13 +325,13 @@ class SpectrumReport:
 
 
 def _kernel_cosine(space: WeightedSpace, vectors: np.ndarray) -> float | None:
-    """Smallest principal cosine between found kernel vectors and exact linears."""
+    """Smallest principal cosine between found kernel vectors and exact linears.
+
+    vectors are node vectors, one per column; None when there are none.
+    """
     if vectors.shape[1] == 0:
         return None
-    g = space.grid
-    l1 = horizontal_linear(g, (1, 0)).values
-    l2 = horizontal_linear(g, (0, 1)).values
-    lins = np.stack([l1.reshape(-1), l2.reshape(-1)], axis=1)
+    lins = np.stack([lin.reshape(-1) for lin in space.linears], axis=1)
     w = space.omega.reshape(-1)
 
     def orthonormal(cols):
@@ -511,9 +505,6 @@ def spectrum(space: WeightedSpace, how_many: int = 8) -> SpectrumReport:
     window_empty = bool(inside.size == 0)
     window_note = "" if window_empty else f"{inside.size} eigenvalues inside {WINDOW}"
 
-    # Lanczos returns M-orthonormal vectors, so the full-grid fields are
-    # omega-orthonormal as they stand.
-    node_vecs = np.asarray(P @ top_vecs)
     mdiag = M_red.diagonal()
     residuals = []
     for i in range(top_vecs.shape[1]):
@@ -533,18 +524,14 @@ def spectrum(space: WeightedSpace, how_many: int = 8) -> SpectrumReport:
     # two orders below the first true negative eigenvalue on the coarsest
     # supported grids).  The relative floor keeps the threshold meaningful on
     # grids fine enough to beat both anchors.
-    l1 = horizontal_linear(g, (1, 0)).values
-    l2 = horizontal_linear(g, (0, 1)).values
-    lins = np.stack(
-        [l1[:-1].reshape(-1), l2[:-1].reshape(-1)], axis=1
-    )
+    lins = np.stack([lin[:-1].reshape(-1) for lin in space.linears], axis=1)
     B = lins.T @ (A_red @ lins)
     G = lins.T @ (M_red @ lins)
     ritz = np.linalg.eigvals(np.linalg.solve(G, B))
     kernel_scale = float(np.max(np.abs(ritz)))
     thr = max(1e-6 * abs(lambda1), 3.0 * kernel_scale, g.drho**2)
     kernel_idx = [i for i, v in enumerate(top_vals) if abs(v) <= thr]
-    cosine = _kernel_cosine(space, node_vecs[:, kernel_idx]) if kernel_idx else None
+    cosine = _kernel_cosine(space, (P @ top_vecs)[:, kernel_idx])
 
     return SpectrumReport(
         eigenvalues=[float(v) for v in top_vals],
@@ -563,7 +550,6 @@ def spectrum(space: WeightedSpace, how_many: int = 8) -> SpectrumReport:
         shift_invert=shift_invert,
         factor_nnz=factor_nnz,
         n_solves=n_solves,
-        eigenvectors=node_vecs,
     )
 
 
@@ -588,8 +574,7 @@ def equality_decompose(space: WeightedSpace, f, f1) -> Decomposition:
     g = space.grid
     fv = as_field(g, f).values
     f1v = as_field(g, f1).values
-    l1 = horizontal_linear(g, (1, 0)).values
-    l2 = horizontal_linear(g, (0, 1)).values
+    l1, l2 = space.linears
     basis = [f1v, l1, l2]
     G = np.array([[space.inner(a, b) for b in basis] for a in basis])
     rhs = np.array([space.inner(b, fv) for b in basis])
@@ -736,15 +721,3 @@ def quermass_chain_check(grid: CapGrid, body) -> ChainReport:
     """
     return af_chain_check(grid, body, ell_values(grid))
 
-
-def eigen_estimate_residual(space: WeightedSpace, g_field) -> float:
-    """Signed defect of <A g, A g> >= <g, A g>, nonnegative up to mesh error.
-
-    Follows from the pointwise matrix inequality Q(A[g], W)^2 >= det W *
-    Q(A[g], A[g]) for positive definite W, integrated against the weight.
-    """
-    gf = as_field(space.grid, g_field)
-    Ag = space.apply(gf)
-    lhs = space.inner(Ag, Ag)
-    rhs = space.inner(gf.values, Ag)
-    return (lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)

@@ -100,3 +100,24 @@ def loglog_slope(x, y) -> float:
     ly = np.log(np.asarray(y, dtype=float))
     lx -= lx.mean()
     return float(np.dot(lx, ly - ly.mean()) / np.dot(lx, lx))
+
+
+def load_mesh(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read back an OBJ written by capaf.export_mesh: positions, normals, triangles."""
+    verts, norms, tris = [], [], []
+    with open(path, "r", encoding="utf-8") as fh:
+        for line in fh:
+            parts = line.split()
+            if not parts:
+                continue
+            if parts[0] == "v":
+                verts.append([float(p) for p in parts[1:4]])
+            elif parts[0] == "vn":
+                norms.append([float(p) for p in parts[1:4]])
+            elif parts[0] == "f":
+                tris.append([int(p.split("/")[0]) - 1 for p in parts[1:4]])
+    return (
+        np.array(verts, dtype=float),
+        np.array(norms, dtype=float),
+        np.array(tris, dtype=np.int64),
+    )

@@ -271,6 +271,34 @@ def test_steiner_and_chain_and_reconstruct_pass(tmp_path):
     assert rec["degenerate_triangles"] == 0
 
 
+def test_steiner_gates_the_minkowski_identities(tmp_path, monkeypatch):
+    assert run(["steiner", "--theta", "1.2", "--grid", "32x32",
+                "--out", tmp_path]) == 0
+    rep = read_report(tmp_path, "steiner_report.json")
+    assert set(rep["minkowski_residuals"]) == {"k1", "k2"}
+    assert 0.0 < max(rep["minkowski_residuals"].values()) < rep["tolerance"]
+
+    monkeypatch.setattr(cli, "minkowski_identity_residual",
+                        lambda grid, body, k: 1.0 if k == 2 else 0.0)
+    assert run(["steiner", "--theta", "1.2", "--grid", "32x32",
+                "--out", tmp_path]) == 2
+    assert read_report(tmp_path, "steiner_report.json")["breach"] is True
+
+
+@pytest.mark.parametrize("command", ["quermass", "reconstruct"])
+@pytest.mark.parametrize("content, message", [
+    ('{"theta": 1.2, "n_rho": 16}', "body is missing n_phi, values"),
+    ("[1, 2, 3]", "body must be a JSON object, got list"),
+])
+def test_a_malformed_body_file_is_a_config_error(tmp_path, capsys, command,
+                                                 content, message):
+    path = tmp_path / "bad.json"
+    path.write_text(content)
+    assert run([command, "--theta", "1.2", "--grid", "16x16",
+                "--out", tmp_path, path]) == 3
+    assert message in capsys.readouterr().err
+
+
 CHAIN_FLAGS = ["chain", "--theta", "1.2", "--grid", "16x16"]
 
 

@@ -170,40 +170,6 @@ def test_random_capillary_field_passes_the_gate_on_coarse_grids():
             assert f.robin_max < 1e-11 * scale
 
 
-def test_from_neumann_gates_the_boundary_slope():
-    g = grid(1.1, 16, 16)
-    rho = g.rho_nodes[:, None]
-    good = np.cos(np.pi * rho / g.theta) * np.ones((1, g.n_phi))
-    f = capaf.from_neumann(g, good)
-    assert f.values.shape == g.node_shape
-    bad = rho * np.ones((1, g.n_phi))
-    with pytest.raises(ValueError, match="neumann violation"):
-        capaf.from_neumann(g, bad)
-
-
-def test_minkowski_combine_adds_support_functions():
-    g = grid(1.2, 16, 16)
-    a = seeded_body(1.2, 16, 16, 1)
-    b = seeded_body(1.2, 16, 16, 2)
-    c = capaf.minkowski_combine([a, b], [0.5, 2.0])
-    np.testing.assert_allclose(c.values, 0.5 * a.values + 2.0 * b.values,
-                               atol=1e-12)
-    with pytest.raises(ValueError, match="non-negative"):
-        capaf.minkowski_combine([a, b], [0.5, -1.0])
-    with pytest.raises(ValueError, match="coefficients"):
-        capaf.minkowski_combine([a, b], [1.0])
-    with pytest.raises(ValueError, match="at least one body"):
-        capaf.minkowski_combine([], [])
-
-
-def test_translate_horizontal_adds_a_linear():
-    g = grid(2.0, 16, 16)
-    b = seeded_body(2.0, 16, 16, 5)
-    t = capaf.translate_horizontal(b, (0.2, -0.1))
-    lin = capaf.horizontal_linear(g, (0.2, -0.1))
-    np.testing.assert_allclose(t.values, b.values + lin.values, atol=1e-13)
-
-
 def test_body_roundtrip_through_json(tmp_path):
     g = grid(1.4, 16, 16)
     b = seeded_body(1.4, 16, 16, 9)

@@ -145,7 +145,7 @@ def test_quadrature_matches_cap_area(theta):
     # integral of 1 over the cap is the geodesic-ball area 2 pi (1 - cos theta)
     g = grid(theta, 48, 48)
     area = g.integrate(np.ones(g.node_shape))
-    assert area == pytest.approx(capaf.cap_area(theta), rel=1e-10)
+    assert area == pytest.approx(2.0 * np.pi * (1.0 - np.cos(theta)), rel=1e-10)
 
 
 def test_quadrature_weights_positive():

@@ -9,7 +9,7 @@ import pytest
 
 import capaf
 
-from helpers import grid, smooth_body
+from helpers import grid, load_mesh, smooth_body
 
 
 def cap_patch(theta, n):
@@ -40,8 +40,17 @@ def test_embedding_is_homogeneous_and_translates():
     ps = capaf.embed(g, scaled)
     assert float(np.max(np.abs(ps.positions - 1.7 * p.positions))) < 1e-12
 
+    # embedding is linear in h: growing by t unit caps adds t X(ell) up to
+    # roundoff
+    t = 0.7
+    grown = capaf.certify(g, b.values + t * capaf.ell_values(g)).body
+    pg = capaf.embed(g, grown)
+    unit = capaf.embed(g, capaf.ell(g))
+    assert float(np.max(np.abs(pg.positions - p.positions - t * unit.positions))) < 1e-12
+
     # the discrete gradient of the added linear carries truncation error
-    pt = capaf.embed(g, capaf.translate_horizontal(b, (0.3, -0.2)))
+    lin = capaf.horizontal_linear(g, (0.3, -0.2)).values
+    pt = capaf.embed(g, capaf.certify(g, b.values + lin).body)
     shift = pt.positions - p.positions
     assert float(np.max(np.abs(shift[..., 0] - 0.3))) < 1e-6
     assert float(np.max(np.abs(shift[..., 1] + 0.2))) < 1e-6
@@ -122,41 +131,12 @@ def test_boundary_form_quermass_index_gate():
         capaf.boundary_form_quermass(capaf.embed(g, capaf.ell(g)), 0)
 
 
-def test_principal_radii_of_caps_are_constant():
-    g = grid(1.1, 32, 32)
-    r1, r2 = capaf.principal_radii(g, capaf.ell(g))
-    assert float(np.max(np.abs(r1 - 1.0))) < 1e-6
-    assert float(np.max(np.abs(r2 - 1.0))) < 1e-6
-    scaled = capaf.certify(g, 1.7 * capaf.ell_values(g)).body
-    r1, r2 = capaf.principal_radii(g, scaled)
-    assert float(np.max(np.abs(r1 - 1.7))) < 2e-6
-    assert float(np.max(np.abs(r2 - 1.7))) < 2e-6
-
-
-def test_parallel_body_of_the_cap_is_a_scaled_cap():
-    g = grid(1.1, 32, 32)
-    chk = capaf.parallel_body(g, capaf.ell(g), 1.0)
-    np.testing.assert_allclose(chk.body.values, 2.0 * capaf.ell_values(g),
-                               atol=1e-12)
-    assert chk.max_displacement_dev <= chk.machine_tol
-
-
-def test_parallel_body_displacement_is_t_times_the_unit_embedding():
-    g = grid(1.1, 32, 32)
-    b = capaf.random_body(g, 5)
-    chk = capaf.parallel_body(g, b, 0.7)
-    assert chk.max_displacement_dev <= chk.machine_tol
-    assert chk.unit_embed_dev < 1e-6
-    with pytest.raises(ValueError, match="positive"):
-        capaf.parallel_body(g, b, -0.5)
-
-
 def test_mesh_export_roundtrip_is_exact(tmp_path):
     g = grid(1.1, 32, 32)
     patch = capaf.embed(g, capaf.random_body(g, 5))
     path = tmp_path / "body.obj"
     capaf.export_mesh(patch, path)
-    verts, normals, tris = capaf.load_mesh(path)
+    verts, normals, tris = load_mesh(path)
     assert verts.shape == ((g.n_rho + 1) * g.n_phi, 3)
     np.testing.assert_array_equal(verts, patch.flat_positions)
     np.testing.assert_array_equal(normals, patch.flat_normals)
