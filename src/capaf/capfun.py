@@ -365,5 +365,10 @@ def save_body(body: CapillaryBody, path) -> None:
 
 
 def load_body(path, grid: CapGrid | None = None) -> CapillaryBody:
-    with open(path, "r", encoding="utf-8") as fh:
-        return body_from_dict(json.load(fh), grid)
+    """Read a body file; a malformed or uncertifiable one raises a ValueError
+    whose message starts with the path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return body_from_dict(json.load(fh), grid)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

@@ -38,8 +38,9 @@ class CapGrid:
     Attributes of note: ``rho_nodes`` (shape (n_rho+1,)), ``phi_nodes``
     (shape (n_phi,)), ``quad_weights`` (node weights for surface integrals,
     shape (n_rho+1, n_phi)), ``boundary_index`` (radial index of the boundary
-    row).  Weights are strictly positive and sum to the cap area up to
-    quadrature accuracy.
+    row) and ``boundary_weights`` (the first radial derivative on that row,
+    one weight per row of the last ``EDGE_POINTS``).  The quadrature weights
+    are strictly positive and sum to the cap area up to quadrature accuracy.
     """
 
     def __init__(self, theta: float, n_rho: int, n_phi: int):
@@ -84,7 +85,9 @@ class CapGrid:
         # Ghost nodes occur only in the first CENTER_HALF rows, and they are
         # nodes 0..CENTER_HALF-1 on the antipodal meridian.
         self._radial = {d: (p, m[:CENTER_HALF, :CENTER_HALF]) for d, (p, m) in pairs.items()}
-        self._boundary_d1 = [w for _, w in tables[1][-1]]  # 6-point one-sided
+        # 6-point one-sided first derivative on the boundary row (boundary
+        # row last): the one stencil of the contact-angle condition.
+        self.boundary_weights = np.array([w for _, w in tables[1][-1]])
         k = np.arange(n_phi // 2 + 1)
         self._sym_d1 = 1j * k.astype(float)
         self._sym_d1[-1] = 0.0  # Nyquist mode has no well-defined odd derivative
@@ -119,7 +122,7 @@ class CapGrid:
 
     def boundary_d_rho(self, values: np.ndarray) -> np.ndarray:
         """First radial derivative on the boundary row only (6-point one-sided)."""
-        w, rows = self._boundary_d1, self.check_field(values)[-EDGE_POINTS:]
+        w, rows = self.boundary_weights, self.check_field(values)[-EDGE_POINTS:]
         return sum((c * row for c, row in zip(w[1:], rows[1:])), w[0] * rows[0])
 
     def d_phi(self, values: np.ndarray, order: int = 1) -> np.ndarray:

@@ -76,8 +76,8 @@ AF_ANCHOR_RHO = 256
 # Largest eigenpair residual a spectrum may report.  The sparse factor used
 # for references that are not rotationally invariant pivots on the diagonal
 # without a numerical pivot search, and this gate is what would catch a
-# factor spoiled by a tiny pivot.  Sound solves measure 4.7e-12 (cap, 64x64)
-# to 2.7e-11 (cap at 128x128, random reference at 96x96).
+# factor spoiled by a tiny pivot.  Sound solves measure 4.1e-12 (cap, 64x64)
+# to 3.2e-11 (cap at 128x128); the random reference at 96x96 measures 1.9e-11.
 SPECTRUM_RESIDUAL_GATE = 1e-8
 
 
@@ -85,14 +85,6 @@ SPECTRUM_RESIDUAL_GATE = 1e-8
 # argparse becomes a usage error (exit 3) with this message.
 class ConfigError(argparse.ArgumentTypeError):
     pass
-
-
-class _Parser(argparse.ArgumentParser):
-    # argparse exits with status 2 on usage errors, which collides with the
-    # tolerance-breach code; remap to the config-error code.
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 
 
 @dataclass
@@ -227,17 +219,32 @@ def csv_table(header: list[str], rows: list[list]) -> str:
     return buf.getvalue()
 
 
-def build_grid_checked(args) -> CapGrid:
+def setup(args) -> tuple[CapGrid, Tolerances]:
+    """The command's grid and its grid-anchored tolerances.
+
+    A grid that build_grid rejects is a configuration error.
+    """
     try:
-        return build_grid(args.theta, *args.grid)
+        grid = build_grid(args.theta, *args.grid)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    return grid, make_tolerances(args.tolerance_profile, grid.n_rho)
+
+
+def emit(args, name: str, payload: dict, table: str | None = None,
+         meta: dict | None = None) -> Path:
+    """Write report name under --out, headed by the command's config block.
+
+    table is the CSV text, written when --csv is given.
+    """
+    return write_report(Path(args.out), name, {"config": config_dict(args), **payload},
+                        table, args.csv, meta)
 
 
 # -- subcommands -----------------------------------------------------------------
 
 def cmd_gen(args) -> bool:
-    grid = build_grid_checked(args)
+    grid, _ = setup(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     files = []
@@ -253,19 +260,15 @@ def cmd_gen(args) -> bool:
         save_body(body, path)
         files.append(path.name)
         body_bytes += path.stat().st_size
-    payload = {
-        "config": config_dict(args),
-        "identity": "seeded generation of certified convex support functions",
-        "files": files,
-    }
-    write_report(out, "gen_report", payload, None, False,
-                 meta={"body_bytes": body_bytes})
+    emit(args, "gen_report",
+         {"identity": "seeded generation of certified convex support functions",
+          "files": files},
+         meta={"body_bytes": body_bytes})
     return False
 
 
 def cmd_quermass(args) -> bool:
-    grid = build_grid_checked(args)
-    tol = make_tolerances(args.tolerance_profile, grid.n_rho)
+    grid, tol = setup(args)
     if not args.bodies:
         raise ConfigError("quermass needs at least one body file")
     reports = []
@@ -280,17 +283,13 @@ def cmd_quermass(args) -> bool:
                          "" if err is None else err])
         if rep.top_rel_err > tol.quermass:
             breach = True
-    payload = {
-        "config": config_dict(args),
+    emit(args, "quermass_report", {
         "identity": "quermassintegral table vs closed-form cap values; "
                     "top degree equals the cap volume for every body",
         "tolerance": tol.quermass,
         "reports": reports,
         "breach": breach,
-    }
-    write_report(Path(args.out), "quermass_report", payload,
-                 csv_table(["file", "k", "value", "reference", "rel_err"], rows),
-                 args.csv)
+    }, csv_table(["file", "k", "value", "reference", "rel_err"], rows))
     return breach
 
 
@@ -315,8 +314,7 @@ def _af_trial(grid, base, i, equality):
 
 
 def cmd_af(args) -> bool:
-    grid = build_grid_checked(args)
-    tol = make_tolerances(args.tolerance_profile, grid.n_rho)
+    grid, tol = setup(args)
     threads = thread_count()
     mode = "equality" if args.equality_family else "random"
 
@@ -338,8 +336,7 @@ def cmd_af(args) -> bool:
         trials.append({"trial": i, **rep.to_dict()})
         rows.append([i, rep.lhs, rep.rhs, rep.gap, rep.relative_gap,
                      rep.equality_within_resolution])
-    payload = {
-        "config": config_dict(args),
+    emit(args, "af_report", {
         "identity": "quadratic mixed-volume inequality "
                     "V(f,f1,f2)^2 >= V(f,f,f2) V(f1,f1,f2)"
                     + (" on the equality family f = a*f1 + horizontal linear"
@@ -349,16 +346,13 @@ def cmd_af(args) -> bool:
         "min_relative_gap": min_rel,
         "breach": breach,
         "trials": trials,
-    }
-    write_report(Path(args.out), "af_report", payload,
-                 csv_table(["trial", "lhs", "rhs", "gap", "relative_gap",
-                            "equality_within_resolution"], rows), args.csv)
+    }, csv_table(["trial", "lhs", "rhs", "gap", "relative_gap",
+                  "equality_within_resolution"], rows))
     return breach
 
 
 def cmd_chain(args) -> bool:
-    grid = build_grid_checked(args)
-    tol = make_tolerances(args.tolerance_profile, grid.n_rho)
+    grid, tol = setup(args)
     threads = thread_count()
 
     # Bodies keep the tensors that certified them, so each body and the cap are
@@ -383,8 +377,7 @@ def cmd_chain(args) -> bool:
     min_rel = min(rep.min_relative_slack for rep in (*reports, *pairs))
     cap_equality = max(abs(t["relative_slack"]) for t in cap_rep.triples)
     breach = min_rel < -tol.af or cap_equality > 1e-12
-    payload = {
-        "config": config_dict(args),
+    emit(args, "chain_report", {
         "identity": "mixed-volume chain V_j/V_k >= (V_i/V_k)^((k-j)/(k-i)) "
                     "for i < j < k, V_i = V(L x i, K x (3-i)): quermassintegrals "
                     "of each body K (L the unit cap, equality exactly on caps) "
@@ -395,12 +388,15 @@ def cmd_chain(args) -> bool:
         "breach": breach,
         "bodies": [rep.to_dict() for rep in reports],
         "pairs": [rep.to_dict() for rep in pairs],
-    }
-    write_report(Path(args.out), "chain_report", payload,
-                 csv_table(["kind", "index", "i", "j", "k", "lhs", "rhs", "slack"],
-                           rows),
-                 args.csv)
+    }, csv_table(["kind", "index", "i", "j", "k", "lhs", "rhs", "slack"], rows))
     return breach
+
+
+def _spectrum_reference(grid: CapGrid, args):
+    """The --reference body: the unit cap or a seeded random body."""
+    if args.reference == "cap":
+        return ell(grid)
+    return random_body(grid, args.seed, amplitude=0.2, mode_cap=2)
 
 
 def _spectrum_sweep(args) -> tuple[dict, str]:
@@ -414,9 +410,7 @@ def _spectrum_sweep(args) -> tuple[dict, str]:
     rows = []
     for n in sizes:
         g = build_grid(args.theta, n, n)
-        ref = ell(g) if args.reference == "cap" \
-            else random_body(g, args.seed, amplitude=0.2, mode_cap=2)
-        rep = spectrum(WeightedSpace(g, ref), how_many=4)
+        rep = spectrum(WeightedSpace(g, _spectrum_reference(g, args)), how_many=4)
         rows.append([n, g.drho, abs(rep.lambda1 - 1.0)])
     _, h, err = np.array(rows).T
     section = {
@@ -428,16 +422,11 @@ def _spectrum_sweep(args) -> tuple[dict, str]:
 
 
 def cmd_spectrum(args) -> bool:
-    grid = build_grid_checked(args)
-    tol = make_tolerances(args.tolerance_profile, grid.n_rho)
-    if args.reference == "cap":
-        ref = ell(grid)
-    else:
-        ref = random_body(grid, args.seed, amplitude=0.2, mode_cap=2)
-    space = WeightedSpace(grid, ref)
-    rep = spectrum(space, how_many=args.how_many)
-    breach = abs(rep.lambda1 - 1.0) > tol.lambda1
-    breach = breach or not rep.lambda1_simple or rep.lambda1_gap < 0.9
+    grid, tol = setup(args)
+    rep = spectrum(WeightedSpace(grid, _spectrum_reference(grid, args)),
+                   how_many=args.how_many)
+    # lambda1_simple is a gap above 0.5, which this gap rule implies.
+    breach = abs(rep.lambda1 - 1.0) > tol.lambda1 or rep.lambda1_gap < 0.9
     breach = breach or len(rep.kernel_indices) != 2
     # The returned eigenvalues are the k nearest 1/2.  Only when the smallest
     # lies below the kernel band could no unreturned one fall inside it, so
@@ -450,7 +439,6 @@ def cmd_spectrum(args) -> bool:
     rows = [[i, v, r] for i, (v, r) in
             enumerate(zip(rep.eigenvalues, rep.residuals))]
     payload = {
-        "config": config_dict(args),
         "identity": "spectral dichotomy of the weighted operator: "
                     "lambda1 = 1 simple, two kernel modes spanned by "
                     "horizontal linears, remaining spectrum nonpositive",
@@ -458,22 +446,21 @@ def cmd_spectrum(args) -> bool:
         "report": rep.to_dict(),
         "breach": breach,
     }
-    out = Path(args.out)
     if args.sweep:
         section, sweep_csv = _spectrum_sweep(args)
         payload["sweep"] = section
+        out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         (out / "spectrum_sweep.csv").write_text(sweep_csv, encoding="utf-8")
-    write_report(out, "spectrum_report", payload,
-                 csv_table(["index", "eigenvalue", "residual"], rows), args.csv,
-                 meta={"shift_invert": rep.shift_invert, "factor_nnz": rep.factor_nnz,
-                       "lanczos_solves": rep.n_solves})
+    emit(args, "spectrum_report", payload,
+         csv_table(["index", "eigenvalue", "residual"], rows),
+         meta={"shift_invert": rep.shift_invert, "factor_nnz": rep.factor_nnz,
+               "lanczos_solves": rep.n_solves})
     return breach
 
 
 def cmd_steiner(args) -> bool:
-    grid = build_grid_checked(args)
-    tol = make_tolerances(args.tolerance_profile, grid.n_rho)
+    grid, tol = setup(args)
     try:
         t_values = [float(p) for p in args.t_samples.split(",")]
     except ValueError as exc:
@@ -490,24 +477,19 @@ def cmd_steiner(args) -> bool:
     breach = max(rep.max_rel_err, *minkowski.values()) > tol.identity
     rows = [[k, rep.coefficients[k], rep.references[k], rep.rel_errs[k]]
             for k in range(4)]
-    payload = {
-        "config": config_dict(args),
+    emit(args, "steiner_report", {
         "identity": "volume of the parallel body is a cubic in t with "
                     "binomial quermassintegral coefficients",
         "tolerance": tol.identity,
         "report": rep.to_dict(),
         "minkowski_residuals": minkowski,
         "breach": breach,
-    }
-    write_report(Path(args.out), "steiner_report", payload,
-                 csv_table(["k", "coefficient", "reference", "rel_err"], rows),
-                 args.csv)
+    }, csv_table(["k", "coefficient", "reference", "rel_err"], rows))
     return breach
 
 
 def cmd_reconstruct(args) -> bool:
-    grid = build_grid_checked(args)
-    tol = make_tolerances(args.tolerance_profile, grid.n_rho)
+    grid, tol = setup(args)
     if args.body:
         body = load_body(args.body, grid)
     else:
@@ -527,8 +509,7 @@ def cmd_reconstruct(args) -> bool:
     out.mkdir(parents=True, exist_ok=True)
     mesh = out / "patch.obj"
     export_mesh(patch, mesh)
-    payload = {
-        "config": config_dict(args),
+    emit(args, "reconstruct_report", {
         "identity": "support-function embedding meets the plane at the "
                     "prescribed contact angle; enclosed volume agrees "
                     "across quadrature, mesh and boundary-form routes",
@@ -547,9 +528,7 @@ def cmd_reconstruct(args) -> bool:
         "mesh_file": "patch.obj",
         "degenerate_triangles": len(patch.degenerate_triangles),
         "breach": breach,
-    }
-    write_report(out, "reconstruct_report", payload, None, args.csv,
-                 meta={"mesh_bytes": mesh.stat().st_size})
+    }, meta={"mesh_bytes": mesh.stat().st_size})
     return breach
 
 
@@ -582,20 +561,18 @@ def cmd_report(args) -> bool:
         "spectrum": run("spectrum"),
     }
     overall = any(breaches.values())
-    payload = {
-        "config": config_dict(args),
+    emit(args, "summary_report", {
         "identity": "full verification bundle",
         "sections": {name: "breach" if b else "pass" for name, b in breaches.items()},
         "breach": overall,
-    }
-    write_report(out, "summary_report", payload, None, False)
+    })
     return overall
 
 
 # -- argument wiring -------------------------------------------------------------
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="capaf",
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="capaf",
                      description="verification driver for capillary convex bodies")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--theta", type=float, default=math.pi / 2,

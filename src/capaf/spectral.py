@@ -10,11 +10,14 @@ Its spectrum carries the quadratic inequality: a simple eigenvalue 1 on top,
 a two-dimensional kernel spanned by the horizontal linear functions, and the
 rest nonpositive.  This module builds the weight, assembles the operator as a
 sparse symmetric weak form (the contact-angle condition enters as a natural
-boundary term), solves for the eigenvalues nearest 1/2 by shift-invert
-Lanczos, and packages the inequality checks that follow from it.  The shifted
-pencil is inverted exactly either way: by one banded solve per azimuthal
-Fourier mode when the reference is rotationally invariant (then the pencil is
-block-circulant in phi), and by a sparse factor otherwise.
+boundary term) and restricts it to the fields whose boundary row obeys that
+condition, through the grid's own boundary stencil: the result is the
+Pencil (A, M) on that trial space.  It then solves for the eigenvalues
+nearest 1/2 by shift-invert Lanczos and packages the inequality checks that
+follow from it.  The shifted pencil is inverted exactly either way: by one
+banded solve per azimuthal Fourier mode when the reference is rotationally
+invariant (then the pencil is block-circulant in phi), and by a sparse factor
+otherwise.
 """
 
 from __future__ import annotations
@@ -26,9 +29,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import lapack
+from scipy.linalg import lapack, subspace_angles
 
-from ._stencil import fornberg_weights, stencil_pair
+from ._stencil import stencil_pair
 from .capgrid import CapGrid
 from .capfun import (
     CapillaryBody,
@@ -134,11 +137,10 @@ _D3 = ((-1, -1.0), (0, 3.0), (1, -3.0), (2, 1.0))
 _DISSIPATION = 0.25
 
 
-def _third_difference_rho(n: int) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+def _third_difference_rho(n: int) -> list[list[tuple[int, float]]]:
     # The pole row reflects through the axis (antipodal meridian); the last
     # rows shift the stencil inward so it stays on the lattice.
-    rows = [[(min(j, n - 3) + off, c) for off, c in _D3] for j in range(n)]
-    return stencil_pair(rows, n)
+    return [[(min(j, n - 3) + off, c) for off, c in _D3] for j in range(n)]
 
 
 # Summation-by-parts first derivative of interior order 4 with its diagonal
@@ -156,8 +158,8 @@ _SBP_H_EDGE = (17 / 48, 59 / 48, 43 / 48, 49 / 48)
 _SBP_CENTER = (1 / 12, -2 / 3, 0.0, 2 / 3, -1 / 12)
 
 
-def _sbp_radial(n: int, h: float) -> tuple[sp.csr_matrix, sp.csr_matrix, np.ndarray]:
-    """Radial derivative split into plain and mirrored parts, plus its norm.
+def _sbp_radial(n: int, h: float) -> tuple[list, np.ndarray]:
+    """Stencil rows of the radial derivative, plus its diagonal norm.
 
     The lattice has no axis boundary: rows near rho=0 stay centred and reach
     across to the antipodal meridian (ghost columns).  The contact boundary
@@ -169,25 +171,46 @@ def _sbp_radial(n: int, h: float) -> tuple[sp.csr_matrix, sp.csr_matrix, np.ndar
              for edge in reversed(_SBP_D_EDGE)]
     weights = np.full(n, h)
     weights[n - 4:] = np.array(_SBP_H_EDGE[::-1]) * h
-    return (*stencil_pair(rows, n), weights)
+    return rows, weights
+
+
+def _robin_basis(grid: CapGrid) -> sp.csr_matrix:
+    """Columns span the fields whose ring row obeys the contact condition.
+
+    The grid's stencil of d_rho f(theta) = cot(theta) f(theta), the row that
+    robin_residual and certify use, expresses the boundary row through the
+    rows below it, so the basis maps interior unknowns to full node vectors.
+    Constraining the trial space this way matters: the sharp bound
+    lambda <= 1 holds only over fields with the correct contact angle, and
+    unconstrained boundary layers can creep above it at low order.
+    """
+    R, P = grid.node_shape
+    w = grid.boundary_weights
+    row = np.zeros(R - 1)
+    row[R - w.size:] = w[:-1] / (grid.cot_theta - w[-1])
+    ring_block = sp.kron(sp.csr_matrix(row), sp.identity(P, format="csr"))
+    return sp.vstack([sp.identity((R - 1) * P, format="csr"), ring_block]).tocsr()
 
 
 @dataclass
-class DiscreteOperator:
-    """Weak-form (Galerkin) discretization of the weighted operator.
+class Pencil:
+    """Weak-form (Galerkin) pencil of the weighted operator on the trial space.
 
-    form is the symmetric stiffness-plus-mass matrix of the bilinear map
-    (f, g) -> <f, A g>_omega; mass holds the node weights of omega in the
-    derivative operator's companion quadrature (which differs from the
-    reporting quadrature only in the four rows nearest the boundary), so the
-    eigenproblem is the pencil (form, diag(mass)).  Assembling the quadratic
-    form instead of the raw second-order stencil keeps the matrix symmetric by
-    construction; the only symmetry defect is the antisymmetric half of the
-    boundary cross term, whose size is recorded in asymmetry.
+    The trial space is the fields whose boundary row obeys the contact
+    condition; basis maps its unknowns to node vectors.  A is the symmetric
+    stiffness-plus-mass matrix of the bilinear map (f, g) -> <f, A g>_omega
+    restricted to it, and M the Gram matrix of omega in the derivative
+    operator's companion quadrature (which differs from the reporting
+    quadrature only in the four rows nearest the boundary), so the
+    eigenproblem is A u = lambda M u.  Assembling the quadratic form instead
+    of the raw second-order stencil keeps A symmetric by construction; the
+    only symmetry defect is the antisymmetric half of the boundary cross
+    term, whose size relative to the form is recorded in asymmetry.
     """
 
-    form: sp.csr_matrix
-    mass: np.ndarray
+    A: sp.csc_matrix
+    M: sp.csc_matrix
+    basis: sp.csr_matrix
     asymmetry: float
 
 
@@ -197,8 +220,8 @@ def _frobenius(m: sp.spmatrix) -> float:
     return float(np.sqrt(np.sum(m.data * m.data)))
 
 
-def assemble_operator(space: WeightedSpace) -> DiscreteOperator:
-    """Assemble the symmetric weak form of the operator on node vectors.
+def assemble_operator(space: WeightedSpace) -> Pencil:
+    """Assemble the operator's pencil on the contact-condition trial space.
 
     Integrating the defining expression by parts turns it into
 
@@ -213,12 +236,17 @@ def assemble_operator(space: WeightedSpace) -> DiscreteOperator:
     """
     g = space.grid
     R, P = g.node_shape
-    N = R * P
 
-    B1, C1, h_rho = _sbp_radial(R, g.drho)
     shift = _periodic(P, ((P // 2, 1.0),))
     eyeP = sp.identity(P, format="csr")
-    G_rho = sp.kron(B1, eyeP) + sp.kron(C1, shift)
+
+    def radial(rows):
+        # The flattened pole-crossing operator of stencil_pair's rows.
+        plain, mirror = stencil_pair(rows, R)
+        return sp.kron(plain, eyeP) + sp.kron(mirror, shift)
+
+    rows, h_rho = _sbp_radial(R, g.drho)
+    G_rho = radial(rows)
     # 4th-order centred periodic first difference; banded so that the
     # stiffness products below stay sparse.
     phi1 = _periodic(P, zip((-2, -1, 1, 2), np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * g.dphi)))
@@ -248,27 +276,20 @@ def assemble_operator(space: WeightedSpace) -> DiscreteOperator:
     # semidefinite, moves those modes far below the window, and perturbs
     # resolved fields only at sixth order in the spacing.
     d3p = _periodic(P, _D3)
-    B3, C3 = _third_difference_rho(R)
     pen = dia(_DISSIPATION * w * mass_density)
-    rho3 = sp.kron(B3, eyeP) + sp.kron(C3, shift)
+    rho3 = radial(_third_difference_rho(R))
     phi3 = sp.kron(sp.identity(R, format="csr"), d3p)
     dissipation = rho3.T @ pen @ rho3 + phi3.T @ pen @ phi3
 
     # Ring terms on the boundary row, measure sin(theta) dphi.
-    ring = np.arange((R - 1) * P, N)
+    ring = sp.csr_matrix(([1.0], ([R - 1], [R - 1])), shape=(R, R))
     wr = g.sin_theta * g.dphi
     q_mumu = q_rr[g.boundary_index, :]
     q_mut = q_rp[g.boundary_index, :]
-    ring_diag = sp.csr_matrix(
-        (g.cot_theta * wr * q_mumu, (ring, ring)), shape=(N, N)
-    )
+    ring_diag = sp.kron(ring, sp.diags(g.cot_theta * wr * q_mumu))
     # Tangential derivative along the ring; the antisymmetric half of this
     # cross term is dropped (it vanishes in the continuum) and reported.
-    Gt_ring = phi1 / g.sin_theta
-    cross_local = sp.diags(wr * q_mut) @ Gt_ring
-    cross = sp.lil_matrix((N, N))
-    cross[np.ix_(ring, ring)] = cross_local.toarray()
-    cross = cross.tocsr()
+    cross = sp.kron(ring, sp.diags(wr * q_mut) @ (phi1 / g.sin_theta)).tocsr()
     cross_sym = 0.5 * (cross + cross.T)
     dropped = 0.5 * (cross - cross.T)
 
@@ -277,7 +298,10 @@ def assemble_operator(space: WeightedSpace) -> DiscreteOperator:
     scale = _frobenius(form)
     asym = _frobenius(dropped) / (3.0 * max(scale, 1e-300))
     omega = (w * space.detA2 / (3.0 * space.f2)).reshape(-1)
-    return DiscreteOperator(form.tocsr(), omega, asym)
+    basis = _robin_basis(g)
+    A = (basis.T @ form.tocsr() @ basis).tocsc()
+    M = (basis.T @ sp.diags(omega) @ basis).tocsc()
+    return Pencil(A, M, basis, asym)
 
 
 # -- spectrum ------------------------------------------------------------------
@@ -307,21 +331,8 @@ class SpectrumReport:
     n_solves: int
 
     def to_dict(self) -> dict:
-        return {
-            "eigenvalues": self.eigenvalues,
-            "residuals": self.residuals,
-            "lambda1": self.lambda1,
-            "lambda1_gap": self.lambda1_gap,
-            "lambda1_simple": self.lambda1_simple,
-            "kernel_indices": self.kernel_indices,
-            "kernel_threshold": self.kernel_threshold,
-            "kernel_cosine": self.kernel_cosine,
-            "window": list(self.window),
-            "window_empty": self.window_empty,
-            "window_note": self.window_note,
-            "asymmetry": self.asymmetry,
-            "n_unknowns": self.n_unknowns,
-        }
+        sidecar = ("shift_invert", "factor_nnz", "n_solves")
+        return {k: v for k, v in asdict(self).items() if k not in sidecar}
 
 
 def _kernel_cosine(space: WeightedSpace, vectors: np.ndarray) -> float | None:
@@ -332,45 +343,10 @@ def _kernel_cosine(space: WeightedSpace, vectors: np.ndarray) -> float | None:
     if vectors.shape[1] == 0:
         return None
     lins = np.stack([lin.reshape(-1) for lin in space.linears], axis=1)
-    w = space.omega.reshape(-1)
-
-    def orthonormal(cols):
-        G = cols.T @ (cols * w[:, None])
-        evals, evecs = np.linalg.eigh(G)
-        keep = evals > 1e-14 * evals.max()
-        return cols @ (evecs[:, keep] / np.sqrt(evals[keep]))
-
-    U = orthonormal(vectors)
-    L = orthonormal(lins)
-    overlap = U.T @ (L * w[:, None])
-    svals = np.linalg.svd(overlap, compute_uv=False)
-    if svals.size < min(U.shape[1], L.shape[1]):
-        return 0.0
-    return float(np.min(svals))
-
-
-def _robin_basis(grid: CapGrid) -> sp.csr_matrix:
-    """Columns span the fields whose ring row obeys the contact condition.
-
-    The one-sided derivative relation d_rho f(theta) = cot(theta) f(theta)
-    expresses the boundary row through the five rows below it, so the basis
-    maps interior unknowns to full node vectors.  Constraining the trial space
-    this way matters: the sharp bound lambda <= 1 holds only over fields with
-    the correct contact angle, and unconstrained boundary layers can creep
-    above it at low order.
-    """
-    R, P = grid.node_shape
-    dw = fornberg_weights(grid.rho_nodes[-6:], grid.theta, 1)[:, 1]
-    coef = dw[:-1] / (grid.cot_theta - dw[-1])
-    nred = (R - 1) * P
-    rows, cols, vals = [], [], []
-    for k_off in range(5):
-        base = (R - 6 + k_off) * P
-        rows.extend(range(P))
-        cols.extend(range(base, base + P))
-        vals.extend([coef[k_off]] * P)
-    ring_block = sp.csr_matrix((vals, (rows, cols)), shape=(P, nred))
-    return sp.vstack([sp.identity(nred, format="csr"), ring_block]).tocsr()
+    # Scaling by sqrt(omega) turns the omega inner product into the Euclidean one.
+    root_w = np.sqrt(space.omega.reshape(-1))[:, None]
+    angles = subspace_angles(root_w * vectors, root_w * lins)
+    return float(np.cos(np.max(angles)))
 
 
 def _sparse_factor_solver(K: sp.spmatrix):
@@ -450,26 +426,23 @@ def _azimuthal_mode_solver(K: sp.spmatrix, node_shape: tuple[int, int]):
 def spectrum(space: WeightedSpace, how_many: int = 8) -> SpectrumReport:
     """Solve for the eigenpairs nearest 1/2 and classify them.
 
-    The symmetric weak form is restricted to the contact-condition trial space
-    and solved as a generalized pencil against the weight Gram matrix by
-    shift-invert Lanczos at sigma=1/2, which returns the k eigenvalues nearest
-    the centre of the window (0.01, 0.99); the window verdict needs no other
-    eigenvalue.  k is how_many, but at least 6, which the window argument
-    needs.  Every Lanczos step solves with the
-    shifted matrix K = A - M/2, set up once.  For a rotationally invariant
-    reference (constant along every ring) K is block-circulant in phi and is
-    inverted exactly by one banded solve per azimuthal mode; any other
-    reference gets a sparse factor in minimum-degree order with symmetric
-    diagonal pivots, whose eigenpair residuals are the check that it held.
+    The pencil of :func:`assemble_operator`, already restricted to the
+    contact-condition trial space, is solved by shift-invert Lanczos at
+    sigma=1/2, which returns the k eigenvalues nearest the centre of the
+    window (0.01, 0.99); the window verdict needs no other eigenvalue.  k is
+    how_many, but at least 6, which the window argument needs.  Every Lanczos
+    step solves with the shifted matrix K = A - M/2, set up once.  For a
+    rotationally invariant reference (constant along every ring) K is
+    block-circulant in phi and is inverted exactly by one banded solve per
+    azimuthal mode; any other reference gets a sparse factor in minimum-degree
+    order with symmetric diagonal pivots, whose eigenpair residuals are the
+    check that it held.
     """
     if how_many < 1:
         raise ValueError(f"how_many must be at least 1, got {how_many}")
     g = space.grid
-    op = assemble_operator(space)
-    asym = op.asymmetry
-    P = _robin_basis(g)
-    A_red = (P.T @ op.form @ P).tocsc()
-    M_red = (P.T @ sp.diags(op.mass) @ P).tocsc()
+    pencil = assemble_operator(space)
+    A_red, M_red = pencil.A, pencil.M
     N = A_red.shape[0]
     k = int(min(max(how_many, 6), N - 2))
 
@@ -531,7 +504,7 @@ def spectrum(space: WeightedSpace, how_many: int = 8) -> SpectrumReport:
     kernel_scale = float(np.max(np.abs(ritz)))
     thr = max(1e-6 * abs(lambda1), 3.0 * kernel_scale, g.drho**2)
     kernel_idx = [i for i, v in enumerate(top_vals) if abs(v) <= thr]
-    cosine = _kernel_cosine(space, (P @ top_vecs)[:, kernel_idx])
+    cosine = _kernel_cosine(space, (pencil.basis @ top_vecs)[:, kernel_idx])
 
     return SpectrumReport(
         eigenvalues=[float(v) for v in top_vals],
@@ -545,7 +518,7 @@ def spectrum(space: WeightedSpace, how_many: int = 8) -> SpectrumReport:
         window=WINDOW,
         window_empty=window_empty,
         window_note=window_note,
-        asymmetry=asym,
+        asymmetry=pencil.asymmetry,
         n_unknowns=N,
         shift_invert=shift_invert,
         factor_nnz=factor_nnz,

@@ -210,7 +210,7 @@ def test_spectrum_solver_statistics_live_only_in_the_sidecar(tmp_path):
         assert run(["spectrum", "--theta", "1.5", "--grid", "16x16",
                     "--reference", reference, "--out", out]) == 0
         body = (out / "spectrum_report.json").read_text()
-        for key in ("shift_invert", "factor_nnz", "lanczos_solves"):
+        for key in ("shift_invert", "factor_nnz", "n_solves", "lanczos_solves"):
             assert key not in body
         meta = read_report(out, "spectrum_report.meta.json")
         assert meta["shift_invert"] == shift_invert
@@ -285,10 +285,16 @@ def test_steiner_gates_the_minkowski_identities(tmp_path, monkeypatch):
     assert read_report(tmp_path, "steiner_report.json")["breach"] is True
 
 
+ZERO_BODY = json.dumps({"theta": 1.2, "n_rho": 16, "n_phi": 16,
+                        "values": [0.0] * (17 * 16)})
+
+
 @pytest.mark.parametrize("command", ["quermass", "reconstruct"])
 @pytest.mark.parametrize("content, message", [
     ('{"theta": 1.2, "n_rho": 16}', "body is missing n_phi, values"),
     ("[1, 2, 3]", "body must be a JSON object, got list"),
+    ("not json", "Expecting value"),
+    pytest.param(ZERO_BODY, "certification failed", id="zero-body"),
 ])
 def test_a_malformed_body_file_is_a_config_error(tmp_path, capsys, command,
                                                  content, message):
@@ -296,7 +302,9 @@ def test_a_malformed_body_file_is_a_config_error(tmp_path, capsys, command,
     path.write_text(content)
     assert run([command, "--theta", "1.2", "--grid", "16x16",
                 "--out", tmp_path, path]) == 3
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err
+    assert "bad.json" in err
 
 
 CHAIN_FLAGS = ["chain", "--theta", "1.2", "--grid", "16x16"]

@@ -66,6 +66,19 @@ def test_assembled_form_is_symmetric():
     assert op.asymmetry < 1e-12
 
 
+@pytest.mark.parametrize("theta", [0.05, 2.2])
+@pytest.mark.parametrize("n", [16, 64])
+def test_trial_space_meets_the_grids_contact_angle_row(theta, n):
+    # The trial space is built from the same boundary row that certify gates
+    # with, so its fields meet robin_residual at roundoff.
+    g = grid(theta, n, n)
+    basis = capaf.assemble_operator(capaf.WeightedSpace(g, capaf.ell(g))).basis
+    f = (basis @ np.random.default_rng(n).standard_normal(basis.shape[1])).reshape(g.node_shape)
+    scale = np.sum(np.abs(g.boundary_weights)) + abs(g.cot_theta)
+    bound = 2.0 * np.finfo(float).eps * scale * np.max(np.abs(f))
+    assert np.max(np.abs(capaf.robin_residual(g, f))) <= bound
+
+
 def test_self_adjoint_residual_vanishes_under_refinement():
     errs = []
     for n in (16, 32, 64):
@@ -219,11 +232,9 @@ def test_spectrum_is_deterministic(n):
 
 def _dense_pencil_eigenvalues(space):
     """Every eigenvalue of the reduced pencil, largest first, by dense eigh."""
-    op = capaf.assemble_operator(space)
-    basis = capaf.spectral._robin_basis(space.grid)
-    A = (basis.T @ op.form @ basis).toarray()
-    M = (basis.T @ sp.diags(op.mass) @ basis).toarray()
-    return scipy.linalg.eigh(A, M, eigvals_only=True)[::-1]
+    pencil = capaf.assemble_operator(space)
+    return scipy.linalg.eigh(pencil.A.toarray(), pencil.M.toarray(),
+                             eigvals_only=True)[::-1]
 
 
 def _cap_reference(theta):
@@ -260,11 +271,9 @@ def test_spectrum_matches_the_dense_pencil(make_space, theta, window_empty):
 
 
 def _shifted_pencil(space):
-    op = capaf.assemble_operator(space)
-    basis = capaf.spectral._robin_basis(space.grid)
-    K = basis.T @ (op.form - 0.5 * sp.diags(op.mass)) @ basis
+    pencil = capaf.assemble_operator(space)
     R, P = space.grid.node_shape
-    return K.tocsc(), (R - 1, P)
+    return (pencil.A - 0.5 * pencil.M).tocsc(), (R - 1, P)
 
 
 def test_sparse_factor_solve_matches_the_default_factor():
