@@ -2,10 +2,12 @@
 
 A field is *admissible* here when it satisfies the Robin condition
 df/drho = cot(theta) f on the boundary circle; it is the support function of a
-convex body when additionally Hess(f) + f*metric is positive definite.  The
-module provides the canonical fields (unit-cap support function, horizontal
-linear functions), a seeded random body generator, certification and a
-bit-exact JSON round trip.
+convex body when additionally Hess(f) + f*metric is positive definite.  A
+body (CapillaryBody) is a CapillaryField that certify or random_body accepted,
+carrying its provenance; it goes wherever a field goes.  The module provides
+the canonical fields (unit-cap support function, horizontal linear
+functions), a seeded random body generator, certification and a bit-exact
+JSON round trip.
 """
 
 from __future__ import annotations
@@ -67,24 +69,11 @@ class CapillaryField:
 
 
 @dataclass
-class CapillaryBody:
-    """Convex body with prescribed contact angle, stored as its support function."""
+class CapillaryBody(CapillaryField):
+    """Convex body with prescribed contact angle: its support function, as a
+    field that certify or random_body accepted, and where it came from."""
 
-    support: CapillaryField
-    min_eig: float
-    provenance: dict[str, Any] | None = field(default=None)
-
-    @property
-    def grid(self) -> CapGrid:
-        return self.support.grid
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.support.values
-
-    @property
-    def theta(self) -> float:
-        return self.support.grid.theta
+    provenance: dict[str, Any] | None = None
 
 
 @dataclass
@@ -99,9 +88,7 @@ class CertifyResult:
 
 
 def as_field(grid: CapGrid, obj) -> CapillaryField:
-    """A body's support or a field on grid as it is; anything else wrapped anew."""
-    if isinstance(obj, CapillaryBody):
-        obj = obj.support
+    """A field (a body included) on grid as it is; anything else wrapped anew."""
     if isinstance(obj, CapillaryField):
         if obj.grid is grid:
             return obj
@@ -121,23 +108,28 @@ def certify(grid: CapGrid, values, provenance: dict | None = None) -> CertifyRes
     Robin gate is relative to the sup norm (see capgrid.ROBIN_GATE); the
     convexity gate requires min_eig > EIG_GATE * max(1, sup|h|).  A field of
     the wrong shape or with NaN or inf entries is rejected with NaN margins.
+    A field on grid passes its shape tensor on to the body.
     """
+    tensor = None
+    if isinstance(values, CapillaryField):
+        tensor = values._tensor if values.grid is grid else None
+        values = values.values
     try:
-        support = as_field(grid, values)
+        body = CapillaryBody(grid, values, provenance)
     except ValueError as exc:
         return CertifyResult(False, None, math.nan, math.nan, [str(exc)])
-    rmax = support.robin_max
-    meig = support.min_eig
+    body._tensor = tensor
+    rmax = body.robin_max
+    meig = body.min_eig
     reasons = []
-    if rmax > support.robin_gate:
+    if rmax > body.robin_gate:
         reasons.append(
-            f"robin residual {rmax:.3e} exceeds gate {support.robin_gate:.3e}"
+            f"robin residual {rmax:.3e} exceeds gate {body.robin_gate:.3e}"
         )
-    if meig <= EIG_GATE * support.scale:
+    if meig <= EIG_GATE * body.scale:
         reasons.append(f"min shape-tensor eigenvalue {meig:.3e} not positive")
     if reasons:
         return CertifyResult(False, None, meig, rmax, reasons)
-    body = CapillaryBody(support, meig, provenance)
     return CertifyResult(True, body, meig, rmax, reasons)
 
 
@@ -250,22 +242,26 @@ def _random_neumann_datum(grid: CapGrid, rng: np.random.Generator, mode_cap: int
     return u
 
 
+# A random body must clear min_eig >= MARGIN * base_radius; the amplitude is
+# halved at most MAX_HALVINGS times to get there.
+MARGIN = 0.05
+MAX_HALVINGS = 50
+
+
 def random_body(
     grid: CapGrid,
     seed: int,
     base_radius: float = 1.0,
     amplitude: float = 0.25,
     mode_cap: int = 3,
-    margin: float = 0.05,
-    max_halvings: int = 50,
 ) -> CapillaryBody:
     """Seeded random convex body h = base_radius*ell + amplitude*ell*u.
 
     u is a random combination of boundary-compatible smooth modes (see
     _mode_profiles) and the residual discrete boundary defect is projected
     out, so the contact-angle gate passes at any resolution.  If the
-    perturbed field fails the convexity margin min_eig >= margin*base_radius
-    the amplitude is halved and the same u is retried; exceeding max_halvings
+    perturbed field fails the convexity margin min_eig >= MARGIN*base_radius
+    the amplitude is halved and the same u is retried; exceeding MAX_HALVINGS
     raises RuntimeError.
     """
     if base_radius <= 0:
@@ -276,47 +272,42 @@ def random_body(
     u = _random_neumann_datum(grid, rng, mode_cap)
     lv = ell_values(grid)
     amp = float(amplitude)
-    for _ in range(max_halvings + 1):
+    for _ in range(MAX_HALVINGS + 1):
         values = enforce_contact_angle(grid, base_radius * lv + amp * lv * u)
-        support = CapillaryField(grid, values)
-        meig = support.min_eig
-        if meig >= margin * base_radius:
-            prov = {
-                "seed": int(seed),
-                "params": {
-                    "base_radius": float(base_radius),
-                    "amplitude": float(amplitude),
-                    "effective_amplitude": amp,
-                    "mode_cap": int(mode_cap),
-                },
-            }
-            return CapillaryBody(support, meig, prov)
+        body = CapillaryBody(grid, values, {
+            "seed": int(seed),
+            "params": {
+                "base_radius": float(base_radius),
+                "amplitude": float(amplitude),
+                "effective_amplitude": amp,
+                "mode_cap": int(mode_cap),
+            },
+        })
+        if body.min_eig >= MARGIN * base_radius:
+            return body
         amp *= 0.5
     raise RuntimeError(
-        f"generation failed: no convex body within {max_halvings} amplitude halvings "
+        f"generation failed: no convex body within {MAX_HALVINGS} amplitude halvings "
         f"(seed={seed}, base_radius={base_radius}, amplitude={amplitude})"
     )
 
 
-def random_capillary_field(
-    grid: CapGrid,
-    seed: int,
-    amplitude: float = 1.0,
-    mode_cap: int = 3,
-    include_linear: bool = True,
-) -> CapillaryField:
+# Weight of the oscillatory lift in random_capillary_field.
+FIELD_AMPLITUDE = 1.0
+
+
+def random_capillary_field(grid: CapGrid, seed: int, mode_cap: int = 3) -> CapillaryField:
     """Seeded random admissible field, convex or not.
 
     A mix of the unit-cap support function, an oscillatory Neumann lift and
-    (optionally) horizontal linear components.  Useful as the free slot in
-    inequality trials.
+    horizontal linear components.  Useful as the free slot in inequality
+    trials.
     """
     rng = np.random.default_rng(seed)
     u = _random_neumann_datum(grid, rng, mode_cap)
-    values = rng.uniform(0.5, 1.5) * ell_values(grid) + amplitude * ell_values(grid) * u
-    if include_linear:
-        a1, a2 = rng.uniform(-0.5, 0.5, size=2)
-        values = values + horizontal_linear(grid, (a1, a2)).values
+    values = rng.uniform(0.5, 1.5) * ell_values(grid) + FIELD_AMPLITUDE * ell_values(grid) * u
+    a1, a2 = rng.uniform(-0.5, 0.5, size=2)
+    values = values + horizontal_linear(grid, (a1, a2)).values
     values = enforce_contact_angle(grid, values)
     return CapillaryField(grid, values)
 

@@ -23,7 +23,7 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -277,10 +277,12 @@ def cmd_quermass(args) -> bool:
     for path in args.bodies:
         body = load_body(path, grid)
         rep = quermass_report(grid, body)
-        reports.append({"file": Path(path).name, **rep.to_dict()})
-        for k, v, ref, err in rep.rows():
-            rows.append([Path(path).name, k, v, "" if ref is None else ref,
-                         "" if err is None else err])
+        reports.append({"file": Path(path).name, **asdict(rep)})
+        # Only the top index has a closed-form reference.
+        for k, v in enumerate(rep.values):
+            top = k == len(rep.values) - 1
+            rows.append([Path(path).name, k, v, rep.b_theta if top else "",
+                         rep.top_rel_err if top else ""])
         if rep.top_rel_err > tol.quermass:
             breach = True
     emit(args, "quermass_report", {
@@ -333,7 +335,7 @@ def cmd_af(args) -> bool:
                 or rep.decomposition.relative_residual > 1e-6
             )
         breach = breach or bad
-        trials.append({"trial": i, **rep.to_dict()})
+        trials.append({"trial": i, **asdict(rep)})
         rows.append([i, rep.lhs, rep.rhs, rep.gap, rep.relative_gap,
                      rep.equality_within_resolution])
     emit(args, "af_report", {
@@ -386,8 +388,8 @@ def cmd_chain(args) -> bool:
         "min_relative_slack": min_rel,
         "cap_equality_defect": cap_equality,
         "breach": breach,
-        "bodies": [rep.to_dict() for rep in reports],
-        "pairs": [rep.to_dict() for rep in pairs],
+        "bodies": [asdict(rep) for rep in reports],
+        "pairs": [asdict(rep) for rep in pairs],
     }, csv_table(["kind", "index", "i", "j", "k", "lhs", "rhs", "slack"], rows))
     return breach
 
@@ -425,8 +427,7 @@ def cmd_spectrum(args) -> bool:
     grid, tol = setup(args)
     rep = spectrum(WeightedSpace(grid, _spectrum_reference(grid, args)),
                    how_many=args.how_many)
-    # lambda1_simple is a gap above 0.5, which this gap rule implies.
-    breach = abs(rep.lambda1 - 1.0) > tol.lambda1 or rep.lambda1_gap < 0.9
+    breach = abs(rep.lambda1 - 1.0) > tol.lambda1 or not rep.lambda1_simple
     breach = breach or len(rep.kernel_indices) != 2
     # The returned eigenvalues are the k nearest 1/2.  Only when the smallest
     # lies below the kernel band could no unreturned one fall inside it, so
@@ -481,7 +482,7 @@ def cmd_steiner(args) -> bool:
         "identity": "volume of the parallel body is a cubic in t with "
                     "binomial quermassintegral coefficients",
         "tolerance": tol.identity,
-        "report": rep.to_dict(),
+        "report": asdict(rep),
         "minkowski_residuals": minkowski,
         "breach": breach,
     }, csv_table(["k", "coefficient", "reference", "rel_err"], rows))

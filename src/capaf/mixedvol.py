@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,9 +42,9 @@ def q2(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 def mixed_volume(grid: CapGrid, f1, rest) -> float:
     """V(f1, f2, f3) = (1/3) * integral of f1 Q(A[f2], A[f3]).
 
-    rest holds the two fields entering through their shape tensors; a body or
-    a CapillaryField keeps its tensor, so a field in several slots has it
-    computed once.  The value is multilinear in all slots by construction;
+    rest holds the two fields entering through their shape tensors; a
+    CapillaryField, a body included, keeps its tensor, so a field in several
+    slots has it computed once.  The value is multilinear in all slots by construction;
     permutation symmetry holds only for fields satisfying the contact-angle
     condition and only up to discretization error.
     """
@@ -136,37 +136,18 @@ class QuermassReport:
     """Per-index quermassintegrals of one body with the unit-cap reference."""
 
     theta: float
-    n_rho: int
-    n_phi: int
+    grid: list[int]
     values: list[float]
     b_theta: float
     top_rel_err: float
-
-    def rows(self) -> list[tuple[int, float, float | None, float | None]]:
-        out = []
-        for k, v in enumerate(self.values):
-            if k == len(self.values) - 1:
-                out.append((k, v, self.b_theta, self.top_rel_err))
-            else:
-                out.append((k, v, None, None))
-        return out
-
-    def to_dict(self) -> dict:
-        return {
-            "theta": self.theta,
-            "grid": [self.n_rho, self.n_phi],
-            "values": self.values,
-            "b_theta": self.b_theta,
-            "b_theta_formula": "pi*(1-cos(theta))**2*(2+cos(theta))/3",
-            "top_rel_err": self.top_rel_err,
-        }
+    b_theta_formula: str = "pi*(1-cos(theta))**2*(2+cos(theta))/3"
 
 
 def quermass_report(grid: CapGrid, body: CapillaryBody) -> QuermassReport:
     values = quermassintegral(grid, body)
     ref = b_theta(grid.theta)
     top_err = abs(values[3] - ref) / ref
-    return QuermassReport(grid.theta, grid.n_rho, grid.n_phi, values, ref, top_err)
+    return QuermassReport(grid.theta, [grid.n_rho, grid.n_phi], values, ref, top_err)
 
 
 @dataclass
@@ -180,9 +161,6 @@ class SteinerReport:
     rel_errs: list[float]
     max_rel_err: float
     fit_residual: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def steiner_check(grid: CapGrid, body: CapillaryBody, t_values) -> SteinerReport:

@@ -30,8 +30,8 @@ DEGENERATE_AREA = 1e-16
 class EmbeddedPatch:
     """Triangulated embedded surface with per-node normals.
 
-    support is the support function the patch was built from, values its
-    node values; positions and normals are (n_rho+1, n_phi, 3); triangles
+    support is the support function the patch was built from (the body
+    itself when embed is given one), values its node values; positions and normals are (n_rho+1, n_phi, 3); triangles
     index into the row-major flattening of the node array.  The pole hole
     inside the first node ring is closed by a polygon fan, so the mesh is a
     topological disk whose boundary is the contact ring.
@@ -42,7 +42,6 @@ class EmbeddedPatch:
     positions: np.ndarray
     normals: np.ndarray
     triangles: np.ndarray
-    boundary_ring: np.ndarray
     degenerate_triangles: list[int] = field(default_factory=list)
 
     @property
@@ -58,7 +57,7 @@ class EmbeddedPatch:
         return self.normals.reshape(-1, 3)
 
 
-def _triangulate(n_rows: int, n_phi: int) -> tuple[np.ndarray, np.ndarray]:
+def _triangulate(n_rows: int, n_phi: int) -> np.ndarray:
     """Fan over the pole hole plus split quads; outward (counterclockwise) order.
 
     Ring 0 is a small convex polygon around the pole, fanned from its vertex 0.
@@ -72,8 +71,7 @@ def _triangulate(n_rows: int, n_phi: int) -> tuple[np.ndarray, np.ndarray]:
     lo_next = np.roll(lo, -1, axis=1)
     hi, hi_next = lo + n_phi, lo_next + n_phi
     quads = np.stack([lo, hi, hi_next, lo, hi_next, lo_next], axis=-1)
-    boundary = np.arange((n_rows - 1) * n_phi, n_rows * n_phi)
-    return np.concatenate([fan, quads.reshape(-1, 3)]), boundary
+    return np.concatenate([fan, quads.reshape(-1, 3)])
 
 
 def embed(grid: CapGrid, body) -> EmbeddedPatch:
@@ -93,8 +91,8 @@ def embed(grid: CapGrid, body) -> EmbeddedPatch:
     nu = np.stack([sinr * cosp, sinr * sinp, cosr * np.ones_like(cosp)], axis=-1)
 
     positions = grad[..., 0:1] * e_rho + grad[..., 1:2] * e_phi + h[..., None] * nu
-    tris, ring = _triangulate(grid.n_rho + 1, grid.n_phi)
-    patch = EmbeddedPatch(grid, support, positions, nu, tris, ring)
+    patch = EmbeddedPatch(grid, support, positions, nu,
+                          _triangulate(grid.n_rho + 1, grid.n_phi))
     patch.degenerate_triangles = _find_degenerate(patch)
     return patch
 

@@ -1,6 +1,5 @@
 """Command line driver: parsing, exit codes, determinism, report bundles."""
 
-import functools
 import json
 import os
 
@@ -87,8 +86,7 @@ def test_reports_refuse_non_finite_values(tmp_path):
 
 def test_generation_failure_exits_four(tmp_path, monkeypatch):
     # no amplitude halving allowed: a rough body cannot be certified convex
-    monkeypatch.setattr(cli, "random_body",
-                        functools.partial(capaf.random_body, max_halvings=0))
+    monkeypatch.setattr(capaf.capfun, "MAX_HALVINGS", 0)
     assert run(["gen", "--grid", "16x16", "--amplitude", "50",
                 "--out", tmp_path]) == cli.EXIT_NUMERIC == 4
 
@@ -184,6 +182,17 @@ def test_spectrum_report_and_sweep(tmp_path):
     assert sweep["observed_order"] > 1.0
     assert (tmp_path / "spectrum_sweep.csv").exists()
     assert (tmp_path / "spectrum_report.csv").exists()
+
+
+def test_a_breaching_gap_is_not_reported_simple(tmp_path, monkeypatch):
+    # Weak dissipation leaves the lattice-flip mode inside the gap below
+    # lambda1: still a gap above 0.5, but short of the one the gate needs.
+    monkeypatch.setattr(capaf.spectral, "_DISSIPATION", 0.015)
+    assert run(["spectrum", "--theta", "1.2", "--grid", "24x24",
+                "--out", tmp_path]) == cli.EXIT_BREACH
+    rep = read_report(tmp_path, "spectrum_report.json")["report"]
+    assert 0.5 < rep["lambda1_gap"] < capaf.spectral.LAMBDA1_GAP
+    assert rep["lambda1_simple"] is False
 
 
 def test_spectrum_determinism_across_directories(tmp_path):

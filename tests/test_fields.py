@@ -32,15 +32,16 @@ def test_ell_is_certified_with_unit_curvature():
 def test_as_field_reuses_a_field_only_on_its_own_grid():
     g = grid(1.2, 16, 16)
     body = capaf.random_body(g, 3)
-    assert capaf.capfun.as_field(g, body) is body.support
-    assert capaf.capfun.as_field(g, body.support) is body.support
+    assert capaf.capfun.as_field(g, body) is body
+    field = capaf.CapillaryField(g, body.values)
+    assert capaf.capfun.as_field(g, field) is field
     other = grid(1.2, 16, 16)
     moved = capaf.capfun.as_field(other, body)
     assert moved.grid is other
     np.testing.assert_array_equal(moved.values, body.values)
     raw = capaf.capfun.as_field(g, body.values)
-    assert raw is not body.support
-    assert raw.tensor.tobytes() == body.support.tensor.tobytes()
+    assert raw is not body
+    assert raw.tensor.tobytes() == body.tensor.tobytes()
 
 
 def test_threads_racing_on_one_field_read_the_same_shape_tensor():

@@ -63,6 +63,8 @@ def test_shape_tensors_are_computed_once_per_field(monkeypatch):
     body = capaf.random_body(g, 11)
     space = capaf.WeightedSpace(g, capaf.random_body(g, 12))
     f = capaf.random_capillary_field(g, 13)
+    shaped = capaf.CapillaryField(g, capaf.random_body(g, 14).values)
+    shaped.tensor  # shaped before the count starts
     calls = []
     original = capaf.capfun.a_of
 
@@ -84,6 +86,11 @@ def test_shape_tensors_are_computed_once_per_field(monkeypatch):
     calls.clear()
     capaf.af_chain_check(g, body, space.f2)
     assert len(calls) == 1
+    calls.clear()
+    # A field on the grid that holds its tensor keeps it when certified.
+    assert capaf.certify(g, shaped).body.tensor is shaped.tensor
+    capaf.af_check(space, f, shaped)
+    assert len(calls) == 0
 
 
 def test_mixed_sequence_fills_the_shape_slots_with_the_second_body():

@@ -201,20 +201,17 @@ def triangulate_loop(n_rows, n_phi):
             ip = (i + 1) % n_phi
             tris.append((base + i, nxt + i, nxt + ip))
             tris.append((base + i, nxt + ip, base + ip))
-    boundary = np.arange((n_rows - 1) * n_phi, n_rows * n_phi)
-    return np.array(tris, dtype=np.int64), boundary
+    return np.array(tris, dtype=np.int64)
 
 
 @pytest.mark.parametrize("n_rows,n_phi", [(2, 3), (3, 4), (17, 5), (33, 32), (257, 256)])
 def test_triangulation_matches_the_loop(n_rows, n_phi):
     from capaf.reconstruct import _triangulate
 
-    tris, ring = _triangulate(n_rows, n_phi)
-    ref_tris, ref_ring = triangulate_loop(n_rows, n_phi)
+    tris = _triangulate(n_rows, n_phi)
+    ref_tris = triangulate_loop(n_rows, n_phi)
     assert tris.dtype == ref_tris.dtype == np.int64
     np.testing.assert_array_equal(tris, ref_tris)
-    assert ring.dtype == ref_ring.dtype
-    np.testing.assert_array_equal(ring, ref_ring)
 
 
 def test_save_body_matches_json_dump(tmp_path):
@@ -226,7 +223,7 @@ def test_save_body_matches_json_dump(tmp_path):
         "lists": [[1.0, 2], [], {}], "text": "cap \u00e9", "none": None,
         "flag": True, "values": None,
     }
-    body = capaf.CapillaryBody(capaf.CapillaryField(g, values), 1.0, provenance)
+    body = capaf.CapillaryBody(g, values, provenance)
     path = tmp_path / "body.json"
     capaf.save_body(body, path)
     ref = tmp_path / "ref.json"

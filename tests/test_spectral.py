@@ -23,8 +23,8 @@ def test_weighted_space_reuses_the_reference_body_tensor():
     g = grid(1.2, 24, 24)
     body = capaf.random_body(g, 99)
     space = capaf.WeightedSpace(g, body)
-    assert space.ref is body.support
-    assert space.A2 is body.support.tensor
+    assert space.ref is body
+    assert space.A2 is body.tensor
 
 
 def test_weighted_space_rejects_a_bad_reference():
@@ -373,7 +373,7 @@ def test_quermass_chain_is_the_chain_against_the_cap():
     body = capaf.random_body(g, 4)
     rep = capaf.quermass_chain_check(g, body)
     assert rep.values == capaf.quermassintegral(g, body)
-    assert rep.to_dict() == capaf.af_chain_check(g, body, capaf.ell(g)).to_dict()
+    assert rep == capaf.af_chain_check(g, body, capaf.ell(g))
 
 
 def test_quermass_chain_on_a_random_body():
