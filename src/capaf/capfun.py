@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import weakref
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
@@ -246,6 +247,76 @@ def _random_neumann_datum(grid: CapGrid, rng: np.random.Generator, mode_cap: int
 # halved at most MAX_HALVINGS times to get there.
 MARGIN = 0.05
 MAX_HALVINGS = 50
+# random_body does not try a halving whose predicted tensor (see
+# _predicted_misses) misses the margin by more than a guard: PREDICTION_GUARD
+# times eps * (n_phi/2)^2 / sin(rho_0)^2 * max|h|, the roundoff of a spectral
+# second phi-derivative on the pole row.  Measured node by node, the
+# prediction's min_eig differs from the exact one by at most 1.2 times that
+# scale (grids 8x8 to 512x512 and 256x16 to 16x512, theta 0.01 to 3.1,
+# amplitude up to 4), so every halving it skips would fail the exact check too.
+PREDICTION_GUARD = 64.0
+
+# Shape tensor of enforce_contact_angle(ell_values(grid)) on one meridian,
+# per live grid.
+_ELL_TENSORS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _ell_tensor(grid: CapGrid) -> np.ndarray:
+    """The unit cap's shape tensor on the meridian phi = 0, shaped (n_rho+1, 1, 2, 2).
+
+    The cap is rotationally symmetric, so its tensor is the same on every
+    meridian up to roundoff (0.13 times the guard scale of PREDICTION_GUARD,
+    on grids with odd factors in n_phi; none on powers of two).  Two threads
+    racing on a fresh grid both compute it and store the same bytes.
+    """
+    tensor = _ELL_TENSORS.get(grid)
+    if tensor is None:
+        full = a_of(grid, enforce_contact_angle(grid, ell_values(grid)))
+        tensor = _ELL_TENSORS[grid] = full[:, :1].copy()
+    return tensor
+
+
+def _predicted_misses(grid: CapGrid, lv: np.ndarray, u: np.ndarray,
+                      base_radius: float, amplitude: float) -> int:
+    """Number of leading halvings of amplitude that the margin check would reject.
+
+    enforce_contact_angle and a_of are linear, so the body at amplitude a has
+    the shape tensor r*A0 + a*A1 up to roundoff, with A0 the tensor of the
+    unit cap and A1 that of lv*u, both passed through
+    enforce_contact_angle.  With B = r*A0 - (MARGIN*r - guard)*I and C = A1,
+    a halving is a sure miss when tr(B + aC) or det(B + aC) is negative at
+    some node (see PREDICTION_GUARD for the guard).  Only the traces, the
+    determinants and the mixed term of det(B + aC) are kept while the
+    amplitudes are walked; B's are one value per ring.
+    """
+    A0 = _ell_tensor(grid)
+    lu = enforce_contact_angle(grid, lv * u)
+    bound = base_radius * np.max(lv) + amplitude * np.max(np.abs(lu))
+    guard = PREDICTION_GUARD * np.finfo(float).eps * (grid.n_phi / 2 / grid.sin_rho[0]) ** 2 * bound
+    C = a_of(grid, lu)
+    del lu
+    shift = MARGIN * base_radius - guard
+    b00 = base_radius * A0[..., 0, 0] - shift
+    b11 = base_radius * A0[..., 1, 1] - shift
+    b01 = base_radius * A0[..., 0, 1]
+    c00, c11, c01 = C[..., 0, 0], C[..., 1, 1], C[..., 0, 1]
+    tr_b, det_b = b00 + b11, b00 * b11 - b01 * b01
+    # Peak memory stays that of an exact attempt: C, the three results and
+    # one full-size temporary at a time.
+    tr_c = c00 + c11
+    det_c = c00 * c11
+    det_c -= c01 * c01
+    mixed = b00 * c11
+    mixed += b11 * c00
+    mixed -= (2.0 * b01) * c01
+    del C, c00, c11, c01
+    amp = amplitude
+    for k in range(MAX_HALVINGS + 1):
+        # Written so that a NaN never counts as a miss.
+        if not ((tr_b + amp * tr_c < 0).any() or (det_b + amp * (mixed + amp * det_c) < 0).any()):
+            return k
+        amp *= 0.5
+    return MAX_HALVINGS + 1
 
 
 def random_body(
@@ -262,7 +333,9 @@ def random_body(
     out, so the contact-angle gate passes at any resolution.  If the
     perturbed field fails the convexity margin min_eig >= MARGIN*base_radius
     the amplitude is halved and the same u is retried; exceeding MAX_HALVINGS
-    raises RuntimeError.
+    raises RuntimeError.  Halvings that two shape tensors show to fail (see
+    _predicted_misses) are not tried, so an accepted body costs two shape
+    tensors and is the body the plain halving loop returns.
     """
     if base_radius <= 0:
         raise ValueError(f"base_radius must be positive, got {base_radius}")
@@ -272,19 +345,21 @@ def random_body(
     u = _random_neumann_datum(grid, rng, mode_cap)
     lv = ell_values(grid)
     amp = float(amplitude)
-    for _ in range(MAX_HALVINGS + 1):
-        values = enforce_contact_angle(grid, base_radius * lv + amp * lv * u)
-        body = CapillaryBody(grid, values, {
-            "seed": int(seed),
-            "params": {
-                "base_radius": float(base_radius),
-                "amplitude": float(amplitude),
-                "effective_amplitude": amp,
-                "mode_cap": int(mode_cap),
-            },
-        })
-        if body.min_eig >= MARGIN * base_radius:
-            return body
+    misses = _predicted_misses(grid, lv, u, base_radius, amp)
+    for k in range(MAX_HALVINGS + 1):
+        if k >= misses:
+            values = enforce_contact_angle(grid, base_radius * lv + amp * lv * u)
+            body = CapillaryBody(grid, values, {
+                "seed": int(seed),
+                "params": {
+                    "base_radius": float(base_radius),
+                    "amplitude": float(amplitude),
+                    "effective_amplitude": amp,
+                    "mode_cap": int(mode_cap),
+                },
+            })
+            if body.min_eig >= MARGIN * base_radius:
+                return body
         amp *= 0.5
     raise RuntimeError(
         f"generation failed: no convex body within {MAX_HALVINGS} amplitude halvings "

@@ -159,6 +159,28 @@ def surface_gradient(grid: CapGrid, values: np.ndarray) -> np.ndarray:
     return out
 
 
+def _second_form(grid: CapGrid, values: np.ndarray, diag: np.ndarray | None) -> np.ndarray:
+    """Covariant Hessian in a (R, P, 2, 2) tensor, with diag added to its
+    diagonal components before they are written (none when diag is None)."""
+    f_r = grid.d_rho(values, 1)
+    f_rr = grid.d_rho(values, 2)
+    f_p, f_pp = grid.d_phi_orders(values, (1, 2))
+    f_rp = grid.d_rho(f_p, 1)
+    sin = grid.sin_rho[:, None]
+    cot = grid.cot_rho[:, None]
+    f_pp /= sin**2
+    f_pp += cot * f_r
+    if diag is not None:
+        f_rr += diag
+        f_pp += diag
+    out = np.empty(grid.node_shape + (2, 2))
+    out[..., 0, 0] = f_rr
+    out[..., 0, 1] = (f_rp - cot * f_p) / sin
+    out[..., 1, 0] = out[..., 0, 1]
+    out[..., 1, 1] = f_pp
+    return out
+
+
 def hessian(grid: CapGrid, values: np.ndarray) -> np.ndarray:
     """Covariant Hessian on the round sphere, orthonormal components.
 
@@ -168,28 +190,13 @@ def hessian(grid: CapGrid, values: np.ndarray) -> np.ndarray:
     Radial derivatives are 4th-order finite differences (one-sided closures on
     the boundary row); azimuthal ones are spectral.
     """
-    values = grid.check_field(values)
-    f_r = grid.d_rho(values, 1)
-    f_rr = grid.d_rho(values, 2)
-    f_p, f_pp = grid.d_phi_orders(values, (1, 2))
-    f_rp = grid.d_rho(f_p, 1)
-    sin = grid.sin_rho[:, None]
-    cot = grid.cot_rho[:, None]
-    out = np.empty(grid.node_shape + (2, 2))
-    out[..., 0, 0] = f_rr
-    out[..., 0, 1] = (f_rp - cot * f_p) / sin
-    out[..., 1, 0] = out[..., 0, 1]
-    out[..., 1, 1] = f_pp / sin**2 + cot * f_r
-    return out
+    return _second_form(grid, grid.check_field(values), None)
 
 
 def a_of(grid: CapGrid, values: np.ndarray) -> np.ndarray:
     """Shape tensor Hess(f) + f * metric; convexity means this is positive."""
     values = grid.check_field(values)
-    A = hessian(grid, values)
-    A[..., 0, 0] += values
-    A[..., 1, 1] += values
-    return A
+    return _second_form(grid, values, values)
 
 
 def tensor_eigenvalues(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -35,6 +35,31 @@ def seeded_body(theta: float, n_rho: int, n_phi: int, seed: int,
     return capaf.random_body(grid(theta, n_rho, n_phi), seed, amplitude=amplitude)
 
 
+def random_body_by_halving(grid, seed, base_radius=1.0, amplitude=0.25, mode_cap=3):
+    """capaf.random_body as the plain halving loop: a shape tensor for every
+    amplitude tried.  The reference that the two-tensor prediction must match."""
+    capfun = capaf.capfun
+    rng = np.random.default_rng(seed)
+    u = capfun._random_neumann_datum(grid, rng, mode_cap)
+    lv = capfun.ell_values(grid)
+    amp = float(amplitude)
+    for _ in range(capfun.MAX_HALVINGS + 1):
+        values = capfun.enforce_contact_angle(grid, base_radius * lv + amp * lv * u)
+        body = capfun.CapillaryBody(grid, values, {
+            "seed": int(seed),
+            "params": {
+                "base_radius": float(base_radius),
+                "amplitude": float(amplitude),
+                "effective_amplitude": amp,
+                "mode_cap": int(mode_cap),
+            },
+        })
+        if body.min_eig >= capfun.MARGIN * base_radius:
+            return body
+        amp *= 0.5
+    raise RuntimeError("generation failed")
+
+
 @functools.lru_cache(maxsize=None)
 def cap_space(theta: float, n_rho: int, n_phi: int) -> capaf.WeightedSpace:
     g = grid(theta, n_rho, n_phi)

@@ -150,9 +150,9 @@ def test_quadratic_inequality_holds_and_is_tight_on_the_equality_family():
         for i in range(500):
             f2 = capaf.random_body(g, seed=3 * i)
             f1 = capaf.random_body(g, seed=3 * i + 1)
-            sp = capaf.WeightedSpace(g, f2.values)
+            sp = capaf.WeightedSpace(g, f2)
             f = capaf.random_capillary_field(g, seed=3 * i + 2)
-            rep = capaf.af_check(sp, f, f1.values)
+            rep = capaf.af_check(sp, f, f1)
             min_rel_gap = min(min_rel_gap, rep.gap / max(abs(rep.rhs), 1e-300))
 
     worst_eq = 0.0
@@ -163,13 +163,13 @@ def test_quadratic_inequality_holds_and_is_tight_on_the_equality_family():
         for i in range(25):
             f2 = capaf.random_body(g, seed=5000 + 100 * k + i)
             f1 = capaf.random_body(g, seed=6000 + 100 * k + i)
-            sp = capaf.WeightedSpace(g, f2.values)
+            sp = capaf.WeightedSpace(g, f2)
             a = rng.uniform(0.5, 2.0)
             b = rng.uniform(-0.5, 0.5, size=2)
             f = a * f1.values + capaf.horizontal_linear(g, b).values
-            rep = capaf.af_check(sp, f, f1.values)
+            rep = capaf.af_check(sp, f, f1)
             worst_eq = max(worst_eq, abs(rep.gap) / max(abs(rep.rhs), 1e-300))
-            dec = capaf.equality_decompose(sp, f, f1.values)
+            dec = capaf.equality_decompose(sp, f, f1)
             worst_res = max(worst_res, dec.relative_residual)
 
     ok = min_rel_gap >= -noise and worst_eq <= noise and worst_res <= 1e-6

@@ -357,11 +357,13 @@ def test_a_negative_pair_slack_is_a_breach(tmp_path, monkeypatch):
 
 
 def test_chain_shapes_each_body_and_the_cap_once(tmp_path, monkeypatch):
-    # trials 4: each body keeps the tensor of its accepted random_body
-    # attempt, and the unit cap the one that certified it; together they
-    # serve 4 quermass chains and 3 pair chains.  The cap chain shapes the
-    # cap once more as its second body.
-    calls, attempts = [], []
+    # trials 4: random_body shapes each field it passes through
+    # enforce_contact_angle once (the grid's cap, each body's datum, each
+    # amplitude it tries), and each body keeps the tensor of the amplitude
+    # it accepted.  The unit cap keeps the tensor that certified it; together
+    # they serve 4 quermass chains and 3 pair chains.  The cap chain shapes
+    # the cap once more as its second body.
+    calls, enforced = [], []
     real, real_enforce = capaf.capfun.a_of, capaf.capfun.enforce_contact_angle
 
     def counted(grid, values):
@@ -369,15 +371,15 @@ def test_chain_shapes_each_body_and_the_cap_once(tmp_path, monkeypatch):
         return real(grid, values)
 
     def enforce(grid, values):
-        attempts.append(1)
+        enforced.append(1)
         return real_enforce(grid, values)
 
     monkeypatch.setenv("CAPAF_THREADS", "1")
     monkeypatch.setattr(capaf.capfun, "a_of", counted)
     monkeypatch.setattr(capaf.capfun, "enforce_contact_angle", enforce)
     assert run(CHAIN_FLAGS + ["--trials", "4", "--out", tmp_path]) == 0
-    assert len(attempts) >= 4
-    assert len(calls) == len(attempts) + 2
+    assert len(enforced) >= 4
+    assert len(calls) == len(enforced) + 2
 
 
 def test_reconstruct_embeds_once_and_ignores_the_thread_count(tmp_path, monkeypatch):

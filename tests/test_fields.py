@@ -1,7 +1,9 @@
 """Admissible fields, certification, random generation, serialization."""
 
+import gc
 import json
 import sys
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -9,7 +11,7 @@ import pytest
 
 import capaf
 
-from helpers import grid, seeded_body
+from helpers import grid, random_body_by_halving, seeded_body
 
 THETAS = (0.6, np.pi / 2, 2.3)
 
@@ -146,6 +148,107 @@ def test_random_body_is_reproducible_and_certified(theta):
 
     b3 = capaf.random_body(g, 43)
     assert float(np.max(np.abs(b3.values - b1.values))) > 1e-3
+
+
+def assert_same_body(expected, body):
+    assert body.values.tobytes() == expected.values.tobytes()
+    assert body.tensor.tobytes() == expected.tensor.tobytes()
+    assert body.provenance == expected.provenance
+
+
+@pytest.mark.parametrize("theta", (0.05, 1.2, 2.2, 3.0))
+@pytest.mark.parametrize("n", (8, 32))
+@pytest.mark.parametrize("amplitude", (0.25, 4.0))
+def test_random_body_is_the_body_of_the_halving_loop(theta, n, amplitude):
+    g = grid(theta, n, n)
+    for seed in range(30):
+        assert_same_body(random_body_by_halving(g, seed, amplitude=amplitude),
+                         capaf.random_body(g, seed, amplitude=amplitude))
+
+
+def test_random_body_is_the_body_of_the_halving_loop_at_256():
+    g = grid(1.2, 256, 256)
+    for seed in range(30):
+        assert_same_body(random_body_by_halving(g, seed), capaf.random_body(g, seed))
+
+
+@pytest.mark.parametrize("theta", (1.2, 2.2))
+def test_the_exact_check_decides_inside_the_guard_band(theta, monkeypatch):
+    # With the margin moved to within 1e-12 of a rejected halving's exact
+    # min_eig, that halving passes or fails by the exact tensor alone.
+    g = grid(theta, 32, 32)
+    capfun = capaf.capfun
+    lv = capaf.ell_values(g)
+    bands = 0
+    for seed in range(6):
+        body = random_body_by_halving(g, seed, amplitude=4.0)
+        u = capfun._random_neumann_datum(g, np.random.default_rng(seed), 3)
+        amp = 4.0
+        while amp > body.provenance["params"]["effective_amplitude"]:
+            values = capaf.enforce_contact_angle(g, lv + amp * lv * u)
+            m = capaf.CapillaryField(g, values).min_eig
+            for margin, accepted in ((m - 1e-12, True), (m + 1e-12, False)):
+                monkeypatch.setattr(capfun, "MARGIN", margin)
+                expected = random_body_by_halving(g, seed, amplitude=4.0)
+                assert (expected.provenance["params"]["effective_amplitude"] >= amp) == accepted
+                assert_same_body(expected, capaf.random_body(g, seed, amplitude=4.0))
+            monkeypatch.undo()
+            bands += 1
+            amp *= 0.5
+    assert bands >= 6
+
+
+def test_random_body_shapes_the_cap_once_per_grid_and_the_datum_once_per_body(monkeypatch):
+    g = capaf.build_grid(1.2, 32, 32)
+    capfun = capaf.capfun
+    cap_values = capaf.enforce_contact_angle(g, capaf.ell_values(g)).tobytes()
+    calls, cap_calls, attempts = [], [], []
+    real_a_of, real_body = capfun.a_of, capfun.CapillaryBody
+
+    def a_of(grid_, values):
+        calls.append(1)
+        if values.tobytes() == cap_values:
+            cap_calls.append(1)
+        return real_a_of(grid_, values)
+
+    def body(*args, **kwargs):
+        attempts.append(1)
+        return real_body(*args, **kwargs)
+
+    monkeypatch.setattr(capfun, "a_of", a_of)
+    monkeypatch.setattr(capfun, "CapillaryBody", body)
+    tried, halvings = [], []
+    for first, seed in ((True, 2), (False, 5)):
+        calls.clear()
+        attempts.clear()
+        b = capaf.random_body(g, seed, amplitude=4.0)
+        b.tensor  # the tensor that accepted the body
+        assert len(calls) == first + 1 + len(attempts)
+        params = b.provenance["params"]
+        halvings.append(round(np.log2(params["amplitude"] / params["effective_amplitude"])))
+        tried.append(len(attempts))
+    assert len(cap_calls) == 1
+    # The halving loop would have shaped the body halvings + 1 times.
+    assert tried == [1, 1] and min(halvings) >= 1
+
+
+def test_the_cap_tensor_dies_with_its_grid_and_threads_agree_on_it():
+    capfun = capaf.capfun
+    g = capaf.build_grid(2.2, 16, 16)
+    expected = capaf.a_of(g, capaf.enforce_contact_angle(g, capaf.ell_values(g)))[:, :1].tobytes()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(capfun._ell_tensor, g) for _ in range(16)]
+            tensors = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(t.tobytes() == expected for t in tensors)
+    grid_ref, tensor_ref = weakref.ref(g), weakref.ref(tensors[0])
+    del g, tensors, futures
+    gc.collect()
+    assert grid_ref() is None and tensor_ref() is None
 
 
 def test_random_body_amplitude_zero_is_the_cap():
