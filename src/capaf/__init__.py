@@ -13,14 +13,12 @@ from .capgrid import (
     CapGrid,
     a_of,
     build_grid,
-    hessian,
     robin_residual,
     surface_gradient,
 )
 from .capfun import (
     CapillaryBody,
     CapillaryField,
-    CertifyResult,
     certify,
     ell,
     ell_values,
@@ -70,8 +68,8 @@ from .reconstruct import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CapGrid", "a_of", "build_grid", "hessian", "robin_residual", "surface_gradient",
-    "CapillaryBody", "CapillaryField", "CertifyResult", "certify", "ell",
+    "CapGrid", "a_of", "build_grid", "robin_residual", "surface_gradient",
+    "CapillaryBody", "CapillaryField", "certify", "ell",
     "ell_values", "enforce_contact_angle", "horizontal_linear", "load_body",
     "random_body", "random_capillary_field", "save_body",
     "QuermassReport", "SteinerReport", "b_theta", "h_k_field",

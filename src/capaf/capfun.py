@@ -4,7 +4,9 @@ A field is *admissible* here when it satisfies the Robin condition
 df/drho = cot(theta) f on the boundary circle; it is the support function of a
 convex body when additionally Hess(f) + f*metric is positive definite.  A
 body (CapillaryBody) is a CapillaryField that certify or random_body accepted,
-carrying its provenance; it goes wherever a field goes.  The module provides
+carrying its provenance; it goes wherever a field goes.  certify returns
+the body or raises a ValueError naming every gate the field failed, and a
+body on the same grid passes through it unchanged.  The module provides
 the canonical fields (unit-cap support function, horizontal linear
 functions), a seeded random body generator, certification and a bit-exact
 JSON round trip.
@@ -13,7 +15,6 @@ JSON round trip.
 from __future__ import annotations
 
 import json
-import math
 import weakref
 from dataclasses import dataclass, field
 from typing import Any, Sequence
@@ -77,17 +78,6 @@ class CapillaryBody(CapillaryField):
     provenance: dict[str, Any] | None = None
 
 
-@dataclass
-class CertifyResult:
-    """Outcome of :func:`certify`; ``body`` is None when rejected."""
-
-    accepted: bool
-    body: CapillaryBody | None
-    min_eig: float
-    robin_max: float
-    reasons: list[str]
-
-
 def as_field(grid: CapGrid, obj) -> CapillaryField:
     """A field (a body included) on grid as it is; anything else wrapped anew."""
     if isinstance(obj, CapillaryField):
@@ -103,47 +93,39 @@ def ell_values(grid: CapGrid) -> np.ndarray:
     return np.repeat(col[:, None], grid.n_phi, axis=1)
 
 
-def certify(grid: CapGrid, values, provenance: dict | None = None) -> CertifyResult:
-    """Check Robin compatibility and convexity; never raises on bad data.
+def certify(grid: CapGrid, values, provenance: dict | None = None) -> CapillaryBody:
+    """The body with support function values, or ValueError naming every gate failed.
 
-    Robin gate is relative to the sup norm (see capgrid.ROBIN_GATE); the
+    The Robin gate is relative to the sup norm (see capgrid.ROBIN_GATE); the
     convexity gate requires min_eig > EIG_GATE * max(1, sup|h|).  A field of
-    the wrong shape or with NaN or inf entries is rejected with NaN margins.
-    A field on grid passes its shape tensor on to the body.
+    the wrong shape or with NaN or inf entries fails first, in check_field.
+    A body on grid is returned as it is; a field on grid passes its shape
+    tensor on to the body.
     """
+    if isinstance(values, CapillaryBody) and values.grid is grid:
+        return values
     tensor = None
     if isinstance(values, CapillaryField):
         tensor = values._tensor if values.grid is grid else None
         values = values.values
-    try:
-        body = CapillaryBody(grid, values, provenance)
-    except ValueError as exc:
-        return CertifyResult(False, None, math.nan, math.nan, [str(exc)])
+    body = CapillaryBody(grid, values, provenance)
     body._tensor = tensor
-    rmax = body.robin_max
-    meig = body.min_eig
     reasons = []
-    if rmax > body.robin_gate:
+    if body.robin_max > body.robin_gate:
         reasons.append(
-            f"robin residual {rmax:.3e} exceeds gate {body.robin_gate:.3e}"
+            f"robin residual {body.robin_max:.3e} exceeds gate {body.robin_gate:.3e}"
         )
+    meig = body.min_eig
     if meig <= EIG_GATE * body.scale:
         reasons.append(f"min shape-tensor eigenvalue {meig:.3e} not positive")
     if reasons:
-        return CertifyResult(False, None, meig, rmax, reasons)
-    return CertifyResult(True, body, meig, rmax, reasons)
-
-
-def _certified(grid: CapGrid, values: np.ndarray, provenance: dict | None = None) -> CapillaryBody:
-    res = certify(grid, values, provenance)
-    if not res.accepted:
-        raise ValueError("certification failed: " + "; ".join(res.reasons))
-    return res.body
+        raise ValueError("certification failed: " + "; ".join(reasons))
+    return body
 
 
 def ell(grid: CapGrid) -> CapillaryBody:
     """The unit cap as a body.  Its shape tensor is the identity."""
-    return _certified(grid, ell_values(grid), {"kind": "unit-cap"})
+    return certify(grid, ell_values(grid), {"kind": "unit-cap"})
 
 
 def horizontal_linear(grid: CapGrid, direction: Sequence[float]) -> CapillaryField:
@@ -185,12 +167,9 @@ def enforce_contact_angle(grid: CapGrid, values: np.ndarray) -> np.ndarray:
     k = np.arange(spec.size)
     for parity, prof in ((0, x**4), (1, x**5)):
         part = np.fft.irfft(np.where(k % 2 == parity, spec, 0.0), grid.n_phi)
-        # The boundary stencil never reaches the pole-reflected rows, so one
-        # probe mode per parity measures the profile's defect for all modes.
-        probe = prof[:, None] * np.cos(parity * grid.phi_nodes)[None, :]
-        pres = robin_residual(grid, probe)
-        j = int(np.argmax(np.abs(pres)))
-        scale = pres[j] / np.cos(parity * grid.phi_nodes[j])
+        # The boundary stencil never reaches the pole-reflected rows, so the
+        # profile's own defect scales every mode of its parity.
+        scale = grid.boundary_d_rho(prof) - grid.cot_theta * prof[-1]
         values -= np.outer(prof / scale, part)
     return values
 
@@ -412,7 +391,7 @@ def body_from_dict(data: dict, grid: CapGrid | None = None) -> CapillaryBody:
     elif (grid.theta, grid.n_rho, grid.n_phi) != (data["theta"], data["n_rho"], data["n_phi"]):
         raise ValueError("grid does not match serialized body")
     values = np.array(data["values"], dtype=float).reshape(grid.node_shape)
-    return _certified(grid, values, data.get("provenance"))
+    return certify(grid, values, data.get("provenance"))
 
 
 def save_body(body: CapillaryBody, path) -> None:

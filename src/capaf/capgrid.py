@@ -108,21 +108,23 @@ class CapGrid:
         return values
 
     # -- derivative engines ----------------------------------------------
+    # The engines take float arrays that a public entry point (a_of,
+    # surface_gradient, robin_residual, CapillaryField) has already checked.
     def d_rho(self, values: np.ndarray, order: int = 1) -> np.ndarray:
         """Radial derivative, 4th order; the pole is crossed by a half-turn roll.
 
         Sparse products only, no BLAS or FFT, so the result does not depend on
         the BLAS thread count.
         """
-        values = self.check_field(values)
         plain, mirror = self._radial[order]
         out = plain @ values
         out[:CENTER_HALF] += mirror @ np.roll(values[:CENTER_HALF], self.n_phi // 2, axis=1)
         return out
 
     def boundary_d_rho(self, values: np.ndarray) -> np.ndarray:
-        """First radial derivative on the boundary row only (6-point one-sided)."""
-        w, rows = self.boundary_weights, self.check_field(values)[-EDGE_POINTS:]
+        """First radial derivative on the boundary row only (6-point one-sided);
+        a 1-D radial profile gives its one boundary value."""
+        w, rows = self.boundary_weights, values[-EDGE_POINTS:]
         return sum((c * row for c, row in zip(w[1:], rows[1:])), w[0] * rows[0])
 
     def d_phi(self, values: np.ndarray, order: int = 1) -> np.ndarray:
@@ -131,7 +133,7 @@ class CapGrid:
 
     def d_phi_orders(self, values: np.ndarray, orders) -> list[np.ndarray]:
         """Azimuthal derivatives of several orders from one forward transform."""
-        F = np.fft.rfft(self.check_field(values), axis=1)
+        F = np.fft.rfft(values, axis=1)
         return [np.fft.irfft(F * (self._sym_d1 if order == 1 else self._sym_d2),
                              n=self.n_phi, axis=1) for order in orders]
 
@@ -159,9 +161,17 @@ def surface_gradient(grid: CapGrid, values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _second_form(grid: CapGrid, values: np.ndarray, diag: np.ndarray | None) -> np.ndarray:
-    """Covariant Hessian in a (R, P, 2, 2) tensor, with diag added to its
-    diagonal components before they are written (none when diag is None)."""
+def a_of(grid: CapGrid, values: np.ndarray) -> np.ndarray:
+    """Shape tensor Hess(f) + f * metric; convexity means this is positive.
+
+    The covariant Hessian on the round sphere, in orthonormal components:
+    (rho,rho):  d2f/drho2
+    (rho,phi):  (d2f/drho dphi - cot(rho) df/dphi) / sin(rho)
+    (phi,phi):  d2f/dphi2 / sin2(rho) + cot(rho) df/drho
+    Radial derivatives are 4th-order finite differences (one-sided closures on
+    the boundary row); azimuthal ones are spectral.
+    """
+    values = grid.check_field(values)
     f_r = grid.d_rho(values, 1)
     f_rr = grid.d_rho(values, 2)
     f_p, f_pp = grid.d_phi_orders(values, (1, 2))
@@ -170,33 +180,14 @@ def _second_form(grid: CapGrid, values: np.ndarray, diag: np.ndarray | None) -> 
     cot = grid.cot_rho[:, None]
     f_pp /= sin**2
     f_pp += cot * f_r
-    if diag is not None:
-        f_rr += diag
-        f_pp += diag
+    f_rr += values
+    f_pp += values
     out = np.empty(grid.node_shape + (2, 2))
     out[..., 0, 0] = f_rr
     out[..., 0, 1] = (f_rp - cot * f_p) / sin
     out[..., 1, 0] = out[..., 0, 1]
     out[..., 1, 1] = f_pp
     return out
-
-
-def hessian(grid: CapGrid, values: np.ndarray) -> np.ndarray:
-    """Covariant Hessian on the round sphere, orthonormal components.
-
-    (rho,rho):  d2f/drho2
-    (rho,phi):  (d2f/drho dphi - cot(rho) df/dphi) / sin(rho)
-    (phi,phi):  d2f/dphi2 / sin2(rho) + cot(rho) df/drho
-    Radial derivatives are 4th-order finite differences (one-sided closures on
-    the boundary row); azimuthal ones are spectral.
-    """
-    return _second_form(grid, grid.check_field(values), None)
-
-
-def a_of(grid: CapGrid, values: np.ndarray) -> np.ndarray:
-    """Shape tensor Hess(f) + f * metric; convexity means this is positive."""
-    values = grid.check_field(values)
-    return _second_form(grid, values, values)
 
 
 def tensor_eigenvalues(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

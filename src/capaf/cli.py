@@ -412,7 +412,7 @@ def _spectrum_sweep(args) -> tuple[dict, str]:
     rows = []
     for n in sizes:
         g = build_grid(args.theta, n, n)
-        rep = spectrum(WeightedSpace(g, _spectrum_reference(g, args)), how_many=4)
+        rep = spectrum(WeightedSpace(g, _spectrum_reference(g, args)), how_many=6)
         rows.append([n, g.drho, abs(rep.lambda1 - 1.0)])
     _, h, err = np.array(rows).T
     section = {
@@ -649,10 +649,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG if exc.code else EXIT_OK
     try:
         breach = args.func(args)
-    except ConfigError as exc:
-        print(f"capaf: config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except FileNotFoundError as exc:
+    except (ConfigError, FileNotFoundError) as exc:
         print(f"capaf: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ValueError as exc:

@@ -33,14 +33,7 @@ from scipy.linalg import lapack, subspace_angles
 
 from ._stencil import stencil_pair
 from .capgrid import CapGrid
-from .capfun import (
-    CapillaryBody,
-    CapillaryField,
-    as_field,
-    certify,
-    ell_values,
-    horizontal_linear,
-)
+from .capfun import as_field, certify, ell_values, horizontal_linear
 from .mixedvol import mixed_sequence, mixed_volume, q2
 
 WINDOW = (0.01, 0.99)
@@ -54,10 +47,11 @@ _EIGSH_SEED = 20240811
 class WeightedSpace:
     """Weight and inner product induced by a convex reference field f2.
 
-    The reference must be positive; if it is not, the horizontal-linear part
-    is projected out first (a translation of the body, which changes no mixed
-    volume).  A reference whose shape tensor degenerates anywhere is rejected,
-    since the weight would vanish or flip sign there.  linears holds the node
+    The reference must pass capfun.certify, which rejects a shape tensor that
+    degenerates anywhere, where the weight would vanish or flip sign.  It must
+    also be positive; if it is not, the horizontal-linear part is projected
+    out first (a translation of the body, which changes no mixed volume) and
+    the translated field is certified in turn.  linears holds the node
     values of the horizontal linear functions nu_1 and nu_2, the kernel of
     the operator.
     """
@@ -65,30 +59,18 @@ class WeightedSpace:
     def __init__(self, grid: CapGrid, f2):
         self.grid = grid
         self.linears = tuple(horizontal_linear(grid, d).values for d in ((1, 0), (0, 1)))
-        ref = as_field(grid, f2)
-        if ref.robin_max > ref.robin_gate:
-            raise ValueError(
-                f"reference field violates the contact-angle condition "
-                f"(residual {ref.robin_max:.3e})"
-            )
+        ref = certify(grid, f2)
         self.translation = (0.0, 0.0)
         if np.min(ref.values) <= 0.0:
-            ref = CapillaryField(grid, self._translate_positive(ref.values))
+            ref = certify(grid, self._translate_positive(ref.values))
         self.ref = ref
         self.f2 = ref.values
         self.A2 = ref.tensor
-        min_eig = ref.min_eig
-        if min_eig <= 0.0:
-            raise ValueError(
-                f"degenerate weight: reference shape tensor has eigenvalue "
-                f"{min_eig:.3e}"
-            )
         self.detA2 = (
             self.A2[..., 0, 0] * self.A2[..., 1, 1] - self.A2[..., 0, 1] ** 2
         )
+        # Positive: f2 > 0, a certified tensor and positive quadrature weights.
         self.omega = self.detA2 / (3.0 * self.f2) * grid.quad_weights
-        if np.min(self.omega) <= 0.0:
-            raise ValueError("degenerate weight: non-positive node weights")
 
     def _translate_positive(self, values: np.ndarray) -> np.ndarray:
         g = self.grid
@@ -587,7 +569,7 @@ class AFReport:
 def af_check(space: WeightedSpace, f, f1) -> AFReport:
     """Check V(f,f1,f2)^2 >= V(f,f,f2) V(f1,f1,f2) and diagnose near-equality.
 
-    f only needs the contact-angle condition; f1 must additionally be convex.
+    f only needs the contact-angle condition; f1 must pass capfun.certify.
     Both the mixed-volume quadrature and the weighted bilinear form of the
     operator are evaluated; their disagreement is pure roundoff and is
     reported as form_consistency.
@@ -599,13 +581,7 @@ def af_check(space: WeightedSpace, f, f1) -> AFReport:
             f"free field violates the contact-angle condition "
             f"(residual {S.robin_max:.3e})"
         )
-    if isinstance(f1, CapillaryBody):
-        S1 = as_field(g, f1)
-    else:
-        res = certify(g, f1)
-        if not res.accepted:
-            raise ValueError("f1 must be convex: " + "; ".join(res.reasons))
-        S1 = res.body
+    S1 = certify(g, f1)
 
     # One shape tensor per field: a body's is its own, the reference's the space's.
     v_m = mixed_volume(g, S, (S1, space.ref))

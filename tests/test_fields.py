@@ -75,32 +75,43 @@ def test_horizontal_linear_satisfies_the_contact_condition(theta):
 
 def test_certify_accepts_the_cap_and_rejects_bad_fields():
     g = grid(1.0, 16, 16)
-    ok = capaf.certify(g, capaf.ell_values(g))
-    assert ok.accepted and ok.body is not None
+    ok = capaf.certify(g, capaf.ell_values(g), {"kind": "test"})
+    assert isinstance(ok, capaf.CapillaryBody)
+    assert ok.provenance == {"kind": "test"}
+    # a body on the grid passes through as it is
+    assert capaf.certify(g, ok) is ok
 
-    bad_robin = capaf.certify(g, np.ones(g.node_shape))
-    assert not bad_robin.accepted
-    assert any("robin" in r for r in bad_robin.reasons)
+    with pytest.raises(ValueError, match="certification failed: robin residual"):
+        capaf.certify(g, np.ones(g.node_shape))
 
     # strong m=2 ripple drives the smallest shape-tensor eigenvalue negative
     rho = g.rho_nodes[:, None]
     ripple = np.sin(rho) ** 2 * np.cos(2 * g.phi_nodes)[None, :]
     values = capaf.enforce_contact_angle(
         g, capaf.ell_values(g) * (1.0 + 2.5 * ripple))
-    bad_convex = capaf.certify(g, values)
-    assert not bad_convex.accepted
-    assert any("eigenvalue" in r for r in bad_convex.reasons)
+    with pytest.raises(ValueError, match="certification failed: min shape-tensor eigenvalue"):
+        capaf.certify(g, values)
+
+    # a field failing both gates is told both
+    with pytest.raises(ValueError, match="robin residual .*; min shape-tensor eigenvalue"):
+        capaf.certify(g, -np.ones(g.node_shape))
+
+
+def test_certify_rewraps_a_body_from_another_grid():
+    g, h = grid(1.0, 16, 16), capaf.build_grid(1.0, 16, 16)
+    body = capaf.ell(g)
+    again = capaf.certify(h, body)
+    assert again is not body and again.grid is h
+    assert again.values.tobytes() == body.values.tobytes()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_certify_rejects_non_finite_fields_without_raising(bad):
+def test_certify_rejects_non_finite_fields(bad):
     g = grid(1.0, 16, 16)
     values = capaf.ell_values(g)
     values[4, 2] = bad
-    res = capaf.certify(g, values)
-    assert not res.accepted and res.body is None
-    assert any("non-finite" in r for r in res.reasons)
-    assert np.isnan(res.min_eig)
+    with pytest.raises(ValueError, match="non-finite"):
+        capaf.certify(g, values)
 
 
 def test_load_body_rejects_a_non_finite_value(tmp_path):
@@ -127,6 +138,30 @@ def test_enforce_contact_angle_cancels_the_discrete_defect(theta):
     # the correction is of the size of the defect it removes
     defect = float(np.max(np.abs(capaf.robin_residual(g, raw))))
     assert float(np.max(np.abs(fixed - raw))) < 3.0 * defect
+
+
+@pytest.mark.parametrize("theta", [0.05, 3.0])
+@pytest.mark.parametrize("shape", [(16, 30), (24, 18), (50, 90), (32, 250)])
+def test_enforce_contact_angle_matches_the_probe_form(theta, shape):
+    # Each parity's scale is the radial profile's own boundary defect; it
+    # equals, bit for bit, the defect of the full-grid probe
+    # prof * cos(parity * phi) read at its largest node.
+    g = capaf.build_grid(theta, *shape)
+    f = capaf.ell_values(g) + 0.2 * np.sin(g.rho_nodes)[:, None] ** 3 * np.cos(
+        3 * g.phi_nodes)[None, :] + 0.1 * np.sin(g.rho_nodes)[:, None] * np.sin(
+        g.phi_nodes)[None, :]
+    values = f.copy()
+    x = g.rho_nodes / g.theta
+    spec = np.fft.rfft(capaf.robin_residual(g, values))
+    k = np.arange(spec.size)
+    for parity, prof in ((0, x**4), (1, x**5)):
+        part = np.fft.irfft(np.where(k % 2 == parity, spec, 0.0), g.n_phi)
+        probe = prof[:, None] * np.cos(parity * g.phi_nodes)[None, :]
+        pres = capaf.robin_residual(g, probe)
+        j = int(np.argmax(np.abs(pres)))
+        scale = pres[j] / np.cos(parity * g.phi_nodes[j])
+        values -= np.outer(prof / scale, part)
+    assert capaf.enforce_contact_angle(g, f).tobytes() == values.tobytes()
 
 
 def test_enforce_contact_angle_is_idempotent_at_roundoff():

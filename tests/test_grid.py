@@ -52,6 +52,23 @@ def test_check_field_rejects_non_finite_values(bad):
         g.check_field(values)
 
 
+def test_a_of_checks_its_field_once(monkeypatch):
+    # a_of validates where the field enters; the derivative engines it calls
+    # do not scan it again.
+    g = grid(1.2, 16, 16)
+    values = capaf.ell_values(g)
+    real = capaf.CapGrid.check_field
+    calls = []
+
+    def counting(self, v):
+        calls.append(1)
+        return real(self, v)
+
+    monkeypatch.setattr(capaf.CapGrid, "check_field", counting)
+    capaf.a_of(g, values)
+    assert len(calls) == 1
+
+
 def test_a_of_is_byte_identical_across_blas_thread_counts():
     # Radial derivatives are sparse stencil products, so the shape tensor must
     # not depend on how many threads the BLAS library uses.

@@ -88,7 +88,7 @@ def test_shape_tensors_are_computed_once_per_field(monkeypatch):
     assert len(calls) == 1
     calls.clear()
     # A field on the grid that holds its tensor keeps it when certified.
-    assert capaf.certify(g, shaped).body.tensor is shaped.tensor
+    assert capaf.certify(g, shaped).tensor is shaped.tensor
     capaf.af_check(space, f, shaped)
     assert len(calls) == 0
 

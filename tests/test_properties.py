@@ -4,6 +4,7 @@ import json
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import capaf
@@ -24,19 +25,22 @@ def _refuse(constant):
 @given(theta=THETAS, grid=GRIDS, seed=SEEDS,
        bad=st.sampled_from([math.nan, math.inf, -math.inf]),
        where=st.tuples(*[st.floats(0, 1, exclude_max=True)] * 2))
-def test_certify_never_raises_and_rejects_non_finite_fields(theta, grid, seed, bad, where):
+def test_certify_returns_a_body_or_raises_value_error(theta, grid, seed, bad, where):
     g = capaf.build_grid(theta, *grid)
     rng = np.random.default_rng(seed)
     fields = [capaf.random_capillary_field(g, seed).values,
               capaf.ell_values(g) + rng.normal(0.0, rng.uniform(0.0, 2.0), g.node_shape)]
     for values in fields:
-        res = capaf.certify(g, values)
-        assert res.accepted == (res.body is not None)
+        try:
+            body = capaf.certify(g, values)
+        except ValueError as exc:
+            assert str(exc).startswith("certification failed: ")
+        else:
+            assert isinstance(body, capaf.CapillaryBody)
         j, k = (int(w * n) for w, n in zip(where, g.node_shape))
         values[j, k] = bad
-        res = capaf.certify(g, values)
-        assert not res.accepted and res.body is None
-        assert any("non-finite" in r for r in res.reasons)
+        with pytest.raises(ValueError, match="non-finite"):
+            capaf.certify(g, values)
 
 
 @settings(max_examples=8, **SETTINGS)

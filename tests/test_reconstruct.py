@@ -36,21 +36,21 @@ def test_embedding_is_homogeneous_and_translates():
     b = capaf.random_body(g, 5)
     p = capaf.embed(g, b)
 
-    scaled = capaf.certify(g, 1.7 * b.values).body
+    scaled = capaf.certify(g, 1.7 * b.values)
     ps = capaf.embed(g, scaled)
     assert float(np.max(np.abs(ps.positions - 1.7 * p.positions))) < 1e-12
 
     # embedding is linear in h: growing by t unit caps adds t X(ell) up to
     # roundoff
     t = 0.7
-    grown = capaf.certify(g, b.values + t * capaf.ell_values(g)).body
+    grown = capaf.certify(g, b.values + t * capaf.ell_values(g))
     pg = capaf.embed(g, grown)
     unit = capaf.embed(g, capaf.ell(g))
     assert float(np.max(np.abs(pg.positions - p.positions - t * unit.positions))) < 1e-12
 
     # the discrete gradient of the added linear carries truncation error
     lin = capaf.horizontal_linear(g, (0.3, -0.2)).values
-    pt = capaf.embed(g, capaf.certify(g, b.values + lin).body)
+    pt = capaf.embed(g, capaf.certify(g, b.values + lin))
     shift = pt.positions - p.positions
     assert float(np.max(np.abs(shift[..., 0] - 0.3))) < 1e-6
     assert float(np.max(np.abs(shift[..., 1] + 0.2))) < 1e-6

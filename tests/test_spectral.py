@@ -29,8 +29,16 @@ def test_weighted_space_reuses_the_reference_body_tensor():
 
 def test_weighted_space_rejects_a_bad_reference():
     g = grid(1.2, 24, 24)
-    with pytest.raises(ValueError, match="reference field violates"):
+    with pytest.raises(ValueError, match="robin residual"):
         capaf.WeightedSpace(g, np.ones(g.node_shape))
+    # admissible but not convex: a strong m=2 ripple
+    rho = g.rho_nodes[:, None]
+    ripple = np.sin(rho) ** 2 * np.cos(2 * g.phi_nodes)[None, :]
+    values = capaf.enforce_contact_angle(
+        g, capaf.ell_values(g) * (1.0 + 2.5 * ripple))
+    assert capaf.CapillaryField(g, values).robin_max < 1e-9
+    with pytest.raises(ValueError, match="eigenvalue"):
+        capaf.WeightedSpace(g, values)
 
 
 def test_weighted_space_rejects_a_non_finite_reference():
@@ -49,11 +57,11 @@ def test_reference_translation_is_projected_out():
     osc = np.cos(np.pi * rho / g.theta) - np.cos(3.0 * np.pi * rho / g.theta)
     u = 0.004 * np.sin(rho) ** 2 * osc * np.cos(2.0 * g.phi_nodes)[None, :]
     raw = capaf.enforce_contact_angle(g, capaf.ell_values(g) * (1.0 + u))
-    body = capaf.certify(g, raw).body
+    body = capaf.certify(g, raw)
     # the shifted reference dips negative; the linear part carries no shape
     # information and is removed before the weight is formed
     shifted = capaf.certify(
-        g, body.values + capaf.horizontal_linear(g, (5.0, -4.0)).values).body
+        g, body.values + capaf.horizontal_linear(g, (5.0, -4.0)).values)
     sp0 = capaf.WeightedSpace(g, body)
     sp1 = capaf.WeightedSpace(g, shifted)
     np.testing.assert_allclose(sp1.omega, sp0.omega, rtol=1e-9)
@@ -150,7 +158,7 @@ def test_af_check_input_gates():
     f1 = capaf.random_body(g, 10)
     with pytest.raises(ValueError, match="free field violates"):
         capaf.af_check(sp, np.ones(g.node_shape), f1)
-    with pytest.raises(ValueError, match="f1 must be convex"):
+    with pytest.raises(ValueError, match="certification failed: robin residual"):
         capaf.af_check(sp, f1.values, np.ones(g.node_shape))
 
 
@@ -341,7 +349,7 @@ def test_af_chain_on_caps_has_zero_slack():
 def test_af_chain_on_a_scaled_cap_is_equality_at_roundoff():
     g = grid(1.2, 24, 24)
     cap = capaf.ell(g)
-    scaled = capaf.certify(g, 1.5 * capaf.ell_values(g)).body
+    scaled = capaf.certify(g, 1.5 * capaf.ell_values(g))
     rep = capaf.af_chain_check(g, scaled, cap)
     assert abs(rep.min_relative_slack) < 1e-12
 
