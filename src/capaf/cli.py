@@ -73,11 +73,12 @@ ANCHOR_RHO = 128
 # The equality-family gap floor shrinks with the fourth power of the spacing
 # and clears 1e-8 only around 256 radial nodes, so its budget is anchored there.
 AF_ANCHOR_RHO = 256
-# Largest eigenpair residual a spectrum may report.  The sparse factor used
-# for references that are not rotationally invariant pivots on the diagonal
-# without a numerical pivot search, and this gate is what would catch a
-# factor spoiled by a tiny pivot.  Sound solves measure 4.1e-12 (cap, 64x64)
-# to 3.2e-11 (cap at 128x128); the random reference at 96x96 measures 1.9e-11.
+# Largest eigenpair residual a spectrum may report.  The block eigensolver
+# for references that are not rotationally invariant iterates until every
+# residual is below 1e-9 and raises if it never gets there; this gate catches
+# an iteration that stopped short of that, should its stopping rule be
+# loosened or broken.  The cap's shift-invert solves measure 4.1e-12 (64x64)
+# to 3.2e-11 (128x128); random references stop between 1e-10 and 1e-9.
 SPECTRUM_RESIDUAL_GATE = 1e-8
 
 
@@ -455,7 +456,7 @@ def cmd_spectrum(args) -> bool:
         (out / "spectrum_sweep.csv").write_text(sweep_csv, encoding="utf-8")
     emit(args, "spectrum_report", payload,
          csv_table(["index", "eigenvalue", "residual"], rows),
-         meta={"shift_invert": rep.shift_invert, "factor_nnz": rep.factor_nnz,
+         meta={"solver": rep.solver, "factor_nnz": rep.factor_nnz,
                "lanczos_solves": rep.n_solves})
     return breach
 

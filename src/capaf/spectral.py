@@ -12,12 +12,13 @@ rest nonpositive.  This module builds the weight, assembles the operator as a
 sparse symmetric weak form (the contact-angle condition enters as a natural
 boundary term) and restricts it to the fields whose boundary row obeys that
 condition, through the grid's own boundary stencil: the result is the
-Pencil (A, M) on that trial space.  It then solves for the eigenvalues
-nearest 1/2 by shift-invert Lanczos and packages the inequality checks that
-follow from it.  The shifted pencil is inverted exactly either way: by one
-banded solve per azimuthal Fourier mode when the reference is rotationally
-invariant (then the pencil is block-circulant in phi), and by a sparse factor
-otherwise.
+Pencil (A, M) on that trial space.  It then solves for the top eigenpairs
+and packages the inequality checks that follow from it.  A rotationally
+invariant reference makes the pencil block-circulant in phi, so shift-invert
+Lanczos at 1/2 inverts A - M/2 exactly, by one banded solve per azimuthal
+Fourier mode.  Any other reference gets a block LOBPCG preconditioned by the
+ring average of 1.5 M - A, inverted the same way, one mode at a time; no
+sparse factor is formed.
 """
 
 from __future__ import annotations
@@ -40,8 +41,15 @@ WINDOW = (0.01, 0.99)
 # lambda1 counts as simple when the next eigenvalue lies at least this far
 # below it; the paper's dichotomy puts the next one at 0 or below.
 LAMBDA1_GAP = 0.9
-# Fixed Lanczos start vector seed: reports must not depend on entropy.
+# Fixed seed of the Lanczos start vector and of the block eigensolver's start
+# block: reports must not depend on entropy.
 _EIGSH_SEED = 20240811
+# The block eigensolver stops once every wanted residual is below _BLOCK_TOL,
+# and fails after _BLOCK_MAX_ITER iterations; SVQB drops a direction whose
+# scaled Gram eigenvalue is below _SVQB_DROP of the largest.
+_BLOCK_TOL = 1e-9
+_BLOCK_MAX_ITER = 300
+_SVQB_DROP = 1e-12
 
 
 class WeightedSpace:
@@ -294,7 +302,7 @@ def assemble_operator(space: WeightedSpace) -> Pencil:
 
 @dataclass
 class SpectrumReport:
-    """Eigenvalues nearest 1/2, largest first, with the structural classification."""
+    """The solved eigenvalues, largest first, with the structural classification."""
 
     eigenvalues: list[float]
     residuals: list[float]
@@ -309,15 +317,15 @@ class SpectrumReport:
     window_note: str
     asymmetry: float
     n_unknowns: int
-    # Solver statistics for the run's sidecar, not part of the report:
-    # which inverse of the shifted pencil ran ("azimuthal_modes" or
-    # "sparse_factor") and how many entries it stores.
-    shift_invert: str
+    # Solver statistics for the run's sidecar, not part of the report: which
+    # solver ran ("azimuthal_modes" or "block_lobpcg"), how many entries its
+    # band factors store, and how many right-hand sides it solved with them.
+    solver: str
     factor_nnz: int
     n_solves: int
 
     def to_dict(self) -> dict:
-        sidecar = ("shift_invert", "factor_nnz", "n_solves")
+        sidecar = ("solver", "factor_nnz", "n_solves")
         return {k: v for k, v in asdict(self).items() if k not in sidecar}
 
 
@@ -333,20 +341,6 @@ def _kernel_cosine(space: WeightedSpace, vectors: np.ndarray) -> float | None:
     root_w = np.sqrt(space.omega.reshape(-1))[:, None]
     angles = subspace_angles(root_w * vectors, root_w * lins)
     return float(np.cos(np.max(angles)))
-
-
-def _sparse_factor_solver(K: sp.spmatrix):
-    """Solve with K through one sparse factor.
-
-    Returns the solve and the number of entries of L + U.
-
-    K is factored in SuperLU's minimum-degree order on K + K^T with symmetric
-    diagonal pivots.  Diagonal pivoting does no numerical pivot search, so the
-    eigenpair residuals are the check that the factor held.
-    """
-    lu = spla.splu(K, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                   options={"SymmetricMode": True})
-    return lu.solve, int(lu.nnz)
 
 
 def _azimuthal_mode_solver(K: sp.spmatrix, node_shape: tuple[int, int]):
@@ -398,31 +392,120 @@ def _azimuthal_mode_solver(K: sp.spmatrix, node_shape: tuple[int, int]):
         factors.append((lu, piv))
 
     def solve(x):
-        coeffs = np.fft.rfft(x.reshape(n_rho, n_phi), axis=1).T.copy()
+        # x is one vector or a block of them, one per column; each mode takes
+        # the whole block in one banded solve.
+        lattice = x.reshape(n_rho, n_phi, *x.shape[1:])
+        coeffs = np.fft.rfft(lattice, axis=1).swapaxes(0, 1).copy()
         for m, (lu, piv) in enumerate(factors):
             coeffs[m], info = lapack.zgbtrs(lu, bw, bw, coeffs[m], piv)
             if info != 0:
                 raise RuntimeError(f"banded solve of azimuthal mode {m} failed "
                                    f"(zgbtrs info {info})")
-        return np.fft.irfft(coeffs.T, n=n_phi, axis=1).reshape(-1)
+        return np.fft.irfft(coeffs.swapaxes(0, 1), n=n_phi, axis=1).reshape(x.shape)
 
     return solve, int(sum(lu.size for lu, _ in factors))
 
 
+def _svqb(S: np.ndarray, MS: np.ndarray) -> np.ndarray:
+    """Coefficients C that make the columns of S @ C M-orthonormal (SVQB).
+
+    MS is M @ S.  The Gram matrix is scaled to a unit diagonal before its
+    eigh, so columns of very different length weigh alike, and directions
+    whose scaled eigenvalue falls below _SVQB_DROP of the largest are
+    dropped as dependent: C may have fewer columns than S.
+    """
+    G = S.T @ MS
+    G = 0.5 * (G + G.T)
+    d = np.sqrt(np.diag(G))
+    d[d == 0.0] = 1.0
+    vals, vecs = np.linalg.eigh(G / np.outer(d, d))
+    keep = vals > _SVQB_DROP * max(vals[-1], 0.0)
+    return vecs[:, keep] / (d[:, None] * np.sqrt(vals[keep]))
+
+
+def _block_eigensolver(A, M, k: int, precondition):
+    """The top k eigenpairs of A u = lambda M u, by block LOBPCG.
+
+    Knyazev's locally optimal block preconditioned conjugate gradient
+    (SIAM J. Sci. Comput. 23(2), 2001) on a block of k + 2 columns seeded
+    from _EIGSH_SEED.  Each iteration applies precondition to the residual
+    block, giving W, and runs Rayleigh-Ritz on X, W and P, where P spans the
+    new X's step away from the old X.  W is M-projected off X and P and made
+    M-orthonormal by SVQB; X and P come out of the Rayleigh-Ritz basis by
+    orthonormal coefficients, P taken orthogonal to the new X in that small
+    space.  So the whole basis stays M-orthonormal and Rayleigh-Ritz is a
+    plain eigh.  Every reduction over the unknowns is a gemm X.T @ Y, a numpy
+    sum or a sparse product, never a BLAS dot, so the result keeps its bytes
+    under any BLAS thread count (tests check 96x96 and 128x128).
+
+    Stops once each of the k wanted pairs has a residual below _BLOCK_TOL,
+    in the norm spectrum reports, from fresh products with A and M; raises
+    RuntimeError after _BLOCK_MAX_ITER iterations.  Returns the eigenvalues,
+    largest first, the M-orthonormal eigenvectors as columns, and their
+    residuals.
+    """
+    N = A.shape[0]
+    b = min(k + 2, N)
+    mdiag = M.diagonal()[:, None]
+    X = np.random.default_rng(_EIGSH_SEED).standard_normal((N, b))
+    S = X @ _svqb(X, M @ X)
+    AS = A @ S
+    for iteration in range(_BLOCK_MAX_ITER + 1):
+        # S holds X, P and W in that order (only X at first), M-orthonormal.
+        H = S.T @ AS
+        lam, V = np.linalg.eigh(0.5 * (H + H.T))
+        lam, Y = lam[::-1][:b], V[:, ::-1][:, :b]
+        step = Y[:, :0]
+        if iteration:
+            # P: the new X's step off the old X, orthogonal to the new X.
+            step = Y.copy()
+            step[:b] = 0.0
+            step = step - Y @ (Y.T @ step)
+            step = step @ _svqb(step, step)
+        XP = S @ np.hstack([Y, step])
+        X = XP[:, :b]
+        AX, MX = A @ X, M @ X
+        R = AX - MX * lam
+        # spectrum's residual norm, from fresh products, in numpy sums
+        res = (np.sqrt(np.sum(R * R / mdiag, axis=0))
+               / np.maximum(np.sqrt(np.sum(X * MX, axis=0)), 1e-300))
+        if np.all(res[:k] < _BLOCK_TOL):
+            return lam[:k], X[:, :k], res[:k]
+        if iteration == _BLOCK_MAX_ITER:
+            break
+        # W off [X, P], then M-orthonormal.  Two classical passes: one leaves
+        # roundoff of the size of the part it removed, and with one the
+        # iteration failed to converge at theta 3.0 on 24x24.
+        W, MXP = precondition(R), M @ XP
+        for _ in range(2):
+            W = W - XP @ (MXP.T @ W)
+        W = W @ _svqb(W, M @ W)
+        S = np.hstack([XP, W])
+        AS = np.hstack([AX, AS @ step, A @ W])
+    raise RuntimeError(
+        f"block eigensolver did not converge in {_BLOCK_MAX_ITER} iterations "
+        f"(worst residual {np.max(res[:k]):.3e}, tolerance {_BLOCK_TOL:.0e})")
+
+
 def spectrum(space: WeightedSpace, how_many: int = 8) -> SpectrumReport:
-    """Solve for the eigenpairs nearest 1/2 and classify them.
+    """Solve for k eigenpairs of the pencil and classify them.
 
     The pencil of :func:`assemble_operator`, already restricted to the
-    contact-condition trial space, is solved by shift-invert Lanczos at
-    sigma=1/2, which returns the k eigenvalues nearest the centre of the
-    window (0.01, 0.99); the window verdict needs no other eigenvalue.  k is
-    how_many, but at least 6, which the window argument needs.  Every Lanczos
-    step solves with the shifted matrix K = A - M/2, set up once.  For a
-    rotationally invariant reference (constant along every ring) K is
-    block-circulant in phi and is inverted exactly by one banded solve per
-    azimuthal mode; any other reference gets a sparse factor in minimum-degree
-    order with symmetric diagonal pivots, whose eigenpair residuals are the
-    check that it held.
+    contact-condition trial space, is solved for k eigenpairs, where k is
+    how_many but at least 6, which the kernel and window verdicts need.  The
+    solver depends on whether the reference is rotationally invariant
+    (constant along every ring, bit for bit):
+
+    - an invariant reference makes the shifted pencil K = A - M/2
+      block-circulant in phi, so shift-invert Lanczos at sigma = 1/2 inverts
+      it exactly by one banded solve per azimuthal mode, and returns the k
+      eigenvalues nearest 1/2;
+    - any other reference gets the block eigensolver, which returns the top
+      k, preconditioned by the ring-averaged (1.5 M - A), inverted one
+      azimuthal mode at a time.
+
+    The two sets agree when no eigenvalue lies above 1 or inside the window.
+    The eigenpair residuals are reported either way.
     """
     if how_many < 1:
         raise ValueError(f"how_many must be at least 1, got {how_many}")
@@ -431,48 +514,54 @@ def spectrum(space: WeightedSpace, how_many: int = 8) -> SpectrumReport:
     A_red, M_red = pencil.A, pencil.M
     N = A_red.shape[0]
     k = int(min(max(how_many, 6), N - 2))
-
-    K = (A_red - 0.5 * M_red).tocsc()
-    # A reference constant along every ring, bit for bit, makes K
-    # block-circulant in phi.
-    if np.all(space.f2 == space.f2[:, :1]):
-        shift_invert = "azimuthal_modes"
-        inverse, factor_nnz = _azimuthal_mode_solver(
-            K, (g.node_shape[0] - 1, g.node_shape[1]))
-    else:
-        shift_invert = "sparse_factor"
-        inverse, factor_nnz = _sparse_factor_solver(K)
+    # A reference constant along every ring, bit for bit, makes the pencil
+    # block-circulant in phi: the per-mode solve then inverts A - M/2
+    # exactly.  Otherwise it inverts the ring average of 1.5 M - A (positive
+    # definite while every eigenvalue lies below 1.5, as the mode matrices are
+    # diagonal blocks of its unitary transform) as the block preconditioner.
+    invariant = bool(np.all(space.f2 == space.f2[:, :1]))
+    K = A_red - 0.5 * M_red if invariant else 1.5 * M_red - A_red
+    inverse, factor_nnz = _azimuthal_mode_solver(
+        K.tocsc(), (g.node_shape[0] - 1, g.node_shape[1]))
     n_solves = 0
 
     def solve(x):
         nonlocal n_solves
-        n_solves += 1
+        n_solves += x.size // N
         return inverse(x)
 
-    OPinv = spla.LinearOperator((N, N), matvec=solve, dtype=float)
-    rng = np.random.default_rng(_EIGSH_SEED)
-    v0 = rng.standard_normal(N)
-    vals, vecs = spla.eigsh(A_red, k=k, M=M_red, sigma=0.5, which="LM", v0=v0,
-                            OPinv=OPinv)
-    order = np.argsort(vals)[::-1]
-    top_vals = vals[order]
-    top_vecs = vecs[:, order]
+    if invariant:
+        solver = "azimuthal_modes"
+        OPinv = spla.LinearOperator((N, N), matvec=solve, dtype=float)
+        rng = np.random.default_rng(_EIGSH_SEED)
+        v0 = rng.standard_normal(N)
+        vals, vecs = spla.eigsh(A_red, k=k, M=M_red, sigma=0.5, which="LM",
+                                v0=v0, OPinv=OPinv)
+        order = np.argsort(vals)[::-1]
+        top_vals = vals[order]
+        top_vecs = vecs[:, order]
+        # The block solver's residual norm, pair by pair, with |y|_M a BLAS dot.
+        mdiag = M_red.diagonal()
+        residuals = []
+        for i in range(top_vecs.shape[1]):
+            y = top_vecs[:, i]
+            r = A_red @ y - top_vals[i] * (M_red @ y)
+            residuals.append(
+                float(np.sqrt(np.sum(r * r / mdiag)))
+                / max(float(np.sqrt(y @ (M_red @ y))), 1e-300)
+            )
+    else:
+        solver = "block_lobpcg"
+        top_vals, top_vecs, residuals = _block_eigensolver(A_red, M_red, k, solve)
     inside = np.nonzero((top_vals > WINDOW[0]) & (top_vals < WINDOW[1]))[0]
-    # The returned values are the k nearest 1/2.  If none lies inside the
-    # window, each is at least 0.49 from 1/2, and every unreturned eigenvalue
-    # is farther still, so the whole spectrum avoids (0.01, 0.99).
+    # Shift-invert returns the k eigenvalues nearest 1/2: if none lies inside
+    # the window, each is at least 0.49 from 1/2, and every unreturned one is
+    # farther still.  The block solver returns the top k, so every unreturned
+    # eigenvalue lies at or below the last one, and cli gates that one at or
+    # below -kernel_threshold.  Either way no unreturned eigenvalue can lie in
+    # (0.01, 0.99).
     window_empty = bool(inside.size == 0)
     window_note = "" if window_empty else f"{inside.size} eigenvalues inside {WINDOW}"
-
-    mdiag = M_red.diagonal()
-    residuals = []
-    for i in range(top_vecs.shape[1]):
-        y = top_vecs[:, i]
-        r = A_red @ y - top_vals[i] * (M_red @ y)
-        residuals.append(
-            float(np.sqrt(np.sum(r * r / mdiag)))
-            / max(float(np.sqrt(y @ (M_red @ y))), 1e-300)
-        )
 
     lambda1 = float(top_vals[0])
     lambda1_gap = float(top_vals[0] - top_vals[1]) if len(top_vals) > 1 else math.inf
@@ -494,7 +583,7 @@ def spectrum(space: WeightedSpace, how_many: int = 8) -> SpectrumReport:
 
     return SpectrumReport(
         eigenvalues=[float(v) for v in top_vals],
-        residuals=residuals,
+        residuals=[float(r) for r in residuals],
         lambda1=lambda1,
         lambda1_gap=lambda1_gap,
         lambda1_simple=bool(lambda1_gap >= LAMBDA1_GAP),
@@ -506,7 +595,7 @@ def spectrum(space: WeightedSpace, how_many: int = 8) -> SpectrumReport:
         window_note=window_note,
         asymmetry=pencil.asymmetry,
         n_unknowns=N,
-        shift_invert=shift_invert,
+        solver=solver,
         factor_nnz=factor_nnz,
         n_solves=n_solves,
     )

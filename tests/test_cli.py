@@ -213,18 +213,30 @@ def test_timestamps_live_only_in_the_sidecar(tmp_path):
 
 
 def test_spectrum_solver_statistics_live_only_in_the_sidecar(tmp_path):
-    for reference, shift_invert in [("cap", "azimuthal_modes"),
-                                    ("random", "sparse_factor")]:
+    for reference, solver in [("cap", "azimuthal_modes"),
+                              ("random", "block_lobpcg")]:
         out = tmp_path / reference
         assert run(["spectrum", "--theta", "1.5", "--grid", "16x16",
                     "--reference", reference, "--out", out]) == 0
         body = (out / "spectrum_report.json").read_text()
-        for key in ("shift_invert", "factor_nnz", "n_solves", "lanczos_solves"):
+        for key in ("solver", "factor_nnz", "n_solves", "lanczos_solves"):
             assert key not in body
         meta = read_report(out, "spectrum_report.meta.json")
-        assert meta["shift_invert"] == shift_invert
-        assert meta["factor_nnz"] > 0
+        assert meta["solver"] == solver
+        assert "shift_invert" not in meta
+        # a 13-row band of the 16 trial rings per azimuthal mode 0..8
+        assert meta["factor_nnz"] == 9 * 13 * 16
         assert meta["lanczos_solves"] > 0
+
+
+def test_an_unconverged_eigensolve_exits_four(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(capaf.spectral, "_BLOCK_MAX_ITER", 1)
+    assert run(["spectrum", "--theta", "2.2", "--grid", "16x16",
+                "--reference", "random", "--out", tmp_path]) == cli.EXIT_NUMERIC == 4
+    err = capsys.readouterr().err
+    assert "numerical failure: block eigensolver did not converge in 1 iterations" in err
+    assert "worst residual" in err
+    assert not (tmp_path / "spectrum_report.json").exists()
 
 
 def test_a_large_spectrum_residual_is_a_breach(tmp_path, monkeypatch):

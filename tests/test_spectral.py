@@ -284,15 +284,44 @@ def _shifted_pencil(space):
     return (pencil.A - 0.5 * pencil.M).tocsc(), (R - 1, P)
 
 
-def test_sparse_factor_solve_matches_the_default_factor():
-    g = grid(2.2, 48, 64)
-    space = capaf.WeightedSpace(g, capaf.random_body(g, 1, amplitude=0.2, mode_cap=2))
-    K, _ = _shifted_pencil(space)
-    solve, stored = capaf.spectral._sparse_factor_solver(K)
-    x = np.random.default_rng(5).standard_normal(K.shape[0])
-    expected = scipy.sparse.linalg.splu(K).solve(x)
-    assert np.linalg.norm(solve(x) - expected) <= 1e-12 * np.linalg.norm(expected)
-    assert stored > K.nnz
+def _translated_cap(g):
+    return capaf.ell(g).values + 0.05 * capaf.horizontal_linear(g, (1, 0)).values
+
+
+@pytest.mark.parametrize("reference", ["random", "translated"])
+@pytest.mark.parametrize("theta", [0.3, 2.2, 3.0])
+@pytest.mark.parametrize("n", [16, 24])
+def test_block_eigensolver_matches_the_dense_pencil(reference, theta, n):
+    # References that are not rotationally invariant take the block solver.
+    g = grid(theta, n, n)
+    if reference == "random":
+        ref = capaf.random_body(g, 40, amplitude=0.2)
+    else:
+        ref = _translated_cap(g)
+    space = capaf.WeightedSpace(g, ref)
+    rep = capaf.spectrum(space, how_many=8)
+    assert rep.solver == "block_lobpcg"
+    dense = _dense_pencil_eigenvalues(space)
+    np.testing.assert_allclose(rep.eigenvalues, dense[:8], rtol=0, atol=1e-9)
+    assert max(rep.residuals) < 1e-8
+    # one preconditioned block of k + 2 columns per iteration
+    assert rep.n_solves > 0 and rep.n_solves % 10 == 0
+
+
+def test_azimuthal_mode_block_solve_equals_its_column_solves():
+    # The block solver preconditions k + 2 columns in one call; each column
+    # must get the bytes that solving it alone gives.
+    g = grid(2.2, 24, 32)
+    space = capaf.WeightedSpace(g, capaf.random_body(g, 40, amplitude=0.2))
+    pencil = capaf.assemble_operator(space)
+    R, P = g.node_shape
+    solve, _ = capaf.spectral._azimuthal_mode_solver(
+        (1.5 * pencil.M - pencil.A).tocsc(), (R - 1, P))
+    X = np.random.default_rng(5).standard_normal((pencil.A.shape[0], 10))
+    block = solve(X)
+    assert block.shape == X.shape
+    for j in range(X.shape[1]):
+        assert np.array_equal(block[:, j], solve(X[:, j].copy()))
 
 
 @pytest.mark.parametrize("n_rho, n_phi", [(48, 64), (128, 128)])
@@ -318,16 +347,16 @@ def test_a_singular_azimuthal_mode_raises():
 def test_only_a_rotationally_invariant_reference_takes_the_mode_solve():
     g = grid(1.2, 24, 24)
     cap = capaf.ell(g)
-    translated = cap.values + 0.05 * capaf.horizontal_linear(g, (1, 0)).values
+    translated = _translated_cap(g)
     cases = [
         (cap.values, "azimuthal_modes"),
-        (capaf.random_body(g, 40, amplitude=0.2).values, "sparse_factor"),
-        (translated, "sparse_factor"),
+        (capaf.random_body(g, 40, amplitude=0.2).values, "block_lobpcg"),
+        (translated, "block_lobpcg"),
     ]
-    for ref, shift_invert in cases:
+    for ref, solver in cases:
         space = capaf.WeightedSpace(g, ref)
         assert space.translation == (0.0, 0.0)
-        assert capaf.spectrum(space, how_many=6).shift_invert == shift_invert
+        assert capaf.spectrum(space, how_many=6).solver == solver
 
 
 def test_spectrum_report_serializes_to_json():
