@@ -77,8 +77,9 @@ AF_ANCHOR_RHO = 256
 # for references that are not rotationally invariant iterates until every
 # residual is below 1e-9 and raises if it never gets there; this gate catches
 # an iteration that stopped short of that, should its stopping rule be
-# loosened or broken.  The cap's shift-invert solves measure 4.1e-12 (64x64)
-# to 3.2e-11 (128x128); random references stop between 1e-10 and 1e-9.
+# loosened or broken.  The cap's shift-invert solves measure 2.2e-12 to
+# 3.9e-12 at 64x64 and 1.3e-11 to 3.2e-11 at 128x128 (theta 0.3 to 3.0);
+# random references stop between 1e-10 and 1e-9.
 SPECTRUM_RESIDUAL_GATE = 1e-8
 
 
@@ -125,6 +126,21 @@ def parse_grid(text: str) -> tuple[int, int]:
     except ValueError as exc:
         raise ConfigError(f"grid must hold two integers, got {text!r}") from exc
     return n_rho, n_phi
+
+
+def finite_float(text: str) -> float:
+    """argparse type for real options: nan or inf is a usage error before any work."""
+    x = float(text)
+    if not math.isfinite(x):
+        raise ConfigError(f"must be a finite number, got {text!r}")
+    return x
+
+
+def finite_floats(text: str) -> str:
+    """argparse type for a comma list of finite reals; keeps the text as given."""
+    for part in text.split(","):
+        finite_float(part)
+    return text
 
 
 def positive_int(text: str) -> int:
@@ -430,9 +446,9 @@ def cmd_spectrum(args) -> bool:
                    how_many=args.how_many)
     breach = abs(rep.lambda1 - 1.0) > tol.lambda1 or not rep.lambda1_simple
     breach = breach or len(rep.kernel_indices) != 2
-    # The returned eigenvalues are the k nearest 1/2.  Only when the smallest
-    # lies below the kernel band could no unreturned one fall inside it, so
-    # only then is the kernel count a count of the whole spectrum.
+    # The returned eigenvalues are the top k.  Only when the smallest lies
+    # below the kernel band could no unreturned one fall inside it, so only
+    # then is the kernel count a count of the whole spectrum.
     breach = breach or rep.eigenvalues[-1] > -rep.kernel_threshold
     breach = breach or not rep.window_empty
     breach = breach or max(rep.residuals) > SPECTRUM_RESIDUAL_GATE
@@ -455,18 +471,13 @@ def cmd_spectrum(args) -> bool:
         out.mkdir(parents=True, exist_ok=True)
         (out / "spectrum_sweep.csv").write_text(sweep_csv, encoding="utf-8")
     emit(args, "spectrum_report", payload,
-         csv_table(["index", "eigenvalue", "residual"], rows),
-         meta={"solver": rep.solver, "factor_nnz": rep.factor_nnz,
-               "lanczos_solves": rep.n_solves})
+         csv_table(["index", "eigenvalue", "residual"], rows), meta=rep.sidecar())
     return breach
 
 
 def cmd_steiner(args) -> bool:
     grid, tol = setup(args)
-    try:
-        t_values = [float(p) for p in args.t_samples.split(",")]
-    except ValueError as exc:
-        raise ConfigError(f"bad t-samples {args.t_samples!r}") from exc
+    t_values = [float(p) for p in args.t_samples.split(",")]
     if args.cap:
         body = ell(grid)
     else:
@@ -592,8 +603,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("gen", parents=[common], help="generate random bodies")
     p.add_argument("--count", type=positive_int, default=3)
-    p.add_argument("--base-radius", type=float, default=1.0)
-    p.add_argument("--amplitude", type=float, default=0.25)
+    p.add_argument("--base-radius", type=finite_float, default=1.0)
+    p.add_argument("--amplitude", type=finite_float, default=0.25)
     p.set_defaults(func=cmd_gen)
 
     p = subs.add_parser("quermass", parents=[common],
@@ -624,7 +635,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("steiner", parents=[common],
                         help="parallel-volume polynomial check")
-    p.add_argument("--t-samples", type=str, default="0.1,0.4,0.8,1.2,1.6,2.0")
+    p.add_argument("--t-samples", type=finite_floats, default="0.1,0.4,0.8,1.2,1.6,2.0")
     p.add_argument("--cap", action="store_true", help="use the unit cap body")
     p.set_defaults(func=cmd_steiner)
 

@@ -13,12 +13,11 @@ sparse symmetric weak form (the contact-angle condition enters as a natural
 boundary term) and restricts it to the fields whose boundary row obeys that
 condition, through the grid's own boundary stencil: the result is the
 Pencil (A, M) on that trial space.  It then solves for the top eigenpairs
-and packages the inequality checks that follow from it.  A rotationally
-invariant reference makes the pencil block-circulant in phi, so shift-invert
-Lanczos at 1/2 inverts A - M/2 exactly, by one banded solve per azimuthal
-Fourier mode.  Any other reference gets a block LOBPCG preconditioned by the
-ring average of 1.5 M - A, inverted the same way, one mode at a time; no
-sparse factor is formed.
+and packages the inequality checks that follow from it.  Both eigensolvers
+factor the ring average of one shifted matrix, K = 1.5 M - A, by a banded
+solve per azimuthal Fourier mode.  A rotationally invariant reference makes
+K block-circulant in phi, so that solve is exact and drives shift-invert
+Lanczos at 1.5; any other reference gets a block LOBPCG preconditioned by it.
 """
 
 from __future__ import annotations
@@ -38,6 +37,11 @@ from .capfun import as_field, certify, ell_values, horizontal_linear
 from .mixedvol import mixed_sequence, mixed_volume, q2
 
 WINDOW = (0.01, 0.99)
+# Both eigensolvers factor the ring average of K = _SHIFT * M - A.  The shift
+# lies above the top eigenvalue 1: shift-invert at it returns the top of the
+# spectrum, and K's mode matrices (diagonal blocks of its unitary transform)
+# are positive definite while every eigenvalue lies below it.
+_SHIFT = 1.5
 # lambda1 counts as simple when the next eigenvalue lies at least this far
 # below it; the paper's dichotomy puts the next one at 0 or below.
 LAMBDA1_GAP = 0.9
@@ -323,10 +327,13 @@ class SpectrumReport:
     solver: str
     factor_nnz: int
     n_solves: int
+    _SIDECAR = ("solver", "factor_nnz", "n_solves")
 
     def to_dict(self) -> dict:
-        sidecar = ("solver", "factor_nnz", "n_solves")
-        return {k: v for k, v in asdict(self).items() if k not in sidecar}
+        return {k: v for k, v in asdict(self).items() if k not in self._SIDECAR}
+
+    def sidecar(self) -> dict:
+        return {k: getattr(self, k) for k in self._SIDECAR}
 
 
 def _kernel_cosine(space: WeightedSpace, vectors: np.ndarray) -> float | None:
@@ -423,6 +430,19 @@ def _svqb(S: np.ndarray, MS: np.ndarray) -> np.ndarray:
     return vecs[:, keep] / (d[:, None] * np.sqrt(vals[keep]))
 
 
+def _residuals(A, M, lam: np.ndarray, X: np.ndarray):
+    """A @ X, the residual block R = A X - M X diag(lam), and its column norms.
+
+    Column i's norm is |r_i|_(D^-1) / |x_i|_M, D the diagonal of M, in numpy
+    sums: no BLAS dot, so its bytes do not depend on the BLAS thread count.
+    """
+    AX, MX = A @ X, M @ X
+    R = AX - MX * lam
+    res = (np.sqrt(np.sum(R * R / M.diagonal()[:, None], axis=0))
+           / np.maximum(np.sqrt(np.sum(X * MX, axis=0)), 1e-300))
+    return AX, R, res
+
+
 def _block_eigensolver(A, M, k: int, precondition):
     """The top k eigenpairs of A u = lambda M u, by block LOBPCG.
 
@@ -439,14 +459,13 @@ def _block_eigensolver(A, M, k: int, precondition):
     under any BLAS thread count (tests check 96x96 and 128x128).
 
     Stops once each of the k wanted pairs has a residual below _BLOCK_TOL,
-    in the norm spectrum reports, from fresh products with A and M; raises
+    in the norm of _residuals, which spectrum reports; raises
     RuntimeError after _BLOCK_MAX_ITER iterations.  Returns the eigenvalues,
     largest first, the M-orthonormal eigenvectors as columns, and their
     residuals.
     """
     N = A.shape[0]
     b = min(k + 2, N)
-    mdiag = M.diagonal()[:, None]
     X = np.random.default_rng(_EIGSH_SEED).standard_normal((N, b))
     S = X @ _svqb(X, M @ X)
     AS = A @ S
@@ -464,11 +483,7 @@ def _block_eigensolver(A, M, k: int, precondition):
             step = step @ _svqb(step, step)
         XP = S @ np.hstack([Y, step])
         X = XP[:, :b]
-        AX, MX = A @ X, M @ X
-        R = AX - MX * lam
-        # spectrum's residual norm, from fresh products, in numpy sums
-        res = (np.sqrt(np.sum(R * R / mdiag, axis=0))
-               / np.maximum(np.sqrt(np.sum(X * MX, axis=0)), 1e-300))
+        AX, R, res = _residuals(A, M, lam, X)
         if np.all(res[:k] < _BLOCK_TOL):
             return lam[:k], X[:, :k], res[:k]
         if iteration == _BLOCK_MAX_ITER:
@@ -488,24 +503,17 @@ def _block_eigensolver(A, M, k: int, precondition):
 
 
 def spectrum(space: WeightedSpace, how_many: int = 8) -> SpectrumReport:
-    """Solve for k eigenpairs of the pencil and classify them.
+    """Solve for the top k eigenpairs of the pencil and classify them.
 
     The pencil of :func:`assemble_operator`, already restricted to the
-    contact-condition trial space, is solved for k eigenpairs, where k is
-    how_many but at least 6, which the kernel and window verdicts need.  The
-    solver depends on whether the reference is rotationally invariant
-    (constant along every ring, bit for bit):
-
-    - an invariant reference makes the shifted pencil K = A - M/2
-      block-circulant in phi, so shift-invert Lanczos at sigma = 1/2 inverts
-      it exactly by one banded solve per azimuthal mode, and returns the k
-      eigenvalues nearest 1/2;
-    - any other reference gets the block eigensolver, which returns the top
-      k, preconditioned by the ring-averaged (1.5 M - A), inverted one
-      azimuthal mode at a time.
-
-    The two sets agree when no eigenvalue lies above 1 or inside the window.
-    The eigenpair residuals are reported either way.
+    contact-condition trial space, is solved for its k largest eigenpairs,
+    where k is how_many but at least 6, which the kernel and window verdicts
+    need.  Both solvers invert the ring average of K = 1.5 M - A one
+    azimuthal mode at a time.  A reference constant along every ring, bit for
+    bit, makes K block-circulant in phi, so that inverse is exact and drives
+    shift-invert Lanczos at 1.5, whose k eigenvalues nearest 1.5 are the top
+    k; any other reference gets the block eigensolver, preconditioned by it.
+    The eigenpair residuals of :func:`_residuals` are reported either way.
     """
     if how_many < 1:
         raise ValueError(f"how_many must be at least 1, got {how_many}")
@@ -514,15 +522,8 @@ def spectrum(space: WeightedSpace, how_many: int = 8) -> SpectrumReport:
     A_red, M_red = pencil.A, pencil.M
     N = A_red.shape[0]
     k = int(min(max(how_many, 6), N - 2))
-    # A reference constant along every ring, bit for bit, makes the pencil
-    # block-circulant in phi: the per-mode solve then inverts A - M/2
-    # exactly.  Otherwise it inverts the ring average of 1.5 M - A (positive
-    # definite while every eigenvalue lies below 1.5, as the mode matrices are
-    # diagonal blocks of its unitary transform) as the block preconditioner.
-    invariant = bool(np.all(space.f2 == space.f2[:, :1]))
-    K = A_red - 0.5 * M_red if invariant else 1.5 * M_red - A_red
     inverse, factor_nnz = _azimuthal_mode_solver(
-        K.tocsc(), (g.node_shape[0] - 1, g.node_shape[1]))
+        (_SHIFT * M_red - A_red).tocsc(), (g.node_shape[0] - 1, g.node_shape[1]))
     n_solves = 0
 
     def solve(x):
@@ -530,36 +531,23 @@ def spectrum(space: WeightedSpace, how_many: int = 8) -> SpectrumReport:
         n_solves += x.size // N
         return inverse(x)
 
-    if invariant:
+    if np.all(space.f2 == space.f2[:, :1]):  # rotationally invariant
         solver = "azimuthal_modes"
-        OPinv = spla.LinearOperator((N, N), matvec=solve, dtype=float)
-        rng = np.random.default_rng(_EIGSH_SEED)
-        v0 = rng.standard_normal(N)
-        vals, vecs = spla.eigsh(A_red, k=k, M=M_red, sigma=0.5, which="LM",
+        # Shift-invert wants (A - 1.5 M)^-1 = -K^-1.
+        OPinv = spla.LinearOperator((N, N), matvec=lambda x: -solve(x), dtype=float)
+        v0 = np.random.default_rng(_EIGSH_SEED).standard_normal(N)
+        vals, vecs = spla.eigsh(A_red, k=k, M=M_red, sigma=_SHIFT, which="LM",
                                 v0=v0, OPinv=OPinv)
         order = np.argsort(vals)[::-1]
-        top_vals = vals[order]
-        top_vecs = vecs[:, order]
-        # The block solver's residual norm, pair by pair, with |y|_M a BLAS dot.
-        mdiag = M_red.diagonal()
-        residuals = []
-        for i in range(top_vecs.shape[1]):
-            y = top_vecs[:, i]
-            r = A_red @ y - top_vals[i] * (M_red @ y)
-            residuals.append(
-                float(np.sqrt(np.sum(r * r / mdiag)))
-                / max(float(np.sqrt(y @ (M_red @ y))), 1e-300)
-            )
+        top_vals, top_vecs = vals[order], vecs[:, order]
+        residuals = _residuals(A_red, M_red, top_vals, top_vecs)[2]
     else:
         solver = "block_lobpcg"
         top_vals, top_vecs, residuals = _block_eigensolver(A_red, M_red, k, solve)
     inside = np.nonzero((top_vals > WINDOW[0]) & (top_vals < WINDOW[1]))[0]
-    # Shift-invert returns the k eigenvalues nearest 1/2: if none lies inside
-    # the window, each is at least 0.49 from 1/2, and every unreturned one is
-    # farther still.  The block solver returns the top k, so every unreturned
-    # eigenvalue lies at or below the last one, and cli gates that one at or
-    # below -kernel_threshold.  Either way no unreturned eigenvalue can lie in
-    # (0.01, 0.99).
+    # Both solvers return the top k, so every unreturned eigenvalue lies at or
+    # below the last one, and cli gates that one at or below
+    # -kernel_threshold: no unreturned eigenvalue can lie in (0.01, 0.99).
     window_empty = bool(inside.size == 0)
     window_note = "" if window_empty else f"{inside.size} eigenvalues inside {WINDOW}"
 

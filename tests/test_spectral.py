@@ -278,10 +278,25 @@ def test_spectrum_matches_the_dense_pencil(make_space, theta, window_empty):
     assert max(rep.residuals) < 1e-8
 
 
+@pytest.mark.parametrize("theta", [1.2, 2.2, 3.0])
+@pytest.mark.parametrize("n, how_many", [(8, 1), (8, 30), (8, 100), (12, 20)])
+def test_cap_spectrum_is_the_top_of_the_dense_pencil(theta, n, how_many):
+    # Shift-invert at 1.5 returns the top k, up to k = N - 2 (62 on 8x8).
+    space = cap_space(theta, n, n)
+    rep = capaf.spectrum(space, how_many=how_many)
+    assert rep.solver == "azimuthal_modes"
+    k = len(rep.eigenvalues)
+    assert k == min(max(how_many, 6), rep.n_unknowns - 2)
+    dense = _dense_pencil_eigenvalues(space)
+    np.testing.assert_allclose(rep.eigenvalues, dense[:k], rtol=0, atol=1e-9)
+    assert max(rep.residuals) < 1e-8
+
+
 def _shifted_pencil(space):
+    """The matrix both eigensolvers factor, K = 1.5 M - A, and its lattice."""
     pencil = capaf.assemble_operator(space)
     R, P = space.grid.node_shape
-    return (pencil.A - 0.5 * pencil.M).tocsc(), (R - 1, P)
+    return (1.5 * pencil.M - pencil.A).tocsc(), (R - 1, P)
 
 
 def _translated_cap(g):
@@ -342,6 +357,26 @@ def test_a_singular_azimuthal_mode_raises():
     K = sp.kron(sp.identity(3), ring.tocsr()).tocsc()
     with pytest.raises(RuntimeError, match="azimuthal mode 0"):
         capaf.spectral._azimuthal_mode_solver(K, (3, 8))
+
+
+def test_every_reference_factors_the_same_shifted_pencil(monkeypatch):
+    g = grid(1.2, 16, 16)
+    factored = []
+    mode_solver = capaf.spectral._azimuthal_mode_solver
+
+    def recording(K, node_shape):
+        factored.append(K)
+        return mode_solver(K, node_shape)
+
+    monkeypatch.setattr(capaf.spectral, "_azimuthal_mode_solver", recording)
+    for ref in (capaf.ell(g).values, capaf.random_body(g, 40, amplitude=0.2).values,
+                _translated_cap(g)):
+        space = capaf.WeightedSpace(g, ref)
+        factored.clear()
+        capaf.spectrum(space, how_many=6)
+        assert len(factored) == 1
+        K, _ = _shifted_pencil(space)
+        assert abs(factored[0] - K).max() == 0.0
 
 
 def test_only_a_rotationally_invariant_reference_takes_the_mode_solve():
