@@ -15,6 +15,7 @@ JSON round trip.
 from __future__ import annotations
 
 import json
+import threading
 import weakref
 from dataclasses import dataclass, field
 from typing import Any, Sequence
@@ -89,8 +90,35 @@ def as_field(grid: CapGrid, obj) -> CapillaryField:
 
 def ell_values(grid: CapGrid) -> np.ndarray:
     """Support function of the unit cap: 1 - cos(theta) cos(rho)."""
-    col = 1.0 - grid.cos_theta * grid.cos_rho
-    return np.repeat(col[:, None], grid.n_phi, axis=1)
+    return np.repeat(_ell_column(grid), grid.n_phi, axis=1)
+
+
+def _ell_column(grid: CapGrid) -> np.ndarray:
+    """ell_values on one meridian, shaped (n_rho+1, 1); it broadcasts to the
+    same products as the full array, without holding a full-grid copy."""
+    return (1.0 - grid.cos_theta * grid.cos_rho)[:, None]
+
+
+# Read-only arrays that depend on the grid alone, per live grid: a dict keyed
+# by (builder, arguments), each entry built on first use, never with the grid.
+# The lock makes threads racing on a fresh grid build each entry once; it is
+# re-entrant because one builder may read another's entry.
+_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+_TABLES_LOCK = threading.RLock()
+
+
+def _table(grid: CapGrid, build, *args):
+    """build(grid, *args) with its arrays made read-only, once per live grid."""
+    key = (build, *args)
+    with _TABLES_LOCK:
+        tables = _TABLES.setdefault(grid, {})
+        entry = tables.get(key)
+        if entry is None:
+            entry = build(grid, *args)
+            for array in entry if isinstance(entry, tuple) else (entry,):
+                array.flags.writeable = False
+            tables[key] = entry
+    return entry
 
 
 def certify(grid: CapGrid, values, provenance: dict | None = None) -> CapillaryBody:
@@ -161,17 +189,28 @@ def enforce_contact_angle(grid: CapGrid, values: np.ndarray) -> np.ndarray:
     defect to roundoff while perturbing the field by O(defect) in sup norm.
     """
     values = grid.check_field(values).astype(float, copy=True)
-    x = grid.rho_nodes / grid.theta
     res = robin_residual(grid, values)
     spec = np.fft.rfft(res)
     k = np.arange(spec.size)
-    for parity, prof in ((0, x**4), (1, x**5)):
+    for parity, lift in enumerate(_table(grid, _parity_lifts)):
         part = np.fft.irfft(np.where(k % 2 == parity, spec, 0.0), grid.n_phi)
-        # The boundary stencil never reaches the pole-reflected rows, so the
-        # profile's own defect scales every mode of its parity.
-        scale = grid.boundary_d_rho(prof) - grid.cot_theta * prof[-1]
-        values -= np.outer(prof / scale, part)
+        values -= np.outer(lift, part)
     return values
+
+
+def _parity_lifts(grid: CapGrid) -> tuple[np.ndarray, np.ndarray]:
+    """enforce_contact_angle's quartic and quintic radial profiles, each
+    divided by its own boundary defect.
+
+    The boundary stencil never reaches the pole-reflected rows, so the
+    profile's own defect scales every mode of its parity.
+    """
+    x = grid.rho_nodes / grid.theta
+    lifts = []
+    for prof in (x**4, x**5):
+        scale = grid.boundary_d_rho(prof) - grid.cot_theta * prof[-1]
+        lifts.append(prof / scale)
+    return tuple(lifts)
 
 
 def _mode_profiles(grid: CapGrid, mode_cap: int) -> list[tuple[int, np.ndarray]]:
@@ -203,19 +242,36 @@ def _mode_profiles(grid: CapGrid, mode_cap: int) -> list[tuple[int, np.ndarray]]
     return profiles
 
 
-def _random_neumann_datum(grid: CapGrid, rng: np.random.Generator, mode_cap: int) -> np.ndarray:
-    # Coefficients are drawn in a fixed (m, k) order so a seed is reproducible
-    # independent of grid size.
-    u = np.zeros(grid.node_shape)
-    cosm = {m: np.cos(m * grid.phi_nodes) for m in range(mode_cap + 1)}
-    sinm = {m: np.sin(m * grid.phi_nodes) for m in range(mode_cap + 1)}
+def _mode_table(grid: CapGrid, mode_cap: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The datum's terms in draw order, one row each: the radial profile, the
+    azimuthal row and the weight.  Each profile of _mode_profiles gives a
+    cos(m phi) row, then a sin(m phi) row when m > 0, both weighted 1/(1+m)^2."""
+    profiles, trig, weights = [], [], []
     for m, prof in _mode_profiles(grid, mode_cap):
-        k_weight = 1.0 / (1.0 + m) ** 2
-        a = rng.standard_normal() * k_weight
-        u += a * prof[:, None] * cosm[m][None, :]
+        rows = [np.cos(m * grid.phi_nodes)]
         if m > 0:
-            b = rng.standard_normal() * k_weight
-            u += b * prof[:, None] * sinm[m][None, :]
+            rows.append(np.sin(m * grid.phi_nodes))
+        for row in rows:
+            profiles.append(prof)
+            trig.append(row)
+            weights.append(1.0 / (1.0 + m) ** 2)
+    return (np.array(profiles).reshape(-1, grid.n_rho + 1),
+            np.array(trig).reshape(-1, grid.n_phi), np.array(weights))
+
+
+def _random_neumann_datum(grid: CapGrid, rng: np.random.Generator, mode_cap: int) -> np.ndarray:
+    """Seeded smooth datum u with max|u| = 1: a weighted sum of mode_table terms.
+
+    The coefficients are drawn in the table's (m, k, cos/sin) order, one
+    array draw being the stream of one scalar draw per term, so a seed is
+    reproducible independent of grid size.  The contraction adds each node's
+    products in term order, starting from zero, as a loop over outer
+    products does, and calls no BLAS; a reordering sum (``@``, tensordot,
+    ``optimize=True``) would change every body's bytes.
+    """
+    profiles, trig, weights = _table(grid, _mode_table, mode_cap)
+    coef = rng.standard_normal(weights.size) * weights
+    u = np.einsum("tj,ti->ji", coef[:, None] * profiles, trig, optimize=False)
     top = float(np.max(np.abs(u)))
     if top > 0:
         u /= top
@@ -235,24 +291,18 @@ MAX_HALVINGS = 50
 # amplitude up to 4), so every halving it skips would fail the exact check too.
 PREDICTION_GUARD = 64.0
 
-# Shape tensor of enforce_contact_angle(ell_values(grid)) on one meridian,
-# per live grid.
-_ELL_TENSORS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
 def _ell_tensor(grid: CapGrid) -> np.ndarray:
     """The unit cap's shape tensor on the meridian phi = 0, shaped (n_rho+1, 1, 2, 2).
 
     The cap is rotationally symmetric, so its tensor is the same on every
     meridian up to roundoff (0.13 times the guard scale of PREDICTION_GUARD,
-    on grids with odd factors in n_phi; none on powers of two).  Two threads
-    racing on a fresh grid both compute it and store the same bytes.
+    on grids with odd factors in n_phi; none on powers of two).
     """
-    tensor = _ELL_TENSORS.get(grid)
-    if tensor is None:
-        full = a_of(grid, enforce_contact_angle(grid, ell_values(grid)))
-        tensor = _ELL_TENSORS[grid] = full[:, :1].copy()
-    return tensor
+    return _table(grid, _cap_meridian_tensor)
+
+
+def _cap_meridian_tensor(grid: CapGrid) -> np.ndarray:
+    return a_of(grid, enforce_contact_angle(grid, ell_values(grid)))[:, :1].copy()
 
 
 def _predicted_misses(grid: CapGrid, lv: np.ndarray, u: np.ndarray,
@@ -322,7 +372,7 @@ def random_body(
         raise ValueError(f"amplitude must be non-negative, got {amplitude}")
     rng = np.random.default_rng(seed)
     u = _random_neumann_datum(grid, rng, mode_cap)
-    lv = ell_values(grid)
+    lv = _ell_column(grid)
     amp = float(amplitude)
     misses = _predicted_misses(grid, lv, u, base_radius, amp)
     for k in range(MAX_HALVINGS + 1):
@@ -359,7 +409,8 @@ def random_capillary_field(grid: CapGrid, seed: int, mode_cap: int = 3) -> Capil
     """
     rng = np.random.default_rng(seed)
     u = _random_neumann_datum(grid, rng, mode_cap)
-    values = rng.uniform(0.5, 1.5) * ell_values(grid) + FIELD_AMPLITUDE * ell_values(grid) * u
+    lv = _ell_column(grid)
+    values = rng.uniform(0.5, 1.5) * lv + FIELD_AMPLITUDE * lv * u
     a1, a2 = rng.uniform(-0.5, 0.5, size=2)
     values = values + horizontal_linear(grid, (a1, a2)).values
     values = enforce_contact_angle(grid, values)

@@ -157,7 +157,9 @@ def thread_count() -> int:
         n = int(raw)
     except ValueError as exc:
         raise ConfigError(f"CAPAF_THREADS must be an integer, got {raw!r}") from exc
-    return max(1, n)
+    if n < 1:
+        raise ConfigError(f"CAPAF_THREADS must be a positive integer, got {n}")
+    return n
 
 
 def run_indexed(count: int, fn, threads: int) -> list:
@@ -552,6 +554,7 @@ def cmd_report(args) -> bool:
     the standalone command's.  The parser is built here, at call time, so the
     sections dispatch to whatever ``cmd_*`` functions the module holds now.
     """
+    thread_count()  # refuse a bad CAPAF_THREADS before any section runs
     parser = build_parser()
     out = Path(args.out)
     shared = [f"--theta={args.theta!r}", "--grid={}x{}".format(*args.grid),

@@ -184,14 +184,15 @@ def export_mesh(patch: EmbeddedPatch, path) -> None:
     """Write the patch as an ASCII OBJ file with full-precision floats.
 
     Lines are ``v x y z`` and ``vn x y z`` at %.17g, then ``f a//a b//b c//c``
-    with 1-based indices.  Each block is one ``%`` over a repeated line
-    template, so every number is formatted in C.
+    with 1-based indices.  Each vertex block is one ``%`` over a repeated line
+    template, so every number is formatted in C; each node's ``a//a`` token
+    is formatted once and shared by the faces that use it.
     """
-    n_nodes, n_faces = len(patch.flat_positions), len(patch.triangles)
+    n_nodes = len(patch.flat_positions)
+    tokens = np.array(["%d//%d" % (i, i) for i in range(1, n_nodes + 1)], dtype=object)
     blocks = [("v %.17g %.17g %.17g\n" * n_nodes, patch.flat_positions),
               ("vn %.17g %.17g %.17g\n" * n_nodes, patch.flat_normals),
-              ("f %d//%d %d//%d %d//%d\n" * n_faces,
-               np.repeat(patch.triangles + 1, 2, axis=1))]
+              ("f %s %s %s\n" * len(patch.triangles), tokens[patch.triangles])]
     with open(path, "w", encoding="utf-8") as fh:
         for template, numbers in blocks:
             fh.write(template % tuple(numbers.ravel().tolist()))

@@ -35,12 +35,33 @@ def seeded_body(theta: float, n_rho: int, n_phi: int, seed: int,
     return capaf.random_body(grid(theta, n_rho, n_phi), seed, amplitude=amplitude)
 
 
+def random_neumann_datum_by_loop(grid, rng, mode_cap):
+    """capfun._random_neumann_datum as a loop that adds one outer product per
+    coefficient, drawn one at a time.  The reference whose summation order,
+    and so whose bytes, the contraction must keep."""
+    u = np.zeros(grid.node_shape)
+    cosm = {m: np.cos(m * grid.phi_nodes) for m in range(mode_cap + 1)}
+    sinm = {m: np.sin(m * grid.phi_nodes) for m in range(mode_cap + 1)}
+    for m, prof in capaf.capfun._mode_profiles(grid, mode_cap):
+        k_weight = 1.0 / (1.0 + m) ** 2
+        a = rng.standard_normal() * k_weight
+        u += a * prof[:, None] * cosm[m][None, :]
+        if m > 0:
+            b = rng.standard_normal() * k_weight
+            u += b * prof[:, None] * sinm[m][None, :]
+    top = float(np.max(np.abs(u)))
+    if top > 0:
+        u /= top
+    return u
+
+
 def random_body_by_halving(grid, seed, base_radius=1.0, amplitude=0.25, mode_cap=3):
     """capaf.random_body as the plain halving loop: a shape tensor for every
-    amplitude tried.  The reference that the two-tensor prediction must match."""
+    amplitude tried, from the datum of the outer-product loop.  The reference
+    that the two-tensor prediction and the datum's contraction must match."""
     capfun = capaf.capfun
     rng = np.random.default_rng(seed)
-    u = capfun._random_neumann_datum(grid, rng, mode_cap)
+    u = random_neumann_datum_by_loop(grid, rng, mode_cap)
     lv = capfun.ell_values(grid)
     amp = float(amplitude)
     for _ in range(capfun.MAX_HALVINGS + 1):

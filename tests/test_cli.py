@@ -57,7 +57,7 @@ def test_grid_anchored_tolerances():
     assert coarse.af > strict.af
 
 
-def test_config_errors_exit_three(tmp_path, capsys):
+def test_config_errors_exit_three(tmp_path, capsys, monkeypatch):
     assert run(["af", "--theta", "4.0", "--out", tmp_path]) == 3
     assert run(["af", "--grid", "4x4", "--out", tmp_path]) == 3
     assert run(["af", "--grid", "notagrid", "--out", tmp_path]) == 3
@@ -84,6 +84,17 @@ def test_config_errors_exit_three(tmp_path, capsys):
         assert run([*argv, "--grid", "16x16", "--out", tmp_path / "finite"]) == 3
         assert f"argument {option}: " in capsys.readouterr().err
     assert not (tmp_path / "finite").exists()
+    # A thread count below one is refused, not silently run on one thread,
+    # by a message that names the variable; report refuses it before any
+    # section writes.
+    for threads in ("0", "-3"):
+        monkeypatch.setenv("CAPAF_THREADS", threads)
+        for command in ("af", "chain", "report"):
+            capsys.readouterr()
+            assert run([command, "--grid", "16x16", "--trials", "2",
+                        "--out", tmp_path / "threads"]) == 3
+            assert "CAPAF_THREADS" in capsys.readouterr().err
+    assert not (tmp_path / "threads").exists()
 
 
 @pytest.mark.parametrize("command", ["af", "chain", "report"])
@@ -343,6 +354,18 @@ def test_a_malformed_body_file_is_a_config_error(tmp_path, capsys, command,
 
 
 CHAIN_FLAGS = ["chain", "--theta", "1.2", "--grid", "16x16"]
+
+
+def test_chain_is_thread_count_invariant(tmp_path, monkeypatch):
+    # Each run builds a fresh grid, so the worker threads race to build its
+    # tables (the unit cap's tensor, the datum's mode table).
+    args = CHAIN_FLAGS + ["--trials", "4"]
+    monkeypatch.setenv("CAPAF_THREADS", "1")
+    assert run(args + ["--out", tmp_path / "serial"]) == 0
+    monkeypatch.setenv("CAPAF_THREADS", "3")
+    assert run(args + ["--out", tmp_path / "threaded"]) == 0
+    assert ((tmp_path / "serial" / "chain_report.json").read_bytes()
+            == (tmp_path / "threaded" / "chain_report.json").read_bytes())
 
 
 def test_chain_checks_each_body_and_each_consecutive_pair(tmp_path):

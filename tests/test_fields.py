@@ -11,7 +11,7 @@ import pytest
 
 import capaf
 
-from helpers import grid, random_body_by_halving, seeded_body
+from helpers import grid, random_body_by_halving, random_neumann_datum_by_loop, seeded_body
 
 THETAS = (0.6, np.pi / 2, 2.3)
 
@@ -207,6 +207,26 @@ def test_random_body_is_the_body_of_the_halving_loop_at_256():
         assert_same_body(random_body_by_halving(g, seed), capaf.random_body(g, seed))
 
 
+@pytest.mark.parametrize("theta", (0.05, 1.2, 2.2, 3.1))
+@pytest.mark.parametrize("shape", ((8, 8), (16, 30), (24, 18), (50, 90), (32, 250)))
+@pytest.mark.parametrize("mode_cap", (1, 2, 3, 5))
+def test_the_datum_is_the_outer_product_loop_bit_for_bit(theta, shape, mode_cap, monkeypatch):
+    # Same values and signed zeros, and the generator left in the same state;
+    # random_capillary_field, which draws after the datum, then follows.
+    g = grid(theta, *shape)
+    for seed in range(4):
+        rng, loop_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        u = capaf.capfun._random_neumann_datum(g, rng, mode_cap)
+        expected = random_neumann_datum_by_loop(g, loop_rng, mode_cap)
+        assert np.array_equal(u, expected)
+        assert np.array_equal(np.signbit(u), np.signbit(expected))
+        assert rng.bit_generator.state == loop_rng.bit_generator.state
+    fields = [capaf.random_capillary_field(g, seed, mode_cap) for seed in range(2)]
+    monkeypatch.setattr(capaf.capfun, "_random_neumann_datum", random_neumann_datum_by_loop)
+    for seed, f in enumerate(fields):
+        assert f.values.tobytes() == capaf.random_capillary_field(g, seed, mode_cap).values.tobytes()
+
+
 @pytest.mark.parametrize("theta", (1.2, 2.2))
 def test_the_exact_check_decides_inside_the_guard_band(theta, monkeypatch):
     # With the margin moved to within 1e-12 of a rejected halving's exact
@@ -266,22 +286,56 @@ def test_random_body_shapes_the_cap_once_per_grid_and_the_datum_once_per_body(mo
     # The halving loop would have shaped the body halvings + 1 times.
     assert tried == [1, 1] and min(halvings) >= 1
 
+    # The datum's mode table is built once per (grid, mode_cap), however
+    # many bodies and fields draw from it, and the tables die with the grid.
+    profiled = []
+    real_profiles = capfun._mode_profiles
+
+    def mode_profiles(grid_, mode_cap):
+        profiled.append(mode_cap)
+        return real_profiles(grid_, mode_cap)
+
+    monkeypatch.setattr(capfun, "_mode_profiles", mode_profiles)
+    for seed in range(3):
+        capaf.random_body(g, seed, mode_cap=2)
+        capaf.random_capillary_field(g, seed)
+        capaf.random_capillary_field(g, seed, mode_cap=2)
+    assert profiled == [2]
+    assert len(cap_calls) == 1
+    entries = [a for entry in capfun._TABLES[g].values()
+               for a in (entry if isinstance(entry, tuple) else (entry,))]
+    assert len(entries) == 1 + 2 + 3 + 3  # cap tensor, lifts, two mode tables
+    assert not any(a.flags.writeable for a in entries)
+    refs = [weakref.ref(a) for a in entries] + [weakref.ref(g)]
+    monkeypatch.undo()
+    del g, b, entries
+    gc.collect()
+    assert all(ref() is None for ref in refs)
+
 
 def test_the_cap_tensor_dies_with_its_grid_and_threads_agree_on_it():
     capfun = capaf.capfun
     g = capaf.build_grid(2.2, 16, 16)
     expected = capaf.a_of(g, capaf.enforce_contact_angle(g, capaf.ell_values(g)))[:, :1].tobytes()
+    datum = random_neumann_datum_by_loop(g, np.random.default_rng(4), 3).tobytes()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=8) as pool:
             futures = [pool.submit(capfun._ell_tensor, g) for _ in range(16)]
+            # The datum's mode table is raced for at the same time.
+            datum_futures = [pool.submit(capfun._random_neumann_datum, g,
+                                         np.random.default_rng(4), 3) for _ in range(16)]
             tensors = [f.result(timeout=60) for f in futures]
+            datums = [f.result(timeout=60) for f in datum_futures]
     finally:
         sys.setswitchinterval(interval)
-    assert all(t.tobytes() == expected for t in tensors)
+    # One tensor, built once, and the datum's bytes in every thread.
+    assert all(t is tensors[0] for t in tensors)
+    assert tensors[0].tobytes() == expected
+    assert all(u.tobytes() == datum for u in datums)
     grid_ref, tensor_ref = weakref.ref(g), weakref.ref(tensors[0])
-    del g, tensors, futures
+    del g, tensors, futures, datum_futures
     gc.collect()
     assert grid_ref() is None and tensor_ref() is None
 
