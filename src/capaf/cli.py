@@ -4,8 +4,11 @@ Reports are deterministic for a fixed configuration: the JSON body contains
 only config, values and verdicts, while wall-clock metadata goes to a separate
 .meta.json sidecar so repeated runs stay byte-identical; no NaN or infinity
 reaches a report.  Exit codes: 0 all checks passed, 2 a tolerance was breached
-(the report is still written), 3 the configuration was invalid, 4 a numerical
-failure (no convex body within the amplitude halvings, or a non-finite result).
+(the report is still written), 3 the configuration was invalid (a bad option,
+a grid or body that does not validate, or a path that cannot be read or
+written), 4 a numerical failure (no convex body within the amplitude halvings,
+a non-finite result, or a linear-algebra routine that failed).  ``main`` alone
+maps an exception to its code, by type, with one message prefix per code.
 
 Each subparser is the only definition of its command's options and defaults,
 and a report's config block lists exactly those options.  ``report`` runs each
@@ -143,6 +146,19 @@ def finite_floats(text: str) -> str:
     return text
 
 
+def sweep_sizes(text: str) -> list[int]:
+    """The distinct square grid sizes of a --sweep list, ascending; none for ''."""
+    return sorted({int(part) for part in text.split(",")}) if text else []
+
+
+def sweep_list(text: str) -> str:
+    """argparse type for --sweep: empty, or at least two distinct integer
+    sizes; keeps the text as given."""
+    if text and len(sweep_sizes(text)) < 2:
+        raise ConfigError(f"needs at least two distinct grid sizes, got {text!r}")
+    return text
+
+
 def positive_int(text: str) -> int:
     """argparse type for counts: a 0 is a usage error before any work."""
     n = int(text)
@@ -239,14 +255,8 @@ def csv_table(header: list[str], rows: list[list]) -> str:
 
 
 def setup(args) -> tuple[CapGrid, Tolerances]:
-    """The command's grid and its grid-anchored tolerances.
-
-    A grid that build_grid rejects is a configuration error.
-    """
-    try:
-        grid = build_grid(args.theta, *args.grid)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    """The command's grid and its grid-anchored tolerances."""
+    grid = build_grid(args.theta, *args.grid)
     return grid, make_tolerances(args.tolerance_profile, grid.n_rho)
 
 
@@ -420,22 +430,15 @@ def _spectrum_reference(grid: CapGrid, args):
     return random_body(grid, args.seed, amplitude=0.2, mode_cap=2)
 
 
-def _spectrum_sweep(args) -> tuple[dict, str]:
-    """First-eigenvalue error under refinement on square grids."""
-    try:
-        sizes = sorted({int(p) for p in args.sweep.split(",")})
-    except ValueError as exc:
-        raise ConfigError(f"bad sweep sizes {args.sweep!r}") from exc
-    if len(sizes) < 2:
-        raise ConfigError("sweep needs at least two grid sizes")
+def _spectrum_sweep(grids: list[CapGrid], args) -> tuple[dict, str]:
+    """First-eigenvalue error under refinement on the square sweep grids."""
     rows = []
-    for n in sizes:
-        g = build_grid(args.theta, n, n)
+    for g in grids:
         rep = spectrum(WeightedSpace(g, _spectrum_reference(g, args)), how_many=6)
-        rows.append([n, g.drho, abs(rep.lambda1 - 1.0)])
+        rows.append([g.n_rho, g.drho, abs(rep.lambda1 - 1.0)])
     _, h, err = np.array(rows).T
     section = {
-        "sizes": sizes,
+        "sizes": [g.n_rho for g in grids],
         "pairs": [{"n": r[0], "h": r[1], "lambda1_err": r[2]} for r in rows],
         "observed_order": np.polyfit(np.log(h), np.log(np.maximum(err, 1e-300)), 1)[0],
     }
@@ -444,6 +447,8 @@ def _spectrum_sweep(args) -> tuple[dict, str]:
 
 def cmd_spectrum(args) -> bool:
     grid, tol = setup(args)
+    # Every sweep grid is validated before the main solve spends any time.
+    sweep = [build_grid(args.theta, n, n) for n in sweep_sizes(args.sweep)]
     rep = spectrum(WeightedSpace(grid, _spectrum_reference(grid, args)),
                    how_many=args.how_many)
     breach = abs(rep.lambda1 - 1.0) > tol.lambda1 or not rep.lambda1_simple
@@ -466,14 +471,12 @@ def cmd_spectrum(args) -> bool:
         "report": rep.to_dict(),
         "breach": breach,
     }
-    if args.sweep:
-        section, sweep_csv = _spectrum_sweep(args)
-        payload["sweep"] = section
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "spectrum_sweep.csv").write_text(sweep_csv, encoding="utf-8")
-    emit(args, "spectrum_report", payload,
-         csv_table(["index", "eigenvalue", "residual"], rows), meta=rep.sidecar())
+    if sweep:
+        payload["sweep"], sweep_csv = _spectrum_sweep(sweep, args)
+    path = emit(args, "spectrum_report", payload,
+                csv_table(["index", "eigenvalue", "residual"], rows), meta=rep.sidecar())
+    if sweep and args.csv:
+        (path.parent / "spectrum_sweep.csv").write_text(sweep_csv, encoding="utf-8")
     return breach
 
 
@@ -484,10 +487,7 @@ def cmd_steiner(args) -> bool:
         body = ell(grid)
     else:
         body = random_body(grid, args.seed)
-    try:
-        rep = steiner_check(grid, body, t_values)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    rep = steiner_check(grid, body, t_values)
     minkowski = {f"k{k}": minkowski_identity_residual(grid, body, k) for k in (1, 2)}
     breach = max(rep.max_rel_err, *minkowski.values()) > tol.identity
     rows = [[k, rep.coefficients[k], rep.references[k], rep.rel_errs[k]]
@@ -631,7 +631,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="operator spectrum and classification")
     p.add_argument("--reference", choices=("cap", "random"), default="cap")
     p.add_argument("--how-many", type=positive_int, default=8)
-    p.add_argument("--sweep", type=str, default="",
+    p.add_argument("--sweep", type=sweep_list, default="",
                    help="comma list of square grid sizes for a first-"
                         "eigenvalue refinement study, e.g. 16,24,32")
     p.set_defaults(func=cmd_spectrum)
@@ -662,17 +662,16 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors; keep 2 reserved for breaches and
         # report malformed command lines as configuration errors instead.
         return EXIT_CONFIG if exc.code else EXIT_OK
+    # The only place an exception becomes an exit code.  LinAlgError is a
+    # ValueError, so the numerical clause must come first.
     try:
         breach = args.func(args)
-    except (ConfigError, FileNotFoundError) as exc:
-        print(f"capaf: config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as exc:
-        print(f"capaf: error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except RuntimeError as exc:
+    except (RuntimeError, np.linalg.LinAlgError) as exc:
         print(f"capaf: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except (ConfigError, OSError, ValueError) as exc:
+        print(f"capaf: config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     return EXIT_BREACH if breach else EXIT_OK
 
 

@@ -140,16 +140,6 @@ def enclosed_volume(patch: EmbeddedPatch) -> float:
     return float(np.sum(dets)) / 6.0
 
 
-def _ring_fourier_derivatives(xy: np.ndarray, order: int) -> np.ndarray:
-    """Periodic spectral derivative of ring coordinates, shape (P, 2)."""
-    n = xy.shape[0]
-    k = np.fft.rfftfreq(n, d=1.0 / n)
-    sym = (1j * k) ** order
-    if order % 2 == 1 and n % 2 == 0:
-        sym[-1] = 0.0
-    return np.fft.irfft(sym[:, None] * np.fft.rfft(xy, axis=0), n=n, axis=0)
-
-
 def boundary_form_quermass(patch: EmbeddedPatch, k: int) -> float:
     """Quermassintegral of index k+1 from surface plus boundary-ring integrals.
 
@@ -164,16 +154,15 @@ def boundary_form_quermass(patch: EmbeddedPatch, k: int) -> float:
     grid = patch.grid
     surface = grid.integrate(h_k_field(grid, patch.support, 2 - k))
 
-    ring = patch.positions[grid.boundary_index, :, :2]
-    d1 = _ring_fourier_derivatives(ring, 1)
-    speed2 = np.einsum("ij,ij->i", d1, d1)
-    dphi = 2.0 * np.pi / grid.n_phi
+    # The ring's (x, y) rows, differentiated in phi by the grid's own symbols.
+    ring = patch.positions[grid.boundary_index, :, :2].T
+    d1, d2 = grid.d_phi_orders(ring, (1, 2))
+    speed2 = np.einsum("ij,ij->j", d1, d1)
     if k == 1:
-        ring_term = float(np.sum(np.sqrt(speed2))) * dphi
+        ring_term = float(np.sum(np.sqrt(speed2))) * grid.dphi
     else:
-        d2 = _ring_fourier_derivatives(ring, 2)
-        turning = (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]) / speed2
-        ring_term = float(np.sum(turning)) * dphi
+        turning = (d1[0] * d2[1] - d1[1] * d2[0]) / speed2
+        ring_term = float(np.sum(turning)) * grid.dphi
     prefactor = grid.cos_theta * grid.sin_theta**k / 2.0
     return (surface - prefactor * ring_term) / 3.0
 

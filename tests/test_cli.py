@@ -196,8 +196,8 @@ def test_af_equality_family(tmp_path):
 
 
 def test_spectrum_report_and_sweep(tmp_path):
-    assert run(["spectrum", "--theta", "1.5", "--grid", "16x16", "--csv",
-                "--sweep", "12,16,24", "--out", tmp_path]) == 0
+    args = ["spectrum", "--theta", "1.5", "--grid", "16x16", "--sweep", "12,16,24"]
+    assert run(args + ["--csv", "--out", tmp_path]) == 0
     rep = read_report(tmp_path, "spectrum_report.json")
     assert rep["breach"] is False
     assert rep["report"]["lambda1_simple"] is True
@@ -207,6 +207,30 @@ def test_spectrum_report_and_sweep(tmp_path):
     assert sweep["observed_order"] > 1.0
     assert (tmp_path / "spectrum_sweep.csv").exists()
     assert (tmp_path / "spectrum_report.csv").exists()
+    # Without --csv the report keeps its sweep section and no table is written.
+    plain = tmp_path / "plain"
+    assert run(args + ["--out", plain]) == 0
+    assert sorted(p.name for p in plain.iterdir()) == [
+        "spectrum_report.json", "spectrum_report.meta.json"]
+    assert read_report(plain, "spectrum_report.json")["sweep"] == sweep
+
+
+@pytest.mark.parametrize("sweep, message", [
+    ("7,16", "grid too coarse"),
+    ("16,x", "argument --sweep"),
+    ("16", "argument --sweep"),
+    ("16,16", "argument --sweep"),
+])
+def test_a_bad_sweep_exits_three_before_any_solve(tmp_path, monkeypatch, capsys,
+                                                  sweep, message):
+    def never(space, how_many):
+        pytest.fail("a bad sweep reached the eigensolver")
+
+    monkeypatch.setattr(cli, "spectrum", never)
+    assert run(["spectrum", "--grid", "64x64", "--sweep", sweep,
+                "--out", tmp_path]) == cli.EXIT_CONFIG == 3
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "spectrum_report.json").exists()
 
 
 def test_a_breaching_gap_is_not_reported_simple(tmp_path, monkeypatch):
@@ -262,6 +286,54 @@ def test_an_unconverged_eigensolve_exits_four(tmp_path, monkeypatch, capsys):
     assert "numerical failure: block eigensolver did not converge in 1 iterations" in err
     assert "worst residual" in err
     assert not (tmp_path / "spectrum_report.json").exists()
+
+
+CONFIG_PREFIX = "capaf: config error: "
+NUMERIC_PREFIX = "capaf: numerical failure: "
+
+
+@pytest.mark.parametrize("exc, code, prefix", [pytest.param(*case, id=type(case[0]).__name__)
+                                                for case in [
+    (cli.ConfigError("bad option"), 3, CONFIG_PREFIX),
+    (ValueError("bad value"), 3, CONFIG_PREFIX),
+    (FileNotFoundError(2, "No such file or directory", "body.json"), 3, CONFIG_PREFIX),
+    (IsADirectoryError(21, "Is a directory", "bodies"), 3, CONFIG_PREFIX),
+    (RuntimeError("did not converge"), 4, NUMERIC_PREFIX),
+    # A ValueError subclass, yet a numerical failure.
+    (np.linalg.LinAlgError("Eigenvalues did not converge"), 4, NUMERIC_PREFIX),
+]])
+def test_main_maps_each_exception_type_to_one_exit_code(tmp_path, monkeypatch, capsys,
+                                                        exc, code, prefix):
+    def failing(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_steiner", failing)
+    assert run(["steiner", "--out", tmp_path]) == code
+    assert capsys.readouterr().err == f"{prefix}{exc}\n"
+
+
+def test_a_failed_eigh_is_a_numerical_failure(tmp_path, monkeypatch, capsys):
+    def eigh(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    assert run(["spectrum", "--theta", "2.2", "--grid", "16x16",
+                "--reference", "random", "--out", tmp_path]) == cli.EXIT_NUMERIC == 4
+    assert capsys.readouterr().err == NUMERIC_PREFIX + "Eigenvalues did not converge\n"
+    assert not (tmp_path / "spectrum_report.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["quermass", "--out", "{dir}/out", "{dir}"],
+    ["gen", "--count", "1", "--out", "{file}/sub"],
+    ["spectrum", "--out", "{file}"],
+], ids=["body-is-a-directory", "out-below-a-file", "out-is-a-file"])
+def test_an_unusable_path_is_a_config_error(tmp_path, capsys, argv):
+    (tmp_path / "file").write_text("")
+    argv = [a.format(dir=tmp_path, file=tmp_path / "file") for a in argv]
+    assert run([*argv, "--grid", "16x16"]) == cli.EXIT_CONFIG == 3
+    err = capsys.readouterr().err
+    assert err.startswith(CONFIG_PREFIX) and err.count("\n") == 1
 
 
 def test_a_large_spectrum_residual_is_a_breach(tmp_path, monkeypatch):
