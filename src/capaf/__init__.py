@@ -11,6 +11,7 @@ quadratic inequalities (spectral), the embedding back into 3-space
 
 from .capgrid import (
     CapGrid,
+    ShapeTensor,
     a_of,
     build_grid,
     robin_residual,
@@ -68,7 +69,7 @@ from .reconstruct import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CapGrid", "a_of", "build_grid", "robin_residual", "surface_gradient",
+    "CapGrid", "ShapeTensor", "a_of", "build_grid", "robin_residual", "surface_gradient",
     "CapillaryBody", "CapillaryField", "certify", "ell",
     "ell_values", "enforce_contact_angle", "horizontal_linear", "load_body",
     "random_body", "random_capillary_field", "save_body",

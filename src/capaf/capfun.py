@@ -22,7 +22,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .capgrid import ROBIN_GATE, CapGrid, a_of, robin_residual, tensor_eigenvalues
+from .capgrid import ROBIN_GATE, CapGrid, ShapeTensor, a_of, robin_residual, tensor_eigenvalues
 
 # A support function certifies as convex when the smallest eigenvalue of its
 # shape tensor clears this floor (relative to max(1, sup|h|)); the floor only
@@ -46,7 +46,7 @@ class CapillaryField:
     scale: float = field(init=False)
     # Not a cached property: its class-wide lock would queue threads on each
     # other's tensors.  Two threads racing on one field write the same bytes.
-    _tensor: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _tensor: ShapeTensor | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.values = self.grid.check_field(self.values)
@@ -59,8 +59,8 @@ class CapillaryField:
         return ROBIN_GATE * self.scale
 
     @property
-    def tensor(self) -> np.ndarray:
-        """Shape tensor Hess(f) + f * metric, shaped (n_rho+1, n_phi, 2, 2)."""
+    def tensor(self) -> ShapeTensor:
+        """Shape tensor Hess(f) + f * metric: node-shaped planes rr, rp, pp."""
         if self._tensor is None:
             self._tensor = a_of(self.grid, self.values)
         return self._tensor
@@ -291,8 +291,9 @@ MAX_HALVINGS = 50
 # amplitude up to 4), so every halving it skips would fail the exact check too.
 PREDICTION_GUARD = 64.0
 
-def _ell_tensor(grid: CapGrid) -> np.ndarray:
-    """The unit cap's shape tensor on the meridian phi = 0, shaped (n_rho+1, 1, 2, 2).
+def _ell_tensor(grid: CapGrid) -> ShapeTensor:
+    """The unit cap's shape tensor on the meridian phi = 0: read-only planes
+    shaped (n_rho+1, 1), which broadcast against node-shaped ones.
 
     The cap is rotationally symmetric, so its tensor is the same on every
     meridian up to roundoff (0.13 times the guard scale of PREDICTION_GUARD,
@@ -301,8 +302,10 @@ def _ell_tensor(grid: CapGrid) -> np.ndarray:
     return _table(grid, _cap_meridian_tensor)
 
 
-def _cap_meridian_tensor(grid: CapGrid) -> np.ndarray:
-    return a_of(grid, enforce_contact_angle(grid, ell_values(grid)))[:, :1].copy()
+def _cap_meridian_tensor(grid: CapGrid) -> ShapeTensor:
+    """_ell_tensor's planes, copied off the full-grid tensor."""
+    full = a_of(grid, enforce_contact_angle(grid, ell_values(grid)))
+    return ShapeTensor._make(plane[:, :1].copy() for plane in full)
 
 
 def _predicted_misses(grid: CapGrid, lv: np.ndarray, u: np.ndarray,
@@ -325,10 +328,10 @@ def _predicted_misses(grid: CapGrid, lv: np.ndarray, u: np.ndarray,
     C = a_of(grid, lu)
     del lu
     shift = MARGIN * base_radius - guard
-    b00 = base_radius * A0[..., 0, 0] - shift
-    b11 = base_radius * A0[..., 1, 1] - shift
-    b01 = base_radius * A0[..., 0, 1]
-    c00, c11, c01 = C[..., 0, 0], C[..., 1, 1], C[..., 0, 1]
+    b00 = base_radius * A0.rr - shift
+    b11 = base_radius * A0.pp - shift
+    b01 = base_radius * A0.rp
+    c00, c11, c01 = C.rr, C.pp, C.rp
     tr_b, det_b = b00 + b11, b00 * b11 - b01 * b01
     # Peak memory stays that of an exact attempt: C, the three results and
     # one full-size temporary at a time.

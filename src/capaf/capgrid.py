@@ -4,8 +4,9 @@ The cap is the set of unit outward normals attainable by a convex surface
 meeting the horizontal floor at a fixed angle theta; intrinsically it is a
 geodesic ball of radius theta in the round 2-sphere.  Scalar fields are plain
 float64 arrays of shape (n_rho + 1, n_phi): radial index slow, azimuthal index
-fast.  Symmetric-tensor fields carry two extra trailing axes of length 2 and
-store components in the orthonormal frame (e_rho, e_phi).
+fast.  A symmetric 2x2 tensor field is a ShapeTensor: three such arrays, its
+components rr, rp and pp in the orthonormal frame (e_rho, e_phi), with the
+off-diagonal stored once.
 
 Node layout: rho_j = (j + 1/2) * drho with drho = theta / (n_rho + 1/2), so the
 pole is never a node and the last row sits exactly on the boundary circle
@@ -16,6 +17,8 @@ use no BLAS or FFT.  Azimuthal derivatives are Fourier.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -161,7 +164,18 @@ def surface_gradient(grid: CapGrid, values: np.ndarray) -> np.ndarray:
     return out
 
 
-def a_of(grid: CapGrid, values: np.ndarray) -> np.ndarray:
+class ShapeTensor(NamedTuple):
+    """Symmetric 2x2 tensor field in the frame (e_rho, e_phi), one plane per
+    component: rr = (rho,rho), rp = (rho,phi) = (phi,rho), pp = (phi,phi).
+    Each plane is a node-shaped array, or one meridian of it (see
+    capfun._ell_tensor); a_of's planes are C-contiguous and distinct."""
+
+    rr: np.ndarray
+    rp: np.ndarray
+    pp: np.ndarray
+
+
+def a_of(grid: CapGrid, values: np.ndarray) -> ShapeTensor:
     """Shape tensor Hess(f) + f * metric; convexity means this is positive.
 
     The covariant Hessian on the round sphere, in orthonormal components:
@@ -169,31 +183,33 @@ def a_of(grid: CapGrid, values: np.ndarray) -> np.ndarray:
     (rho,phi):  (d2f/drho dphi - cot(rho) df/dphi) / sin(rho)
     (phi,phi):  d2f/dphi2 / sin2(rho) + cot(rho) df/drho
     Radial derivatives are 4th-order finite differences (one-sided closures on
-    the boundary row); azimuthal ones are spectral.
+    the boundary row); azimuthal ones are spectral.  The derivative arrays
+    become the planes in place, so the call holds no full-grid temporary
+    beyond them: at most four node-shaped arrays are alive at once.
     """
     values = grid.check_field(values)
-    f_r = grid.d_rho(values, 1)
-    f_rr = grid.d_rho(values, 2)
-    f_p, f_pp = grid.d_phi_orders(values, (1, 2))
-    f_rp = grid.d_rho(f_p, 1)
     sin = grid.sin_rho[:, None]
     cot = grid.cot_rho[:, None]
+    f_p, f_pp = grid.d_phi_orders(values, (1, 2))
     f_pp /= sin**2
-    f_pp += cot * f_r
-    f_rr += values
+    f_r = grid.d_rho(values, 1)
+    f_r *= cot
+    f_pp += f_r
+    del f_r
     f_pp += values
-    out = np.empty(grid.node_shape + (2, 2))
-    out[..., 0, 0] = f_rr
-    out[..., 0, 1] = (f_rp - cot * f_p) / sin
-    out[..., 1, 0] = out[..., 0, 1]
-    out[..., 1, 1] = f_pp
-    return out
+    f_rr = grid.d_rho(values, 2)
+    f_rr += values
+    f_rp = grid.d_rho(f_p, 1)
+    f_p *= cot
+    f_rp -= f_p
+    f_rp /= sin
+    return ShapeTensor(f_rr, f_rp, f_pp)
 
 
-def tensor_eigenvalues(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pointwise (smaller, larger) eigenvalues of symmetric 2x2 tensor fields."""
-    mean = 0.5 * (A[..., 0, 0] + A[..., 1, 1])
-    rad = np.sqrt((0.5 * (A[..., 0, 0] - A[..., 1, 1])) ** 2 + A[..., 0, 1] ** 2)
+def tensor_eigenvalues(A: ShapeTensor) -> tuple[np.ndarray, np.ndarray]:
+    """Pointwise (smaller, larger) eigenvalues of a symmetric 2x2 tensor field."""
+    mean = 0.5 * (A.rr + A.pp)
+    rad = np.sqrt((0.5 * (A.rr - A.pp)) ** 2 + A.rp ** 2)
     return mean - rad, mean + rad
 
 

@@ -223,9 +223,9 @@ def write_report(out_dir: Path, name: str, payload: dict, csv_text: str | None,
     """Write name.json, its .meta.json sidecar and optionally name.csv.
 
     meta holds run statistics (solver counts and the like); they go into the
-    sidecar next to the timestamp, never into the report.
+    sidecar next to the timestamp, never into the report.  out_dir must exist
+    (see run_command).
     """
-    out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"{name}.json"
     try:
         text = json.dumps(payload, indent=1, sort_keys=True, allow_nan=False,
@@ -275,7 +275,6 @@ def emit(args, name: str, payload: dict, table: str | None = None,
 def cmd_gen(args) -> bool:
     grid, _ = setup(args)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     files = []
     body_bytes = 0
     for i in range(args.count):
@@ -520,9 +519,7 @@ def cmd_reconstruct(args) -> bool:
     boundary = {f"V_{k + 1}": boundary_form_quermass(patch, k) for k in (1, 2)}
     breach = (contact > 1e-12) or (planar > tol.identity) or (interior <= 0.0) \
         or (vol_err > tol.volume)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    mesh = out / "patch.obj"
+    mesh = Path(args.out) / "patch.obj"
     export_mesh(patch, mesh)
     emit(args, "reconstruct_report", {
         "identity": "support-function embedding meets the plane at the "
@@ -554,7 +551,6 @@ def cmd_report(args) -> bool:
     the standalone command's.  The parser is built here, at call time, so the
     sections dispatch to whatever ``cmd_*`` functions the module holds now.
     """
-    thread_count()  # refuse a bad CAPAF_THREADS before any section runs
     parser = build_parser()
     out = Path(args.out)
     shared = [f"--theta={args.theta!r}", "--grid={}x{}".format(*args.grid),
@@ -562,8 +558,7 @@ def cmd_report(args) -> bool:
     shared += ["--csv"] if args.csv else []
 
     def run(command, *argv, out=out):
-        sub = parser.parse_args([command, *shared, f"--out={out}", *argv])
-        return sub.func(sub)
+        return run_command(parser.parse_args([command, *shared, f"--out={out}", *argv]))
 
     bodies = [str(out / "bodies" / f"body_{i:04d}.json") for i in range(2)]
     run("gen", "--count=2", out=out / "bodies")
@@ -583,6 +578,13 @@ def cmd_report(args) -> bool:
         "breach": overall,
     })
     return overall
+
+
+def run_command(args) -> bool:
+    """Run a parsed command in its --out directory, created first, so that an
+    --out that cannot be made is refused before any work."""
+    Path(args.out).mkdir(parents=True, exist_ok=True)
+    return args.func(args)
 
 
 # -- argument wiring -------------------------------------------------------------
@@ -663,9 +665,11 @@ def main(argv=None) -> int:
         # report malformed command lines as configuration errors instead.
         return EXIT_CONFIG if exc.code else EXIT_OK
     # The only place an exception becomes an exit code.  LinAlgError is a
-    # ValueError, so the numerical clause must come first.
+    # ValueError, so the numerical clause must come first.  The environment
+    # is checked before --out is created, so a refused run leaves nothing.
     try:
-        breach = args.func(args)
+        thread_count()
+        breach = run_command(args)
     except (RuntimeError, np.linalg.LinAlgError) as exc:
         print(f"capaf: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

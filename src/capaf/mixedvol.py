@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capgrid import CapGrid
+from .capgrid import CapGrid, ShapeTensor
 from .capfun import CapillaryBody, CapillaryField, as_field, ell_values
 
 
@@ -30,13 +30,10 @@ def b_theta(theta: float) -> float:
 
 # -- mixed volumes -------------------------------------------------------------
 
-def q2(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Pointwise 2x2 mixed discriminant of tensor fields shaped (..., 2, 2)."""
-    return 0.5 * (
-        A[..., 0, 0] * B[..., 1, 1]
-        + A[..., 1, 1] * B[..., 0, 0]
-        - 2.0 * A[..., 0, 1] * B[..., 0, 1]
-    )
+def q2(A: ShapeTensor, B: ShapeTensor) -> np.ndarray:
+    """Pointwise 2x2 mixed discriminant of two tensor fields; the result has
+    the planes' (broadcast) shape."""
+    return 0.5 * (A.rr * B.pp + A.pp * B.rr - 2.0 * A.rp * B.rp)
 
 
 def mixed_volume(grid: CapGrid, f1, rest) -> float:
@@ -77,12 +74,12 @@ def quermassintegral(grid: CapGrid, body) -> list[float]:
     return mixed_sequence(grid, body, ell_values(grid))
 
 
-def _h_k(A: np.ndarray, k: int) -> np.ndarray:
+def _h_k(A: ShapeTensor, k: int) -> np.ndarray:
     if k == 0:
-        return np.ones(A.shape[:-2])
+        return np.ones(A.rr.shape)
     if k == 1:
-        return 0.5 * (A[..., 0, 0] + A[..., 1, 1])
-    return A[..., 0, 0] * A[..., 1, 1] - A[..., 0, 1] ** 2
+        return 0.5 * (A.rr + A.pp)
+    return A.rr * A.pp - A.rp ** 2
 
 
 def h_k_field(grid: CapGrid, h, k: int) -> np.ndarray:

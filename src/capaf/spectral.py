@@ -32,7 +32,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import lapack, subspace_angles
 
 from ._stencil import stencil_pair
-from .capgrid import CapGrid
+from .capgrid import CapGrid, ShapeTensor
 from .capfun import as_field, certify, ell_values, horizontal_linear
 from .mixedvol import mixed_sequence, mixed_volume, q2
 
@@ -78,9 +78,7 @@ class WeightedSpace:
         self.ref = ref
         self.f2 = ref.values
         self.A2 = ref.tensor
-        self.detA2 = (
-            self.A2[..., 0, 0] * self.A2[..., 1, 1] - self.A2[..., 0, 1] ** 2
-        )
+        self.detA2 = self.A2.rr * self.A2.pp - self.A2.rp ** 2
         # Positive: f2 > 0, a certified tensor and positive quadrature weights.
         self.omega = self.detA2 / (3.0 * self.f2) * grid.quad_weights
 
@@ -107,7 +105,7 @@ class WeightedSpace:
         """Pointwise operator application through the grid derivatives."""
         return self.apply_tensor(as_field(self.grid, f).tensor)
 
-    def apply_tensor(self, Af: np.ndarray) -> np.ndarray:
+    def apply_tensor(self, Af: ShapeTensor) -> np.ndarray:
         """The operator on a field given by its shape tensor Af."""
         return self.f2 * q2(Af, self.A2) / self.detA2
 
@@ -251,9 +249,9 @@ def assemble_operator(space: WeightedSpace) -> Pencil:
     G_phi = sp.kron(sp.diags(1.0 / g.sin_rho), phi1)
 
     W = space.A2
-    q_rr = 0.5 * W[..., 1, 1]
-    q_pp = 0.5 * W[..., 0, 0]
-    q_rp = -0.5 * W[..., 0, 1]
+    q_rr = 0.5 * W.pp
+    q_pp = 0.5 * W.rr
+    q_rp = -0.5 * W.rp
     w = np.outer(h_rho * g.sin_rho, np.full(P, g.dphi))
 
     def dia(c):
@@ -265,7 +263,7 @@ def assemble_operator(space: WeightedSpace) -> Pencil:
         + G_rho.T @ dia(w * q_rp) @ G_phi
         + G_phi.T @ dia(w * q_rp) @ G_rho
     )
-    mass_density = 0.5 * (W[..., 0, 0] + W[..., 1, 1])
+    mass_density = 0.5 * (W.rr + W.pp)
     mass_mat = dia(w * mass_density)
 
     # Centred first differences annihilate the odd-even modes (one lattice

@@ -35,6 +35,16 @@ def seeded_body(theta: float, n_rho: int, n_phi: int, seed: int,
     return capaf.random_body(grid(theta, n_rho, n_phi), seed, amplitude=amplitude)
 
 
+def tensor_bytes(tensor) -> tuple[bytes, ...]:
+    """A shape tensor's bytes, one entry per plane (rr, rp, pp)."""
+    return tuple(plane.tobytes() for plane in tensor)
+
+
+def shape_tensor(packed: np.ndarray) -> capaf.ShapeTensor:
+    """The ShapeTensor of symmetric 2x2 data packed as (..., 2, 2)."""
+    return capaf.ShapeTensor(packed[..., 0, 0], packed[..., 0, 1], packed[..., 1, 1])
+
+
 def random_neumann_datum_by_loop(grid, rng, mode_cap):
     """capfun._random_neumann_datum as a loop that adds one outer product per
     coefficient, drawn one at a time.  The reference whose summation order,

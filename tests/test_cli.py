@@ -336,6 +336,23 @@ def test_an_unusable_path_is_a_config_error(tmp_path, capsys, argv):
     assert err.startswith(CONFIG_PREFIX) and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["af", "gen", "reconstruct", "report"])
+def test_an_out_below_a_file_is_refused_before_any_work(tmp_path, capsys, monkeypatch, command):
+    (tmp_path / "file").write_text("")
+    built = []
+
+    def build_grid(*args):
+        built.append(args)
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(cli, "build_grid", build_grid)
+    assert run([command, "--theta", "2.2", "--grid", "128x128",
+                "--out", tmp_path / "file" / "x"]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(CONFIG_PREFIX) and err.count("\n") == 1
+    assert built == []
+
+
 def test_a_large_spectrum_residual_is_a_breach(tmp_path, monkeypatch):
     def spoiled(space, how_many):
         rep = capaf.spectrum(space, how_many=how_many)

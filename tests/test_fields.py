@@ -11,7 +11,8 @@ import pytest
 
 import capaf
 
-from helpers import grid, random_body_by_halving, random_neumann_datum_by_loop, seeded_body
+from helpers import (grid, random_body_by_halving, random_neumann_datum_by_loop, seeded_body,
+                     tensor_bytes)
 
 THETAS = (0.6, np.pi / 2, 2.3)
 
@@ -43,13 +44,13 @@ def test_as_field_reuses_a_field_only_on_its_own_grid():
     np.testing.assert_array_equal(moved.values, body.values)
     raw = capaf.capfun.as_field(g, body.values)
     assert raw is not body
-    assert raw.tensor.tobytes() == body.tensor.tobytes()
+    assert tensor_bytes(raw.tensor) == tensor_bytes(body.tensor)
 
 
 def test_threads_racing_on_one_field_read_the_same_shape_tensor():
     g = grid(1.2, 16, 16)
     values = capaf.random_body(g, 3).values
-    expected = capaf.a_of(g, values).tobytes()
+    expected = tensor_bytes(capaf.a_of(g, values))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -58,8 +59,8 @@ def test_threads_racing_on_one_field_read_the_same_shape_tensor():
             with ThreadPoolExecutor(max_workers=8) as pool:
                 futures = [pool.submit(lambda: field.tensor) for _ in range(16)]
                 tensors = [f.result(timeout=60) for f in futures]
-            assert all(t.tobytes() == expected for t in tensors)
-            assert field.tensor.tobytes() == expected
+            assert all(tensor_bytes(t) == expected for t in tensors)
+            assert tensor_bytes(field.tensor) == expected
     finally:
         sys.setswitchinterval(interval)
 
@@ -187,7 +188,7 @@ def test_random_body_is_reproducible_and_certified(theta):
 
 def assert_same_body(expected, body):
     assert body.values.tobytes() == expected.values.tobytes()
-    assert body.tensor.tobytes() == expected.tensor.tobytes()
+    assert tensor_bytes(body.tensor) == tensor_bytes(expected.tensor)
     assert body.provenance == expected.provenance
 
 
@@ -304,7 +305,7 @@ def test_random_body_shapes_the_cap_once_per_grid_and_the_datum_once_per_body(mo
     assert len(cap_calls) == 1
     entries = [a for entry in capfun._TABLES[g].values()
                for a in (entry if isinstance(entry, tuple) else (entry,))]
-    assert len(entries) == 1 + 2 + 3 + 3  # cap tensor, lifts, two mode tables
+    assert len(entries) == 3 + 2 + 3 + 3  # cap tensor's planes, lifts, two mode tables
     assert not any(a.flags.writeable for a in entries)
     refs = [weakref.ref(a) for a in entries] + [weakref.ref(g)]
     monkeypatch.undo()
@@ -316,7 +317,8 @@ def test_random_body_shapes_the_cap_once_per_grid_and_the_datum_once_per_body(mo
 def test_the_cap_tensor_dies_with_its_grid_and_threads_agree_on_it():
     capfun = capaf.capfun
     g = capaf.build_grid(2.2, 16, 16)
-    expected = capaf.a_of(g, capaf.enforce_contact_angle(g, capaf.ell_values(g)))[:, :1].tobytes()
+    full = capaf.a_of(g, capaf.enforce_contact_angle(g, capaf.ell_values(g)))
+    expected = tuple(plane[:, :1].tobytes() for plane in full)
     datum = random_neumann_datum_by_loop(g, np.random.default_rng(4), 3).tobytes()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -332,12 +334,15 @@ def test_the_cap_tensor_dies_with_its_grid_and_threads_agree_on_it():
         sys.setswitchinterval(interval)
     # One tensor, built once, and the datum's bytes in every thread.
     assert all(t is tensors[0] for t in tensors)
-    assert tensors[0].tobytes() == expected
+    assert tensor_bytes(tensors[0]) == expected
+    # Read-only C-contiguous meridian planes, one per component.
+    assert all(plane.shape == (g.n_rho + 1, 1) and plane.flags.c_contiguous
+               and not plane.flags.writeable for plane in tensors[0])
     assert all(u.tobytes() == datum for u in datums)
-    grid_ref, tensor_ref = weakref.ref(g), weakref.ref(tensors[0])
+    refs = [weakref.ref(g)] + [weakref.ref(plane) for plane in tensors[0]]
     del g, tensors, futures, datum_futures
     gc.collect()
-    assert grid_ref() is None and tensor_ref() is None
+    assert all(ref() is None for ref in refs)
 
 
 def test_random_body_amplitude_zero_is_the_cap():

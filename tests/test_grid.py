@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import pytest
 import capaf
 from capaf.capgrid import MIN_PHI, MIN_RHO
 
-from helpers import grid, observed_orders
+from helpers import grid, observed_orders, shape_tensor, tensor_bytes
 
 
 @pytest.mark.parametrize("theta", [-1.0, 0.0, np.pi, 4.0, np.nan])
@@ -76,7 +77,8 @@ def test_a_of_is_byte_identical_across_blas_thread_counts():
         "import hashlib, capaf\n"
         "g = capaf.build_grid(2.2, 128, 128)\n"
         "f = capaf.random_capillary_field(g, seed=9).values\n"
-        "print(hashlib.sha256(capaf.a_of(g, f).tobytes()).hexdigest())\n"
+        "planes = capaf.a_of(g, f)\n"
+        "print(hashlib.sha256(b''.join(p.tobytes() for p in planes)).hexdigest())\n"
     )
     src = os.path.dirname(os.path.dirname(capaf.__file__))
     digests = []
@@ -214,18 +216,24 @@ def test_d_phi_is_spectrally_exact():
     np.testing.assert_allclose(g.d_phi(f, 2), -9.0 * f, atol=1e-10)
 
 
+def packed_shape_tensor(g, f):
+    """The shape tensor packed as (..., 2, 2), as a_of once returned it, built
+    from one transform per azimuthal derivative."""
+    f_r, f_rr = g.d_rho(f, 1), g.d_rho(f, 2)
+    f_p, f_pp = g.d_phi(f, 1), g.d_phi(f, 2)
+    sin, cot = g.sin_rho[:, None], g.cot_rho[:, None]
+    packed = np.empty(g.node_shape + (2, 2))
+    packed[..., 0, 0] = f_rr + f
+    packed[..., 0, 1] = packed[..., 1, 0] = (g.d_rho(f_p, 1) - cot * f_p) / sin
+    packed[..., 1, 1] = f_pp / sin**2 + cot * f_r + f
+    return packed
+
+
 def test_a_of_takes_one_azimuthal_transform_and_equals_the_two_transform_form(
         monkeypatch):
     g = grid(2.2, 64, 64)
     f = capaf.random_capillary_field(g, seed=9).values
-    # the shape tensor as built from one transform per azimuthal derivative
-    f_r, f_rr = g.d_rho(f, 1), g.d_rho(f, 2)
-    f_p, f_pp = g.d_phi(f, 1), g.d_phi(f, 2)
-    sin, cot = g.sin_rho[:, None], g.cot_rho[:, None]
-    two = np.empty(g.node_shape + (2, 2))
-    two[..., 0, 0] = f_rr + f
-    two[..., 0, 1] = two[..., 1, 0] = (g.d_rho(f_p, 1) - cot * f_p) / sin
-    two[..., 1, 1] = f_pp / sin**2 + cot * f_r + f
+    two = packed_shape_tensor(g, f)
 
     rfft = np.fft.rfft
     calls = []
@@ -237,7 +245,43 @@ def test_a_of_takes_one_azimuthal_transform_and_equals_the_two_transform_form(
     monkeypatch.setattr(np.fft, "rfft", counting_rfft)
     A = capaf.a_of(g, f)
     assert len(calls) == 1
-    assert A.tobytes() == two.tobytes()
+    assert tensor_bytes(A) == tensor_bytes(shape_tensor(two))
+
+
+@pytest.mark.parametrize("theta, n_rho, n_phi", [(2.2, 64, 64), (0.3, 24, 40), (1.2, 8, 8)])
+def test_a_of_returns_three_contiguous_planes(theta, n_rho, n_phi):
+    g = grid(theta, n_rho, n_phi)
+    f = capaf.random_capillary_field(g, seed=9).values
+    A = capaf.a_of(g, f)
+    assert type(A) is capaf.ShapeTensor and A._fields == ("rr", "rp", "pp")
+    for plane in A:
+        assert plane.shape == g.node_shape and plane.dtype == np.float64
+        assert plane.flags.c_contiguous and plane.flags.writeable
+        assert not np.shares_memory(plane, f)
+    assert not any(np.shares_memory(a, b) for a, b in ((A.rr, A.rp), (A.rr, A.pp), (A.rp, A.pp)))
+    assert tensor_bytes(A) == tensor_bytes(shape_tensor(packed_shape_tensor(g, f)))
+
+
+# Peak traced allocation of one a_of call at 128x128, in node-shaped planes.
+# At most four arrays are alive at once: the azimuthal transform's spectrum,
+# its product and two derivatives, or at the end the three planes and f_p.
+# Measured 4.51; the packed (..., 2, 2) output read 11.5, and an off-diagonal
+# computed out of place (one full-grid temporary more at the end) 6.5.
+A_OF_PEAK_PLANES = 5.0
+
+
+def test_a_of_allocates_no_packed_tensor_or_extra_full_grid_temporary():
+    g = capaf.build_grid(2.2, 128, 128)
+    f = capaf.random_capillary_field(g, seed=9).values
+    capaf.a_of(g, f)  # grid-lifetime tables are not the call's allocations
+    tracemalloc.start()
+    try:
+        A = capaf.a_of(g, f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(plane.nbytes for plane in A) == 3 * f.nbytes
+    assert peak <= A_OF_PEAK_PLANES * f.nbytes, peak / f.nbytes
 
 
 @pytest.mark.parametrize("m", [0, 1, 2])
@@ -265,10 +309,8 @@ def test_hessian_of_the_cap_support_is_the_metric():
     for n in (16, 32, 64):
         g = grid(1.1, n, n)
         A = capaf.a_of(g, capaf.ell_values(g))
-        dev = A.copy()
-        dev[..., 0, 0] -= 1.0
-        dev[..., 1, 1] -= 1.0
-        errs.append(float(np.max(np.abs(dev))))
+        dev = (A.rr - 1.0, A.rp, A.pp - 1.0)
+        errs.append(max(float(np.max(np.abs(plane))) for plane in dev))
     assert errs[-1] < 2e-7
     assert min(observed_orders(errs)) > 3.5
 

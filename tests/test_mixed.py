@@ -6,7 +6,7 @@ import pytest
 import capaf
 from capaf.mixedvol import q2
 
-from helpers import grid, smooth_body, smooth_field, solid_cap_volume
+from helpers import grid, shape_tensor, smooth_body, smooth_field, solid_cap_volume
 
 
 def test_b_theta_closed_form_anchors():
@@ -221,9 +221,10 @@ def test_mixed_discriminant_closed_forms():
     A = np.array([[2.0, 0.3], [0.3, 1.0]])
     B = np.array([[1.5, -0.4], [-0.4, 3.0]])
     closed = 0.5 * (A[0, 0] * B[1, 1] + A[1, 1] * B[0, 0] - 2 * A[0, 1] * B[0, 1])
-    assert q2(A, B) == pytest.approx(closed, rel=1e-14)
-    assert q2(A, A) == pytest.approx(np.linalg.det(A), rel=1e-14)
-    assert q2(B, A) == pytest.approx(closed, rel=1e-14)
+    SA, SB = shape_tensor(A), shape_tensor(B)
+    assert q2(SA, SB) == pytest.approx(closed, rel=1e-14)
+    assert q2(SA, SA) == pytest.approx(np.linalg.det(A), rel=1e-14)
+    assert q2(SB, SA) == pytest.approx(closed, rel=1e-14)
 
 
 def test_pairwise_discriminant_inequality_two_by_two():
@@ -233,7 +234,7 @@ def test_pairwise_discriminant_inequality_two_by_two():
     A = G @ np.swapaxes(G, 1, 2) + 0.05 * np.eye(2)
     H = rng.normal(size=(100000, 2, 2))
     B = H @ np.swapaxes(H, 1, 2) + 0.05 * np.eye(2)
-    dab = q2(A, B)
+    dab = q2(shape_tensor(A), shape_tensor(B))
     gap = dab ** 2 - np.linalg.det(A) * np.linalg.det(B)
     scale = np.maximum(1.0, dab ** 2)
     assert float(np.min(gap / scale)) > -1e-12
