@@ -41,7 +41,6 @@ from .mixedvol import (
     quermass_report,
     quermassintegral,
     steiner_check,
-    symmetry_residual,
 )
 from .spectral import (
     AFReport,
@@ -75,7 +74,7 @@ __all__ = [
     "random_body", "random_capillary_field", "save_body",
     "QuermassReport", "SteinerReport", "b_theta", "h_k_field",
     "minkowski_identity_residual", "mixed_sequence", "mixed_volume", "quermass_report",
-    "quermassintegral", "steiner_check", "symmetry_residual",
+    "quermassintegral", "steiner_check",
     "AFReport", "ChainReport", "SpectrumReport", "WeightedSpace",
     "af_chain_check", "af_check", "assemble_operator", "equality_decompose",
     "quermass_chain_check", "spectrum",

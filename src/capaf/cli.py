@@ -3,12 +3,14 @@
 Reports are deterministic for a fixed configuration: the JSON body contains
 only config, values and verdicts, while wall-clock metadata goes to a separate
 .meta.json sidecar so repeated runs stay byte-identical; no NaN or infinity
-reaches a report.  Exit codes: 0 all checks passed, 2 a tolerance was breached
-(the report is still written), 3 the configuration was invalid (a bad option,
-a grid or body that does not validate, or a path that cannot be read or
-written), 4 a numerical failure (no convex body within the amplitude halvings,
-a non-finite result, or a linear-algebra routine that failed).  ``main`` alone
-maps an exception to its code, by type, with one message prefix per code.
+reaches a report.  Every verdict is a Gate, a value held against one entry of
+BOUNDS, and ``emit`` alone turns a command's gates into its breach.  Exit
+codes: 0 all gates passed, 2 a gate failed (the report is still written), 3
+the configuration was invalid (a bad option, a grid or body that does not
+validate, or a path that cannot be read or written), 4 a numerical failure
+(no convex body within the amplitude halvings, a non-finite result, or a
+linear-algebra routine that failed).  ``main`` alone maps an exception to its
+code, by type, with one message prefix per code.
 
 Each subparser is the only definition of its command's options and defaults,
 and a report's config block lists exactly those options.  ``report`` runs each
@@ -26,9 +28,10 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,6 +60,7 @@ from .reconstruct import (
     planarity_residual,
 )
 from .spectral import (
+    LAMBDA1_GAP,
     WeightedSpace,
     af_chain_check,
     af_check,
@@ -69,22 +73,6 @@ EXIT_BREACH = 2
 EXIT_CONFIG = 3
 EXIT_NUMERIC = 4
 
-# Reference spacing for grid-anchored tolerances: the documented accuracy
-# statements hold on the 128x128 grid and degrade with the scheme order when
-# the grid is coarser.
-ANCHOR_RHO = 128
-# The equality-family gap floor shrinks with the fourth power of the spacing
-# and clears 1e-8 only around 256 radial nodes, so its budget is anchored there.
-AF_ANCHOR_RHO = 256
-# Largest eigenpair residual a spectrum may report.  The block eigensolver
-# for references that are not rotationally invariant iterates until every
-# residual is below 1e-9 and raises if it never gets there; this gate catches
-# an iteration that stopped short of that, should its stopping rule be
-# loosened or broken.  The cap's shift-invert solves measure 2.2e-12 to
-# 3.9e-12 at 64x64 and 1.3e-11 to 3.2e-11 at 128x128 (theta 0.3 to 3.0);
-# random references stop between 1e-10 and 1e-9.
-SPECTRUM_RESIDUAL_GATE = 1e-8
-
 
 # An ArgumentTypeError, so that a parse_grid or positive_int failure inside
 # argparse becomes a usage error (exit 3) with this message.
@@ -92,32 +80,68 @@ class ConfigError(argparse.ArgumentTypeError):
     pass
 
 
-@dataclass
-class Tolerances:
-    quermass: float
-    identity: float
-    af: float
-    volume: float
-    lambda1: float
-    kernel_cos: float
+class Bound(NamedTuple):
+    """A gate bound: its budget on the anchor grid, where the documented
+    accuracy statements hold.  Under --tolerance-profile default it widens by
+    ((anchor + 1/2)/(n_rho + 1/2))**order on coarser grids, where the scheme
+    order degrades them; order 0 is the same bound on every grid and profile."""
+
+    budget: float
+    order: int = 0
+    anchor: int = 128
+
+    def at(self, profile: str, n_rho: int):
+        if profile == "strict" or not self.order:
+            return self.budget
+        return self.budget * max(1.0, (self.anchor + 0.5) / (n_rho + 0.5)) ** self.order
 
 
-def make_tolerances(profile: str, n_rho: int) -> Tolerances:
-    if profile == "strict":
-        quad = cubic = af_quad = 1.0
-    else:
-        ratio = max(1.0, (ANCHOR_RHO + 0.5) / (n_rho + 0.5))
-        quad = ratio**4
-        cubic = ratio**2
-        af_quad = max(1.0, (AF_ANCHOR_RHO + 0.5) / (n_rho + 0.5)) ** 4
-    return Tolerances(
-        quermass=1e-6 * quad,
-        identity=1e-5 * quad,
-        af=1e-8 * af_quad,
-        volume=1e-3 * cubic,
-        lambda1=1e-3,
-        kernel_cos=1e-6 * quad,
-    )
+# Every bound a gate compares against.
+BOUNDS = {
+    "quermass": Bound(1e-6, 4),
+    "identity": Bound(1e-5, 4),
+    # The equality-family gap floor shrinks with the fourth power of the
+    # spacing and clears 1e-8 only around 256 radial nodes, so its budget is
+    # anchored there.
+    "af": Bound(1e-8, 4, 256),
+    "volume": Bound(1e-3, 2),
+    "lambda1": Bound(1e-3),
+    "lambda1_gap": Bound(LAMBDA1_GAP),
+    "kernel_cos": Bound(1e-6, 4),
+    "kernel_count": Bound(2),
+    "window_empty": Bound(True),
+    # Largest eigenpair residual a spectrum may report.  The block
+    # eigensolver for references that are not rotationally invariant iterates
+    # until every residual is below 1e-9 and raises if it never gets there;
+    # this gate catches an iteration that stopped short of that, should its
+    # stopping rule be loosened or broken.  The cap's shift-invert solves
+    # measure 2.2e-12 to 3.9e-12 at 64x64 and 1.3e-11 to 3.2e-11 at 128x128
+    # (theta 0.3 to 3.0); random references stop between 1e-10 and 1e-9.
+    "residual": Bound(1e-8),
+    "contact": Bound(1e-12),
+    "cap_equality": Bound(1e-12),
+    "decomposition": Bound(1e-6),
+    "interior": Bound(0.0),
+    "failures": Bound(0),
+}
+
+
+class Gate(NamedTuple):
+    """One check of a report, `value <sense> bound` for a sense of <=, >=, > or ==.
+    Its margin is positive on the passing side, and it passes on a margin >= 0
+    (> 0 for ">"): the sign of a float difference is exact, so that is the
+    comparison itself."""
+
+    name: str
+    value: float
+    bound: float
+    sense: str
+
+    def record(self) -> dict:
+        v, b = self.value, self.bound
+        margin = {"<=": b - v, ">=": v - b, ">": v - b, "==": -abs(v - b)}[self.sense]
+        return {**self._asdict(), "margin": margin,
+                "passed": bool(margin > 0 if self.sense == ">" else margin >= 0)}
 
 
 def parse_grid(text: str) -> tuple[int, int]:
@@ -233,11 +257,8 @@ def write_report(out_dir: Path, name: str, payload: dict, csv_text: str | None,
     except ValueError as exc:
         raise RuntimeError(f"{name}: non-finite value in the report") from exc
     path.write_text(text + "\n", encoding="utf-8")
-    sidecar = {
-        "written_at": datetime.now(timezone.utc).isoformat(),
-        "report": path.name,
-        **(meta or {}),
-    }
+    sidecar = {"written_at": datetime.now(timezone.utc).isoformat(), "report": path.name,
+               **(meta or {})}
     (out_dir / f"{name}.meta.json").write_text(
         json.dumps(sidecar, indent=1, default=_numpy_to_json) + "\n", encoding="utf-8")
     if want_csv and csv_text is not None:
@@ -248,79 +269,71 @@ def write_report(out_dir: Path, name: str, payload: dict, csv_text: str | None,
 def csv_table(header: list[str], rows: list[list]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+    writer.writerows([repr(v) if isinstance(v, float) else v for v in row]
+                     for row in [header, *rows])
     return buf.getvalue()
 
 
-def setup(args) -> tuple[CapGrid, Tolerances]:
-    """The command's grid and its grid-anchored tolerances."""
+def setup(args) -> tuple[CapGrid, dict]:
+    """The command's grid and every entry of BOUNDS on it."""
     grid = build_grid(args.theta, *args.grid)
-    return grid, make_tolerances(args.tolerance_profile, grid.n_rho)
+    return grid, {name: b.at(args.tolerance_profile, grid.n_rho)
+                  for name, b in BOUNDS.items()}
 
 
-def emit(args, name: str, payload: dict, table: str | None = None,
-         meta: dict | None = None) -> Path:
-    """Write report name under --out, headed by the command's config block.
+def emit(args, name: str, payload: dict, gates: list[Gate], table: str | None = None,
+         meta: dict | None = None) -> list[str]:
+    """Write report name under --out: the command's config block, its payload
+    and its gates, each with its signed margin; return the failed gate names.
 
-    table is the CSV text, written when --csv is given.
+    The one place a verdict is reached: breach is any gate not passed.  table
+    is the CSV text, written when --csv is given.
     """
-    return write_report(Path(args.out), name, {"config": config_dict(args), **payload},
-                        table, args.csv, meta)
+    records = [gate.record() for gate in gates]
+    failed = [r["name"] for r in records if not r["passed"]]
+    write_report(Path(args.out), name, {"config": config_dict(args), **payload,
+                                        "gates": records, "breach": bool(failed)},
+                 table, args.csv, meta)
+    return failed
 
 
 # -- subcommands -----------------------------------------------------------------
 
-def cmd_gen(args) -> bool:
+def cmd_gen(args) -> list[str]:
     grid, _ = setup(args)
     out = Path(args.out)
-    files = []
-    body_bytes = 0
+    files, body_bytes = [], 0
     for i in range(args.count):
-        body = random_body(
-            grid,
-            seed=trial_seed(args.seed, i),
-            base_radius=args.base_radius,
-            amplitude=args.amplitude,
-        )
+        body = random_body(grid, seed=trial_seed(args.seed, i),
+                           base_radius=args.base_radius, amplitude=args.amplitude)
         path = out / f"body_{i:04d}.json"
         save_body(body, path)
         files.append(path.name)
         body_bytes += path.stat().st_size
-    emit(args, "gen_report",
-         {"identity": "seeded generation of certified convex support functions",
-          "files": files},
-         meta={"body_bytes": body_bytes})
-    return False
+    return emit(args, "gen_report",
+                {"identity": "seeded generation of certified convex support functions",
+                 "files": files}, [], meta={"body_bytes": body_bytes})
 
 
-def cmd_quermass(args) -> bool:
+def cmd_quermass(args) -> list[str]:
     grid, tol = setup(args)
     if not args.bodies:
         raise ConfigError("quermass needs at least one body file")
-    reports = []
-    rows = []
-    breach = False
+    reports, rows = [], []
     for path in args.bodies:
         body = load_body(path, grid)
         rep = quermass_report(grid, body)
         reports.append({"file": Path(path).name, **asdict(rep)})
         # Only the top index has a closed-form reference.
-        for k, v in enumerate(rep.values):
-            top = k == len(rep.values) - 1
-            rows.append([Path(path).name, k, v, rep.b_theta if top else "",
-                         rep.top_rel_err if top else ""])
-        if rep.top_rel_err > tol.quermass:
-            breach = True
-    emit(args, "quermass_report", {
+        *lower, top = enumerate(rep.values)
+        rows += [[Path(path).name, k, v, "", ""] for k, v in lower]
+        rows.append([Path(path).name, *top, rep.b_theta, rep.top_rel_err])
+    return emit(args, "quermass_report", {
         "identity": "quermassintegral table vs closed-form cap values; "
                     "top degree equals the cap volume for every body",
-        "tolerance": tol.quermass,
         "reports": reports,
-        "breach": breach,
-    }, csv_table(["file", "k", "value", "reference", "rel_err"], rows))
-    return breach
+    }, [Gate("top_rel_err", max(r["top_rel_err"] for r in reports), tol["quermass"], "<=")],
+        csv_table(["file", "k", "value", "reference", "rel_err"], rows))
 
 
 def _af_trial(grid, base, i, equality):
@@ -343,45 +356,38 @@ def _af_trial(grid, base, i, equality):
     return af_check(space, f, f1)
 
 
-def cmd_af(args) -> bool:
+def cmd_af(args) -> list[str]:
     grid, tol = setup(args)
-    threads = thread_count()
-    mode = "equality" if args.equality_family else "random"
-
     reports = run_indexed(
         args.trials, lambda i: _af_trial(grid, args.seed, i, args.equality_family),
-        threads)
-    rows, trials = [], []
-    breach = False
-    min_rel = math.inf
-    for i, rep in enumerate(reports):
-        min_rel = min(min_rel, rep.relative_gap)
-        bad = rep.relative_gap < -tol.af
-        if args.equality_family:
-            bad = abs(rep.relative_gap) > tol.af or (
-                rep.decomposition is None
-                or rep.decomposition.relative_residual > 1e-6
-            )
-        breach = breach or bad
-        trials.append({"trial": i, **asdict(rep)})
-        rows.append([i, rep.lhs, rep.rhs, rep.gap, rep.relative_gap,
-                     rep.equality_within_resolution])
-    emit(args, "af_report", {
+        thread_count())
+    trials = [{"trial": i, **asdict(rep)} for i, rep in enumerate(reports)]
+    rows = [[i, rep.lhs, rep.rhs, rep.gap, rep.relative_gap, rep.equality_within_resolution]
+            for i, rep in enumerate(reports)]
+    gaps = [rep.relative_gap for rep in reports]
+    gates = [Gate("min_relative_gap", min(gaps), -tol["af"], ">=")]
+    if args.equality_family:
+        # Equality within the bound on both sides, and every f decomposed.
+        residuals = [rep.decomposition.relative_residual for rep in reports
+                     if rep.decomposition is not None]
+        gates += [
+            Gate("max_relative_gap", max(gaps), tol["af"], "<="),
+            Gate("undecomposed_trials", len(reports) - len(residuals), tol["failures"], "<="),
+            Gate("decomposition_residual", max(residuals, default=0.0),
+                 tol["decomposition"], "<="),
+        ]
+    return emit(args, "af_report", {
         "identity": "quadratic mixed-volume inequality "
                     "V(f,f1,f2)^2 >= V(f,f,f2) V(f1,f1,f2)"
                     + (" on the equality family f = a*f1 + horizontal linear"
                        if args.equality_family else ""),
-        "mode": mode,
-        "tolerance": tol.af,
-        "min_relative_gap": min_rel,
-        "breach": breach,
+        "mode": "equality" if args.equality_family else "random",
         "trials": trials,
-    }, csv_table(["trial", "lhs", "rhs", "gap", "relative_gap",
-                  "equality_within_resolution"], rows))
-    return breach
+    }, gates, csv_table(["trial", "lhs", "rhs", "gap", "relative_gap",
+                         "equality_within_resolution"], rows))
 
 
-def cmd_chain(args) -> bool:
+def cmd_chain(args) -> list[str]:
     grid, tol = setup(args)
     threads = thread_count()
 
@@ -398,28 +404,23 @@ def cmd_chain(args) -> bool:
                         lambda i: af_chain_check(grid, bodies[i], bodies[i + 1]),
                         threads)
     cap_rep = quermass_chain_check(grid, cap)
-    rows = []
-    for kind, reps in (("body", reports), ("pair", pairs)):
-        for n, rep in enumerate(reps):
-            for t in rep.triples:
-                rows.append([kind, n, t["i"], t["j"], t["k"],
-                             t["lhs"], t["rhs"], t["slack"]])
-    min_rel = min(rep.min_relative_slack for rep in (*reports, *pairs))
-    cap_equality = max(abs(t["relative_slack"]) for t in cap_rep.triples)
-    breach = min_rel < -tol.af or cap_equality > 1e-12
-    emit(args, "chain_report", {
+    rows = [[kind, n, t["i"], t["j"], t["k"], t["lhs"], t["rhs"], t["slack"]]
+            for kind, reps in (("body", reports), ("pair", pairs))
+            for n, rep in enumerate(reps) for t in rep.triples]
+    gates = [
+        Gate("min_relative_slack", min(rep.min_relative_slack for rep in (*reports, *pairs)),
+             -tol["af"], ">="),
+        Gate("cap_equality_defect", max(abs(t["relative_slack"]) for t in cap_rep.triples),
+             tol["cap_equality"], "<="),
+    ]
+    return emit(args, "chain_report", {
         "identity": "mixed-volume chain V_j/V_k >= (V_i/V_k)^((k-j)/(k-i)) "
                     "for i < j < k, V_i = V(L x i, K x (3-i)): quermassintegrals "
                     "of each body K (L the unit cap, equality exactly on caps) "
                     "and consecutive body pairs (K, L) = (K_n, K_n+1)",
-        "tolerance": tol.af,
-        "min_relative_slack": min_rel,
-        "cap_equality_defect": cap_equality,
-        "breach": breach,
         "bodies": [asdict(rep) for rep in reports],
         "pairs": [asdict(rep) for rep in pairs],
-    }, csv_table(["kind", "index", "i", "j", "k", "lhs", "rhs", "slack"], rows))
-    return breach
+    }, gates, csv_table(["kind", "index", "i", "j", "k", "lhs", "rhs", "slack"], rows))
 
 
 def _spectrum_reference(grid: CapGrid, args):
@@ -444,70 +445,61 @@ def _spectrum_sweep(grids: list[CapGrid], args) -> tuple[dict, str]:
     return section, csv_table(["n", "h", "lambda1_err"], rows)
 
 
-def cmd_spectrum(args) -> bool:
+def cmd_spectrum(args) -> list[str]:
     grid, tol = setup(args)
     # Every sweep grid is validated before the main solve spends any time.
     sweep = [build_grid(args.theta, n, n) for n in sweep_sizes(args.sweep)]
     rep = spectrum(WeightedSpace(grid, _spectrum_reference(grid, args)),
                    how_many=args.how_many)
-    breach = abs(rep.lambda1 - 1.0) > tol.lambda1 or not rep.lambda1_simple
-    breach = breach or len(rep.kernel_indices) != 2
-    # The returned eigenvalues are the top k.  Only when the smallest lies
-    # below the kernel band could no unreturned one fall inside it, so only
-    # then is the kernel count a count of the whole spectrum.
-    breach = breach or rep.eigenvalues[-1] > -rep.kernel_threshold
-    breach = breach or not rep.window_empty
-    breach = breach or max(rep.residuals) > SPECTRUM_RESIDUAL_GATE
+    gates = [
+        Gate("lambda1_err", abs(rep.lambda1 - 1.0), tol["lambda1"], "<="),
+        Gate("lambda1_gap", rep.lambda1_gap, tol["lambda1_gap"], ">="),
+        Gate("kernel_count", len(rep.kernel_indices), tol["kernel_count"], "=="),
+        # The returned eigenvalues are the top k.  Only when the smallest lies
+        # below the kernel band could no unreturned one fall inside it, so
+        # only then is the kernel count a count of the whole spectrum.
+        Gate("smallest_eigenvalue", rep.eigenvalues[-1], -rep.kernel_threshold, "<="),
+        Gate("window_empty", rep.window_empty, tol["window_empty"], "=="),
+        Gate("max_residual", max(rep.residuals), tol["residual"], "<="),
+    ]
     if args.reference == "cap" and rep.kernel_cosine is not None:
-        breach = breach or rep.kernel_cosine < 1.0 - tol.kernel_cos
-    rows = [[i, v, r] for i, (v, r) in
-            enumerate(zip(rep.eigenvalues, rep.residuals))]
+        gates.append(Gate("kernel_cosine", rep.kernel_cosine, 1.0 - tol["kernel_cos"], ">="))
+    rows = [[i, v, r] for i, (v, r) in enumerate(zip(rep.eigenvalues, rep.residuals))]
     payload = {
         "identity": "spectral dichotomy of the weighted operator: "
                     "lambda1 = 1 simple, two kernel modes spanned by "
                     "horizontal linears, remaining spectrum nonpositive",
-        "tolerance_lambda1": tol.lambda1,
         "report": rep.to_dict(),
-        "breach": breach,
     }
     if sweep:
         payload["sweep"], sweep_csv = _spectrum_sweep(sweep, args)
-    path = emit(args, "spectrum_report", payload,
+        if args.csv:
+            (Path(args.out) / "spectrum_sweep.csv").write_text(sweep_csv, encoding="utf-8")
+    return emit(args, "spectrum_report", payload, gates,
                 csv_table(["index", "eigenvalue", "residual"], rows), meta=rep.sidecar())
-    if sweep and args.csv:
-        (path.parent / "spectrum_sweep.csv").write_text(sweep_csv, encoding="utf-8")
-    return breach
 
 
-def cmd_steiner(args) -> bool:
+def cmd_steiner(args) -> list[str]:
     grid, tol = setup(args)
     t_values = [float(p) for p in args.t_samples.split(",")]
-    if args.cap:
-        body = ell(grid)
-    else:
-        body = random_body(grid, args.seed)
+    body = ell(grid) if args.cap else random_body(grid, args.seed)
     rep = steiner_check(grid, body, t_values)
     minkowski = {f"k{k}": minkowski_identity_residual(grid, body, k) for k in (1, 2)}
-    breach = max(rep.max_rel_err, *minkowski.values()) > tol.identity
     rows = [[k, rep.coefficients[k], rep.references[k], rep.rel_errs[k]]
             for k in range(4)]
-    emit(args, "steiner_report", {
+    gates = [Gate("max_rel_err", rep.max_rel_err, tol["identity"], "<="),
+             *(Gate(f"minkowski_{k}", v, tol["identity"], "<=") for k, v in minkowski.items())]
+    return emit(args, "steiner_report", {
         "identity": "volume of the parallel body is a cubic in t with "
                     "binomial quermassintegral coefficients",
-        "tolerance": tol.identity,
         "report": asdict(rep),
         "minkowski_residuals": minkowski,
-        "breach": breach,
-    }, csv_table(["k", "coefficient", "reference", "rel_err"], rows))
-    return breach
+    }, gates, csv_table(["k", "coefficient", "reference", "rel_err"], rows))
 
 
-def cmd_reconstruct(args) -> bool:
+def cmd_reconstruct(args) -> list[str]:
     grid, tol = setup(args)
-    if args.body:
-        body = load_body(args.body, grid)
-    else:
-        body = random_body(grid, args.seed)
+    body = load_body(args.body, grid) if args.body else random_body(grid, args.seed)
     patch = embed(grid, body)
     contact = contact_angle_residual(patch)
     planar = planarity_residual(patch)
@@ -517,11 +509,20 @@ def cmd_reconstruct(args) -> bool:
     vol_quad = quad_route["V_0"]
     vol_err = abs(vol_mesh - vol_quad) / max(abs(vol_quad), 1e-300)
     boundary = {f"V_{k + 1}": boundary_form_quermass(patch, k) for k in (1, 2)}
-    breach = (contact > 1e-12) or (planar > tol.identity) or (interior <= 0.0) \
-        or (vol_err > tol.volume)
+    # The boundary-form V_2 is not gated: at theta 0.05 its error reaches 1.04
+    # times the identity bound on 32x32 and 64x64 (random bodies, seeds 0-11),
+    # where V_3 stays below 5.3e-4 times it (theta 0.05-3.0, 16x16 to 128x128).
+    v3_err = abs(boundary["V_3"] - quad_route["V_3"]) / quad_route["V_3"]
+    gates = [
+        Gate("contact_angle", contact, tol["contact"], "<="),
+        Gate("planarity", planar, tol["identity"], "<="),
+        Gate("interior_min_height", interior, tol["interior"], ">"),
+        Gate("volume_rel_err", vol_err, tol["volume"], "<="),
+        Gate("boundary_form_V_3", v3_err, tol["identity"], "<="),
+    ]
     mesh = Path(args.out) / "patch.obj"
     export_mesh(patch, mesh)
-    emit(args, "reconstruct_report", {
+    return emit(args, "reconstruct_report", {
         "identity": "support-function embedding meets the plane at the "
                     "prescribed contact angle; enclosed volume agrees "
                     "across quadrature, mesh and boundary-form routes",
@@ -539,12 +540,10 @@ def cmd_reconstruct(args) -> bool:
         },
         "mesh_file": "patch.obj",
         "degenerate_triangles": len(patch.degenerate_triangles),
-        "breach": breach,
-    }, meta={"mesh_bytes": mesh.stat().st_size})
-    return breach
+    }, gates, meta={"mesh_bytes": mesh.stat().st_size})
 
 
-def cmd_report(args) -> bool:
+def cmd_report(args) -> list[str]:
     """Small deterministic bundle of all verifications on one grid.
 
     Each section is parsed from its own command line, so its report equals
@@ -563,7 +562,7 @@ def cmd_report(args) -> bool:
     bodies = [str(out / "bodies" / f"body_{i:04d}.json") for i in range(2)]
     run("gen", "--count=2", out=out / "bodies")
     trials = f"--trials={args.trials}"
-    breaches = {
+    sections = {
         "quermass": run("quermass", "--", *bodies),
         "steiner": run("steiner"),
         "reconstruct": run("reconstruct", "--", bodies[0]),
@@ -571,18 +570,18 @@ def cmd_report(args) -> bool:
         "af": run("af", trials),
         "spectrum": run("spectrum"),
     }
-    overall = any(breaches.values())
-    emit(args, "summary_report", {
+    # Each section lists its failed gates, and fails the bundle's gate of its name.
+    return emit(args, "summary_report", {
         "identity": "full verification bundle",
-        "sections": {name: "breach" if b else "pass" for name, b in breaches.items()},
-        "breach": overall,
-    })
-    return overall
+        "sections": sections,
+    }, [Gate(name, len(failed), BOUNDS["failures"].budget, "<=")
+        for name, failed in sections.items()])
 
 
-def run_command(args) -> bool:
+def run_command(args) -> list[str]:
     """Run a parsed command in its --out directory, created first, so that an
-    --out that cannot be made is refused before any work."""
+    --out that cannot be made is refused before any work; return its failed
+    gate names."""
     Path(args.out).mkdir(parents=True, exist_ok=True)
     return args.func(args)
 
@@ -669,14 +668,14 @@ def main(argv=None) -> int:
     # is checked before --out is created, so a refused run leaves nothing.
     try:
         thread_count()
-        breach = run_command(args)
+        failed = run_command(args)
     except (RuntimeError, np.linalg.LinAlgError) as exc:
         print(f"capaf: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (ConfigError, OSError, ValueError) as exc:
         print(f"capaf: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    return EXIT_BREACH if breach else EXIT_OK
+    return EXIT_BREACH if failed else EXIT_OK
 
 
 if __name__ == "__main__":

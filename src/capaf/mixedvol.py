@@ -6,13 +6,12 @@ The mixed volume of support-like fields f1, f2, f3 is
 
 over the cap, where Q is the two-dimensional mixed discriminant and A[f] the
 shape tensor.  Quermassintegrals are the mixed volumes against copies of the
-unit-cap support function, and the classical integral identities (Minkowski,
-Steiner, permutation symmetry) become testable residuals.
+unit-cap support function, and the Minkowski and Steiner identities become
+testable residuals (the tests check permutation symmetry).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -104,26 +103,6 @@ def minkowski_identity_residual(grid: CapGrid, f, k: int) -> float:
     rhs = grid.integrate(ell_values(grid) * _h_k(field.tensor, k))
     scale = max(abs(lhs), abs(rhs), 1e-300)
     return abs(lhs - rhs) / scale
-
-
-def symmetry_residual(grid: CapGrid, f1, f2, f3) -> float:
-    """Max relative spread of V over the six argument orders.
-
-    Vanishes (to discretization error) when all three fields satisfy the
-    contact-angle condition; the boundary terms in the integration by parts
-    do not cancel otherwise.
-    """
-    fields = [as_field(grid, f) for f in (f1, f2, f3)]
-
-    def volume(i, j, k):
-        return mixed_volume(grid, fields[i], (fields[j], fields[k]))
-
-    v_id = volume(0, 1, 2)
-    denom = max(abs(v_id), 1e-30)
-    worst = 0.0
-    for perm in itertools.permutations(range(3)):
-        worst = max(worst, abs(volume(*perm) - v_id) / denom)
-    return worst
 
 
 # -- reports -------------------------------------------------------------------

@@ -101,17 +101,9 @@ class WeightedSpace:
     def norm(self, u: np.ndarray) -> float:
         return math.sqrt(max(self.inner(u, u), 0.0))
 
-    def apply(self, f) -> np.ndarray:
-        """Pointwise operator application through the grid derivatives."""
-        return self.apply_tensor(as_field(self.grid, f).tensor)
-
     def apply_tensor(self, Af: ShapeTensor) -> np.ndarray:
         """The operator on a field given by its shape tensor Af."""
         return self.f2 * q2(Af, self.A2) / self.detA2
-
-    def bilinear(self, f, g) -> float:
-        """<f, A g>_omega; coincides with the mixed volume V(f, g, f2)."""
-        return self.inner(as_field(self.grid, f).values, self.apply(g))
 
 
 # -- matrix assembly -----------------------------------------------------------
@@ -544,8 +536,8 @@ def spectrum(space: WeightedSpace, how_many: int = 8) -> SpectrumReport:
         top_vals, top_vecs, residuals = _block_eigensolver(A_red, M_red, k, solve)
     inside = np.nonzero((top_vals > WINDOW[0]) & (top_vals < WINDOW[1]))[0]
     # Both solvers return the top k, so every unreturned eigenvalue lies at or
-    # below the last one, and cli gates that one at or below
-    # -kernel_threshold: no unreturned eigenvalue can lie in (0.01, 0.99).
+    # below the last one, which the cli's smallest_eigenvalue gate holds at or
+    # below -kernel_threshold: no unreturned eigenvalue can lie in (0.01, 0.99).
     window_empty = bool(inside.size == 0)
     window_note = "" if window_empty else f"{inside.size} eigenvalues inside {WINDOW}"
 

@@ -10,6 +10,7 @@ continuum object.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -89,6 +90,36 @@ def random_body_by_halving(grid, seed, base_radius=1.0, amplitude=0.25, mode_cap
             return body
         amp *= 0.5
     raise RuntimeError("generation failed")
+
+
+def apply(space: capaf.WeightedSpace, f) -> np.ndarray:
+    """The weighted operator applied to f, pointwise through the grid derivatives."""
+    return space.apply_tensor(capaf.capfun.as_field(space.grid, f).tensor)
+
+
+def bilinear(space: capaf.WeightedSpace, f, g) -> float:
+    """<f, A g>_omega; coincides with the mixed volume V(f, g, f2)."""
+    return space.inner(capaf.capfun.as_field(space.grid, f).values, apply(space, g))
+
+
+def symmetry_residual(grid: capaf.CapGrid, f1, f2, f3) -> float:
+    """Max relative spread of V over the six argument orders.
+
+    Vanishes (to discretization error) when all three fields satisfy the
+    contact-angle condition; the boundary terms in the integration by parts
+    do not cancel otherwise.
+    """
+    fields = [capaf.capfun.as_field(grid, f) for f in (f1, f2, f3)]
+
+    def volume(i, j, k):
+        return capaf.mixed_volume(grid, fields[i], (fields[j], fields[k]))
+
+    v_id = volume(0, 1, 2)
+    denom = max(abs(v_id), 1e-30)
+    worst = 0.0
+    for perm in itertools.permutations(range(3)):
+        worst = max(worst, abs(volume(*perm) - v_id) / denom)
+    return worst
 
 
 @functools.lru_cache(maxsize=None)

@@ -2,6 +2,7 @@
 
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +18,11 @@ def run(argv):
 def read_report(out_dir, name):
     with open(os.path.join(out_dir, name)) as fh:
         return json.load(fh)
+
+
+def gates(report):
+    """A report's gate records by name."""
+    return {gate["name"]: gate for gate in report["gates"]}
 
 
 def test_parse_grid_accepts_the_common_spellings():
@@ -46,15 +52,43 @@ def test_trial_seeds_are_distinct_per_index():
     assert len(seeds) == 1000
 
 
+def bounds(profile, n_rho):
+    return {name: b.at(profile, n_rho) for name, b in cli.BOUNDS.items()}
+
+
 def test_grid_anchored_tolerances():
-    anchored = cli.make_tolerances("default", 128)
-    coarse = cli.make_tolerances("default", 32)
-    strict = cli.make_tolerances("strict", 16)
-    assert anchored.quermass == pytest.approx(1e-6)
-    assert coarse.quermass > 100 * anchored.quermass
-    assert strict.quermass == 1e-6
-    assert strict.af == 1e-8
-    assert coarse.af > strict.af
+    anchored = bounds("default", 128)
+    coarse = bounds("default", 32)
+    strict = bounds("strict", 16)
+    assert anchored["quermass"] == pytest.approx(1e-6)
+    assert coarse["quermass"] > 100 * anchored["quermass"]
+    assert strict["quermass"] == 1e-6
+    assert strict["af"] == 1e-8
+    assert coarse["af"] > strict["af"]
+
+
+def tolerances_before_the_bound_table(profile, n_rho):
+    """The bounds as the per-command tolerances, module constants and inline
+    literals gave them before BOUNDS held them all."""
+    if profile == "strict":
+        quad = cubic = af_quad = 1.0
+    else:
+        ratio = max(1.0, (128 + 0.5) / (n_rho + 0.5))
+        quad = ratio**4
+        cubic = ratio**2
+        af_quad = max(1.0, (256 + 0.5) / (n_rho + 0.5)) ** 4
+    return {"quermass": 1e-6 * quad, "identity": 1e-5 * quad, "af": 1e-8 * af_quad,
+            "volume": 1e-3 * cubic, "lambda1": 1e-3, "kernel_cos": 1e-6 * quad,
+            "residual": 1e-8, "contact": 1e-12, "cap_equality": 1e-12,
+            "decomposition": 1e-6, "interior": 0.0, "lambda1_gap": 0.9, "kernel_count": 2}
+
+
+@pytest.mark.parametrize("profile", ["default", "strict"])
+def test_the_bound_table_reproduces_the_earlier_tolerances(profile):
+    for n_rho in range(8, 513):
+        old = tolerances_before_the_bound_table(profile, n_rho)
+        new = bounds(profile, n_rho)
+        assert {name: new[name] for name in old} == old, n_rho
 
 
 def test_config_errors_exit_three(tmp_path, capsys, monkeypatch):
@@ -172,7 +206,7 @@ def test_af_exit_codes_and_determinism(tmp_path):
     assert rep["breach"] is False
     assert rep["identity"].startswith("quadratic mixed-volume inequality")
     assert len(rep["trials"]) == 6
-    assert rep["min_relative_gap"] > 0
+    assert gates(rep)["min_relative_gap"]["value"] > 0
 
 
 def test_af_is_thread_count_invariant(tmp_path, monkeypatch):
@@ -353,33 +387,6 @@ def test_an_out_below_a_file_is_refused_before_any_work(tmp_path, capsys, monkey
     assert built == []
 
 
-def test_a_large_spectrum_residual_is_a_breach(tmp_path, monkeypatch):
-    def spoiled(space, how_many):
-        rep = capaf.spectrum(space, how_many=how_many)
-        rep.residuals[-1] = 10.0 * cli.SPECTRUM_RESIDUAL_GATE
-        return rep
-
-    monkeypatch.setattr(cli, "spectrum", spoiled)
-    assert run(["spectrum", "--theta", "1.5", "--grid", "16x16",
-                "--out", tmp_path]) == cli.EXIT_BREACH == 2
-    assert read_report(tmp_path, "spectrum_report.json")["breach"] is True
-
-
-def test_an_uncounted_kernel_band_is_a_breach(tmp_path, monkeypatch):
-    # With the smallest returned eigenvalue inside (-thr, thr), an unreturned
-    # eigenvalue could sit in the kernel band too, so two kernel indices are
-    # not a count of the whole spectrum.
-    def truncated(space, how_many):
-        rep = capaf.spectrum(space, how_many=how_many)
-        rep.eigenvalues[-1] = -0.5 * rep.kernel_threshold
-        return rep
-
-    monkeypatch.setattr(cli, "spectrum", truncated)
-    assert run(["spectrum", "--theta", "1.5", "--grid", "16x16",
-                "--out", tmp_path]) == cli.EXIT_BREACH == 2
-    assert read_report(tmp_path, "spectrum_report.json")["breach"] is True
-
-
 def test_strict_profile_flags_a_coarse_grid_breach(tmp_path):
     # the kernel-cosine budget of 1e-6 is not attainable on a 16x16 grid
     rc = run(["spectrum", "--theta", "1.5", "--grid", "16x16",
@@ -406,18 +413,13 @@ def test_steiner_and_chain_and_reconstruct_pass(tmp_path):
     assert rec["degenerate_triangles"] == 0
 
 
-def test_steiner_gates_the_minkowski_identities(tmp_path, monkeypatch):
+def test_steiner_gates_the_minkowski_identities(tmp_path):
     assert run(["steiner", "--theta", "1.2", "--grid", "32x32",
                 "--out", tmp_path]) == 0
     rep = read_report(tmp_path, "steiner_report.json")
     assert set(rep["minkowski_residuals"]) == {"k1", "k2"}
-    assert 0.0 < max(rep["minkowski_residuals"].values()) < rep["tolerance"]
-
-    monkeypatch.setattr(cli, "minkowski_identity_residual",
-                        lambda grid, body, k: 1.0 if k == 2 else 0.0)
-    assert run(["steiner", "--theta", "1.2", "--grid", "32x32",
-                "--out", tmp_path]) == 2
-    assert read_report(tmp_path, "steiner_report.json")["breach"] is True
+    for k, residual in rep["minkowski_residuals"].items():
+        assert 0.0 < residual < gates(rep)[f"minkowski_{k}"]["bound"]
 
 
 ZERO_BODY = json.dumps({"theta": 1.2, "n_rho": 16, "n_phi": 16,
@@ -463,8 +465,8 @@ def test_chain_checks_each_body_and_each_consecutive_pair(tmp_path):
     assert len(rep["bodies"]) == 3
     assert len(rep["pairs"]) == 2
     slacks = [r["min_relative_slack"] for r in rep["bodies"] + rep["pairs"]]
-    assert rep["min_relative_slack"] == min(slacks)
-    assert rep["cap_equality_defect"] == 0.0
+    assert gates(rep)["min_relative_slack"]["value"] == min(slacks)
+    assert gates(rep)["cap_equality_defect"]["value"] == 0.0
     lines = (tmp_path / "chain_report.csv").read_text().splitlines()
     assert lines[0] == "kind,index,i,j,k,lhs,rhs,slack"
     # four triples (i, j, k) per body and per pair
@@ -477,21 +479,6 @@ def test_chain_with_one_trial_checks_no_pairs(tmp_path):
     assert len(rep["bodies"]) == 1
     assert rep["pairs"] == []
     assert rep["breach"] is False
-
-
-def test_a_negative_pair_slack_is_a_breach(tmp_path, monkeypatch):
-    real = cli.af_chain_check
-
-    def violated(grid, body0, body1):
-        rep = real(grid, body0, body1)
-        rep.min_relative_slack = -1.0
-        return rep
-
-    monkeypatch.setattr(cli, "af_chain_check", violated)
-    assert run(CHAIN_FLAGS + ["--trials", "2", "--out", tmp_path]) == 2
-    rep = read_report(tmp_path, "chain_report.json")
-    assert rep["breach"] is True
-    assert rep["min_relative_slack"] == -1.0
 
 
 def test_chain_shapes_each_body_and_the_cap_once(tmp_path, monkeypatch):
@@ -582,7 +569,8 @@ def test_report_bundle_runs_every_section(tmp_path):
     sections = rep["sections"]
     for name in ("quermass", "af", "chain", "spectrum", "steiner",
                  "reconstruct"):
-        assert sections[name] == "pass", name
+        assert sections[name] == [], name
+        assert gates(rep)[name]["passed"] is True, name
 
 
 def test_report_bundle_is_deterministic(tmp_path):
@@ -637,3 +625,79 @@ def test_report_configs_list_only_their_command_options(bundle):
     assert not {"amplitude", "cap", "sweep"} & set(read_report(bundle, "af_report.json")["config"])
     assert "trials" not in read_report(bundle, "quermass_report.json")["config"]
     assert read_report(bundle, "reconstruct_report.json")["config"]["body"] == "body_0000.json"
+
+
+def spoiled(change):
+    """A patch that passes the real function's result through change."""
+    return lambda real: lambda *args, **kwargs: change(real(*args, **kwargs))
+
+
+def minkowski_spoiled(spoiled_k):
+    return lambda real: lambda grid, body, k: 1.0 if k == spoiled_k else real(grid, body, k)
+
+
+def last_replaced(values, value):
+    return [*values[:-1], value]
+
+
+# Each gate, a command line that reaches it, and a patch of the cli function
+# whose result carries the gate's value, pushing that value past the bound.
+GATE_CASES = [
+    ("top_rel_err", ["quermass", "@body_0000.json", "@body_0001.json"], "quermass_report",
+     spoiled(lambda r: replace(r, top_rel_err=1.0))),
+    ("min_relative_gap", ["af", "--trials", "2"], "af_check",
+     spoiled(lambda r: replace(r, relative_gap=-1.0))),
+    ("max_relative_gap", ["af", "--trials", "2", "--equality-family"], "af_check",
+     spoiled(lambda r: replace(r, relative_gap=1.0))),
+    ("undecomposed_trials", ["af", "--trials", "2", "--equality-family"], "af_check",
+     spoiled(lambda r: replace(r, decomposition=None))),
+    ("decomposition_residual", ["af", "--trials", "2", "--equality-family"], "af_check",
+     spoiled(lambda r: replace(r, decomposition=replace(r.decomposition,
+                                                        relative_residual=1.0)))),
+    ("min_relative_slack", ["chain", "--trials", "2"], "af_chain_check",
+     spoiled(lambda r: replace(r, min_relative_slack=-1.0))),
+    ("cap_equality_defect", ["chain", "--trials", "2"], "quermass_chain_check",
+     spoiled(lambda r: replace(r, triples=[{**t, "relative_slack": 1e-9} for t in r.triples]))),
+    ("lambda1_err", ["spectrum"], "spectrum", spoiled(lambda r: replace(r, lambda1=1.5))),
+    ("lambda1_gap", ["spectrum"], "spectrum", spoiled(lambda r: replace(r, lambda1_gap=0.5))),
+    ("kernel_count", ["spectrum"], "spectrum",
+     spoiled(lambda r: replace(r, kernel_indices=r.kernel_indices[:1]))),
+    # With the smallest returned eigenvalue inside (-thr, thr), an unreturned
+    # eigenvalue could sit in the kernel band too, so two kernel indices are
+    # not a count of the whole spectrum.
+    ("smallest_eigenvalue", ["spectrum"], "spectrum",
+     spoiled(lambda r: replace(r, eigenvalues=last_replaced(r.eigenvalues,
+                                                            -0.5 * r.kernel_threshold)))),
+    ("window_empty", ["spectrum"], "spectrum", spoiled(lambda r: replace(r, window_empty=False))),
+    ("max_residual", ["spectrum"], "spectrum",
+     spoiled(lambda r: replace(r, residuals=last_replaced(
+         r.residuals, 10.0 * cli.BOUNDS["residual"].budget)))),
+    ("kernel_cosine", ["spectrum"], "spectrum",
+     spoiled(lambda r: replace(r, kernel_cosine=0.5))),
+    ("max_rel_err", ["steiner"], "steiner_check", spoiled(lambda r: replace(r, max_rel_err=1.0))),
+    ("minkowski_k1", ["steiner"], "minkowski_identity_residual", minkowski_spoiled(1)),
+    ("minkowski_k2", ["steiner"], "minkowski_identity_residual", minkowski_spoiled(2)),
+    ("contact_angle", ["reconstruct"], "contact_angle_residual", spoiled(lambda v: 1e-9)),
+    ("planarity", ["reconstruct"], "planarity_residual", spoiled(lambda v: 1.0)),
+    # The bound is strict: a height of exactly zero fails.
+    ("interior_min_height", ["reconstruct"], "interior_min_height", spoiled(lambda v: 0.0)),
+    ("volume_rel_err", ["reconstruct"], "enclosed_volume", spoiled(lambda v: 2.0 * v)),
+    # Doubles the boundary-form V_2 as well, which is reported but not gated.
+    ("boundary_form_V_3", ["reconstruct"], "boundary_form_quermass",
+     spoiled(lambda v: 2.0 * v)),
+    ("reconstruct", ["report", "--trials", "2"], "planarity_residual", spoiled(lambda v: 1.0)),
+]
+
+
+@pytest.mark.parametrize("gate, argv, attribute, patch", [
+    pytest.param(*case, id=f"{case[1][0]}-{case[0]}") for case in GATE_CASES])
+def test_each_gate_trips_past_its_bound(bundle, tmp_path, monkeypatch, gate, argv, attribute,
+                                       patch):
+    monkeypatch.setattr(cli, attribute, patch(getattr(cli, attribute)))
+    argv = [bundle / "bodies" / a[1:] if a.startswith("@") else a for a in argv]
+    assert run([*argv, *BUNDLE_FLAGS, "--out", tmp_path]) == cli.EXIT_BREACH
+    rep = json.loads(section_report(tmp_path, argv[0]).read_text())
+    assert rep["breach"] is True
+    # Each command passes unspoiled, so this gate alone fails.
+    assert [g["name"] for g in rep["gates"] if not g["passed"]] == [gate]
+    assert gates(rep)[gate]["margin"] <= 0

@@ -6,7 +6,8 @@ import pytest
 import capaf
 from capaf.mixedvol import q2
 
-from helpers import grid, shape_tensor, smooth_body, smooth_field, solid_cap_volume
+from helpers import (grid, shape_tensor, smooth_body, smooth_field, solid_cap_volume,
+                     symmetry_residual)
 
 
 def test_b_theta_closed_form_anchors():
@@ -107,7 +108,7 @@ def test_symmetry_residual_converges_for_admissible_fields():
     errs = []
     for n in (16, 32, 64):
         g = grid(1.1, n, n)
-        errs.append(capaf.symmetry_residual(
+        errs.append(symmetry_residual(
             g, smooth_body(1.1, n, n).values, smooth_field(1.1, n, n),
             capaf.ell_values(g)))
     assert errs[-1] < 5e-6
@@ -119,9 +120,8 @@ def test_symmetry_residual_converges_for_admissible_fields():
 def test_symmetry_fails_without_the_contact_condition():
     # a constant violates the boundary condition unless theta = pi/2
     g = grid(1.1, 32, 32)
-    r = capaf.symmetry_residual(g, np.ones(g.node_shape),
-                                smooth_body(1.1, 32, 32).values,
-                                capaf.ell_values(g))
+    r = symmetry_residual(g, np.ones(g.node_shape), smooth_body(1.1, 32, 32).values,
+                          capaf.ell_values(g))
     assert r > 1e-2
 
 
