@@ -110,12 +110,19 @@ BOUNDS = {
     "kernel_cos": Bound(1e-6, 4),
     "kernel_count": Bound(2),
     "window_empty": Bound(True),
+    # Smallest relative pivot of the banded LDL^H factorizations behind the
+    # exact counts of a rotationally invariant spectrum.  A smaller one may
+    # have its sign flipped by roundoff, so the counts are not certified.
+    # The cap measures 4.8e-8 at theta 0.05 on 128x128 and 6.1e-9 on
+    # 256x256 (at the kernel band's shifts, which scale like the squared
+    # spacing); 1e-10 leaves room for finer grids and lies far above roundoff.
+    "inertia_pivot": Bound(1e-10),
     # Largest eigenpair residual a spectrum may report.  The block
     # eigensolver for references that are not rotationally invariant iterates
     # until every residual is below 1e-9 and raises if it never gets there;
     # this gate catches an iteration that stopped short of that, should its
-    # stopping rule be loosened or broken.  The cap's shift-invert solves
-    # measure 2.2e-12 to 3.9e-12 at 64x64 and 1.3e-11 to 3.2e-11 at 128x128
+    # stopping rule be loosened or broken.  The cap's per-mode solves
+    # measure 5.2e-13 to 1.6e-12 at 64x64 and 2.4e-12 to 1.1e-11 at 128x128
     # (theta 0.3 to 3.0); random references stop between 1e-10 and 1e-9.
     "residual": Bound(1e-8),
     "contact": Bound(1e-12),
@@ -451,17 +458,25 @@ def cmd_spectrum(args) -> list[str]:
     sweep = [build_grid(args.theta, n, n) for n in sweep_sizes(args.sweep)]
     rep = spectrum(WeightedSpace(grid, _spectrum_reference(grid, args)),
                    how_many=args.how_many)
+    # A rotationally invariant reference has exact counts over the whole
+    # spectrum; any other counts its returned eigenvalues.
+    counts = rep.counts
     gates = [
         Gate("lambda1_err", abs(rep.lambda1 - 1.0), tol["lambda1"], "<="),
         Gate("lambda1_gap", rep.lambda1_gap, tol["lambda1_gap"], ">="),
-        Gate("kernel_count", len(rep.kernel_indices), tol["kernel_count"], "=="),
+        Gate("kernel_count", counts["kernel"] if counts is not None else len(rep.kernel_indices),
+             tol["kernel_count"], "=="),
         # The returned eigenvalues are the top k.  Only when the smallest lies
         # below the kernel band could no unreturned one fall inside it, so
         # only then is the kernel count a count of the whole spectrum.
         Gate("smallest_eigenvalue", rep.eigenvalues[-1], -rep.kernel_threshold, "<="),
-        Gate("window_empty", rep.window_empty, tol["window_empty"], "=="),
+        Gate("window_empty", counts["window"] == 0 if counts is not None else rep.window_empty,
+             tol["window_empty"], "=="),
         Gate("max_residual", max(rep.residuals), tol["residual"], "<="),
     ]
+    if counts is not None:
+        gates.append(Gate("inertia_pivot", counts["min_relative_pivot"],
+                          tol["inertia_pivot"], ">="))
     if args.reference == "cap" and rep.kernel_cosine is not None:
         gates.append(Gate("kernel_cosine", rep.kernel_cosine, 1.0 - tol["kernel_cos"], ">="))
     rows = [[i, v, r] for i, (v, r) in enumerate(zip(rep.eigenvalues, rep.residuals))]

@@ -13,11 +13,14 @@ sparse symmetric weak form (the contact-angle condition enters as a natural
 boundary term) and restricts it to the fields whose boundary row obeys that
 condition, through the grid's own boundary stencil: the result is the
 Pencil (A, M) on that trial space.  It then solves for the top eigenpairs
-and packages the inequality checks that follow from it.  Both eigensolvers
-factor the ring average of one shifted matrix, K = 1.5 M - A, by a banded
-solve per azimuthal Fourier mode.  A rotationally invariant reference makes
-K block-circulant in phi, so that solve is exact and drives shift-invert
-Lanczos at 1.5; any other reference gets a block LOBPCG preconditioned by it.
+and packages the inequality checks that follow from it.  A rotationally
+invariant reference makes the pencil block-circulant in phi, so it splits
+into one banded Hermitian pencil per azimuthal Fourier mode: Sylvester
+inertia of their banded LDL^H factors counts the eigenvalues above any
+shift exactly, and a small eigh on the modes that hold the top k solves
+them.  Any other reference gets a block LOBPCG preconditioned by the
+per-mode inverse of the ring average of K = 1.5 M - A, and its counts are
+those of its Ritz values.
 """
 
 from __future__ import annotations
@@ -28,8 +31,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.linalg import lapack, subspace_angles
+from scipy.linalg import eigh, lapack, subspace_angles
 
 from ._stencil import stencil_pair
 from .capgrid import CapGrid, ShapeTensor
@@ -37,17 +39,24 @@ from .capfun import as_field, certify, ell_values, horizontal_linear
 from .mixedvol import mixed_sequence, mixed_volume, q2
 
 WINDOW = (0.01, 0.99)
-# Both eigensolvers factor the ring average of K = _SHIFT * M - A.  The shift
-# lies above the top eigenvalue 1: shift-invert at it returns the top of the
-# spectrum, and K's mode matrices (diagonal blocks of its unitary transform)
-# are positive definite while every eigenvalue lies below it.
+# The block eigensolver's preconditioner factors the ring average of
+# K = _SHIFT * M - A.  The shift lies above the top eigenvalue 1, so K's mode
+# matrices (diagonal blocks of its unitary transform) are positive definite.
 _SHIFT = 1.5
 # lambda1 counts as simple when the next eigenvalue lies at least this far
 # below it; the paper's dichotomy puts the next one at 0 or below.
 LAMBDA1_GAP = 0.9
-# Fixed seed of the Lanczos start vector and of the block eigensolver's start
-# block: reports must not depend on entropy.
-_EIGSH_SEED = 20240811
+# The exact counts of a rotationally invariant spectrum: how many eigenvalues
+# lie above _CEILING (none should), above the window, in it, and in the
+# kernel band.
+_CEILING = 1.01
+# Shifts at which the per-mode solve first counts eigenvalues to find the top
+# k: below the kernel band, and off the hemisphere's exact eigenvalues
+# (2 - l(l+1))/2, where a pivot would be small.
+_LADDER = tuple(-0.15 * 2.0 ** j for j in range(7))
+# Fixed seed of the block eigensolver's start block: reports must not depend
+# on entropy.
+_LOBPCG_SEED = 20240811
 # The block eigensolver stops once every wanted residual is below _BLOCK_TOL,
 # and fails after _BLOCK_MAX_ITER iterations; SVQB drops a direction whose
 # scaled Gram eigenvalue is below _SVQB_DROP of the largest.
@@ -311,19 +320,21 @@ class SpectrumReport:
     window_note: str
     asymmetry: float
     n_unknowns: int
+    # Exact counts from Sylvester inertia (rotationally invariant references
+    # only, else None): eigenvalues above 1.01 and above 0.99, in the window,
+    # in the kernel band, and the smallest relative pivot behind them.
+    counts: dict | None
     # Solver statistics for the run's sidecar, not part of the report: which
-    # solver ran ("azimuthal_modes" or "block_lobpcg"), how many entries its
-    # band factors store, and how many right-hand sides it solved with them.
+    # solver ran ("azimuthal_modes" or "block_lobpcg") and its own counters.
     solver: str
-    factor_nnz: int
-    n_solves: int
-    _SIDECAR = ("solver", "factor_nnz", "n_solves")
+    stats: dict
+    _SIDECAR = ("solver", "stats")
 
     def to_dict(self) -> dict:
         return {k: v for k, v in asdict(self).items() if k not in self._SIDECAR}
 
     def sidecar(self) -> dict:
-        return {k: getattr(self, k) for k in self._SIDECAR}
+        return {"solver": self.solver, **self.stats}
 
 
 def _kernel_cosine(space: WeightedSpace, vectors: np.ndarray) -> float | None:
@@ -340,46 +351,59 @@ def _kernel_cosine(space: WeightedSpace, vectors: np.ndarray) -> float | None:
     return float(np.cos(np.max(angles)))
 
 
+def _mode_bands(matrix: sp.spmatrix, node_shape: tuple[int, int]) -> np.ndarray:
+    """Radial bands of the ring average of a lattice matrix, one per Fourier mode.
+
+    Unknown k sits at lattice index (k // n_phi, k % n_phi).  When the matrix
+    couples (i, j) to (i', j') by a coefficient that depends on j' - j (mod
+    n_phi) only, an rfft along phi splits it into one banded (n_rho x n_rho)
+    matrix per Fourier mode m = 0..n_phi/2: its radial band, with each
+    azimuthal offset d weighted by exp(2 pi i m d / n_phi).  The pole mirror
+    is the offset n_phi/2 and needs no special case.  Each wrapped diagonal is
+    averaged over phi (the optimal circulant of the matrix), which is the
+    matrix itself when it is block-circulant.  The radial bandwidth bw is
+    measured from the matrix.  Returns bands[m, bw + o, i], the entry
+    (i, i + o) of mode m's matrix (zero where i + o is off the lattice).
+    """
+    n_rho, n_phi = node_shape
+    coo = matrix.tocoo()
+    i, j = np.divmod(coo.row, n_phi)
+    i2, j2 = np.divmod(coo.col, n_phi)
+    bw = int(np.max(np.abs(i2 - i)))
+    size = n_rho * (2 * bw + 1) * n_phi
+    key = (i * (2 * bw + 1) + i2 - i + bw) * n_phi + (j2 - j) % n_phi
+    # Mean of each wrapped diagonal, taken as its first stored entry plus the
+    # mean deviation from it: a running sum of n_phi nearly equal entries
+    # rounds at several ulps, which raised the solve's residual tenfold.
+    first = np.full(size, key.size)
+    np.minimum.at(first, key, np.arange(key.size))
+    stored = np.nonzero(first < key.size)[0]
+    ref = np.zeros(size)
+    ref[stored] = coo.data[first[stored]]
+    dev = np.bincount(key, weights=coo.data - ref[key], minlength=size)
+    count = np.bincount(key, minlength=size)
+    coef = (ref * (count / n_phi) + dev / n_phi).reshape(n_rho, 2 * bw + 1, n_phi)
+    # rfft weighs offset d by exp(-2 pi i m d / n_phi); mode m takes the
+    # conjugate weight.
+    return np.conj(np.fft.rfft(coef, axis=2)).transpose(2, 1, 0)
+
+
 def _azimuthal_mode_solver(K: sp.spmatrix, node_shape: tuple[int, int]):
     """Solve with a block-circulant K, one azimuthal mode at a time.
 
     Returns the solve and the number of entries its band factors store.
-
-    Unknown k sits at lattice index (k // n_phi, k % n_phi).  When K couples
-    (i, j) to (i', j') by a coefficient that depends on j' - j (mod n_phi)
-    only, an rfft along phi splits it into one banded (n_rho x n_rho) matrix
-    per Fourier mode m: the radial band of K, with each azimuthal offset d
-    weighted by exp(2 pi i m d / n_phi).  The pole mirror is the offset
-    n_phi/2 and needs no special case.  Each wrapped diagonal is averaged over
-    phi (the optimal circulant of K), which is K itself when K is
-    block-circulant.  Each mode matrix is factored by banded LU with partial
-    pivoting; a singular mode raises RuntimeError.
+    Each mode matrix of :func:`_mode_bands` is factored by banded LU with
+    partial pivoting; a singular mode raises RuntimeError.
     """
     n_rho, n_phi = node_shape
-    coo = K.tocoo()
-    i, j = np.divmod(coo.row, n_phi)
-    i2, j2 = np.divmod(coo.col, n_phi)
-    bw = int(np.max(np.abs(i2 - i)))
-    key = np.ravel_multi_index((i, i2 - i + bw, (j2 - j) % n_phi),
-                               (n_rho, 2 * bw + 1, n_phi))
-    # Mean of each wrapped diagonal, taken as one of its entries plus the
-    # mean deviation from it: a running sum of n_phi nearly equal entries
-    # rounds at several ulps, which raised the solve's residual tenfold.
-    keys, first, inverse, count = np.unique(
-        key, return_index=True, return_inverse=True, return_counts=True)
-    ref = coo.data[first]
-    dev = np.bincount(inverse, weights=coo.data - ref[inverse])
-    coef = np.zeros((n_rho, 2 * bw + 1, n_phi))
-    coef.flat[keys] = ref * (count / n_phi) + dev / n_phi
-    # rfft weighs offset d by exp(-2 pi i m d / n_phi); K's mode m takes the
-    # conjugate weight.
-    modes = np.conj(np.fft.rfft(coef, axis=2))
+    bands = _mode_bands(K, node_shape)
+    bw = (bands.shape[1] - 1) // 2
     # LAPACK band storage: row 2*bw + r - c of column c holds entry (r, c),
     # and the top bw rows are room for the pivoting fill.
-    band = np.zeros((modes.shape[2], 3 * bw + 1, n_rho), dtype=complex)
+    band = np.zeros((bands.shape[0], 3 * bw + 1, n_rho), dtype=complex)
     for off in range(-bw, bw + 1):
         rows = np.arange(max(0, -off), min(n_rho, n_rho - off))
-        band[:, 2 * bw - off, rows + off] = modes[rows, off + bw, :].T
+        band[:, 2 * bw - off, rows + off] = bands[:, off + bw, rows]
     factors = []
     for m, ab in enumerate(band):
         lu, piv, info = lapack.zgbtrf(ab, bw, bw)
@@ -401,6 +425,127 @@ def _azimuthal_mode_solver(K: sp.spmatrix, node_shape: tuple[int, int]):
         return np.fft.irfft(coeffs.swapaxes(0, 1), n=n_phi, axis=1).reshape(x.shape)
 
     return solve, int(sum(lu.size for lu, _ in factors))
+
+
+class _ModePencil:
+    """A block-circulant pencil (A, M) split into its azimuthal modes.
+
+    The pencil of a rotationally invariant reference couples ring nodes by
+    coefficients that depend on the azimuthal offset only, so its
+    eigenvectors are radial profiles u times exp(i m phi), one Hermitian
+    banded pencil (A_m, M_m) per mode m = 0..n_phi/2 (the bands of
+    :func:`_mode_bands`).  Modes 0 < m < n_phi/2 stand for the pair m and
+    -m, whose real eigenvectors are the cos and sin parts, so each of their
+    eigenvalues counts twice.  Every count below is exact for this
+    ring-averaged pencil by Sylvester's law of inertia; for an invariant
+    reference it equals (A, M) to roundoff.
+    """
+
+    def __init__(self, A, M, node_shape: tuple[int, int]):
+        self.A, self.M = A, M
+        self.n_rho, self.n_phi = node_shape
+        a, m = _mode_bands(A, node_shape), _mode_bands(M, node_shape)
+        # Both to the wider of the two bandwidths.
+        self.bw = max(a.shape[1], m.shape[1]) // 2
+        self.a, self.m = (np.pad(b, [(0, 0), (self.bw - b.shape[1] // 2,) * 2, (0, 0)])
+                          for b in (a, m))
+        # n_phi is even: the last mode is n_phi/2, real like mode 0.
+        self.multiplicity = np.full(self.a.shape[0], 2)
+        self.multiplicity[[0, -1]] = 1
+
+    def _lower(self, bands: np.ndarray) -> np.ndarray:
+        """low[d, i, m] = entry (i + d, i) of mode m, d = 0..bw, padded by bw rows."""
+        bw, n = self.bw, self.n_rho
+        low = np.zeros((bw + 1, n + bw, bands.shape[0]), dtype=complex)
+        for d in range(bw + 1):
+            low[d, :n - d] = bands[:, bw - d, d:].T
+        return low
+
+    def inertia(self, shifts) -> tuple[np.ndarray, np.ndarray]:
+        """Per-mode counts of eigenvalues above each shift, and each shift's
+        smallest relative pivot.
+
+        The unpivoted banded LDL^H of s M_m - A_m, for every shift s and
+        mode m at once, has as many negative pivots as (A_m, M_m) has
+        eigenvalues above s, since M_m is positive definite (Sylvester's law
+        of inertia).  A pivot's relative size is |d_j| over the diagonal entry
+        it came from; a small one means cancellation, and the count is then
+        not certified.  Returns counts of shape (len(shifts), n_modes),
+        without multiplicity.
+        """
+        bw, n = self.bw, self.n_rho
+        s = np.asarray(shifts, dtype=float)
+        # The shift and the mode are the trailing axes, so each column's
+        # entries are contiguous.
+        work = (self._lower(self.m)[:, :, None, :] * s[:, None]
+                - self._lower(self.a)[:, :, None, :])
+        diag = np.abs(work[0, :n])
+        pivots = np.empty((n, s.size, work.shape[-1]))
+        a_idx, b_idx = (x + 1 for x in np.triu_indices(bw))
+        for j in range(n):
+            d = pivots[j] = work[0, j].real
+            l = work[1:, j] / d
+            # Schur update of the trailing band: entry (j+b, j+a) loses
+            # L(j+b, j) d conj(L(j+a, j)) for 1 <= a <= b <= bw.
+            work[b_idx - a_idx, j + a_idx] -= d * l[b_idx - 1] * np.conj(l[a_idx - 1])
+        return (np.count_nonzero(pivots < 0.0, axis=0),
+                np.min(np.abs(pivots) / diag, axis=(0, 2)))
+
+    def _dense(self, bands: np.ndarray, m: int) -> np.ndarray:
+        bw, n = self.bw, self.n_rho
+        out = np.zeros((n, n), dtype=complex)
+        for off in range(-bw, bw + 1):
+            rows = np.arange(max(0, -off), min(n, n - off))
+            out[rows, rows + off] = bands[m, bw + off, rows]
+        return out
+
+    def top(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
+        """The top k eigenpairs, largest first, with the mode of each.
+
+        Counts at the shifts of _LADDER, doubled further until they hold k
+        eigenvalues, say how many eigenvalues each mode has above the first
+        shift s that holds k.  Only those modes are solved, each by a subset
+        eigh for exactly that many, so every eigenvalue not computed lies at
+        or below s.  Eigenvectors are real, one per column on the trial
+        lattice: u itself for modes 0 and n_phi/2, the cos and sin parts of
+        u exp(i m phi) for the others.  A mode's eigh is accurate to roundoff
+        of the pencil's largest eigenvalue (about 1e-11 at 128x128), so each
+        eigenvalue is the Rayleigh quotient of its eigenvector on the full
+        pencil, accurate to the square of the residual, in numpy sums.
+        Returns the eigenvalues, eigenvectors and modes, and the counts of
+        shifts factored and modes solved.
+        """
+        shifts = list(_LADDER)
+        above = self.inertia(shifts)[0]
+        while np.max(above @ self.multiplicity) < k:
+            more = [shifts[-1] * 2.0 ** i for i in range(1, 5)]
+            if not np.isfinite(more[-1]):
+                raise RuntimeError(f"inertia counts never reached the top {k}")
+            shifts += more
+            above = np.vstack([above, self.inertia(more)[0]])
+        counts = above[np.argmax(above @ self.multiplicity >= k)]
+        n, P = self.n_rho, self.n_phi
+        vals, vecs, modes = [], [], []
+        for m in np.nonzero(counts)[0]:
+            Am, Mm = self._dense(self.a, m), self._dense(self.m, m)
+            real = self.multiplicity[m] == 1
+            if real:
+                Am, Mm = Am.real, Mm.real
+            w, u = eigh(Am, Mm, subset_by_index=(n - counts[m], n - 1))
+            wave = np.exp(2j * np.pi * (m * np.arange(P) % P) / P)
+            lattice = (u[:, None, :] * wave[None, :, None]).reshape(n * P, -1)
+            for part in [lattice.real] if real else [lattice.real, lattice.imag]:
+                vals.append(w)
+                vecs.append(part)
+                modes.append(np.full(w.size, m))
+        vals, vecs, modes = (np.concatenate(x, axis=-1) for x in (vals, vecs, modes))
+        keep = np.argsort(-vals, kind="stable")[:k]
+        vecs, modes = vecs[:, keep], modes[keep]
+        vals = (np.sum(vecs * (self.A @ vecs), axis=0)
+                / np.sum(vecs * (self.M @ vecs), axis=0))
+        order = np.argsort(-vals, kind="stable")
+        stats = {"inertia_shifts": len(shifts), "mode_solves": int(np.count_nonzero(counts))}
+        return vals[order], vecs[:, order], modes[order], stats
 
 
 def _svqb(S: np.ndarray, MS: np.ndarray) -> np.ndarray:
@@ -438,7 +583,7 @@ def _block_eigensolver(A, M, k: int, precondition):
 
     Knyazev's locally optimal block preconditioned conjugate gradient
     (SIAM J. Sci. Comput. 23(2), 2001) on a block of k + 2 columns seeded
-    from _EIGSH_SEED.  Each iteration applies precondition to the residual
+    from _LOBPCG_SEED.  Each iteration applies precondition to the residual
     block, giving W, and runs Rayleigh-Ritz on X, W and P, where P spans the
     new X's step away from the old X.  W is M-projected off X and P and made
     M-orthonormal by SVQB; X and P come out of the Rayleigh-Ritz basis by
@@ -456,7 +601,7 @@ def _block_eigensolver(A, M, k: int, precondition):
     """
     N = A.shape[0]
     b = min(k + 2, N)
-    X = np.random.default_rng(_EIGSH_SEED).standard_normal((N, b))
+    X = np.random.default_rng(_LOBPCG_SEED).standard_normal((N, b))
     S = X @ _svqb(X, M @ X)
     AS = A @ S
     for iteration in range(_BLOCK_MAX_ITER + 1):
@@ -498,12 +643,13 @@ def spectrum(space: WeightedSpace, how_many: int = 8) -> SpectrumReport:
     The pencil of :func:`assemble_operator`, already restricted to the
     contact-condition trial space, is solved for its k largest eigenpairs,
     where k is how_many but at least 6, which the kernel and window verdicts
-    need.  Both solvers invert the ring average of K = 1.5 M - A one
-    azimuthal mode at a time.  A reference constant along every ring, bit for
-    bit, makes K block-circulant in phi, so that inverse is exact and drives
-    shift-invert Lanczos at 1.5, whose k eigenvalues nearest 1.5 are the top
-    k; any other reference gets the block eigensolver, preconditioned by it.
-    The eigenpair residuals of :func:`_residuals` are reported either way.
+    need.  A reference constant along every ring, bit for bit, makes the
+    pencil block-circulant in phi: it is split into its azimuthal modes
+    (:class:`_ModePencil`), counted exactly by inertia and solved only in the
+    modes that hold the top k.  Any other reference gets the block
+    eigensolver, preconditioned by the per-mode inverse of the ring average
+    of K = 1.5 M - A.  The eigenpair residuals of :func:`_residuals` on the
+    full pencil are reported either way.
     """
     if how_many < 1:
         raise ValueError(f"how_many must be at least 1, got {how_many}")
@@ -512,28 +658,27 @@ def spectrum(space: WeightedSpace, how_many: int = 8) -> SpectrumReport:
     A_red, M_red = pencil.A, pencil.M
     N = A_red.shape[0]
     k = int(min(max(how_many, 6), N - 2))
-    inverse, factor_nnz = _azimuthal_mode_solver(
-        (_SHIFT * M_red - A_red).tocsc(), (g.node_shape[0] - 1, g.node_shape[1]))
-    n_solves = 0
+    lattice = (g.node_shape[0] - 1, g.node_shape[1])
 
-    def solve(x):
-        nonlocal n_solves
-        n_solves += x.size // N
-        return inverse(x)
-
+    per_mode = None
     if np.all(space.f2 == space.f2[:, :1]):  # rotationally invariant
         solver = "azimuthal_modes"
-        # Shift-invert wants (A - 1.5 M)^-1 = -K^-1.
-        OPinv = spla.LinearOperator((N, N), matvec=lambda x: -solve(x), dtype=float)
-        v0 = np.random.default_rng(_EIGSH_SEED).standard_normal(N)
-        vals, vecs = spla.eigsh(A_red, k=k, M=M_red, sigma=_SHIFT, which="LM",
-                                v0=v0, OPinv=OPinv)
-        order = np.argsort(vals)[::-1]
-        top_vals, top_vecs = vals[order], vecs[:, order]
+        per_mode = _ModePencil(A_red, M_red, lattice)
+        top_vals, top_vecs, mode_of, stats = per_mode.top(k)
+        stats = {"modes": [int(m) for m in mode_of], **stats}
         residuals = _residuals(A_red, M_red, top_vals, top_vecs)[2]
     else:
         solver = "block_lobpcg"
+        inverse, factor_nnz = _azimuthal_mode_solver((_SHIFT * M_red - A_red).tocsc(), lattice)
+        n_solves = 0
+
+        def solve(x):
+            nonlocal n_solves
+            n_solves += x.size // N
+            return inverse(x)
+
         top_vals, top_vecs, residuals = _block_eigensolver(A_red, M_red, k, solve)
+        stats = {"factor_nnz": factor_nnz, "n_solves": n_solves}
     inside = np.nonzero((top_vals > WINDOW[0]) & (top_vals < WINDOW[1]))[0]
     # Both solvers return the top k, so every unreturned eigenvalue lies at or
     # below the last one, which the cli's smallest_eigenvalue gate holds at or
@@ -559,6 +704,14 @@ def spectrum(space: WeightedSpace, how_many: int = 8) -> SpectrumReport:
     kernel_idx = [i for i, v in enumerate(top_vals) if abs(v) <= thr]
     cosine = _kernel_cosine(space, (pencil.basis @ top_vecs)[:, kernel_idx])
 
+    counts = None
+    if per_mode is not None:
+        above, pivots = per_mode.inertia((_CEILING, WINDOW[1], WINDOW[0], thr, -thr))
+        n = [int(c) for c in above @ per_mode.multiplicity]
+        counts = {f"above_{_CEILING}": n[0], f"above_{WINDOW[1]}": n[1],
+                  "window": n[2] - n[1], "kernel": n[4] - n[3],
+                  "min_relative_pivot": float(np.min(pivots))}
+
     return SpectrumReport(
         eigenvalues=[float(v) for v in top_vals],
         residuals=[float(r) for r in residuals],
@@ -573,9 +726,9 @@ def spectrum(space: WeightedSpace, how_many: int = 8) -> SpectrumReport:
         window_note=window_note,
         asymmetry=pencil.asymmetry,
         n_unknowns=N,
+        counts=counts,
         solver=solver,
-        factor_nnz=factor_nnz,
-        n_solves=n_solves,
+        stats=stats,
     )
 
 

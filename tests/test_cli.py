@@ -296,20 +296,41 @@ def test_timestamps_live_only_in_the_sidecar(tmp_path):
 
 
 def test_spectrum_solver_statistics_live_only_in_the_sidecar(tmp_path):
+    # Each solver writes exactly its own statistics.
+    keys = {"azimuthal_modes": {"modes", "inertia_shifts", "mode_solves"},
+            "block_lobpcg": {"factor_nnz", "n_solves"}}
     for reference, solver in [("cap", "azimuthal_modes"),
                               ("random", "block_lobpcg")]:
         out = tmp_path / reference
         assert run(["spectrum", "--theta", "1.5", "--grid", "16x16",
                     "--reference", reference, "--out", out]) == 0
         body = (out / "spectrum_report.json").read_text()
-        for key in ("solver", "factor_nnz", "n_solves"):
-            assert key not in body
+        for key in ("solver", *keys["azimuthal_modes"], *keys["block_lobpcg"]):
+            assert f'"{key}"' not in body
         meta = read_report(out, "spectrum_report.meta.json")
-        assert set(meta) == {"written_at", "report", "solver", "factor_nnz", "n_solves"}
+        assert set(meta) == {"written_at", "report", "solver", *keys[solver]}
         assert meta["solver"] == solver
-        # a 13-row band of the 16 trial rings per azimuthal mode 0..8
-        assert meta["factor_nnz"] == 9 * 13 * 16
-        assert meta["n_solves"] > 0
+    cap = read_report(tmp_path / "cap", "spectrum_report.meta.json")
+    # one mode per returned eigenvalue: lambda1 in mode 0, the kernel in mode 1
+    assert len(cap["modes"]) == 8
+    assert cap["modes"][:3] == [0, 1, 1]
+    assert cap["inertia_shifts"] >= 7
+    assert 1 <= cap["mode_solves"] <= 9
+    lobpcg = read_report(tmp_path / "random", "spectrum_report.meta.json")
+    # a 13-row band of the 16 trial rings per azimuthal mode 0..8
+    assert lobpcg["factor_nnz"] == 9 * 13 * 16
+    assert lobpcg["n_solves"] > 0
+
+
+def test_spectrum_labels_the_lattice_flip_with_the_last_mode(tmp_path):
+    # At theta 0.3 the odd-even flip of the azimuthal lattice sits at -0.086,
+    # in mode m = n_phi/2.
+    assert run(["spectrum", "--theta", "0.3", "--grid", "64x64", "--out", tmp_path]) == 0
+    eigenvalues = read_report(tmp_path, "spectrum_report.json")["report"]["eigenvalues"]
+    modes = read_report(tmp_path, "spectrum_report.meta.json")["modes"]
+    flip = [i for i, v in enumerate(eigenvalues) if abs(v + 0.086) < 1e-3]
+    assert len(flip) == 1
+    assert modes[flip[0]] == 32
 
 
 def test_an_unconverged_eigensolve_exits_four(tmp_path, monkeypatch, capsys):
@@ -660,15 +681,20 @@ GATE_CASES = [
      spoiled(lambda r: replace(r, triples=[{**t, "relative_slack": 1e-9} for t in r.triples]))),
     ("lambda1_err", ["spectrum"], "spectrum", spoiled(lambda r: replace(r, lambda1=1.5))),
     ("lambda1_gap", ["spectrum"], "spectrum", spoiled(lambda r: replace(r, lambda1_gap=0.5))),
+    # The cap's kernel and window gates read its exact counts.
     ("kernel_count", ["spectrum"], "spectrum",
-     spoiled(lambda r: replace(r, kernel_indices=r.kernel_indices[:1]))),
+     spoiled(lambda r: replace(r, counts={**r.counts, "kernel": 1}))),
     # With the smallest returned eigenvalue inside (-thr, thr), an unreturned
     # eigenvalue could sit in the kernel band too, so two kernel indices are
     # not a count of the whole spectrum.
     ("smallest_eigenvalue", ["spectrum"], "spectrum",
      spoiled(lambda r: replace(r, eigenvalues=last_replaced(r.eigenvalues,
                                                             -0.5 * r.kernel_threshold)))),
-    ("window_empty", ["spectrum"], "spectrum", spoiled(lambda r: replace(r, window_empty=False))),
+    ("window_empty", ["spectrum"], "spectrum",
+     spoiled(lambda r: replace(r, counts={**r.counts, "window": 1}))),
+    ("inertia_pivot", ["spectrum"], "spectrum",
+     spoiled(lambda r: replace(r, counts={**r.counts, "min_relative_pivot": 0.5 * cli.BOUNDS[
+         "inertia_pivot"].budget}))),
     ("max_residual", ["spectrum"], "spectrum",
      spoiled(lambda r: replace(r, residuals=last_replaced(
          r.residuals, 10.0 * cli.BOUNDS["residual"].budget)))),
@@ -701,3 +727,17 @@ def test_each_gate_trips_past_its_bound(bundle, tmp_path, monkeypatch, gate, arg
     # Each command passes unspoiled, so this gate alone fails.
     assert [g["name"] for g in rep["gates"] if not g["passed"]] == [gate]
     assert gates(rep)[gate]["margin"] <= 0
+
+
+# The block solver's kernel and window gates read its returned eigenvalues.
+@pytest.mark.parametrize("gate, patch", [
+    ("kernel_count", spoiled(lambda r: replace(r, kernel_indices=r.kernel_indices[:1]))),
+    ("window_empty", spoiled(lambda r: replace(r, window_empty=False))),
+], ids=["kernel_count", "window_empty"])
+def test_block_solver_gates_trip_past_their_bounds(tmp_path, monkeypatch, gate, patch):
+    monkeypatch.setattr(cli, "spectrum", patch(cli.spectrum))
+    assert run(["spectrum", "--reference", "random", *BUNDLE_FLAGS,
+                "--out", tmp_path]) == cli.EXIT_BREACH
+    rep = read_report(tmp_path, "spectrum_report.json")
+    assert rep["report"]["counts"] is None
+    assert [g["name"] for g in rep["gates"] if not g["passed"]] == [gate]

@@ -107,12 +107,12 @@ def _spectrum_reports_under_blas_threads(tmp_path, name, argv):
 
 
 def test_spectrum_at_96_is_byte_identical_across_blas_thread_counts(tmp_path):
-    # The operator's scale is a numpy pairwise sum, not BLAS nrm2.  Both
-    # solvers factor K = 1.5 M - A by banded per-mode LU and take residuals
-    # in numpy sums; the block eigensolver reduces over the unknowns only by
-    # gemm, numpy sums and sparse products.  None of these depends on the
-    # BLAS thread count; ARPACK, which the cap's shift-invert runs, does not
-    # at 96x96 either.
+    # The operator's scale is a numpy pairwise sum, not BLAS nrm2.  The cap
+    # is solved one azimuthal mode at a time (banded inertia counts and a
+    # small eigh per mode), the random reference by a block eigensolver that
+    # reduces over the unknowns only by gemm, numpy sums and sparse
+    # products, and both take residuals in numpy sums.  None of these
+    # depends on the BLAS thread count.
     for name, argv in [
         ("random", ("--theta", "2.2", "--grid", "96x96", "--reference", "random")),
         ("cap", ("--theta", "1.57", "--grid", "96x96")),
@@ -128,6 +128,16 @@ def test_random_spectrum_at_128_is_byte_identical_across_blas_thread_counts(tmp_
     reports = _spectrum_reports_under_blas_threads(
         tmp_path, "random",
         ("--theta", "1.2", "--grid", "128x128", "--reference", "random"))
+    assert b'"breach": false' in reports[0]
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("theta", ["1.2", "1.57"])
+def test_cap_spectrum_at_128_is_byte_identical_across_blas_thread_counts(tmp_path, theta):
+    # Each mode's eigh works on a 128 x 128 matrix, and every reduction over
+    # the 16384 unknowns is a numpy sum or a sparse product.
+    reports = _spectrum_reports_under_blas_threads(
+        tmp_path, "cap", ("--theta", theta, "--grid", "128x128"))
     assert b'"breach": false' in reports[0]
     assert reports[0] == reports[1]
 

@@ -1,6 +1,9 @@
 """Weighted operator, quadratic form inequality, spectrum dichotomy, chains."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -10,7 +13,7 @@ import scipy.sparse.linalg
 
 import capaf
 
-from helpers import apply, bilinear, grid, cap_space, smooth_body
+from helpers import apply, bilinear, grid, cap_space, mode_bands_by_unique, smooth_body
 
 
 def test_weight_is_positive_for_a_convex_reference():
@@ -231,7 +234,7 @@ def test_random_reference_spectrum_keeps_the_dichotomy():
 
 @pytest.mark.parametrize("n", [24, 64])
 def test_spectrum_is_deterministic(n):
-    # the Lanczos start vector is seeded
+    # no solver draws from entropy
     space = cap_space(1.5, n, n)
     a = capaf.spectrum(space, how_many=6)
     b = capaf.spectrum(space, how_many=6)
@@ -281,7 +284,7 @@ def test_spectrum_matches_the_dense_pencil(make_space, theta, window_empty):
 @pytest.mark.parametrize("theta", [1.2, 2.2, 3.0])
 @pytest.mark.parametrize("n, how_many", [(8, 1), (8, 30), (8, 100), (12, 20)])
 def test_cap_spectrum_is_the_top_of_the_dense_pencil(theta, n, how_many):
-    # Shift-invert at 1.5 returns the top k, up to k = N - 2 (62 on 8x8).
+    # The per-mode solve returns the top k, up to k = N - 2 (62 on 8x8).
     space = cap_space(theta, n, n)
     rep = capaf.spectrum(space, how_many=how_many)
     assert rep.solver == "azimuthal_modes"
@@ -290,6 +293,29 @@ def test_cap_spectrum_is_the_top_of_the_dense_pencil(theta, n, how_many):
     dense = _dense_pencil_eigenvalues(space)
     np.testing.assert_allclose(rep.eigenvalues, dense[:k], rtol=0, atol=1e-9)
     assert max(rep.residuals) < 1e-8
+
+
+@pytest.mark.parametrize("theta", [0.3, 1.2, 3.0])
+@pytest.mark.parametrize("n", [8, 12, 16, 24])
+def test_inertia_counts_equal_the_dense_pencil_counts(theta, n):
+    space = cap_space(theta, n, n)
+    rep = capaf.spectrum(space, how_many=6)
+    dense = _dense_pencil_eigenvalues(space)
+
+    def above(s):
+        return int(np.count_nonzero(dense > s))
+
+    thr = rep.kernel_threshold
+    counts = dict(rep.counts)
+    assert counts.pop("min_relative_pivot") >= 1e-10
+    assert counts == {"above_1.01": above(1.01), "above_0.99": above(0.99),
+                      "window": above(0.01) - above(0.99), "kernel": above(-thr) - above(thr)}
+    # Every count, not only the reported ones: shifts across the spectrum.
+    pencil = capaf.assemble_operator(space)
+    modes = capaf.spectral._ModePencil(pencil.A, pencil.M, (n, n))
+    shifts = [1.5, 1.0 - 1e-3, 0.5, 1e-3, -1e-3, -0.3, -1.0, -3.0, -10.0, -100.0]
+    per_mode, _ = modes.inertia(shifts)
+    assert (per_mode @ modes.multiplicity).tolist() == [above(s) for s in shifts]
 
 
 def _shifted_pencil(space):
@@ -320,7 +346,21 @@ def test_block_eigensolver_matches_the_dense_pencil(reference, theta, n):
     np.testing.assert_allclose(rep.eigenvalues, dense[:8], rtol=0, atol=1e-9)
     assert max(rep.residuals) < 1e-8
     # one preconditioned block of k + 2 columns per iteration
-    assert rep.n_solves > 0 and rep.n_solves % 10 == 0
+    assert rep.stats["n_solves"] > 0 and rep.stats["n_solves"] % 10 == 0
+
+
+@pytest.mark.parametrize("reference", ["cap", "random"])
+@pytest.mark.parametrize("n_rho, n_phi", [(8, 8), (24, 32), (64, 64)])
+def test_mode_bands_match_the_unique_grouping_bit_for_bit(reference, n_rho, n_phi):
+    # The LOBPCG preconditioner factors these bands, so its bytes rest on them.
+    g = grid(2.2, n_rho, n_phi)
+    ref = capaf.ell(g) if reference == "cap" else capaf.random_body(g, 40, amplitude=0.2)
+    pencil = capaf.assemble_operator(capaf.WeightedSpace(g, ref))
+    for matrix in (pencil.A, pencil.M, (1.5 * pencil.M - pencil.A).tocsc()):
+        bands = capaf.spectral._mode_bands(matrix, (n_rho, n_phi))
+        expected = mode_bands_by_unique(matrix, (n_rho, n_phi))
+        assert bands.shape == expected.shape
+        assert bands.tobytes() == expected.tobytes()
 
 
 def test_azimuthal_mode_block_solve_equals_its_column_solves():
@@ -369,14 +409,17 @@ def test_every_reference_factors_the_same_shifted_pencil(monkeypatch):
         return mode_solver(K, node_shape)
 
     monkeypatch.setattr(capaf.spectral, "_azimuthal_mode_solver", recording)
-    for ref in (capaf.ell(g).values, capaf.random_body(g, 40, amplitude=0.2).values,
-                _translated_cap(g)):
+    # The cap is split into its azimuthal modes and factors nothing.
+    capaf.spectrum(capaf.WeightedSpace(g, capaf.ell(g)), how_many=6)
+    assert factored == []
+    for ref in (capaf.random_body(g, 40, amplitude=0.2).values, _translated_cap(g)):
         space = capaf.WeightedSpace(g, ref)
         factored.clear()
         capaf.spectrum(space, how_many=6)
         assert len(factored) == 1
-        K, _ = _shifted_pencil(space)
-        assert abs(factored[0] - K).max() == 0.0
+        K, shape = _shifted_pencil(space)
+        assert shape == (16, 16)
+        assert factored[0].toarray().tobytes() == K.toarray().tobytes()
 
 
 def test_only_a_rotationally_invariant_reference_takes_the_mode_solve():
@@ -452,3 +495,13 @@ def test_quermass_chain_on_a_random_body():
     g = grid(1.2, 24, 24)
     rep = capaf.quermass_chain_check(g, capaf.random_body(g, 4))
     assert rep.min_relative_slack > 0
+
+
+def test_importing_capaf_leaves_the_sparse_eigensolvers_unloaded():
+    script = ("import sys, capaf, capaf.cli\n"
+              "print('scipy.sparse.linalg' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(capaf.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "False"
