@@ -48,23 +48,26 @@ def fornberg_weights(x: np.ndarray, x0: float, max_deriv: int) -> np.ndarray:
     return c
 
 
-def panel_weights(nodes: np.ndarray, a: float, b: float) -> np.ndarray:
+def panel_weights(nodes: np.ndarray, a, b) -> np.ndarray:
     """Interpolatory weights: sum_k w_k p(x_k) == integral_a^b p for deg(p) < len(nodes).
 
     Solved through a scaled monomial Vandermonde system; the node windows used
-    here are small (6 points), so conditioning is not a concern.
+    here are small (6 points), so conditioning is not a concern.  nodes may be
+    a stack of windows, shape (..., n), with one a and b per window: the
+    systems are solved in one batched call, each as it would be alone.
     """
     nodes = np.asarray(nodes, dtype=float)
-    n = nodes.size
-    center = 0.5 * (nodes[0] + nodes[-1])
-    scale = max(0.5 * (nodes[-1] - nodes[0]), 1e-300)
+    n = nodes.shape[-1]
+    first, last = nodes[..., :1], nodes[..., -1:]
+    center = 0.5 * (first + last)
+    scale = np.maximum(0.5 * (last - first), 1e-300)
     t = (nodes - center) / scale
-    ta = (a - center) / scale
-    tb = (b - center) / scale
+    ta = (np.asarray(a, dtype=float)[..., None] - center) / scale
+    tb = (np.asarray(b, dtype=float)[..., None] - center) / scale
     powers = np.arange(n)
-    vander = t[None, :] ** powers[:, None]
+    vander = t[..., None, :] ** powers[:, None]
     moments = scale * (tb ** (powers + 1) - ta ** (powers + 1)) / (powers + 1)
-    return np.linalg.solve(vander, moments)
+    return np.linalg.solve(vander, moments[..., None])[..., 0]
 
 
 def radial_quadrature(rho: np.ndarray, drho: float) -> np.ndarray:
@@ -74,19 +77,20 @@ def radial_quadrature(rho: np.ndarray, drho: float) -> np.ndarray:
     plain midpoint weight drho per node is only 2nd-order accurate, which is
     not enough for the 1e-6 closed-form volume anchors on a 128x128 grid; the
     windowed rule keeps the bulk weights equal to drho and only perturbs the
-    few nodes near rho=0 and rho=theta.
+    few nodes near rho=0 and rho=theta.  All panels are solved in one batch
+    and added in panel order, so each weight is the same sum as panel by
+    panel.
     """
     rho = np.asarray(rho, dtype=float)
     n = rho.size
     if n < QUAD_WINDOW:
         raise ValueError(f"radial rule needs at least {QUAD_WINDOW} nodes, got {n}")
+    # Panel 0 is the cap between the axis and the first node (extrapolatory
+    # but only drho/2 wide); panel j + 1 spans [rho_j, rho_{j+1}].
+    lo = np.concatenate([[0], np.clip(np.arange(n - 1) - 2, 0, n - QUAD_WINDOW)])
+    windows = lo[:, None] + np.arange(QUAD_WINDOW)
     w = np.zeros(n)
-    # Cap between the axis and the first node; extrapolatory but only drho/2 wide.
-    w[:QUAD_WINDOW] += panel_weights(rho[:QUAD_WINDOW], 0.0, rho[0])
-    for j in range(n - 1):
-        lo = min(max(j - 2, 0), n - QUAD_WINDOW)
-        sl = slice(lo, lo + QUAD_WINDOW)
-        w[sl] += panel_weights(rho[sl], rho[j], rho[j + 1])
+    np.add.at(w, windows, panel_weights(rho[windows], np.append(0.0, rho[:-1]), rho))
     if np.any(w <= 0.0):
         raise ValueError("radial quadrature produced non-positive weights")
     return w

@@ -12,7 +12,10 @@ rest nonpositive.  This module builds the weight, assembles the operator as a
 sparse symmetric weak form (the contact-angle condition enters as a natural
 boundary term) and restricts it to the fields whose boundary row obeys that
 condition, through the grid's own boundary stencil: the result is the
-Pencil (A, M) on that trial space.  It then solves for the top eigenpairs
+Pencil (A, M) on that trial space.  The assembly sums the products of
+the stencil entries of the form's factors in one vectorized pass, folds the
+boundary row in after, and forms no product of lattice matrices; A comes
+out symmetric bit for bit.  The module then solves for the top eigenpairs
 and packages the inequality checks that follow from it.  A rotationally
 invariant reference makes the pencil block-circulant in phi, so it splits
 into one banded Hermitian pencil per azimuthal Fourier mode: Sylvester
@@ -28,12 +31,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import eigh, lapack, subspace_angles
 
-from ._stencil import stencil_pair
 from .capgrid import CapGrid, ShapeTensor
 from .capfun import as_field, certify, ell_values, horizontal_linear
 from .mixedvol import mixed_sequence, mixed_volume, q2
@@ -117,27 +121,13 @@ class WeightedSpace:
 
 # -- matrix assembly -----------------------------------------------------------
 
-def _periodic(n_phi: int, stencil) -> sp.csr_matrix:
-    """Circulant matrix of a periodic azimuthal stencil ((offset, weight), ...)."""
-    rows, cols, vals = [], [], []
-    for off, c in stencil:
-        rows.extend(range(n_phi))
-        cols.extend((np.arange(n_phi) + off) % n_phi)
-        vals.extend([c] * n_phi)
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n_phi, n_phi))
-
-
 # Undivided third-difference coefficients for the odd-even dissipation term:
 # O(spacing^6) on resolved fields, order one on lattice-flip modes.
 _D3 = ((-1, -1.0), (0, 3.0), (1, -3.0), (2, 1.0))
 _DISSIPATION = 0.25
-
-
-def _third_difference_rho(n: int) -> list[list[tuple[int, float]]]:
-    # The pole row reflects through the axis (antipodal meridian); the last
-    # rows shift the stencil inward so it stays on the lattice.
-    return [[(min(j, n - 3) + off, c) for off, c in _D3] for j in range(n)]
-
+# 4th-order centred periodic first difference in phi, times 12 dphi.  It is
+# antisymmetric: the weight of offset -o is minus that of o.
+_PHI1 = ((-2, 1.0), (-1, -8.0), (1, 8.0), (2, -1.0))
 
 # Summation-by-parts first derivative of interior order 4 with its diagonal
 # companion norm (boundary order 2).  The exact discrete integration-by-parts
@@ -154,38 +144,132 @@ _SBP_H_EDGE = (17 / 48, 59 / 48, 43 / 48, 49 / 48)
 _SBP_CENTER = (1 / 12, -2 / 3, 0.0, 2 / 3, -1 / 12)
 
 
-def _sbp_radial(n: int, h: float) -> tuple[list, np.ndarray]:
-    """Stencil rows of the radial derivative, plus its diagonal norm.
+class _Stencil(NamedTuple):
+    """A lattice operator as its entries, sorted by row.
+
+    (G f)(i, j) is the sum, over the entries e with row[e] == i, of
+    weight[e] * f(col[e], j + shift[e]), with j + shift[e] taken mod n_phi:
+    a radial stencil with an azimuthal offset per entry.  Every factor of
+    the weak form has this shape; the pole mirror is the offset n_phi/2.
+    """
+
+    row: np.ndarray
+    col: np.ndarray
+    shift: np.ndarray
+    weight: np.ndarray
+
+
+def _radial_stencil(row, col, weight, n_phi: int) -> _Stencil:
+    """Radial entries; a negative col names the ghost node -1 - col, which
+    holds that node's value on the antipodal meridian.  Zeros are dropped."""
+    keep = weight != 0.0
+    ghost = col < 0
+    return _Stencil(row[keep], np.where(ghost, -1 - col, col)[keep],
+                    np.where(ghost, n_phi // 2, 0)[keep], weight[keep])
+
+
+def _azimuthal_stencil(rows, offsets, weights) -> _Stencil:
+    """The periodic stencil weights[r, k] at offsets[k] on each row rows[r]."""
+    k = len(offsets)
+    return _Stencil(np.repeat(rows, k), np.repeat(rows, k),
+                    np.tile(offsets, len(rows)), np.reshape(weights, -1))
+
+
+def _sbp_radial(n: int, h: float, n_phi: int) -> tuple[_Stencil, np.ndarray]:
+    """The radial derivative as a stencil, plus its diagonal norm.
 
     The lattice has no axis boundary: rows near rho=0 stay centred and reach
     across to the antipodal meridian (ghost columns).  The contact boundary
     at rho=theta gets the four-row edge closure, reversed and negated.
     """
-    rows = [[(j + off, c / h) for off, c in zip(range(-2, 3), _SBP_CENTER)]
-            for j in range(n - 4)]
-    rows += [[(n - 1 - k, -c / h) for k, c in enumerate(edge)]
-             for edge in reversed(_SBP_D_EDGE)]
-    weights = np.full(n, h)
-    weights[n - 4:] = np.array(_SBP_H_EDGE[::-1]) * h
-    return rows, weights
+    inner = np.arange(n - 4)
+    rows = [np.repeat(inner, 5)]
+    cols = [rows[0] + np.tile(np.arange(-2, 3), n - 4)]
+    weights = [np.tile(np.array(_SBP_CENTER) / h, n - 4)]
+    for k, edge in enumerate(reversed(_SBP_D_EDGE)):
+        rows.append(np.full(len(edge), n - 4 + k))
+        cols.append(n - 1 - np.arange(len(edge)))
+        weights.append(-np.array(edge) / h)
+    norm = np.full(n, h)
+    norm[n - 4:] = np.array(_SBP_H_EDGE[::-1]) * h
+    return _radial_stencil(*map(np.concatenate, (rows, cols, weights)), n_phi), norm
 
 
-def _robin_basis(grid: CapGrid) -> sp.csr_matrix:
+def _on_rows(rows: np.ndarray, st: _Stencil, n_rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (i, b) with st.row[b] == rows[i]: each i with every entry
+    of st on its row, i ascending."""
+    per_row = np.bincount(st.row, minlength=n_rows)
+    reps = per_row[rows]
+    i = np.repeat(np.arange(rows.size), reps)
+    b = ((np.cumsum(per_row) - per_row)[rows[i]] + np.arange(i.size)
+         - np.repeat(np.cumsum(reps) - reps, reps))
+    return i, b
+
+
+def _sum_by_key(key, scale, rows, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys, ascending, and for each the sum of scale[p] *
+    table[rows[p]] over its p: one sparse-times-dense product.  Each sum
+    takes its terms from the smallest |scale| up."""
+    order = np.lexsort((np.abs(scale), key))
+    key = key[order]
+    starts = np.flatnonzero(np.diff(key, prepend=-1))
+    sums = sp.csr_matrix((scale[order], rows[order], np.append(starts, key.size)),
+                         shape=(starts.size, table.shape[0]))
+    return key[starts], sums @ table
+
+
+def _lattice_csr(c1, d, e, values: np.ndarray, n_rows: int) -> sp.csr_matrix:
+    """The lattice matrix whose entry ((c1[g], j), (c1[g] + d[g], j + e[g]))
+    is values[g, j], j + e[g] taken mod n_phi, as CSR with sorted indices and
+    without its exact zeros.
+
+    Groups g are sorted by c1, so every lattice row of radial block c holds
+    one entry per group of that block: rows of fixed width per block.  A run
+    of consecutive blocks with the same offsets shares one column order per
+    phi index, so each run is laid out by one gather.
+    """
+    n_phi = values.shape[1]
+    width = np.bincount(c1, minlength=n_rows)
+    first = np.cumsum(width) - width
+    j = np.arange(n_phi)
+    kinds = [(d * n_phi + e)[first[c]:first[c] + width[c]].tobytes() for c in range(n_rows)]
+    starts = [c for c in range(n_rows) if c == 0 or kinds[c] != kinds[c - 1]]
+    data = np.empty(values.size)
+    indices = np.empty(values.size, dtype=np.int32)
+    for lo, hi in zip(starts, starts[1:] + [n_rows]):
+        g0, w = first[lo], width[lo]
+        # Row (c, j) of the run has its entries at columns c n_phi + col[j].
+        col = d[g0:g0 + w] * n_phi + sliding_window_view(np.tile(j, 2), n_phi)[e[g0:g0 + w]].T
+        order = np.argsort(col, axis=1)
+        run = slice(g0 * n_phi, (g0 + (hi - lo) * w) * n_phi)
+        blocks = values[g0:g0 + (hi - lo) * w].reshape(hi - lo, w * n_phi)
+        data[run] = np.take(blocks, (order * n_phi + j[:, None]).ravel(), axis=1).ravel()
+        indices[run] = (np.arange(lo, hi)[:, None] * n_phi
+                        + np.take_along_axis(col, order, axis=1).ravel()).ravel()
+    indptr = np.append((first[:, None] * n_phi + width[:, None] * j).ravel(), values.size)
+    matrix = sp.csr_matrix((data, indices, indptr), shape=(n_rows * n_phi,) * 2)
+    matrix.eliminate_zeros()
+    return matrix
+
+
+def _robin_basis(grid: CapGrid) -> _Stencil:
     """Columns span the fields whose ring row obeys the contact condition.
 
-    The grid's stencil of d_rho f(theta) = cot(theta) f(theta), the row that
-    robin_residual and certify use, expresses the boundary row through the
-    rows below it, so the basis maps interior unknowns to full node vectors.
+    The basis maps the unknowns, the rows below the ring, to node rows: the
+    identity below the ring, and on it the grid's stencil of
+    d_rho f(theta) = cot(theta) f(theta), the row that robin_residual and
+    certify use, solved for the ring value as weights on the last rows below.
     Constraining the trial space this way matters: the sharp bound
     lambda <= 1 holds only over fields with the correct contact angle, and
     unconstrained boundary layers can creep above it at low order.
     """
-    R, P = grid.node_shape
+    ring = grid.node_shape[0] - 1
     w = grid.boundary_weights
-    row = np.zeros(R - 1)
-    row[R - w.size:] = w[:-1] / (grid.cot_theta - w[-1])
-    ring_block = sp.kron(sp.csr_matrix(row), sp.identity(P, format="csr"))
-    return sp.vstack([sp.identity((R - 1) * P, format="csr"), ring_block]).tocsr()
+    fold = np.arange(ring - w.size + 1, ring)
+    rows = np.arange(ring)
+    return _Stencil(np.append(rows, np.full(fold.size, ring)), np.append(rows, fold),
+                    np.zeros(ring + fold.size, dtype=int),
+                    np.append(np.ones(ring), w[:-1] / (grid.cot_theta - w[-1])))
 
 
 @dataclass
@@ -200,21 +284,16 @@ class Pencil:
     quadrature in the six pole rows and the six rows nearest the boundary,
     by up to 0.74 drho at 32x32), so the eigenproblem is A u = lambda M u.
     Assembling the quadratic form instead of the raw second-order stencil
-    keeps A symmetric by construction; the only symmetry defect is the
-    antisymmetric half of the boundary cross term, whose size relative to
-    the form is recorded in asymmetry.
+    keeps A symmetric by construction, and its entries are symmetrized last,
+    so A equals its transpose bit for bit.  What the form leaves out is the
+    antisymmetric half of the boundary cross term; its size relative to the
+    form is recorded in asymmetry.
     """
 
     A: sp.csc_matrix
     M: sp.csc_matrix
     basis: sp.csr_matrix
     asymmetry: float
-
-
-def _frobenius(m: sp.spmatrix) -> float:
-    # numpy's pairwise sum, not BLAS nrm2, so the value does not depend on
-    # how many threads the BLAS library uses.
-    return float(np.sqrt(np.sum(m.data * m.data)))
 
 
 def assemble_operator(space: WeightedSpace) -> Pencil:
@@ -228,77 +307,139 @@ def assemble_operator(space: WeightedSpace) -> Pencil:
     where Q(W) = (trW * Id - W)/2 is positive definite for convex references,
     and the contact-angle condition enters naturally through the ring terms
     (cot(theta) Q_mumu f g plus a tangential cross term, symmetrized).  The
-    gradient matrices are the offset-lattice radial stencils (pole rows reach
-    across to the antipodal meridian) and banded periodic differences in phi.
+    gradients are the offset-lattice radial stencils (pole rows reach across
+    to the antipodal meridian) and banded periodic differences in phi.
+
+    Every term is G_s^T diag(c) G_t for two :class:`_Stencil` factors.  A
+    pair of their entries on a common row adds a row of c, rolled by the
+    first entry's azimuthal offset and scaled by both weights, to the
+    coefficients of one lattice offset (d_rho, d_phi) on one radial row, so
+    F, the form on the node lattice, is one sparse-times-dense product of
+    such rows.  The Robin basis acts on radial rows only: restricting F to
+    the trial space moves its ring row and column onto the five rows below,
+    scaled by their basis weights, in a second such product.  Folding after
+    the sums rather than into each factor keeps every entry of A within one
+    ulp of max|A| of the same form summed in long double, and leaves F whole
+    for the norm that asymmetry is relative to.  The result is symmetrized
+    against its transpose and laid out as sorted fixed-width rows, which are
+    also A's columns; no lattice matrix is multiplied.
     """
     g = space.grid
     R, P = g.node_shape
-
-    shift = _periodic(P, ((P // 2, 1.0),))
-    eyeP = sp.identity(P, format="csr")
-
-    def radial(rows):
-        # The flattened pole-crossing operator of stencil_pair's rows.
-        plain, mirror = stencil_pair(rows, R)
-        return sp.kron(plain, eyeP) + sp.kron(mirror, shift)
-
-    rows, h_rho = _sbp_radial(R, g.drho)
-    G_rho = radial(rows)
-    # 4th-order centred periodic first difference; banded so that the
-    # stiffness products below stay sparse.
-    phi1 = _periodic(P, zip((-2, -1, 1, 2), np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * g.dphi)))
-    G_phi = sp.kron(sp.diags(1.0 / g.sin_rho), phi1)
+    ring = R - 1
+    rho = np.arange(R)
+    off1 = [o for o, _ in _PHI1]
+    phi1 = np.array([c for _, c in _PHI1]) / (12.0 * g.dphi)
+    off3 = [o for o, _ in _D3]
+    d3 = np.array([c for _, c in _D3])
+    G_rho, h_rho = _sbp_radial(R, g.drho, P)
+    factors = {
+        "rho": G_rho,
+        "phi": _azimuthal_stencil(rho, off1, (1.0 / g.sin_rho)[:, None] * phi1),
+        # The pole row reflects through the axis (antipodal meridian); the
+        # last rows shift the stencil inward so it stays on the lattice.
+        "rho3": _radial_stencil(np.repeat(rho, 4), np.repeat(np.minimum(rho, R - 3), 4)
+                                + np.tile(off3, R), np.tile(d3, R), P),
+        "phi3": _azimuthal_stencil(rho, off3, np.tile(d3, (R, 1))),
+        "eye": _azimuthal_stencil(rho, [0], np.ones((R, 1))),
+        # Tangential derivative along the ring.
+        "arc": _azimuthal_stencil([ring], off1, phi1[None] / g.sin_theta),
+    }
+    basis = _robin_basis(g)
 
     W = space.A2
     q_rr = 0.5 * W.pp
     q_pp = 0.5 * W.rr
     q_rp = -0.5 * W.rp
     w = np.outer(h_rho * g.sin_rho, np.full(P, g.dphi))
-
-    def dia(c):
-        return sp.diags(c.reshape(-1))
-
-    stiff = (
-        G_rho.T @ dia(w * q_rr) @ G_rho
-        + G_phi.T @ dia(w * q_pp) @ G_phi
-        + G_rho.T @ dia(w * q_rp) @ G_phi
-        + G_phi.T @ dia(w * q_rp) @ G_rho
-    )
     mass_density = 0.5 * (W.rr + W.pp)
-    mass_mat = dia(w * mass_density)
-
+    # Ring terms on the boundary row, measure sin(theta) dphi: cot(theta)
+    # Q_mumu f g joins the mass there, and the tangential cross term is
+    # symmetrized.  Its antisymmetric half vanishes in the continuum; it is
+    # dropped and reported.
+    wr = g.sin_theta * g.dphi
+    mass = w * mass_density
+    mass[ring] += g.cot_theta * wr * q_rr[ring]
+    cross = np.zeros((R, P))
+    cross[ring] = 0.5 * wr * q_rp[ring]
     # Centred first differences annihilate the odd-even modes (one lattice
     # flip per direction), which would otherwise sit spuriously at the top of
     # the spectrum.  An undivided third-difference penalty is positive
     # semidefinite, moves those modes far below the window, and perturbs
     # resolved fields only at sixth order in the spacing.
-    d3p = _periodic(P, _D3)
-    pen = dia(_DISSIPATION * w * mass_density)
-    rho3 = radial(_third_difference_rho(R))
-    phi3 = sp.kron(sp.identity(R, format="csr"), d3p)
-    dissipation = rho3.T @ pen @ rho3 + phi3.T @ pen @ phi3
+    fields = (w * q_rr, w * q_pp, w * q_rp, _DISSIPATION * w * mass_density, mass, cross)
+    terms = (("rho", "rho", 0, -1.0), ("phi", "phi", 1, -1.0),
+             ("rho", "phi", 2, -1.0), ("phi", "rho", 2, -1.0),
+             ("rho3", "rho3", 3, -1.0), ("phi3", "phi3", 3, -1.0),
+             ("eye", "eye", 4, 1.0), ("eye", "arc", 5, 1.0), ("arc", "eye", 5, 1.0))
 
-    # Ring terms on the boundary row, measure sin(theta) dphi.
-    ring = sp.csr_matrix(([1.0], ([R - 1], [R - 1])), shape=(R, R))
-    wr = g.sin_theta * g.dphi
-    q_mumu = q_rr[g.boundary_index, :]
-    q_mut = q_rp[g.boundary_index, :]
-    ring_diag = sp.kron(ring, sp.diags(g.cot_theta * wr * q_mumu))
-    # Tangential derivative along the ring; the antisymmetric half of this
-    # cross term is dropped (it vanishes in the continuum) and reported.
-    cross = sp.kron(ring, sp.diags(wr * q_mut) @ (phi1 / g.sin_theta)).tocsr()
-    cross_sym = 0.5 * (cross + cross.T)
-    dropped = 0.5 * (cross - cross.T)
+    # F is three times the form on the node lattice.  Every pair of entries
+    # on a common row adds a row of the term's field, rolled by s.shift[a]
+    # and scaled by the sign and both weights, to one group: the
+    # coefficients of F at one (row, d_rho, d_phi), ordered by key.
+    span = 2 * R + 1
 
-    form = (-stiff - dissipation + mass_mat + ring_diag + cross_sym) / 3.0
-    form = 0.5 * (form + form.T)
-    scale = _frobenius(form)
-    asym = _frobenius(dropped) / (3.0 * max(scale, 1e-300))
-    omega = (w * space.detA2 / (3.0 * space.f2)).reshape(-1)
-    basis = _robin_basis(g)
-    A = (basis.T @ form.tocsr() @ basis).tocsc()
-    M = (basis.T @ sp.diags(omega) @ basis).tocsc()
-    return Pencil(A, M, basis, asym)
+    def key(c1, c2, shift):
+        return (c1 * span + c2 - c1 + R) * P + shift % P
+
+    def unkey(group):
+        c1, offset = np.divmod(group, span * P)
+        d, e = np.divmod(offset, P)
+        return c1, d - R, e
+
+    keys, sources, scales = [], [], []
+    for s_name, t_name, field, sign in terms:
+        if not fields[field].any():  # the cap's Q_rho,phi and ring cross term
+            continue
+        s, t = factors[s_name], factors[t_name]
+        a, b = _on_rows(s.row, t, R)
+        keys.append(key(s.col[a], t.col[b], t.shift[b] - s.shift[a]))
+        sources.append((field * P + s.shift[a] % P) * R + s.row[a])
+        scales.append(sign * s.weight[a] * t.weight[b])
+    # One table row per (field, roll, radial row) that some pair reads.
+    source = np.concatenate(sources)
+    rolls = np.zeros(len(fields) * P, dtype=bool)
+    rolls[source // R] = True
+    table = np.concatenate([np.roll(fields[u // P], u % P, axis=1) for u in np.flatnonzero(rolls)])
+    group, coef = _sum_by_key(np.concatenate(keys), np.concatenate(scales),
+                              (np.cumsum(rolls) - 1)[source // R] * R + source % R, table)
+    norm = math.sqrt(np.sum(np.einsum("ij,ij->i", coef, coef))) / 3.0
+    # The dropped half of the cross term, 0.5 (C - C^T): the stencil is
+    # antisymmetric, so entry (j, j + o) is 0.5 a_o (c_j + c_{j+o}).
+    tangent = cross[ring]
+    dropped = sum(np.sum((a * (tangent + np.roll(tangent, -o)) / g.sin_theta) ** 2)
+                  for o, a in zip(off1, phi1))
+    asym = math.sqrt(dropped) / (3.0 * max(norm, 1e-300))
+
+    # Restrict to the trial space, basis^T F basis: each group moves to the
+    # basis entries on its row and on its column, scaled by both weights.
+    c1, d, e = unkey(group)
+    i, b1 = _on_rows(c1, basis, R)
+    j, b2 = _on_rows((c1 + d)[i], basis, R)
+    src, b1 = i[j], b1[j]
+    group, coef = _sum_by_key(key(basis.col[b1], basis.col[b2], e[src]),
+                              basis.weight[b1] * basis.weight[b2], src, coef)
+
+    # A = (X + X^T)/6 with X = basis^T F basis.  Every group of X has its
+    # transposed group (c1 + d, -d, -e), and the entry at phi index j
+    # transposes to that group's entry at j + e.  Both entries of a pair are
+    # the same sum of the same two numbers: A equals its transpose bit for bit.
+    c1, d, e = unkey(group)
+    partner = np.searchsorted(group, key(c1 + d, c1, -e))
+    coef += sliding_window_view(np.concatenate([coef, coef], axis=1), P, axis=1)[partner, e]
+    # A is symmetric, so its CSR form, transposed, is its CSC form.
+    A = _lattice_csr(c1, d, e, coef / 6.0, ring).T
+
+    # M = basis^T diag(omega) basis, each product rounded as
+    # (weight omega) weight, as the matrix product rounds it.
+    omega = w * space.detA2 / (3.0 * space.f2)
+    a, b = _on_rows(basis.row, basis, R)
+    group, mass = _sum_by_key(key(basis.col[a], basis.col[b], 0), np.ones(a.size), np.arange(a.size),
+                              basis.weight[a, None] * omega[basis.row[a]] * basis.weight[b, None])
+    phi = np.arange(P)
+    basis_matrix = sp.csr_matrix((np.repeat(basis.weight, P), ((basis.row[:, None] * P + phi).ravel(),
+                                  (basis.col[:, None] * P + phi).ravel())), shape=(R * P, ring * P))
+    return Pencil(A, _lattice_csr(*unkey(group), mass, ring).tocsc(), basis_matrix, asym)
 
 
 # -- spectrum ------------------------------------------------------------------

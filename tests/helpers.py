@@ -14,6 +14,7 @@ import itertools
 import math
 
 import numpy as np
+import scipy.sparse as sp
 
 import capaf
 
@@ -109,6 +110,115 @@ def mode_bands_by_unique(matrix, node_shape) -> np.ndarray:
     coef = np.zeros((n_rho, 2 * bw + 1, n_phi))
     coef.flat[keys] = ref * (count / n_phi) + dev / n_phi
     return np.conj(np.fft.rfft(coef, axis=2)).transpose(2, 1, 0)
+
+
+def radial_quadrature_by_panels(rho: np.ndarray) -> np.ndarray:
+    """_stencil.radial_quadrature as a loop that adds one 6-node panel at a
+    time, in order: the reference whose bytes the batched rule must keep."""
+    window = capaf._stencil.QUAD_WINDOW
+    n = rho.size
+    w = np.zeros(n)
+    w[:window] += capaf._stencil.panel_weights(rho[:window], 0.0, rho[0])
+    for j in range(n - 1):
+        lo = min(max(j - 2, 0), n - window)
+        sl = slice(lo, lo + window)
+        w[sl] += capaf._stencil.panel_weights(rho[sl], rho[j], rho[j + 1])
+    return w
+
+
+def _periodic(n_phi: int, stencil) -> sp.csr_matrix:
+    """Circulant matrix of a periodic azimuthal stencil ((offset, weight), ...)."""
+    rows, cols, vals = [], [], []
+    for off, c in stencil:
+        rows.extend(range(n_phi))
+        cols.extend((np.arange(n_phi) + off) % n_phi)
+        vals.extend([c] * n_phi)
+    return sp.csr_matrix((vals, (rows, cols)), shape=(n_phi, n_phi))
+
+
+def _sbp_rows(n: int, h: float) -> tuple[list, np.ndarray]:
+    spectral = capaf.spectral
+    rows = [[(j + off, c / h) for off, c in zip(range(-2, 3), spectral._SBP_CENTER)]
+            for j in range(n - 4)]
+    rows += [[(n - 1 - k, -c / h) for k, c in enumerate(edge)]
+             for edge in reversed(spectral._SBP_D_EDGE)]
+    weights = np.full(n, h)
+    weights[n - 4:] = np.array(spectral._SBP_H_EDGE[::-1]) * h
+    return rows, weights
+
+
+def _robin_basis_by_kron(grid) -> sp.csr_matrix:
+    R, P = grid.node_shape
+    w = grid.boundary_weights
+    row = np.zeros(R - 1)
+    row[R - w.size:] = w[:-1] / (grid.cot_theta - w[-1])
+    ring_block = sp.kron(sp.csr_matrix(row), sp.identity(P, format="csr"))
+    return sp.vstack([sp.identity((R - 1) * P, format="csr"), ring_block]).tocsr()
+
+
+def assemble_operator_by_products(space: capaf.WeightedSpace):
+    """spectral.assemble_operator as a chain of scipy sparse products: every
+    factor of the weak form a sum of Kronecker products, multiplied out and
+    then restricted to the trial space by the Robin basis.  The reference
+    that the one-pass stencil assembly must match to roundoff."""
+    spectral = capaf.spectral
+    g = space.grid
+    R, P = g.node_shape
+
+    shift = _periodic(P, ((P // 2, 1.0),))
+    eyeP = sp.identity(P, format="csr")
+
+    def radial(rows):
+        plain, mirror = capaf._stencil.stencil_pair(rows, R)
+        return sp.kron(plain, eyeP) + sp.kron(mirror, shift)
+
+    rows, h_rho = _sbp_rows(R, g.drho)
+    G_rho = radial(rows)
+    phi1 = _periodic(P, zip((-2, -1, 1, 2), np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * g.dphi)))
+    G_phi = sp.kron(sp.diags(1.0 / g.sin_rho), phi1)
+
+    W = space.A2
+    q_rr = 0.5 * W.pp
+    q_pp = 0.5 * W.rr
+    q_rp = -0.5 * W.rp
+    w = np.outer(h_rho * g.sin_rho, np.full(P, g.dphi))
+
+    def dia(c):
+        return sp.diags(c.reshape(-1))
+
+    stiff = (
+        G_rho.T @ dia(w * q_rr) @ G_rho
+        + G_phi.T @ dia(w * q_pp) @ G_phi
+        + G_rho.T @ dia(w * q_rp) @ G_phi
+        + G_phi.T @ dia(w * q_rp) @ G_rho
+    )
+    mass_density = 0.5 * (W.rr + W.pp)
+    mass_mat = dia(w * mass_density)
+
+    d3p = _periodic(P, spectral._D3)
+    pen = dia(spectral._DISSIPATION * w * mass_density)
+    rho3 = radial([[(min(j, R - 3) + off, c) for off, c in spectral._D3] for j in range(R)])
+    phi3 = sp.kron(sp.identity(R, format="csr"), d3p)
+    dissipation = rho3.T @ pen @ rho3 + phi3.T @ pen @ phi3
+
+    ring = sp.csr_matrix(([1.0], ([R - 1], [R - 1])), shape=(R, R))
+    wr = g.sin_theta * g.dphi
+    q_mumu = q_rr[g.boundary_index, :]
+    q_mut = q_rp[g.boundary_index, :]
+    ring_diag = sp.kron(ring, sp.diags(g.cot_theta * wr * q_mumu))
+    cross = sp.kron(ring, sp.diags(wr * q_mut) @ (phi1 / g.sin_theta)).tocsr()
+    cross_sym = 0.5 * (cross + cross.T)
+    dropped = 0.5 * (cross - cross.T)
+
+    form = (-stiff - dissipation + mass_mat + ring_diag + cross_sym) / 3.0
+    form = 0.5 * (form + form.T)
+    scale = float(np.sqrt(np.sum(form.data * form.data)))
+    asym = float(np.sqrt(np.sum(dropped.data * dropped.data))) / (3.0 * max(scale, 1e-300))
+    omega = (w * space.detA2 / (3.0 * space.f2)).reshape(-1)
+    basis = _robin_basis_by_kron(g)
+    A = (basis.T @ form.tocsr() @ basis).tocsc()
+    M = (basis.T @ sp.diags(omega) @ basis).tocsc()
+    return spectral.Pencil(A, M, basis, asym)
 
 
 def apply(space: capaf.WeightedSpace, f) -> np.ndarray:

@@ -13,7 +13,8 @@ import scipy.sparse.linalg
 
 import capaf
 
-from helpers import apply, bilinear, grid, cap_space, mode_bands_by_unique, smooth_body
+from helpers import (apply, assemble_operator_by_products, bilinear, cap_space, grid,
+                     mode_bands_by_unique, smooth_body)
 
 
 def test_weight_is_positive_for_a_convex_reference():
@@ -75,6 +76,75 @@ def test_assembled_form_is_symmetric():
     sp = cap_space(1.2, 24, 24)
     op = capaf.spectral.assemble_operator(sp)
     assert op.asymmetry < 1e-12
+
+
+def _translated_cap(g):
+    return capaf.ell(g).values + 0.05 * capaf.horizontal_linear(g, (1, 0)).values
+
+
+_REFERENCES = {
+    "cap": lambda g: capaf.ell(g),
+    "random": lambda g: capaf.random_body(g, 40, amplitude=0.2, mode_cap=2),
+    # Dips below zero: WeightedSpace translates it back (_translate_positive).
+    "translated": _translated_cap,
+}
+
+
+@pytest.mark.parametrize("reference", sorted(_REFERENCES))
+@pytest.mark.parametrize("theta", [0.05, 1.2, 3.0])
+@pytest.mark.parametrize("n_rho, n_phi", [(8, 8), (16, 24), (40, 48), (64, 64)])
+def test_stencil_assembly_matches_the_sparse_product_chain(reference, theta, n_rho, n_phi):
+    g = grid(theta, n_rho, n_phi)
+    space = capaf.WeightedSpace(g, _REFERENCES[reference](g))
+    pencil = capaf.assemble_operator(space)
+    expected = assemble_operator_by_products(space)
+    # The difference holds every entry stored on either side, so an entry
+    # stored on one side only is held to the same bound.
+    eps = np.finfo(float).eps
+    assert abs(pencil.A - expected.A).max() <= 8 * eps * abs(expected.A).max()
+    # The chain leaves M's row indices unsorted within a column; the one-pass
+    # M is canonical, with the same bits at the same places.
+    assert pencil.M.has_sorted_indices
+    expected.M.sort_indices()
+    for got, want in ((pencil.M, expected.M), (pencil.basis, expected.basis)):
+        assert got.shape == want.shape and got.format == want.format
+        for part in ("data", "indices", "indptr"):
+            assert getattr(got, part).tobytes() == getattr(want, part).tobytes()
+    assert abs(pencil.asymmetry - expected.asymmetry) <= 1e-12 * expected.asymmetry
+    assert (pencil.A != pencil.A.T).nnz == 0
+
+
+@pytest.mark.parametrize("reference", sorted(_REFERENCES))
+@pytest.mark.parametrize("theta", [0.3, 2.2])
+def test_assembled_operator_is_exactly_symmetric(reference, theta):
+    # assemble_operator_by_products leaves |A - A^T| at up to 8.9e-16 on 24x24.
+    g = grid(theta, 24, 24)
+    A = capaf.assemble_operator(capaf.WeightedSpace(g, _REFERENCES[reference](g))).A
+    assert (A != A.T).nnz == 0
+    assert A.has_sorted_indices
+
+
+def _wrapped_diagonal_spread(matrix, node_shape) -> float:
+    """Largest spread along phi of a wrapped diagonal, an absent entry read as 0."""
+    n_rho, n_phi = node_shape
+    coo = matrix.tocoo()
+    i, j = np.divmod(coo.row, n_phi)
+    i2, j2 = np.divmod(coo.col, n_phi)
+    keys, which = np.unique(np.stack([i, i2, (j2 - j) % n_phi]), axis=1, return_inverse=True)
+    lines = np.zeros((keys.shape[1], n_phi))
+    lines[which.ravel(), j] = coo.data
+    return float(np.max(lines.max(axis=1) - lines.min(axis=1)))
+
+
+@pytest.mark.parametrize("theta", [0.05, 1.2, 3.0])
+@pytest.mark.parametrize("n", [8, 16, 32, 64, 128])
+def test_cap_pencil_is_constant_along_every_wrapped_diagonal(theta, n):
+    # _ModePencil splits the cap's pencil into azimuthal modes, which is
+    # exact only when each wrapped diagonal is one number along phi.
+    pencil = capaf.assemble_operator(cap_space(theta, n, n))
+    for matrix in (pencil.A, pencil.M):
+        spread = _wrapped_diagonal_spread(matrix, (n, n))
+        assert spread <= 1e-14 * abs(matrix).max()
 
 
 @pytest.mark.parametrize("theta", [0.05, 2.2])
@@ -323,10 +393,6 @@ def _shifted_pencil(space):
     pencil = capaf.assemble_operator(space)
     R, P = space.grid.node_shape
     return (1.5 * pencil.M - pencil.A).tocsc(), (R - 1, P)
-
-
-def _translated_cap(g):
-    return capaf.ell(g).values + 0.05 * capaf.horizontal_linear(g, (1, 0)).values
 
 
 @pytest.mark.parametrize("reference", ["random", "translated"])

@@ -12,6 +12,8 @@ from capaf._stencil import (
     stencil_table,
 )
 
+from helpers import grid, radial_quadrature_by_panels
+
 
 @pytest.mark.parametrize("deriv", [0, 1, 2, 3])
 def test_fornberg_weights_exact_on_polynomials(deriv):
@@ -63,6 +65,15 @@ def test_radial_quadrature_high_order_on_smooth_integrand():
         errs.append(abs(float(np.dot(w, np.sin(3 * rho))) - (1 - np.cos(3.0)) / 3))
     ooa = np.log2(errs[0] / errs[1]), np.log2(errs[1] / errs[2])
     assert min(ooa) > 5.0
+
+
+@pytest.mark.parametrize("theta", [0.05, 1.2, 3.0])
+@pytest.mark.parametrize("n", [8, 16, 64, 128, 512])
+def test_radial_quadrature_keeps_the_bytes_of_the_panel_loop(n, theta):
+    # The batched solve must add each panel's weights as the loop does.
+    rho = grid(theta, n, 8).rho_nodes
+    assert radial_quadrature(rho, theta / (n + 0.5)).tobytes() \
+        == radial_quadrature_by_panels(rho).tobytes()
 
 
 def test_radial_quadrature_rejects_tiny_grids():
