@@ -22,8 +22,10 @@ into one banded Hermitian pencil per azimuthal Fourier mode: Sylvester
 inertia of their banded LDL^H factors counts the eigenvalues above any
 shift exactly, and a small eigh on the modes that hold the top k solves
 them.  Any other reference gets a block LOBPCG preconditioned by the
-per-mode inverse of the ring average of K = 1.5 M - A, and its counts are
-those of its Ritz values.
+per-mode inverse of the ring average of K = 1.5 M - A.  It starts from the
+exact top modes of the ring-averaged pencil, takes A's products with its
+iterates from those with its basis, and checks its residuals afresh before
+it stops; its counts are those of its Ritz values.
 """
 
 from __future__ import annotations
@@ -58,9 +60,6 @@ _CEILING = 1.01
 # k: below the kernel band, and off the hemisphere's exact eigenvalues
 # (2 - l(l+1))/2, where a pivot would be small.
 _LADDER = tuple(-0.15 * 2.0 ** j for j in range(7))
-# Fixed seed of the block eigensolver's start block: reports must not depend
-# on entropy.
-_LOBPCG_SEED = 20240811
 # The block eigensolver stops once every wanted residual is below _BLOCK_TOL,
 # and fails after _BLOCK_MAX_ITER iterations; SVQB drops a direction whose
 # scaled Gram eigenvalue is below _SVQB_DROP of the largest.
@@ -272,6 +271,58 @@ def _robin_basis(grid: CapGrid) -> _Stencil:
                     np.append(np.ones(ring), w[:-1] / (grid.cot_theta - w[-1])))
 
 
+class _Groups(NamedTuple):
+    """Keys of the groups of a form on the n_rho x n_phi node lattice.
+
+    A group holds the form's coefficients at one (row c1, d_rho, d_phi), one
+    per phi index; its key orders groups by c1, then d_rho, then d_phi.
+    """
+
+    n_rho: int
+    n_phi: int
+
+    def key(self, c1, c2, shift):
+        R, P = self
+        return (c1 * (2 * R + 1) + c2 - c1 + R) * P + shift % P
+
+    def unkey(self, group):
+        R, P = self
+        c1, offset = np.divmod(group, (2 * R + 1) * P)
+        d, e = np.divmod(offset, P)
+        return c1, d - R, e
+
+
+def _robin_fold(groups: _Groups, group, coef, basis: _Stencil):
+    """Restrict a form's groups to the trial space, basis^T F basis.
+
+    A group moves to the basis entries on its row and on its column, scaled
+    by both weights.  The basis is the identity below its fold rows (the rows
+    that carry the ring's weights), so a group whose row and column both lie
+    there is its own one-term sum and passes through.  Only the rest are
+    summed; their sums land on a fold row, so no key is shared and every sum
+    keeps its terms and their order.  Groups come ordered by row, so every
+    group before the first one folded passes through as one block, and only
+    the last rows' are merged.  Returns the groups, ascending, and their
+    coefficients.
+    """
+    ring = groups.n_rho - 1
+    first_fold = np.min(basis.col[basis.row == ring])
+    c1, d, e = groups.unkey(group)
+    kept = (c1 < first_fold) & (c1 + d < first_fold)
+    head = int(np.argmin(kept))
+    rest = head + np.flatnonzero(~kept[head:])
+    i, b1 = _on_rows(c1[rest], basis, groups.n_rho)
+    j, b2 = _on_rows((c1 + d)[rest[i]], basis, groups.n_rho)
+    src, b1 = rest[i[j]], b1[j]
+    folded, sums = _sum_by_key(groups.key(basis.col[b1], basis.col[b2], e[src]),
+                               basis.weight[b1] * basis.weight[b2], src, coef)
+    tail = head + np.flatnonzero(kept[head:])
+    merged = np.concatenate([group[tail], folded])
+    order = np.argsort(merged)
+    return (np.concatenate([group[:head], merged[order]]),
+            np.concatenate([coef[:head], np.concatenate([coef[tail], sums])[order]]))
+
+
 @dataclass
 class Pencil:
     """Weak-form (Galerkin) pencil of the weighted operator on the trial space.
@@ -317,12 +368,13 @@ def assemble_operator(space: WeightedSpace) -> Pencil:
     F, the form on the node lattice, is one sparse-times-dense product of
     such rows.  The Robin basis acts on radial rows only: restricting F to
     the trial space moves its ring row and column onto the five rows below,
-    scaled by their basis weights, in a second such product.  Folding after
-    the sums rather than into each factor keeps every entry of A within one
-    ulp of max|A| of the same form summed in long double, and leaves F whole
-    for the norm that asymmetry is relative to.  The result is symmetrized
-    against its transpose and laid out as sorted fixed-width rows, which are
-    also A's columns; no lattice matrix is multiplied.
+    scaled by their basis weights, in a second such product over the groups
+    that reach those rows; the rest pass through (:func:`_robin_fold`).
+    Folding after the sums rather than into each factor keeps every entry of
+    A within one ulp of max|A| of the same form summed in long double, and
+    leaves F whole for the norm that asymmetry is relative to.  The result
+    is symmetrized against its transpose and laid out as sorted fixed-width
+    rows, which are also A's columns; no lattice matrix is multiplied.
     """
     g = space.grid
     R, P = g.node_shape
@@ -377,16 +429,8 @@ def assemble_operator(space: WeightedSpace) -> Pencil:
     # on a common row adds a row of the term's field, rolled by s.shift[a]
     # and scaled by the sign and both weights, to one group: the
     # coefficients of F at one (row, d_rho, d_phi), ordered by key.
-    span = 2 * R + 1
-
-    def key(c1, c2, shift):
-        return (c1 * span + c2 - c1 + R) * P + shift % P
-
-    def unkey(group):
-        c1, offset = np.divmod(group, span * P)
-        d, e = np.divmod(offset, P)
-        return c1, d - R, e
-
+    groups = _Groups(R, P)
+    key, unkey = groups.key, groups.unkey
     keys, sources, scales = [], [], []
     for s_name, t_name, field, sign in terms:
         if not fields[field].any():  # the cap's Q_rho,phi and ring cross term
@@ -411,14 +455,7 @@ def assemble_operator(space: WeightedSpace) -> Pencil:
                   for o, a in zip(off1, phi1))
     asym = math.sqrt(dropped) / (3.0 * max(norm, 1e-300))
 
-    # Restrict to the trial space, basis^T F basis: each group moves to the
-    # basis entries on its row and on its column, scaled by both weights.
-    c1, d, e = unkey(group)
-    i, b1 = _on_rows(c1, basis, R)
-    j, b2 = _on_rows((c1 + d)[i], basis, R)
-    src, b1 = i[j], b1[j]
-    group, coef = _sum_by_key(key(basis.col[b1], basis.col[b2], e[src]),
-                              basis.weight[b1] * basis.weight[b2], src, coef)
+    group, coef = _robin_fold(groups, group, coef, basis)
 
     # A = (X + X^T)/6 with X = basis^T F basis.  Every group of X has its
     # transposed group (c1 + d, -d, -e), and the entry at phi index j
@@ -706,47 +743,62 @@ def _svqb(S: np.ndarray, MS: np.ndarray) -> np.ndarray:
     return vecs[:, keep] / (d[:, None] * np.sqrt(vals[keep]))
 
 
-def _residuals(A, M, lam: np.ndarray, X: np.ndarray):
-    """A @ X, the residual block R = A X - M X diag(lam), and its column norms.
+def _residual_norms(M, lam: np.ndarray, X: np.ndarray, AX: np.ndarray, MX: np.ndarray):
+    """The residual block R = AX - MX diag(lam) and its column norms.
 
     Column i's norm is |r_i|_(D^-1) / |x_i|_M, D the diagonal of M, in numpy
     sums: no BLAS dot, so its bytes do not depend on the BLAS thread count.
     """
-    AX, MX = A @ X, M @ X
     R = AX - MX * lam
     res = (np.sqrt(np.sum(R * R / M.diagonal()[:, None], axis=0))
            / np.maximum(np.sqrt(np.sum(X * MX, axis=0)), 1e-300))
-    return AX, R, res
+    return R, res
 
 
-def _block_eigensolver(A, M, k: int, precondition):
+def _residuals(A, M, lam: np.ndarray, X: np.ndarray):
+    """A @ X, the residual block R = A X - M X diag(lam), and its column
+    norms (:func:`_residual_norms`), every product taken afresh."""
+    AX = A @ X
+    return (AX, *_residual_norms(M, lam, X, AX, M @ X))
+
+
+def _block_eigensolver(A, M, k: int, precondition, start: np.ndarray):
     """The top k eigenpairs of A u = lambda M u, by block LOBPCG.
 
     Knyazev's locally optimal block preconditioned conjugate gradient
-    (SIAM J. Sci. Comput. 23(2), 2001) on a block of k + 2 columns seeded
-    from _LOBPCG_SEED.  Each iteration applies precondition to the residual
-    block, giving W, and runs Rayleigh-Ritz on X, W and P, where P spans the
-    new X's step away from the old X.  W is M-projected off X and P and made
-    M-orthonormal by SVQB; X and P come out of the Rayleigh-Ritz basis by
-    orthonormal coefficients, P taken orthogonal to the new X in that small
-    space.  So the whole basis stays M-orthonormal and Rayleigh-Ritz is a
-    plain eigh.  Every reduction over the unknowns is a gemm X.T @ Y, a numpy
-    sum or a sparse product, never a BLAS dot, so the result keeps its bytes
-    under any BLAS thread count (tests check 96x96 and 128x128).
+    (SIAM J. Sci. Comput. 23(2), 2001) on the block of columns of start, at
+    least k of them: spectrum passes the top k + 2 eigenvectors of the
+    ring-averaged pencil, which differs from (A, M) only by the reference's
+    azimuthal variation.  Each iteration applies precondition to the
+    residual block, giving W, and runs Rayleigh-Ritz on X, W and P, where P
+    spans the new X's step away from the old X.  W is M-projected off X and
+    P and made M-orthonormal by SVQB; X and P come out of the Rayleigh-Ritz
+    basis by orthonormal coefficients, P taken orthogonal to the new X in
+    that small space.  So the whole basis stays M-orthonormal and
+    Rayleigh-Ritz is a plain eigh.  A [X, P] is taken from A times the basis
+    by the same coefficients that form [X, P] (Duersch, Shao, Yang & Gu,
+    SIAM J. Sci. Comput. 40(5), 2018), so each iteration multiplies by A
+    once, for A W; M [X, P] is multiplied out.  Every reduction over the
+    unknowns is a gemm X.T @ Y, a numpy sum or a sparse product, never a
+    BLAS dot, so the result keeps its bytes under any BLAS thread count
+    (tests check 96x96 and 128x128).
 
-    Stops once each of the k wanted pairs has a residual below _BLOCK_TOL,
-    in the norm of _residuals, which spectrum reports; raises
-    RuntimeError after _BLOCK_MAX_ITER iterations.  Returns the eigenvalues,
-    largest first, the M-orthonormal eigenvectors as columns, and their
-    residuals.
+    Once each of the k wanted pairs has a residual below _BLOCK_TOL, in the
+    norm of :func:`_residual_norms`, on those implicit products, the
+    residuals are taken again by :func:`_residuals`.  It stops if they pass
+    too; if not, A [X, P] is multiplied out and the iteration goes on.
+    Raises RuntimeError after _BLOCK_MAX_ITER iterations.  Returns the
+    eigenvalues, largest first, the M-orthonormal eigenvectors as columns,
+    their explicit residuals, and the counts of iterations and of
+    residual_refreshes (explicit checks that failed).
     """
-    N = A.shape[0]
-    b = min(k + 2, N)
-    X = np.random.default_rng(_LOBPCG_SEED).standard_normal((N, b))
-    S = X @ _svqb(X, M @ X)
+    b = start.shape[1]
+    S = start @ _svqb(start, M @ start)
     AS = A @ S
+    refreshes = 0
     for iteration in range(_BLOCK_MAX_ITER + 1):
-        # S holds X, P and W in that order (only X at first), M-orthonormal.
+        # S holds X, P and W in that order (only X at first), M-orthonormal,
+        # and AS is A @ S.
         H = S.T @ AS
         lam, V = np.linalg.eigh(0.5 * (H + H.T))
         lam, Y = lam[::-1][:b], V[:, ::-1][:, :b]
@@ -757,22 +809,30 @@ def _block_eigensolver(A, M, k: int, precondition):
             step[:b] = 0.0
             step = step - Y @ (Y.T @ step)
             step = step @ _svqb(step, step)
-        XP = S @ np.hstack([Y, step])
+        coef = np.hstack([Y, step])
+        XP, AXP = S @ coef, AS @ coef
+        MXP = M @ XP
         X = XP[:, :b]
-        AX, R, res = _residuals(A, M, lam, X)
+        R, res = _residual_norms(M, lam, X, AXP[:, :b], MXP[:, :b])
         if np.all(res[:k] < _BLOCK_TOL):
-            return lam[:k], X[:, :k], res[:k]
+            res = _residuals(A, M, lam[:k], X[:, :k])[2]
+            if np.all(res < _BLOCK_TOL):
+                return lam[:k], X[:, :k], res, {"iterations": iteration,
+                                                "residual_refreshes": refreshes}
+            refreshes += 1
+            AXP = A @ XP
+            R, res = _residual_norms(M, lam, X, AXP[:, :b], MXP[:, :b])
         if iteration == _BLOCK_MAX_ITER:
             break
         # W off [X, P], then M-orthonormal.  Two classical passes: one leaves
         # roundoff of the size of the part it removed, and with one the
         # iteration failed to converge at theta 3.0 on 24x24.
-        W, MXP = precondition(R), M @ XP
+        W = precondition(R)
         for _ in range(2):
             W = W - XP @ (MXP.T @ W)
         W = W @ _svqb(W, M @ W)
         S = np.hstack([XP, W])
-        AS = np.hstack([AX, AS @ step, A @ W])
+        AS = np.hstack([AXP, A @ W])
     raise RuntimeError(
         f"block eigensolver did not converge in {_BLOCK_MAX_ITER} iterations "
         f"(worst residual {np.max(res[:k]):.3e}, tolerance {_BLOCK_TOL:.0e})")
@@ -788,9 +848,10 @@ def spectrum(space: WeightedSpace, how_many: int = 8) -> SpectrumReport:
     pencil block-circulant in phi: it is split into its azimuthal modes
     (:class:`_ModePencil`), counted exactly by inertia and solved only in the
     modes that hold the top k.  Any other reference gets the block
-    eigensolver, preconditioned by the per-mode inverse of the ring average
-    of K = 1.5 M - A.  The eigenpair residuals of :func:`_residuals` on the
-    full pencil are reported either way.
+    eigensolver, started from the top k + 2 eigenvectors of the
+    ring-averaged pencil and preconditioned by the per-mode inverse of the
+    ring average of K = 1.5 M - A.  The eigenpair residuals of
+    :func:`_residuals` on the full pencil are reported either way.
     """
     if how_many < 1:
         raise ValueError(f"how_many must be at least 1, got {how_many}")
@@ -811,6 +872,7 @@ def spectrum(space: WeightedSpace, how_many: int = 8) -> SpectrumReport:
     else:
         solver = "block_lobpcg"
         inverse, factor_nnz = _azimuthal_mode_solver((_SHIFT * M_red - A_red).tocsc(), lattice)
+        start = _ModePencil(A_red, M_red, lattice).top(k + 2)[1]
         n_solves = 0
 
         def solve(x):
@@ -818,8 +880,8 @@ def spectrum(space: WeightedSpace, how_many: int = 8) -> SpectrumReport:
             n_solves += x.size // N
             return inverse(x)
 
-        top_vals, top_vecs, residuals = _block_eigensolver(A_red, M_red, k, solve)
-        stats = {"factor_nnz": factor_nnz, "n_solves": n_solves}
+        top_vals, top_vecs, residuals, counters = _block_eigensolver(A_red, M_red, k, solve, start)
+        stats = {"factor_nnz": factor_nnz, "n_solves": n_solves, **counters}
     inside = np.nonzero((top_vals > WINDOW[0]) & (top_vals < WINDOW[1]))[0]
     # Both solvers return the top k, so every unreturned eigenvalue lies at or
     # below the last one, which the cli's smallest_eigenvalue gate holds at or

@@ -221,6 +221,18 @@ def assemble_operator_by_products(space: capaf.WeightedSpace):
     return spectral.Pencil(A, M, basis, asym)
 
 
+def robin_fold_by_full_sum(groups, group, coef, basis):
+    """spectral._robin_fold with every group summed, the identity rows too:
+    the reference that the fold must match bit for bit."""
+    spectral = capaf.spectral
+    c1, d, e = groups.unkey(group)
+    i, b1 = spectral._on_rows(c1, basis, groups.n_rho)
+    j, b2 = spectral._on_rows((c1 + d)[i], basis, groups.n_rho)
+    src, b1 = i[j], b1[j]
+    return spectral._sum_by_key(groups.key(basis.col[b1], basis.col[b2], e[src]),
+                                basis.weight[b1] * basis.weight[b2], src, coef)
+
+
 def apply(space: capaf.WeightedSpace, f) -> np.ndarray:
     """The weighted operator applied to f, pointwise through the grid derivatives."""
     return space.apply_tensor(capaf.capfun.as_field(space.grid, f).tensor)

@@ -298,7 +298,7 @@ def test_timestamps_live_only_in_the_sidecar(tmp_path):
 def test_spectrum_solver_statistics_live_only_in_the_sidecar(tmp_path):
     # Each solver writes exactly its own statistics.
     keys = {"azimuthal_modes": {"modes", "inertia_shifts", "mode_solves"},
-            "block_lobpcg": {"factor_nnz", "n_solves"}}
+            "block_lobpcg": {"factor_nnz", "n_solves", "iterations", "residual_refreshes"}}
     for reference, solver in [("cap", "azimuthal_modes"),
                               ("random", "block_lobpcg")]:
         out = tmp_path / reference
@@ -320,6 +320,9 @@ def test_spectrum_solver_statistics_live_only_in_the_sidecar(tmp_path):
     # a 13-row band of the 16 trial rings per azimuthal mode 0..8
     assert lobpcg["factor_nnz"] == 9 * 13 * 16
     assert lobpcg["n_solves"] > 0
+    # one preconditioned block of k + 2 = 10 columns per iteration but the last
+    assert lobpcg["n_solves"] == 10 * lobpcg["iterations"]
+    assert lobpcg["residual_refreshes"] == 0
 
 
 def test_spectrum_labels_the_lattice_flip_with_the_last_mode(tmp_path):

@@ -14,7 +14,7 @@ import scipy.sparse.linalg
 import capaf
 
 from helpers import (apply, assemble_operator_by_products, bilinear, cap_space, grid,
-                     mode_bands_by_unique, smooth_body)
+                     mode_bands_by_unique, robin_fold_by_full_sum, smooth_body)
 
 
 def test_weight_is_positive_for_a_convex_reference():
@@ -112,6 +112,26 @@ def test_stencil_assembly_matches_the_sparse_product_chain(reference, theta, n_r
             assert getattr(got, part).tobytes() == getattr(want, part).tobytes()
     assert abs(pencil.asymmetry - expected.asymmetry) <= 1e-12 * expected.asymmetry
     assert (pencil.A != pencil.A.T).nnz == 0
+
+
+@pytest.mark.parametrize("reference", sorted(_REFERENCES))
+@pytest.mark.parametrize("theta", [0.05, 1.2, 3.0])
+@pytest.mark.parametrize("n_rho, n_phi", [(8, 8), (16, 24), (40, 48), (64, 64)])
+def test_robin_fold_keeps_the_bytes_of_the_full_fold(monkeypatch, reference, theta, n_rho,
+                                                      n_phi):
+    # Groups clear of the fold rows pass through; summing them too must give
+    # the same pencil, bit for bit.
+    g = grid(theta, n_rho, n_phi)
+    space = capaf.WeightedSpace(g, _REFERENCES[reference](g))
+    pencil = capaf.assemble_operator(space)
+    monkeypatch.setattr(capaf.spectral, "_robin_fold", robin_fold_by_full_sum)
+    expected = capaf.assemble_operator(space)
+    for got, want in ((pencil.A, expected.A), (pencil.M, expected.M),
+                      (pencil.basis, expected.basis)):
+        assert got.shape == want.shape and got.format == want.format
+        for part in ("data", "indices", "indptr"):
+            assert getattr(got, part).tobytes() == getattr(want, part).tobytes()
+    assert pencil.asymmetry == expected.asymmetry
 
 
 @pytest.mark.parametrize("reference", sorted(_REFERENCES))
@@ -413,6 +433,72 @@ def test_block_eigensolver_matches_the_dense_pencil(reference, theta, n):
     assert max(rep.residuals) < 1e-8
     # one preconditioned block of k + 2 columns per iteration
     assert rep.stats["n_solves"] > 0 and rep.stats["n_solves"] % 10 == 0
+
+
+@pytest.mark.parametrize("theta", [0.3, 1.2, 3.0])
+@pytest.mark.parametrize("n", [16, 48])
+def test_the_cap_pencil_stops_at_its_ring_average_start(theta, n):
+    # The cap's pencil is its own ring average, so its start block already
+    # holds the top eigenpairs: the block solver stops before preconditioning.
+    pencil = capaf.assemble_operator(cap_space(theta, n, n))
+    k = 8
+    modes = capaf.spectral._ModePencil(pencil.A, pencil.M, (n, n))
+    solved = []
+    vals, vecs, residuals, counters = capaf.spectral._block_eigensolver(
+        pencil.A, pencil.M, k, lambda x: solved.append(x) or x, modes.top(k + 2)[1])
+    assert counters == {"iterations": 0, "residual_refreshes": 0}
+    assert solved == []
+    np.testing.assert_allclose(vals, modes.top(k)[0], rtol=0, atol=1e-12)
+    assert max(residuals) < 1e-9
+
+
+def test_block_solver_reports_its_explicit_residuals(monkeypatch):
+    g = grid(2.2, 24, 24)
+    space = capaf.WeightedSpace(g, capaf.random_body(g, 40, amplitude=0.2))
+    returned = []
+    solver = capaf.spectral._block_eigensolver
+
+    def recording(*args):
+        returned.append(solver(*args))
+        return returned[-1]
+
+    monkeypatch.setattr(capaf.spectral, "_block_eigensolver", recording)
+    rep = capaf.spectrum(space, how_many=8)
+    vals, vecs = returned[0][:2]
+    pencil = capaf.assemble_operator(space)
+    expected = capaf.spectral._residuals(pencil.A, pencil.M, vals, vecs)[2]
+    assert np.array(rep.residuals).tobytes() == expected.tobytes()
+
+
+def test_a_failed_explicit_check_refreshes_and_iterates_on(monkeypatch):
+    g = grid(2.2, 16, 16)
+    space = capaf.WeightedSpace(g, capaf.random_body(g, 40, amplitude=0.2))
+    plain = capaf.spectrum(space, how_many=8)
+    residuals = capaf.spectral._residuals
+    checks = []
+
+    def failing_once(A, M, lam, X):
+        AX, R, res = residuals(A, M, lam, X)
+        checks.append(res)
+        return AX, R, res + (1.0 if len(checks) == 1 else 0.0)
+
+    monkeypatch.setattr(capaf.spectral, "_residuals", failing_once)
+    rep = capaf.spectrum(space, how_many=8)
+    assert len(checks) == 2
+    assert rep.stats["residual_refreshes"] == 1
+    assert rep.stats["iterations"] > plain.stats["iterations"]
+    assert rep.residuals == checks[1].tolist()
+    assert max(rep.residuals) < 1e-9
+    np.testing.assert_allclose(rep.eigenvalues, plain.eigenvalues, rtol=0, atol=1e-12)
+
+
+def test_the_ring_average_start_bounds_the_preconditioner_solves():
+    # 270 columns from a seeded Gaussian start block; 190 from the ring average.
+    g = grid(2.2, 96, 96)
+    space = capaf.WeightedSpace(g, capaf.random_body(g, 1, amplitude=0.2, mode_cap=2))
+    rep = capaf.spectrum(space)
+    assert rep.solver == "block_lobpcg"
+    assert rep.stats["n_solves"] <= 200
 
 
 @pytest.mark.parametrize("reference", ["cap", "random"])
