@@ -16,16 +16,18 @@ Pencil (A, M) on that trial space.  The assembly sums the products of
 the stencil entries of the form's factors in one vectorized pass, folds the
 boundary row in after, and forms no product of lattice matrices; A comes
 out symmetric bit for bit.  The module then solves for the top eigenpairs
-and packages the inequality checks that follow from it.  A rotationally
-invariant reference makes the pencil block-circulant in phi, so it splits
-into one banded Hermitian pencil per azimuthal Fourier mode: Sylvester
-inertia of their banded LDL^H factors counts the eigenvalues above any
-shift exactly, and a small eigh on the modes that hold the top k solves
-them.  Any other reference gets a block LOBPCG preconditioned by the
-per-mode inverse of the ring average of K = 1.5 M - A.  It starts from the
-exact top modes of the ring-averaged pencil, takes A's products with its
-iterates from those with its basis, and checks its residuals afresh before
-it stops; its counts are those of its Ritz values.
+and packages the inequality checks that follow from it.  Every spectrum
+splits the ring average of its pencil once into one banded Hermitian pencil
+per azimuthal Fourier mode, held as lower bands.  A rotationally invariant
+reference makes the pencil block-circulant in phi, so that split is exact:
+Sylvester inertia of the modes' banded LDL^H factors counts the eigenvalues
+above any shift exactly, and a small eigh on the modes that hold the top k
+solves them.  Any other reference gets a block LOBPCG, preconditioned by a
+banded Cholesky factor of each mode of 1.5 M - A (which checks that the
+preconditioner is positive definite) and started from the exact top modes.
+It takes A's products with its iterates from those with its basis, and
+checks its residuals afresh before it stops; its counts are those of its
+Ritz values.
 """
 
 from __future__ import annotations
@@ -45,9 +47,10 @@ from .capfun import as_field, certify, ell_values, horizontal_linear
 from .mixedvol import mixed_sequence, mixed_volume, q2
 
 WINDOW = (0.01, 0.99)
-# The block eigensolver's preconditioner factors the ring average of
-# K = _SHIFT * M - A.  The shift lies above the top eigenvalue 1, so K's mode
-# matrices (diagonal blocks of its unitary transform) are positive definite.
+# The block eigensolver's preconditioner factors the ring average of s M - A
+# at s = _SHIFT.  The shift lies above the top eigenvalue 1, so its mode
+# matrices (diagonal blocks of its unitary transform) are positive definite,
+# which their Cholesky factors check.
 _SHIFT = 1.5
 # lambda1 counts as simple when the next eigenvalue lies at least this far
 # below it; the paper's dichotomy puts the next one at 0 or below.
@@ -566,45 +569,6 @@ def _mode_bands(matrix: sp.spmatrix, node_shape: tuple[int, int]) -> np.ndarray:
     return np.conj(np.fft.rfft(coef, axis=2)).transpose(2, 1, 0)
 
 
-def _azimuthal_mode_solver(K: sp.spmatrix, node_shape: tuple[int, int]):
-    """Solve with a block-circulant K, one azimuthal mode at a time.
-
-    Returns the solve and the number of entries its band factors store.
-    Each mode matrix of :func:`_mode_bands` is factored by banded LU with
-    partial pivoting; a singular mode raises RuntimeError.
-    """
-    n_rho, n_phi = node_shape
-    bands = _mode_bands(K, node_shape)
-    bw = (bands.shape[1] - 1) // 2
-    # LAPACK band storage: row 2*bw + r - c of column c holds entry (r, c),
-    # and the top bw rows are room for the pivoting fill.
-    band = np.zeros((bands.shape[0], 3 * bw + 1, n_rho), dtype=complex)
-    for off in range(-bw, bw + 1):
-        rows = np.arange(max(0, -off), min(n_rho, n_rho - off))
-        band[:, 2 * bw - off, rows + off] = bands[:, off + bw, rows]
-    factors = []
-    for m, ab in enumerate(band):
-        lu, piv, info = lapack.zgbtrf(ab, bw, bw)
-        if info != 0:
-            raise RuntimeError(f"azimuthal mode {m} of the shifted pencil is "
-                               f"singular (zgbtrf info {info})")
-        factors.append((lu, piv))
-
-    def solve(x):
-        # x is one vector or a block of them, one per column; each mode takes
-        # the whole block in one banded solve.
-        lattice = x.reshape(n_rho, n_phi, *x.shape[1:])
-        coeffs = np.fft.rfft(lattice, axis=1).swapaxes(0, 1).copy()
-        for m, (lu, piv) in enumerate(factors):
-            coeffs[m], info = lapack.zgbtrs(lu, bw, bw, coeffs[m], piv)
-            if info != 0:
-                raise RuntimeError(f"banded solve of azimuthal mode {m} failed "
-                                   f"(zgbtrs info {info})")
-        return np.fft.irfft(coeffs.swapaxes(0, 1), n=n_phi, axis=1).reshape(x.shape)
-
-    return solve, int(sum(lu.size for lu, _ in factors))
-
-
 class _ModePencil:
     """A block-circulant pencil (A, M) split into its azimuthal modes.
 
@@ -616,28 +580,29 @@ class _ModePencil:
     -m, whose real eigenvectors are the cos and sin parts, so each of their
     eigenvalues counts twice.  Every count below is exact for this
     ring-averaged pencil by Sylvester's law of inertia; for an invariant
-    reference it equals (A, M) to roundoff.
+    reference it equals (A, M) to roundoff.  Every reader takes the lower
+    triangle only, so each mode is held once in LAPACK lower band storage:
+    a[d, i, m] is entry (i + d, i) of A_m for d = 0..bw, and m likewise for
+    M_m, zero past the lattice and padded by bw rows for the Schur updates
+    of :meth:`inertia`.
     """
 
     def __init__(self, A, M, node_shape: tuple[int, int]):
         self.A, self.M = A, M
         self.n_rho, self.n_phi = node_shape
-        a, m = _mode_bands(A, node_shape), _mode_bands(M, node_shape)
+        n = self.n_rho
+        bands = _mode_bands(A, node_shape), _mode_bands(M, node_shape)
         # Both to the wider of the two bandwidths.
-        self.bw = max(a.shape[1], m.shape[1]) // 2
-        self.a, self.m = (np.pad(b, [(0, 0), (self.bw - b.shape[1] // 2,) * 2, (0, 0)])
-                          for b in (a, m))
+        self.bw = max(b.shape[1] for b in bands) // 2
+        self.a, self.m = (np.zeros((self.bw + 1, n + self.bw, b.shape[0]), dtype=complex)
+                          for b in bands)
+        for low, b in zip((self.a, self.m), bands):
+            bw = b.shape[1] // 2
+            for d in range(bw + 1):
+                low[d, :n - d] = b[:, bw - d, d:].T
         # n_phi is even: the last mode is n_phi/2, real like mode 0.
-        self.multiplicity = np.full(self.a.shape[0], 2)
+        self.multiplicity = np.full(self.a.shape[-1], 2)
         self.multiplicity[[0, -1]] = 1
-
-    def _lower(self, bands: np.ndarray) -> np.ndarray:
-        """low[d, i, m] = entry (i + d, i) of mode m, d = 0..bw, padded by bw rows."""
-        bw, n = self.bw, self.n_rho
-        low = np.zeros((bw + 1, n + bw, bands.shape[0]), dtype=complex)
-        for d in range(bw + 1):
-            low[d, :n - d] = bands[:, bw - d, d:].T
-        return low
 
     def inertia(self, shifts) -> tuple[np.ndarray, np.ndarray]:
         """Per-mode counts of eigenvalues above each shift, and each shift's
@@ -655,8 +620,7 @@ class _ModePencil:
         s = np.asarray(shifts, dtype=float)
         # The shift and the mode are the trailing axes, so each column's
         # entries are contiguous.
-        work = (self._lower(self.m)[:, :, None, :] * s[:, None]
-                - self._lower(self.a)[:, :, None, :])
+        work = self.m[:, :, None, :] * s[:, None] - self.a[:, :, None, :]
         diag = np.abs(work[0, :n])
         pivots = np.empty((n, s.size, work.shape[-1]))
         a_idx, b_idx = (x + 1 for x in np.triu_indices(bw))
@@ -669,12 +633,47 @@ class _ModePencil:
         return (np.count_nonzero(pivots < 0.0, axis=0),
                 np.min(np.abs(pivots) / diag, axis=(0, 2)))
 
-    def _dense(self, bands: np.ndarray, m: int) -> np.ndarray:
-        bw, n = self.bw, self.n_rho
+    def solver(self, shift: float):
+        """A solve with the ring average of shift * M - A, one mode at a time.
+
+        Each mode matrix shift M_m - A_m gets a banded Cholesky factor
+        (LAPACK zpbtrf on the lower bands), which exists only when the
+        matrix is positive definite: a mode that is not raises RuntimeError.
+        A solve is an rfft along phi, one banded solve per mode for the whole
+        block of right-hand sides, and an irfft.  Returns the solve and the
+        number of entries the band factors store.
+        """
+        n, P = self.n_rho, self.n_phi
+        work = shift * self.m[:, :n] - self.a[:, :n]
+        factors = []
+        for m in range(work.shape[-1]):
+            c, info = lapack.zpbtrf(work[:, :, m], lower=1)
+            if info != 0:
+                raise RuntimeError(f"azimuthal mode {m} of {shift} M - A is not "
+                                   f"positive definite (zpbtrf info {info})")
+            factors.append(c)
+
+        def solve(x):
+            # x is one vector or a block of them, one per column.
+            lattice = x.reshape(n, P, *x.shape[1:])
+            coeffs = np.fft.rfft(lattice, axis=1).swapaxes(0, 1).copy()
+            for m, c in enumerate(factors):
+                coeffs[m], info = lapack.zpbtrs(c, coeffs[m], lower=1)
+                if info != 0:
+                    raise RuntimeError(f"banded solve of azimuthal mode {m} failed "
+                                       f"(zpbtrs info {info})")
+            return np.fft.irfft(coeffs.swapaxes(0, 1), n=P, axis=1).reshape(x.shape)
+
+        return solve, int(sum(c.size for c in factors))
+
+    def _dense(self, low: np.ndarray, m: int) -> np.ndarray:
+        """Mode m's matrix from its lower bands, as its lower triangle: the
+        only one that eigh (lower=True) reads."""
+        n = self.n_rho
         out = np.zeros((n, n), dtype=complex)
-        for off in range(-bw, bw + 1):
-            rows = np.arange(max(0, -off), min(n, n - off))
-            out[rows, rows + off] = bands[m, bw + off, rows]
+        rows = np.arange(n)
+        for d in range(self.bw + 1):
+            out[rows[d:], rows[:n - d]] = low[d, :n - d, m]
         return out
 
     def top(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
@@ -789,13 +788,14 @@ def _block_eigensolver(A, M, k: int, precondition, start: np.ndarray):
     too; if not, A [X, P] is multiplied out and the iteration goes on.
     Raises RuntimeError after _BLOCK_MAX_ITER iterations.  Returns the
     eigenvalues, largest first, the M-orthonormal eigenvectors as columns,
-    their explicit residuals, and the counts of iterations and of
-    residual_refreshes (explicit checks that failed).
+    their explicit residuals, and the counts of n_solves (columns
+    preconditioned), iterations and residual_refreshes (explicit checks that
+    failed).
     """
     b = start.shape[1]
     S = start @ _svqb(start, M @ start)
     AS = A @ S
-    refreshes = 0
+    n_solves = refreshes = 0
     for iteration in range(_BLOCK_MAX_ITER + 1):
         # S holds X, P and W in that order (only X at first), M-orthonormal,
         # and AS is A @ S.
@@ -817,8 +817,8 @@ def _block_eigensolver(A, M, k: int, precondition, start: np.ndarray):
         if np.all(res[:k] < _BLOCK_TOL):
             res = _residuals(A, M, lam[:k], X[:, :k])[2]
             if np.all(res < _BLOCK_TOL):
-                return lam[:k], X[:, :k], res, {"iterations": iteration,
-                                                "residual_refreshes": refreshes}
+                return lam[:k], X[:, :k], res, {
+                    "n_solves": n_solves, "iterations": iteration, "residual_refreshes": refreshes}
             refreshes += 1
             AXP = A @ XP
             R, res = _residual_norms(M, lam, X, AXP[:, :b], MXP[:, :b])
@@ -828,6 +828,7 @@ def _block_eigensolver(A, M, k: int, precondition, start: np.ndarray):
         # roundoff of the size of the part it removed, and with one the
         # iteration failed to converge at theta 3.0 on 24x24.
         W = precondition(R)
+        n_solves += R.shape[1]
         for _ in range(2):
             W = W - XP @ (MXP.T @ W)
         W = W @ _svqb(W, M @ W)
@@ -844,14 +845,15 @@ def spectrum(space: WeightedSpace, how_many: int = 8) -> SpectrumReport:
     The pencil of :func:`assemble_operator`, already restricted to the
     contact-condition trial space, is solved for its k largest eigenpairs,
     where k is how_many but at least 6, which the kernel and window verdicts
-    need.  A reference constant along every ring, bit for bit, makes the
-    pencil block-circulant in phi: it is split into its azimuthal modes
-    (:class:`_ModePencil`), counted exactly by inertia and solved only in the
+    need.  The ring average of the pencil is split into its azimuthal modes
+    once (:class:`_ModePencil`).  A reference constant along every ring, bit
+    for bit, makes the pencil block-circulant in phi, so the split is the
+    pencil itself: it is counted exactly by inertia and solved only in the
     modes that hold the top k.  Any other reference gets the block
-    eigensolver, started from the top k + 2 eigenvectors of the
-    ring-averaged pencil and preconditioned by the per-mode inverse of the
-    ring average of K = 1.5 M - A.  The eigenpair residuals of
-    :func:`_residuals` on the full pencil are reported either way.
+    eigensolver, preconditioned by the split's banded Cholesky solve of
+    1.5 M - A and started from its top k + 2 eigenvectors.  The eigenpair
+    residuals of :func:`_residuals` on the full pencil are reported either
+    way.
     """
     if how_many < 1:
         raise ValueError(f"how_many must be at least 1, got {how_many}")
@@ -860,28 +862,23 @@ def spectrum(space: WeightedSpace, how_many: int = 8) -> SpectrumReport:
     A_red, M_red = pencil.A, pencil.M
     N = A_red.shape[0]
     k = int(min(max(how_many, 6), N - 2))
-    lattice = (g.node_shape[0] - 1, g.node_shape[1])
+    per_mode = _ModePencil(A_red, M_red, (g.node_shape[0] - 1, g.node_shape[1]))
 
-    per_mode = None
-    if np.all(space.f2 == space.f2[:, :1]):  # rotationally invariant
+    invariant = bool(np.all(space.f2 == space.f2[:, :1]))
+    if invariant:
         solver = "azimuthal_modes"
-        per_mode = _ModePencil(A_red, M_red, lattice)
         top_vals, top_vecs, mode_of, stats = per_mode.top(k)
         stats = {"modes": [int(m) for m in mode_of], **stats}
         residuals = _residuals(A_red, M_red, top_vals, top_vecs)[2]
     else:
         solver = "block_lobpcg"
-        inverse, factor_nnz = _azimuthal_mode_solver((_SHIFT * M_red - A_red).tocsc(), lattice)
-        start = _ModePencil(A_red, M_red, lattice).top(k + 2)[1]
-        n_solves = 0
-
-        def solve(x):
-            nonlocal n_solves
-            n_solves += x.size // N
-            return inverse(x)
-
-        top_vals, top_vecs, residuals, counters = _block_eigensolver(A_red, M_red, k, solve, start)
-        stats = {"factor_nnz": factor_nnz, "n_solves": n_solves, **counters}
+        # Factored before the start block is solved: the other order raised
+        # the peak RSS of a 96x96 random spectrum.
+        precondition, factor_nnz = per_mode.solver(_SHIFT)
+        start = per_mode.top(k + 2)[1]
+        top_vals, top_vecs, residuals, counters = _block_eigensolver(
+            A_red, M_red, k, precondition, start)
+        stats = {"factor_nnz": factor_nnz, **counters}
     inside = np.nonzero((top_vals > WINDOW[0]) & (top_vals < WINDOW[1]))[0]
     # Both solvers return the top k, so every unreturned eigenvalue lies at or
     # below the last one, which the cli's smallest_eigenvalue gate holds at or
@@ -908,7 +905,7 @@ def spectrum(space: WeightedSpace, how_many: int = 8) -> SpectrumReport:
     cosine = _kernel_cosine(space, (pencil.basis @ top_vecs)[:, kernel_idx])
 
     counts = None
-    if per_mode is not None:
+    if invariant:
         above, pivots = per_mode.inertia((_CEILING, WINDOW[1], WINDOW[0], thr, -thr))
         n = [int(c) for c in above @ per_mode.multiplicity]
         counts = {f"above_{_CEILING}": n[0], f"above_{WINDOW[1]}": n[1],

@@ -143,7 +143,7 @@ def test_cap_spectrum_at_128_is_byte_identical_across_blas_thread_counts(tmp_pat
 
 
 def test_azimuthal_mode_solve_is_byte_identical_across_blas_thread_counts():
-    # Banded LU per mode, not a dense inverse: a dense per-mode inverse
+    # Banded Cholesky per mode, not a dense inverse: a dense per-mode inverse
     # changes its output bytes with the BLAS thread count at this size.
     script = (
         "import hashlib, numpy as np, capaf\n"
@@ -151,9 +151,9 @@ def test_azimuthal_mode_solve_is_byte_identical_across_blas_thread_counts():
         "g = capaf.build_grid(1.57, 128, 128)\n"
         "space = capaf.WeightedSpace(g, capaf.ell(g))\n"
         "pencil = capaf.assemble_operator(space)\n"
-        "K = (1.5 * pencil.M - pencil.A).tocsc()\n"
-        "solve, _ = spectral._azimuthal_mode_solver(K, (128, 128))\n"
-        "x = np.random.default_rng(11).standard_normal(K.shape[0])\n"
+        "modes = spectral._ModePencil(pencil.A, pencil.M, (128, 128))\n"
+        "solve, _ = modes.solver(1.5)\n"
+        "x = np.random.default_rng(11).standard_normal(pencil.A.shape[0])\n"
         "print(hashlib.sha256(solve(x).tobytes()).hexdigest())\n"
     )
     src = os.path.dirname(os.path.dirname(capaf.__file__))

@@ -1,7 +1,12 @@
-"""The README's Python quickstart runs as written."""
+"""The README's Python quickstart runs as written, and its known breaches hold."""
 
+import json
 import re
 from pathlib import Path
+
+import pytest
+
+from capaf import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -12,3 +17,27 @@ def test_the_python_quickstart_runs(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     exec(compile(block, "README.md (Python quickstart)", "exec"), {})
     assert (tmp_path / "body.obj").stat().st_size > 0
+
+
+def _known_breaches() -> dict:
+    """The README's known-breaches table: (theta, grid) -> failed gates."""
+    text = README.read_text(encoding="utf-8")
+    section = re.search(r"### Known breaches\n(.*?)\n## ", text, re.S).group(1)
+    table = {}
+    rows = re.findall(r"^\| ([\d.]+) \| ([^|]+) \| ([^|]+) \|$", section, re.M)
+    for theta, grids, failed in rows:
+        for g in grids.split(","):
+            table[(theta, g.strip())] = [name.strip() for name in failed.split(",")]
+    return table
+
+
+@pytest.mark.parametrize("theta", ["0.05", "0.3", "1.2", "1.57", "2.2", "3.0"])
+@pytest.mark.parametrize("grid", ["16x16", "24x24", "40x48", "64x64", "128x128"])
+def test_the_cap_spectrum_breaches_exactly_where_the_readme_says(tmp_path, capsys, theta, grid):
+    code = cli.main(["spectrum", "--theta", theta, "--grid", grid, "--out", str(tmp_path)])
+    capsys.readouterr()
+    report = json.loads((tmp_path / "spectrum_report.json").read_text())
+    failed = [gate["name"] for gate in report["gates"] if not gate["passed"]]
+    expected = _known_breaches().get((theta, grid), [])
+    assert failed == expected
+    assert code == (2 if expected else 0)

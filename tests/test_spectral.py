@@ -408,11 +408,11 @@ def test_inertia_counts_equal_the_dense_pencil_counts(theta, n):
     assert (per_mode @ modes.multiplicity).tolist() == [above(s) for s in shifts]
 
 
-def _shifted_pencil(space):
-    """The matrix both eigensolvers factor, K = 1.5 M - A, and its lattice."""
+def _mode_pencil(space):
+    """The pencil of space split into its azimuthal modes, with the pencil."""
     pencil = capaf.assemble_operator(space)
     R, P = space.grid.node_shape
-    return (1.5 * pencil.M - pencil.A).tocsc(), (R - 1, P)
+    return capaf.spectral._ModePencil(pencil.A, pencil.M, (R - 1, P)), pencil
 
 
 @pytest.mark.parametrize("reference", ["random", "translated"])
@@ -446,7 +446,7 @@ def test_the_cap_pencil_stops_at_its_ring_average_start(theta, n):
     solved = []
     vals, vecs, residuals, counters = capaf.spectral._block_eigensolver(
         pencil.A, pencil.M, k, lambda x: solved.append(x) or x, modes.top(k + 2)[1])
-    assert counters == {"iterations": 0, "residual_refreshes": 0}
+    assert counters == {"n_solves": 0, "iterations": 0, "residual_refreshes": 0}
     assert solved == []
     np.testing.assert_allclose(vals, modes.top(k)[0], rtol=0, atol=1e-12)
     assert max(residuals) < 1e-9
@@ -504,26 +504,70 @@ def test_the_ring_average_start_bounds_the_preconditioner_solves():
 @pytest.mark.parametrize("reference", ["cap", "random"])
 @pytest.mark.parametrize("n_rho, n_phi", [(8, 8), (24, 32), (64, 64)])
 def test_mode_bands_match_the_unique_grouping_bit_for_bit(reference, n_rho, n_phi):
-    # The LOBPCG preconditioner factors these bands, so its bytes rest on them.
+    # _ModePencil holds these bands, and its counts, eigh and preconditioner
+    # all read them, so their bytes rest on these.
     g = grid(2.2, n_rho, n_phi)
     ref = capaf.ell(g) if reference == "cap" else capaf.random_body(g, 40, amplitude=0.2)
     pencil = capaf.assemble_operator(capaf.WeightedSpace(g, ref))
-    for matrix in (pencil.A, pencil.M, (1.5 * pencil.M - pencil.A).tocsc()):
+    for matrix in (pencil.A, pencil.M):
         bands = capaf.spectral._mode_bands(matrix, (n_rho, n_phi))
         expected = mode_bands_by_unique(matrix, (n_rho, n_phi))
         assert bands.shape == expected.shape
         assert bands.tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("reference", ["cap", "random"])
+def test_spectrum_takes_the_mode_bands_of_a_and_m_only(monkeypatch, reference):
+    g = grid(2.2, 24, 24)
+    ref = capaf.ell(g) if reference == "cap" else capaf.random_body(g, 40, amplitude=0.2)
+    space = capaf.WeightedSpace(g, ref)
+    pencil = capaf.assemble_operator(space)
+    banded = []
+    mode_bands = capaf.spectral._mode_bands
+
+    def recording(matrix, node_shape):
+        banded.append(matrix)
+        return mode_bands(matrix, node_shape)
+
+    monkeypatch.setattr(capaf.spectral, "_mode_bands", recording)
+    capaf.spectrum(space, how_many=6)
+    assert len(banded) == 2
+    for matrix, expected in zip(banded, (pencil.A, pencil.M)):
+        assert matrix.toarray().tobytes() == expected.toarray().tobytes()
+
+
+@pytest.mark.parametrize("theta", [0.3, 1.2, 3.0])
+def test_the_lower_triangle_gives_the_eigh_of_the_full_hermitian_mode(theta):
+    # eigh reads the lower triangle only, so the lower bands that _ModePencil
+    # keeps give the bytes of the full Hermitian mode matrix.
+    n = 24
+    modes, pencil = _mode_pencil(cap_space(theta, n, n))
+    full = [capaf.spectral._mode_bands(x, (n, n)) for x in (pencil.A, pencil.M)]
+    for m in (0, 1, 5, n // 2):
+        pair = []
+        for bands, low in zip(full, (modes.a, modes.m)):
+            w = bands.shape[1] // 2
+            hermitian = sum(np.diag(bands[m, w + o, max(0, -o):n - max(0, o)], o)
+                            for o in range(-w, w + 1))
+            lower = modes._dense(low, m)
+            assert np.array_equal(np.tril(hermitian), lower)
+            pair.append((hermitian, lower))
+        (A_full, A_low), (M_full, M_low) = pair
+        if m in (0, n // 2):
+            A_full, A_low, M_full, M_low = (x.real for x in (A_full, A_low, M_full, M_low))
+        for subset in (None, (n - 3, n - 1)):
+            w_full, u_full = scipy.linalg.eigh(A_full, M_full, subset_by_index=subset)
+            w_low, u_low = scipy.linalg.eigh(A_low, M_low, subset_by_index=subset)
+            assert w_full.tobytes() == w_low.tobytes()
+            assert u_full.tobytes() == u_low.tobytes()
+
+
 def test_azimuthal_mode_block_solve_equals_its_column_solves():
     # The block solver preconditions k + 2 columns in one call; each column
     # must get the bytes that solving it alone gives.
     g = grid(2.2, 24, 32)
-    space = capaf.WeightedSpace(g, capaf.random_body(g, 40, amplitude=0.2))
-    pencil = capaf.assemble_operator(space)
-    R, P = g.node_shape
-    solve, _ = capaf.spectral._azimuthal_mode_solver(
-        (1.5 * pencil.M - pencil.A).tocsc(), (R - 1, P))
+    modes, pencil = _mode_pencil(capaf.WeightedSpace(g, capaf.random_body(g, 40, amplitude=0.2)))
+    solve, _ = modes.solver(1.5)
     X = np.random.default_rng(5).standard_normal((pencil.A.shape[0], 10))
     block = solve(X)
     assert block.shape == X.shape
@@ -533,13 +577,14 @@ def test_azimuthal_mode_block_solve_equals_its_column_solves():
 
 @pytest.mark.parametrize("n_rho, n_phi", [(48, 64), (128, 128)])
 def test_azimuthal_mode_solve_matches_the_sparse_factor(n_rho, n_phi):
-    K, shape = _shifted_pencil(cap_space(np.pi / 2, n_rho, n_phi))
-    solve, stored = capaf.spectral._azimuthal_mode_solver(K, shape)
+    modes, pencil = _mode_pencil(cap_space(np.pi / 2, n_rho, n_phi))
+    solve, stored = modes.solver(1.5)
+    K = (1.5 * pencil.M - pencil.A).tocsc()
     x = np.random.default_rng(5).standard_normal(K.shape[0])
     expected = scipy.sparse.linalg.splu(K).solve(x)
     assert np.linalg.norm(solve(x) - expected) <= 1e-12 * np.linalg.norm(expected)
-    # K's radial bandwidth is 4: one band of 13 rows per mode 0..n_phi/2
-    assert stored == (n_phi // 2 + 1) * 13 * shape[0]
+    # The radial bandwidth is 4: one lower band of 5 rows per mode 0..n_phi/2
+    assert stored == (n_phi // 2 + 1) * 5 * modes.n_rho
 
 
 def test_a_singular_azimuthal_mode_raises():
@@ -547,20 +592,30 @@ def test_a_singular_azimuthal_mode_raises():
     ring = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(8, 8)).tolil()
     ring[0, 7] = ring[7, 0] = -1.0
     K = sp.kron(sp.identity(3), ring.tocsr()).tocsc()
-    with pytest.raises(RuntimeError, match="azimuthal mode 0"):
-        capaf.spectral._azimuthal_mode_solver(K, (3, 8))
+    modes = capaf.spectral._ModePencil(-K, sp.identity(24, format="csc"), (3, 8))
+    with pytest.raises(RuntimeError, match="azimuthal mode 0 "):
+        modes.solver(0.0)
+
+
+def test_a_mode_that_is_not_positive_definite_raises():
+    # lambda1 = 1 lies in mode 0, above the shift 0.5: 0.5 M_0 - A_0 is
+    # indefinite.  A pivoted LU factors it without complaint; Cholesky refuses.
+    modes, _ = _mode_pencil(cap_space(1.2, 16, 16))
+    with pytest.raises(RuntimeError, match="azimuthal mode 0 .*not positive definite"):
+        modes.solver(0.5)
+    modes.solver(capaf.spectral._SHIFT)
 
 
 def test_every_reference_factors_the_same_shifted_pencil(monkeypatch):
     g = grid(1.2, 16, 16)
     factored = []
-    mode_solver = capaf.spectral._azimuthal_mode_solver
+    mode_solver = capaf.spectral._ModePencil.solver
 
-    def recording(K, node_shape):
-        factored.append(K)
-        return mode_solver(K, node_shape)
+    def recording(self, shift):
+        factored.append((self, shift))
+        return mode_solver(self, shift)
 
-    monkeypatch.setattr(capaf.spectral, "_azimuthal_mode_solver", recording)
+    monkeypatch.setattr(capaf.spectral._ModePencil, "solver", recording)
     # The cap is split into its azimuthal modes and factors nothing.
     capaf.spectrum(capaf.WeightedSpace(g, capaf.ell(g)), how_many=6)
     assert factored == []
@@ -569,9 +624,12 @@ def test_every_reference_factors_the_same_shifted_pencil(monkeypatch):
         factored.clear()
         capaf.spectrum(space, how_many=6)
         assert len(factored) == 1
-        K, shape = _shifted_pencil(space)
-        assert shape == (16, 16)
-        assert factored[0].toarray().tobytes() == K.toarray().tobytes()
+        modes, shift = factored[0]
+        assert shift == capaf.spectral._SHIFT
+        assert (modes.n_rho, modes.n_phi) == (16, 16)
+        pencil = capaf.assemble_operator(space)
+        for matrix, expected in ((modes.A, pencil.A), (modes.M, pencil.M)):
+            assert matrix.toarray().tobytes() == expected.toarray().tobytes()
 
 
 def test_only_a_rotationally_invariant_reference_takes_the_mode_solve():
