@@ -7,8 +7,9 @@ sphere; this module only manipulates 1-D node sets with uniform spacing.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
-import scipy.sparse as sp
 
 # Stencil widths.  CENTER_HALF=2 gives the 5-point 4th-order interior stencil;
 # EDGE_POINTS=6 keeps one-sided closures at 4th order for second derivatives.
@@ -101,7 +102,7 @@ def stencil_table(n_nodes: int, drho: float, deriv: int) -> list[list[tuple[int,
 
     Rows near rho=0 reach across the pole: a negative col names the ghost node
     at -(g+1/2)*drho with g = -1-col, which holds the value of node g on the
-    antipodal meridian (see :func:`stencil_pair`).  The last two rows are
+    antipodal meridian (see :class:`RadialStencil`).  The last two rows are
     closed with 6-point one-sided stencils.
     """
     if deriv not in (1, 2):
@@ -120,23 +121,36 @@ def stencil_table(n_nodes: int, drho: float, deriv: int) -> list[list[tuple[int,
     return rows
 
 
-def stencil_pair(rows, n_nodes: int) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """Sparse (plain, mirror) pair of an (n_nodes, n_nodes) radial operator.
+class RadialStencil(NamedTuple):
+    """An (n_nodes, n_nodes) radial operator of stencil_table, split for
+    numpy stencil sums.
 
-    rows[j] lists the (col, weight) entries of output row j; a negative col
-    names the ghost node -1-col, whose value lives on the antipodal meridian.
-    On a field V of shape (n_nodes, n_phi) the operator is
-    plain @ V + mirror @ roll(V, n_phi // 2, axis=1), and on the flattened
-    field kron(plain, I) + kron(mirror, half-turn shift).  Repeated entries
-    are summed; explicit zeros are dropped.
+    Rows CENTER_HALF..n_nodes-1-CENTER_HALF all take the centred stencil
+    ``centre`` over source rows j-CENTER_HALF..j+CENTER_HALF.  The other
+    rows, the CENTER_HALF pole rows and then the CENTER_HALF edge rows, take
+    ``rim`` over the source rows ``sources`` (ascending), dense with zeros
+    where a row has no entry.  A pole row j also takes ``mirror[j, g]``
+    times ghost node g, node g on the antipodal meridian, so on a field V of
+    shape (n_nodes, n_phi) the operator is its plain part plus
+    mirror @ roll(V[:CENTER_HALF], n_phi // 2, axis=1).
     """
-    entries = [(j, col, w) for j, row in enumerate(rows) for col, w in row]
-    j, col, w = (np.array(x) for x in zip(*entries))
-    ghost = col < 0
 
-    def build(mask, cols):
-        m = sp.csr_matrix((w[mask], (j[mask], cols[mask])), shape=(n_nodes, n_nodes))
-        m.eliminate_zeros()
-        return m
+    centre: np.ndarray
+    rim: np.ndarray
+    sources: np.ndarray
+    mirror: np.ndarray
 
-    return build(~ghost, col), build(ghost, -1 - col)
+
+def radial_stencil(rows, n_nodes: int) -> RadialStencil:
+    """The RadialStencil of stencil_table's rows; repeated entries are summed."""
+    H = CENTER_HALF
+    plain = np.zeros((2 * H, n_nodes))
+    mirror = np.zeros((H, H))
+    for i, j in enumerate([*range(H), *range(n_nodes - H, n_nodes)]):
+        for col, w in rows[j]:
+            if col < 0:
+                mirror[j, -1 - col] += w
+            else:
+                plain[i, col] += w
+    sources = np.flatnonzero(plain.any(axis=0))
+    return RadialStencil(np.array([w for _, w in rows[H]]), plain[:, sources], sources, mirror)

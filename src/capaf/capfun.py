@@ -342,11 +342,24 @@ def _predicted_misses(grid: CapGrid, lv: np.ndarray, u: np.ndarray,
     mixed += b11 * c00
     mixed -= (2.0 * b01) * c01
     del C, c00, c11, c01
+    # One value and one mask buffer serve every halving.  Most nodes miss the
+    # early halvings (44-87% miss the first, theta 2.2 at 256x256), so
+    # restricting later halvings to the nodes that missed costs more in
+    # gathers than it saves.
+    value = np.empty(tr_c.shape)
+    miss = np.empty(tr_c.shape, dtype=bool)
     amp = amplitude
     for k in range(MAX_HALVINGS + 1):
         # Written so that a NaN never counts as a miss.
-        if not ((tr_b + amp * tr_c < 0).any() or (det_b + amp * (mixed + amp * det_c) < 0).any()):
-            return k
+        np.multiply(tr_c, amp, out=value)
+        value += tr_b
+        if not np.less(value, 0, out=miss).any():
+            np.multiply(det_c, amp, out=value)
+            value += mixed
+            value *= amp
+            value += det_b
+            if not np.less(value, 0, out=miss).any():
+                return k
         amp *= 0.5
     return MAX_HALVINGS + 1
 

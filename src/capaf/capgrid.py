@@ -11,9 +11,10 @@ off-diagonal stored once.
 Node layout: rho_j = (j + 1/2) * drho with drho = theta / (n_rho + 1/2), so the
 pole is never a node and the last row sits exactly on the boundary circle
 rho = theta.  Azimuthal nodes are the n_phi equispaced angles on [0, 2*pi).
-Radial derivatives are sparse stencils in physical space; near the pole they
-reach across it to the antipodal meridian, a half-turn roll of the field.  They
-use no BLAS or FFT.  Azimuthal derivatives are Fourier.
+Radial derivatives are finite-difference stencils in physical space; near the
+pole they reach across it to the antipodal meridian, a half-turn roll of the
+field.  They are numpy stencil sums in a fixed order, with no BLAS, FFT or
+scipy.  Azimuthal derivatives are Fourier.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._stencil import CENTER_HALF, EDGE_POINTS, radial_quadrature, stencil_pair, stencil_table
+from ._stencil import CENTER_HALF, EDGE_POINTS, radial_quadrature, radial_stencil, stencil_table
 
 MIN_RHO = 8
 MIN_PHI = 8
@@ -84,10 +85,7 @@ class CapGrid:
 
         R = n_rho + 1
         tables = {d: stencil_table(R, self.drho, d) for d in (1, 2)}
-        pairs = {d: stencil_pair(rows, R) for d, rows in tables.items()}
-        # Ghost nodes occur only in the first CENTER_HALF rows, and they are
-        # nodes 0..CENTER_HALF-1 on the antipodal meridian.
-        self._radial = {d: (p, m[:CENTER_HALF, :CENTER_HALF]) for d, (p, m) in pairs.items()}
+        self._radial = {d: radial_stencil(rows, R) for d, rows in tables.items()}
         # 6-point one-sided first derivative on the boundary row (boundary
         # row last): the one stencil of the contact-angle condition.
         self.boundary_weights = np.array([w for _, w in tables[1][-1]])
@@ -116,12 +114,27 @@ class CapGrid:
     def d_rho(self, values: np.ndarray, order: int = 1) -> np.ndarray:
         """Radial derivative, 4th order; the pole is crossed by a half-turn roll.
 
-        Sparse products only, no BLAS or FFT, so the result does not depend on
-        the BLAS thread count.
+        Numpy stencil sums, no BLAS or FFT, so the result does not depend on
+        the BLAS thread count.  Each output row sums its entries from +0.0 in
+        ascending source row, and a pole row adds its mirror part, summed on
+        its own: the bytes of the products by a sorted CSR pair
+        (plain @ V + mirror @ roll(V)).
         """
-        plain, mirror = self._radial[order]
-        out = plain @ values
-        out[:CENTER_HALF] += mirror @ np.roll(values[:CENTER_HALF], self.n_phi // 2, axis=1)
+        st = self._radial[order]
+        H = CENTER_HALF
+        values = np.ascontiguousarray(values)
+        R, P = values.shape
+        out = np.empty((R, P))
+        # Centred rows: window[r, :, k] is source row r + k, with no copy.
+        window = np.ndarray((R - 2 * H, P, 2 * H + 1), dtype=float, buffer=values,
+                            strides=(values.strides[0], values.strides[1], values.strides[0]))
+        np.einsum("rpk,k->rp", window, st.centre, out=out[H:R - H], optimize=False)
+        rim = np.einsum("ik,kp->ip", st.rim, values[st.sources], optimize=False)
+        turned = np.empty((H, P))
+        turned[:, :P // 2] = values[:H, P // 2:]
+        turned[:, P // 2:] = values[:H, :P // 2]
+        np.add(rim[:H], np.einsum("ik,kp->ip", st.mirror, turned, optimize=False), out=out[:H])
+        out[R - H:] = rim[H:]
         return out
 
     def boundary_d_rho(self, values: np.ndarray) -> np.ndarray:

@@ -27,7 +27,8 @@ banded Cholesky factor of each mode of 1.5 M - A (which checks that the
 preconditioner is positive definite) and started from the exact top modes.
 It takes A's products with its iterates from those with its basis, and
 checks its residuals afresh before it stops; its counts are those of its
-Ritz values.
+Ritz values.  The functions that call scipy import it themselves, so
+importing capaf loads numpy alone and scipy arrives with the first pencil.
 """
 
 from __future__ import annotations
@@ -35,16 +36,17 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import asdict, dataclass
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg import eigh, lapack, subspace_angles
 
 from .capgrid import CapGrid, ShapeTensor
 from .capfun import as_field, certify, ell_values, horizontal_linear
 from .mixedvol import mixed_sequence, mixed_volume, q2
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 WINDOW = (0.01, 0.99)
 # The block eigensolver's preconditioner factors the ring average of s M - A
@@ -212,6 +214,8 @@ def _sum_by_key(key, scale, rows, table: np.ndarray) -> tuple[np.ndarray, np.nda
     """The distinct keys, ascending, and for each the sum of scale[p] *
     table[rows[p]] over its p: one sparse-times-dense product.  Each sum
     takes its terms from the smallest |scale| up."""
+    import scipy.sparse as sp
+
     order = np.lexsort((np.abs(scale), key))
     key = key[order]
     starts = np.flatnonzero(np.diff(key, prepend=-1))
@@ -230,6 +234,8 @@ def _lattice_csr(c1, d, e, values: np.ndarray, n_rows: int) -> sp.csr_matrix:
     of consecutive blocks with the same offsets shares one column order per
     phi index, so each run is laid out by one gather.
     """
+    import scipy.sparse as sp
+
     n_phi = values.shape[1]
     width = np.bincount(c1, minlength=n_rows)
     first = np.cumsum(width) - width
@@ -379,6 +385,8 @@ def assemble_operator(space: WeightedSpace) -> Pencil:
     is symmetrized against its transpose and laid out as sorted fixed-width
     rows, which are also A's columns; no lattice matrix is multiplied.
     """
+    import scipy.sparse as sp
+
     g = space.grid
     R, P = g.node_shape
     ring = R - 1
@@ -523,6 +531,8 @@ def _kernel_cosine(space: WeightedSpace, vectors: np.ndarray) -> float | None:
 
     vectors are node vectors, one per column; None when there are none.
     """
+    from scipy.linalg import subspace_angles
+
     if vectors.shape[1] == 0:
         return None
     lins = np.stack([lin.reshape(-1) for lin in space.linears], axis=1)
@@ -643,6 +653,8 @@ class _ModePencil:
         block of right-hand sides, and an irfft.  Returns the solve and the
         number of entries the band factors store.
         """
+        from scipy.linalg import lapack
+
         n, P = self.n_rho, self.n_phi
         work = shift * self.m[:, :n] - self.a[:, :n]
         factors = []
@@ -692,6 +704,8 @@ class _ModePencil:
         Returns the eigenvalues, eigenvectors and modes, and the counts of
         shifts factored and modes solved.
         """
+        from scipy.linalg import eigh
+
         shifts = list(_LADDER)
         above = self.inertia(shifts)[0]
         while np.max(above @ self.multiplicity) < k:

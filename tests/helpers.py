@@ -126,6 +126,39 @@ def radial_quadrature_by_panels(rho: np.ndarray) -> np.ndarray:
     return w
 
 
+def stencil_pair(rows, n_nodes: int) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """Sparse (plain, mirror) pair of an (n_nodes, n_nodes) radial operator.
+
+    rows[j] lists the (col, weight) entries of output row j; a negative col
+    names the ghost node -1-col, whose value lives on the antipodal meridian.
+    On a field V of shape (n_nodes, n_phi) the operator is
+    plain @ V + mirror @ roll(V, n_phi // 2, axis=1), and on the flattened
+    field kron(plain, I) + kron(mirror, half-turn shift).  Repeated entries
+    are summed; explicit zeros are dropped.
+    """
+    entries = [(j, col, w) for j, row in enumerate(rows) for col, w in row]
+    j, col, w = (np.array(x) for x in zip(*entries))
+    ghost = col < 0
+
+    def build(mask, cols):
+        m = sp.csr_matrix((w[mask], (j[mask], cols[mask])), shape=(n_nodes, n_nodes))
+        m.eliminate_zeros()
+        return m
+
+    return build(~ghost, col), build(ghost, -1 - col)
+
+
+def d_rho_by_csr(grid, values: np.ndarray, order: int) -> np.ndarray:
+    """CapGrid.d_rho as the products by its scipy CSR pair: the reference
+    whose summation order, and so whose bytes, the numpy stencil sums keep."""
+    R, P = grid.node_shape
+    plain, mirror = stencil_pair(capaf._stencil.stencil_table(R, grid.drho, order), R)
+    h = capaf._stencil.CENTER_HALF
+    out = plain @ values
+    out[:h] += mirror[:h, :h] @ np.roll(values[:h], P // 2, axis=1)
+    return out
+
+
 def _periodic(n_phi: int, stencil) -> sp.csr_matrix:
     """Circulant matrix of a periodic azimuthal stencil ((offset, weight), ...)."""
     rows, cols, vals = [], [], []
@@ -169,7 +202,7 @@ def assemble_operator_by_products(space: capaf.WeightedSpace):
     eyeP = sp.identity(P, format="csr")
 
     def radial(rows):
-        plain, mirror = capaf._stencil.stencil_pair(rows, R)
+        plain, mirror = stencil_pair(rows, R)
         return sp.kron(plain, eyeP) + sp.kron(mirror, shift)
 
     rows, h_rho = _sbp_rows(R, g.drho)

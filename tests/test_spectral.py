@@ -707,11 +707,35 @@ def test_quermass_chain_on_a_random_body():
     assert rep.min_relative_slack > 0
 
 
-def test_importing_capaf_leaves_the_sparse_eigensolvers_unloaded():
-    script = ("import sys, capaf, capaf.cli\n"
-              "print('scipy.sparse.linalg' in sys.modules)\n")
+def _python(script: str, *args) -> str:
+    """Stdout of script run by a fresh interpreter on this checkout's capaf."""
     src = os.path.dirname(os.path.dirname(capaf.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
-                         capture_output=True, text=True)
-    assert out.stdout.strip() == "False"
+    return subprocess.run([sys.executable, "-c", script, *map(str, args)], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+_SCIPY_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+
+
+def test_importing_capaf_loads_no_scipy():
+    out = _python(f"import sys, capaf, capaf.cli\nprint({_SCIPY_MODULES})\n")
+    assert out.strip() == "[]"
+
+
+def test_only_the_spectrum_loads_scipy(tmp_path):
+    # Every command but spectrum (and report's spectrum section) runs on
+    # numpy alone; the spectrum loads scipy at its first pencil.
+    script = f"""import json, sys
+import capaf.cli
+out, grid = sys.argv[1], ["--grid", "16x16", "--out", sys.argv[1]]
+bodies = [f"{{out}}/body_0000.json", f"{{out}}/body_0001.json"]
+codes = [capaf.cli.main(argv + grid) for argv in (
+    ["gen", "--count", "2"], ["quermass", *bodies], ["steiner"], ["chain", "--trials", "2"],
+    ["af", "--trials", "2"], ["reconstruct", bodies[0]])]
+print(json.dumps([codes, {_SCIPY_MODULES}]))
+print(json.dumps([capaf.cli.main(["spectrum"] + grid), "scipy.linalg" in sys.modules]))
+"""
+    lines = _python(script, tmp_path).splitlines()
+    assert json.loads(lines[0]) == [[0] * 6, []]
+    assert json.loads(lines[1]) == [0, True]

@@ -1,18 +1,21 @@
 """Unit tests for the 1-D stencil and quadrature building blocks."""
 
+import copy
+
 import numpy as np
 import pytest
 
+import capaf
 from capaf._stencil import (
     CENTER_HALF,
     fornberg_weights,
     panel_weights,
     radial_quadrature,
-    stencil_pair,
+    radial_stencil,
     stencil_table,
 )
 
-from helpers import grid, radial_quadrature_by_panels
+from helpers import d_rho_by_csr, grid, radial_quadrature_by_panels, tensor_bytes
 
 
 @pytest.mark.parametrize("deriv", [0, 1, 2, 3])
@@ -82,24 +85,19 @@ def test_radial_quadrature_rejects_tiny_grids():
 
 
 @pytest.mark.parametrize("deriv", [1, 2])
-def test_stencil_pair_differentiates_across_the_pole(deriv):
+def test_d_rho_differentiates_across_the_pole(deriv):
     # Smooth fields extend across the pole through the antipodal meridian, so
-    # plain @ V + mirror @ roll(V, n_phi/2) must reproduce the derivative: an
-    # even field (rho^4) and an odd one (rho^5 cos phi), whose ghost values
-    # flip sign.
+    # d_rho must reproduce the derivative: an even field (rho^4) and an odd
+    # one (rho^5 cos phi), whose ghost values flip sign.
     n, theta, n_phi = 24, 1.1, 8
-    drho = theta / (n + 0.5)
-    rho = (np.arange(n + 1) + 0.5) * drho
-    cos = np.cos(2 * np.pi * np.arange(n_phi) / n_phi)
-    plain, mirror = stencil_pair(stencil_table(n + 1, drho, deriv), n + 1)
-    assert mirror.nnz > 0
-
-    def apply(V):
-        return plain @ V + mirror @ np.roll(V, n_phi // 2, axis=1)
+    g = capaf.build_grid(theta, n, n_phi)
+    drho, rho = g.drho, g.rho_nodes
+    cos = np.cos(g.phi_nodes)
+    assert radial_stencil(stencil_table(n + 1, drho, deriv), n + 1).mirror.any()
 
     even = np.repeat((rho**4)[:, None], n_phi, axis=1)
     ref = 4 * 3 * rho**2 if deriv == 2 else 4 * rho**3
-    np.testing.assert_allclose(apply(even), np.repeat(ref[:, None], n_phi, axis=1),
+    np.testing.assert_allclose(g.d_rho(even, deriv), np.repeat(ref[:, None], n_phi, axis=1),
                                atol=1e-9)
 
     odd = np.outer(rho**5, cos)
@@ -108,7 +106,33 @@ def test_stencil_pair_differentiates_across_the_pole(deriv):
         # The 5-point first difference misses a quintic by exactly
         # -h^4 f^(5) / 30 = -4 h^4; the one-sided edge rows are exact.
         ref = ref - 4 * drho**4 * (np.arange(n + 1) < n + 1 - CENTER_HALF)
-    np.testing.assert_allclose(apply(odd), np.outer(ref, cos), atol=1e-9)
+    np.testing.assert_allclose(g.d_rho(odd, deriv), np.outer(ref, cos), atol=1e-9)
+
+
+@pytest.mark.parametrize("shape", [(8, 8), (9, 16), (16, 24), (64, 64), (128, 130), (256, 256)],
+                         ids="{0[0]}x{0[1]}".format)
+@pytest.mark.parametrize("theta", [0.05, 1.2, 3.0])
+def test_d_rho_keeps_the_bytes_of_the_csr_pair(theta, shape):
+    # The numpy stencil sums must add each row's terms as the CSR products
+    # do, signed zeros included; a_of then keeps its bytes too.
+    g = capaf.build_grid(theta, *shape)
+    rng = np.random.default_rng(shape[0] * shape[1])
+    rho, phi = g.rho_nodes[:, None], g.phi_nodes[None, :]
+    fields = {
+        "random": rng.standard_normal(g.node_shape),
+        "+0": np.zeros(g.node_shape),
+        "-0": np.full(g.node_shape, -0.0),
+        "mixed zeros": np.where(rng.random(g.node_shape) < 0.5, 0.0, -0.0),
+        "smooth": np.cos(rho) * (1.0 + 0.3 * np.sin(rho) * np.cos(phi)),
+        "odd": rho**5 * np.cos(phi) + rho**3 * np.sin(2 * phi),
+    }
+    oracle = copy.copy(g)
+    oracle.d_rho = lambda values, order=1: d_rho_by_csr(g, values, order)
+    for name, values in fields.items():
+        for order in (1, 2):
+            assert g.d_rho(values, order).tobytes() == oracle.d_rho(values, order).tobytes(), \
+                (name, order)
+        assert tensor_bytes(capaf.a_of(g, values)) == tensor_bytes(capaf.a_of(oracle, values)), name
 
 
 def test_stencil_table_rejects_bad_order():
