@@ -453,11 +453,14 @@ def body_from_dict(data: dict, grid: CapGrid | None = None) -> CapillaryBody:
     missing = [k for k in ("theta", "n_rho", "n_phi", "values") if k not in data]
     if missing:
         raise ValueError(f"body is missing {', '.join(missing)}")
-    if grid is None:
-        grid = CapGrid(data["theta"], data["n_rho"], data["n_phi"])
-    elif (grid.theta, grid.n_rho, grid.n_phi) != (data["theta"], data["n_rho"], data["n_phi"]):
-        raise ValueError("grid does not match serialized body")
-    values = np.array(data["values"], dtype=float).reshape(grid.node_shape)
+    try:  # float() and int() raise TypeError on a list, an object or null
+        if grid is None:
+            grid = CapGrid(data["theta"], data["n_rho"], data["n_phi"])
+        elif (grid.theta, grid.n_rho, grid.n_phi) != (data["theta"], data["n_rho"], data["n_phi"]):
+            raise ValueError("grid does not match serialized body")
+        values = np.array(data["values"], dtype=float).reshape(grid.node_shape)
+    except TypeError as exc:
+        raise ValueError(f"body theta, n_rho, n_phi or values is malformed: {exc}") from None
     return certify(grid, values, data.get("provenance"))
 
 

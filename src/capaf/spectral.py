@@ -15,10 +15,12 @@ condition, through the grid's own boundary stencil: the result is the
 Pencil (A, M) on that trial space.  The assembly sums the products of
 the stencil entries of the form's factors in one vectorized pass, folds the
 boundary row in after, and forms no product of lattice matrices; A comes
-out symmetric bit for bit.  The module then solves for the top eigenpairs
-and packages the inequality checks that follow from it.  Every spectrum
-splits the ring average of its pencil once into one banded Hermitian pencil
-per azimuthal Fourier mode, held as lower bands.  A rotationally invariant
+out symmetric bit for bit.  The pencil keeps A and M as the groups they
+are assembled in, which scipy lays out as sparse matrices.  The module then
+solves for the top eigenpairs and packages the inequality checks that
+follow from it.  Every spectrum splits the ring average of its pencil once,
+from those groups, into one banded Hermitian pencil per azimuthal Fourier
+mode, held as lower bands.  A rotationally invariant
 reference makes the pencil block-circulant in phi, so that split is exact:
 Sylvester inertia of the modes' banded LDL^H factors counts the eigenvalues
 above any shift exactly, and a small eigh on the modes that hold the top k
@@ -224,40 +226,59 @@ def _sum_by_key(key, scale, rows, table: np.ndarray) -> tuple[np.ndarray, np.nda
     return key[starts], sums @ table
 
 
-def _lattice_csr(c1, d, e, values: np.ndarray, n_rows: int) -> sp.csr_matrix:
-    """The lattice matrix whose entry ((c1[g], j), (c1[g] + d[g], j + e[g]))
-    is values[g, j], j + e[g] taken mod n_phi, as CSR with sorted indices and
-    without its exact zeros.
+class _Form(NamedTuple):
+    """A matrix on the lattice of unknowns, in the groups it is assembled in.
 
-    Groups g are sorted by c1, so every lattice row of radial block c holds
-    one entry per group of that block: rows of fixed width per block.  A run
-    of consecutive blocks with the same offsets shares one column order per
-    phi index, so each run is laid out by one gather.
+    Unknown k sits at lattice index (k // n_phi, k % n_phi).  Group g holds
+    the entries ((c1[g], j), (c1[g] + d[g], j + e[g])), j + e[g] taken mod
+    n_phi, with values[g, j] at phi index j; groups are sorted by c1, then
+    d, then e, and no two share all three.
     """
-    import scipy.sparse as sp
 
-    n_phi = values.shape[1]
-    width = np.bincount(c1, minlength=n_rows)
-    first = np.cumsum(width) - width
-    j = np.arange(n_phi)
-    kinds = [(d * n_phi + e)[first[c]:first[c] + width[c]].tobytes() for c in range(n_rows)]
-    starts = [c for c in range(n_rows) if c == 0 or kinds[c] != kinds[c - 1]]
-    data = np.empty(values.size)
-    indices = np.empty(values.size, dtype=np.int32)
-    for lo, hi in zip(starts, starts[1:] + [n_rows]):
-        g0, w = first[lo], width[lo]
-        # Row (c, j) of the run has its entries at columns c n_phi + col[j].
-        col = d[g0:g0 + w] * n_phi + sliding_window_view(np.tile(j, 2), n_phi)[e[g0:g0 + w]].T
-        order = np.argsort(col, axis=1)
-        run = slice(g0 * n_phi, (g0 + (hi - lo) * w) * n_phi)
-        blocks = values[g0:g0 + (hi - lo) * w].reshape(hi - lo, w * n_phi)
-        data[run] = np.take(blocks, (order * n_phi + j[:, None]).ravel(), axis=1).ravel()
-        indices[run] = (np.arange(lo, hi)[:, None] * n_phi
-                        + np.take_along_axis(col, order, axis=1).ravel()).ravel()
-    indptr = np.append((first[:, None] * n_phi + width[:, None] * j).ravel(), values.size)
-    matrix = sp.csr_matrix((data, indices, indptr), shape=(n_rows * n_phi,) * 2)
-    matrix.eliminate_zeros()
-    return matrix
+    c1: np.ndarray
+    d: np.ndarray
+    e: np.ndarray
+    values: np.ndarray
+
+    def csr(self, n_rows: int) -> sp.csr_matrix:
+        """The matrix on n_rows rings, as CSR with sorted indices and without
+        its exact zeros."""
+        import scipy.sparse as sp
+
+        n_phi = self.values.shape[1]
+        # In scipy's index type, so that no index array is copied.
+        c1, d, e = (x.astype(np.int32)[:, None] for x in self[:3])
+        j = np.arange(n_phi, dtype=np.int32)
+        row = c1 * n_phi + j
+        col = (c1 + d) * n_phi + (j + e) % n_phi
+        matrix = sp.csr_matrix((self.values.ravel(), (row.ravel(), col.ravel())),
+                               shape=(n_rows * n_phi,) * 2)
+        matrix.sort_indices()
+        matrix.eliminate_zeros()
+        return matrix
+
+    def lower_diagonals(self):
+        """The mean over phi of each wrapped diagonal on or below the main one.
+
+        Returns (c1, -d, e, mean) for the groups with d <= 0 and an entry
+        stored.  A mean reads the group's stored entries in phi order, as CSR
+        holds them: the first one plus the mean deviation from it, summed one
+        after another (a plain sum of n_phi nearly equal entries rounds at
+        several ulps, which raised the solve's residual tenfold).  Exact
+        zeros are not stored, so they count neither as entries nor as
+        deviations.
+        """
+        lower = self.d <= 0
+        values = self.values[lower]
+        n_phi = values.shape[1]
+        stored = values != 0.0
+        count = np.count_nonzero(stored, axis=1)
+        ref = values[np.arange(values.shape[0]), np.argmax(stored, axis=1)]
+        dev = np.cumsum(np.where(stored, values - ref[:, None], 0.0), axis=1)[:, -1]
+        mean = ref * (count / n_phi) + dev / n_phi
+        keep = count > 0
+        return (self.c1[lower][keep], -self.d[lower][keep], self.e[lower][keep],
+                mean[keep])
 
 
 def _robin_basis(grid: CapGrid) -> _Stencil:
@@ -347,13 +368,16 @@ class Pencil:
     keeps A symmetric by construction, and its entries are symmetrized last,
     so A equals its transpose bit for bit.  What the form leaves out is the
     antisymmetric half of the boundary cross term; its size relative to the
-    form is recorded in asymmetry.
+    form is recorded in asymmetry.  A_form and M_form are A and M in the
+    groups they are assembled in, which the azimuthal split reads.
     """
 
     A: sp.csc_matrix
     M: sp.csc_matrix
     basis: sp.csr_matrix
     asymmetry: float
+    A_form: _Form
+    M_form: _Form
 
 
 def assemble_operator(space: WeightedSpace) -> Pencil:
@@ -382,8 +406,9 @@ def assemble_operator(space: WeightedSpace) -> Pencil:
     Folding after the sums rather than into each factor keeps every entry of
     A within one ulp of max|A| of the same form summed in long double, and
     leaves F whole for the norm that asymmetry is relative to.  The result
-    is symmetrized against its transpose and laid out as sorted fixed-width
-    rows, which are also A's columns; no lattice matrix is multiplied.
+    is symmetrized against its transpose, kept as its groups (a
+    :class:`_Form`), and laid out by scipy as A; no lattice matrix is
+    multiplied.
     """
     import scipy.sparse as sp
 
@@ -475,8 +500,7 @@ def assemble_operator(space: WeightedSpace) -> Pencil:
     c1, d, e = unkey(group)
     partner = np.searchsorted(group, key(c1 + d, c1, -e))
     coef += sliding_window_view(np.concatenate([coef, coef], axis=1), P, axis=1)[partner, e]
-    # A is symmetric, so its CSR form, transposed, is its CSC form.
-    A = _lattice_csr(c1, d, e, coef / 6.0, ring).T
+    A_form = _Form(c1, d, e, coef / 6.0)
 
     # M = basis^T diag(omega) basis, each product rounded as
     # (weight omega) weight, as the matrix product rounds it.
@@ -484,10 +508,13 @@ def assemble_operator(space: WeightedSpace) -> Pencil:
     a, b = _on_rows(basis.row, basis, R)
     group, mass = _sum_by_key(key(basis.col[a], basis.col[b], 0), np.ones(a.size), np.arange(a.size),
                               basis.weight[a, None] * omega[basis.row[a]] * basis.weight[b, None])
+    M_form = _Form(*unkey(group), mass)
     phi = np.arange(P)
     basis_matrix = sp.csr_matrix((np.repeat(basis.weight, P), ((basis.row[:, None] * P + phi).ravel(),
                                   (basis.col[:, None] * P + phi).ravel())), shape=(R * P, ring * P))
-    return Pencil(A, _lattice_csr(*unkey(group), mass, ring).tocsc(), basis_matrix, asym)
+    # A is symmetric, so its CSR form, transposed, is its CSC form.
+    return Pencil(A_form.csr(ring).T, M_form.csr(ring).tocsc(), basis_matrix, asym,
+                  A_form, M_form)
 
 
 # -- spectrum ------------------------------------------------------------------
@@ -542,76 +569,41 @@ def _kernel_cosine(space: WeightedSpace, vectors: np.ndarray) -> float | None:
     return float(np.cos(np.max(angles)))
 
 
-def _mode_bands(matrix: sp.spmatrix, node_shape: tuple[int, int]) -> np.ndarray:
-    """Radial bands of the ring average of a lattice matrix, one per Fourier mode.
-
-    Unknown k sits at lattice index (k // n_phi, k % n_phi).  When the matrix
-    couples (i, j) to (i', j') by a coefficient that depends on j' - j (mod
-    n_phi) only, an rfft along phi splits it into one banded (n_rho x n_rho)
-    matrix per Fourier mode m = 0..n_phi/2: its radial band, with each
-    azimuthal offset d weighted by exp(2 pi i m d / n_phi).  The pole mirror
-    is the offset n_phi/2 and needs no special case.  Each wrapped diagonal is
-    averaged over phi (the optimal circulant of the matrix), which is the
-    matrix itself when it is block-circulant.  The radial bandwidth bw is
-    measured from the matrix.  Returns bands[m, bw + o, i], the entry
-    (i, i + o) of mode m's matrix (zero where i + o is off the lattice).
-    """
-    n_rho, n_phi = node_shape
-    coo = matrix.tocoo()
-    i, j = np.divmod(coo.row, n_phi)
-    i2, j2 = np.divmod(coo.col, n_phi)
-    bw = int(np.max(np.abs(i2 - i)))
-    size = n_rho * (2 * bw + 1) * n_phi
-    key = (i * (2 * bw + 1) + i2 - i + bw) * n_phi + (j2 - j) % n_phi
-    # Mean of each wrapped diagonal, taken as its first stored entry plus the
-    # mean deviation from it: a running sum of n_phi nearly equal entries
-    # rounds at several ulps, which raised the solve's residual tenfold.
-    first = np.full(size, key.size)
-    np.minimum.at(first, key, np.arange(key.size))
-    stored = np.nonzero(first < key.size)[0]
-    ref = np.zeros(size)
-    ref[stored] = coo.data[first[stored]]
-    dev = np.bincount(key, weights=coo.data - ref[key], minlength=size)
-    count = np.bincount(key, minlength=size)
-    coef = (ref * (count / n_phi) + dev / n_phi).reshape(n_rho, 2 * bw + 1, n_phi)
-    # rfft weighs offset d by exp(-2 pi i m d / n_phi); mode m takes the
-    # conjugate weight.
-    return np.conj(np.fft.rfft(coef, axis=2)).transpose(2, 1, 0)
-
-
 class _ModePencil:
-    """A block-circulant pencil (A, M) split into its azimuthal modes.
+    """A pencil's ring average (A, M) split into its azimuthal modes.
 
-    The pencil of a rotationally invariant reference couples ring nodes by
-    coefficients that depend on the azimuthal offset only, so its
-    eigenvectors are radial profiles u times exp(i m phi), one Hermitian
-    banded pencil (A_m, M_m) per mode m = 0..n_phi/2 (the bands of
-    :func:`_mode_bands`).  Modes 0 < m < n_phi/2 stand for the pair m and
-    -m, whose real eigenvectors are the cos and sin parts, so each of their
-    eigenvalues counts twice.  Every count below is exact for this
-    ring-averaged pencil by Sylvester's law of inertia; for an invariant
-    reference it equals (A, M) to roundoff.  Every reader takes the lower
-    triangle only, so each mode is held once in LAPACK lower band storage:
-    a[d, i, m] is entry (i + d, i) of A_m for d = 0..bw, and m likewise for
-    M_m, zero past the lattice and padded by bw rows for the Schur updates
-    of :meth:`inertia`.
+    Averaging each wrapped diagonal of A and M over phi (the optimal
+    circulant, :meth:`_Form.lower_diagonals`) couples ring nodes by
+    coefficients that depend on the azimuthal offset only; for a rotationally
+    invariant reference it is (A, M) itself to roundoff.  Its eigenvectors
+    are radial profiles u times exp(i m phi), one Hermitian banded pencil
+    (A_m, M_m) per mode m = 0..n_phi/2, in which offset e weighs
+    exp(2 pi i m e / n_phi); the pole mirror is the offset n_phi/2.  Modes
+    0 < m < n_phi/2 stand for the pair m and -m, whose real eigenvectors are
+    the cos and sin parts, so each of their eigenvalues counts twice.  Every
+    count below is exact for the ring average by Sylvester's law of inertia.
+    Every reader takes the lower triangle only, so each mode is held once in
+    LAPACK lower band storage, filled from the forms' groups with d <= 0:
+    a[d, i, m] is entry (i + d, i) of A_m for d = 0..bw (the radial
+    bandwidth of either form's stored entries), and m likewise for M_m, zero
+    past the lattice and padded by bw rows for the Schur updates of
+    :meth:`inertia`.
     """
 
-    def __init__(self, A, M, node_shape: tuple[int, int]):
-        self.A, self.M = A, M
-        self.n_rho, self.n_phi = node_shape
-        n = self.n_rho
-        bands = _mode_bands(A, node_shape), _mode_bands(M, node_shape)
-        # Both to the wider of the two bandwidths.
-        self.bw = max(b.shape[1] for b in bands) // 2
-        self.a, self.m = (np.zeros((self.bw + 1, n + self.bw, b.shape[0]), dtype=complex)
-                          for b in bands)
-        for low, b in zip((self.a, self.m), bands):
-            bw = b.shape[1] // 2
-            for d in range(bw + 1):
-                low[d, :n - d] = b[:, bw - d, d:].T
+    def __init__(self, pencil: Pencil):
+        self.A, self.M = pencil.A, pencil.M
+        self.n_phi = P = pencil.A_form.values.shape[1]
+        self.n_rho = n = pencil.A.shape[0] // P
+        diagonals = [f.lower_diagonals() for f in (pencil.A_form, pencil.M_form)]
+        self.bw = bw = max(int(np.max(below, initial=0)) for _, below, _, _ in diagonals)
+        self.a, self.m = (np.zeros((bw + 1, n + bw, P // 2 + 1), dtype=complex) for _ in range(2))
+        for low, (c1, below, e, mean) in zip((self.a, self.m), diagonals):
+            # rfft weighs offset e by exp(-2 pi i m e / n_phi): conjugate it.
+            coef = np.zeros((bw + 1, n, P))
+            coef[below, c1 - below, e] = mean
+            low[:, :n] = np.conj(np.fft.rfft(coef, axis=2))
         # n_phi is even: the last mode is n_phi/2, real like mode 0.
-        self.multiplicity = np.full(self.a.shape[-1], 2)
+        self.multiplicity = np.full(P // 2 + 1, 2)
         self.multiplicity[[0, -1]] = 1
 
     def inertia(self, shifts) -> tuple[np.ndarray, np.ndarray]:
@@ -873,10 +865,12 @@ def spectrum(space: WeightedSpace, how_many: int = 8) -> SpectrumReport:
         raise ValueError(f"how_many must be at least 1, got {how_many}")
     g = space.grid
     pencil = assemble_operator(space)
-    A_red, M_red = pencil.A, pencil.M
+    per_mode = _ModePencil(pencil)
+    # The split alone reads the forms: they are not held through the solve.
+    A_red, M_red, basis, asymmetry = pencil.A, pencil.M, pencil.basis, pencil.asymmetry
+    del pencil
     N = A_red.shape[0]
     k = int(min(max(how_many, 6), N - 2))
-    per_mode = _ModePencil(A_red, M_red, (g.node_shape[0] - 1, g.node_shape[1]))
 
     invariant = bool(np.all(space.f2 == space.f2[:, :1]))
     if invariant:
@@ -916,7 +910,7 @@ def spectrum(space: WeightedSpace, how_many: int = 8) -> SpectrumReport:
     kernel_scale = float(np.max(np.abs(ritz)))
     thr = max(1e-6 * abs(lambda1), 3.0 * kernel_scale, g.drho**2)
     kernel_idx = [i for i, v in enumerate(top_vals) if abs(v) <= thr]
-    cosine = _kernel_cosine(space, (pencil.basis @ top_vecs)[:, kernel_idx])
+    cosine = _kernel_cosine(space, (basis @ top_vecs)[:, kernel_idx])
 
     counts = None
     if invariant:
@@ -938,7 +932,7 @@ def spectrum(space: WeightedSpace, how_many: int = 8) -> SpectrumReport:
         window=WINDOW,
         window_empty=window_empty,
         window_note=window_note,
-        asymmetry=pencil.asymmetry,
+        asymmetry=asymmetry,
         n_unknowns=N,
         counts=counts,
         solver=solver,

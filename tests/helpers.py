@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import types
 
 import numpy as np
 import scipy.sparse as sp
@@ -94,8 +95,16 @@ def random_body_by_halving(grid, seed, base_radius=1.0, amplitude=0.25, mode_cap
 
 
 def mode_bands_by_unique(matrix, node_shape) -> np.ndarray:
-    """spectral._mode_bands with its wrapped diagonals grouped by np.unique:
-    the plain reference that its faster grouping must match bit for bit."""
+    """Radial bands of the ring average of a lattice matrix, one per Fourier
+    mode, from its stored entries grouped by np.unique: the plain reference
+    whose lower half spectral._ModePencil must hold bit for bit.
+
+    Unknown k sits at lattice index (k // n_phi, k % n_phi).  Each wrapped
+    diagonal's mean over phi is its first stored entry plus the mean
+    deviation from it, in the order the matrix stores them.  Returns
+    bands[m, bw + o, i], the entry (i, i + o) of mode m's matrix, bw the
+    radial bandwidth of the stored entries.
+    """
     n_rho, n_phi = node_shape
     coo = matrix.tocoo()
     i, j = np.divmod(coo.row, n_phi)
@@ -251,7 +260,7 @@ def assemble_operator_by_products(space: capaf.WeightedSpace):
     basis = _robin_basis_by_kron(g)
     A = (basis.T @ form.tocsr() @ basis).tocsc()
     M = (basis.T @ sp.diags(omega) @ basis).tocsc()
-    return spectral.Pencil(A, M, basis, asym)
+    return types.SimpleNamespace(A=A, M=M, basis=basis, asymmetry=asym)
 
 
 def robin_fold_by_full_sum(groups, group, coef, basis):

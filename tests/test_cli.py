@@ -455,6 +455,8 @@ ZERO_BODY = json.dumps({"theta": 1.2, "n_rho": 16, "n_phi": 16,
     ('{"theta": 1.2, "n_rho": 16}', "body is missing n_phi, values"),
     ("[1, 2, 3]", "body must be a JSON object, got list"),
     ("not json", "Expecting value"),
+    pytest.param('{"theta": 1.2, "n_rho": 16, "n_phi": 16, "values": {"0": 1.0}}',
+                 "body theta, n_rho, n_phi or values is malformed", id="values-object"),
     pytest.param(ZERO_BODY, "certification failed", id="zero-body"),
 ])
 def test_a_malformed_body_file_is_a_config_error(tmp_path, capsys, command,

@@ -126,6 +126,18 @@ def test_load_body_rejects_a_non_finite_value(tmp_path):
         capaf.load_body(path, g)
 
 
+@pytest.mark.parametrize("field, value", [("theta", [1]), ("n_rho", None)])
+def test_load_body_without_a_grid_refuses_a_field_that_is_not_a_number(tmp_path, field,
+                                                                        value):
+    data = {"theta": 1.2, "n_rho": 16, "n_phi": 16, "values": [1.0] * (17 * 16)}
+    data[field] = value
+    path = tmp_path / "body.json"
+    path.write_text(json.dumps(data))
+    message = "body.json: body theta, n_rho, n_phi or values is malformed"
+    with pytest.raises(ValueError, match=message):
+        capaf.load_body(path)
+
+
 @pytest.mark.parametrize("theta", THETAS)
 def test_enforce_contact_angle_cancels_the_discrete_defect(theta):
     g = grid(theta, 16, 16)

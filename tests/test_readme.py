@@ -1,7 +1,9 @@
-"""The README's Python quickstart runs as written, and its known breaches hold."""
+"""The README's Python quickstart runs as written, its command lines parse, and
+its known breaches hold."""
 
 import json
 import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -17,6 +19,20 @@ def test_the_python_quickstart_runs(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     exec(compile(block, "README.md (Python quickstart)", "exec"), {})
     assert (tmp_path / "body.obj").stat().st_size > 0
+
+
+def test_every_documented_command_line_parses():
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"## Command line\n\n```sh\n(.*?)```", text, re.S).group(1)
+    lines = [shlex.split(line, comments=True) for line in block.splitlines()]
+    assert lines and all(words[0] == "capaf" for words in lines)
+    parser = cli.build_parser()
+    for words in lines:
+        try:
+            args = parser.parse_args(words[1:])
+        except SystemExit:
+            pytest.fail(f"README command line does not parse: {shlex.join(words)}")
+        assert args.command == words[1]
 
 
 def _known_breaches() -> dict:

@@ -401,8 +401,7 @@ def test_inertia_counts_equal_the_dense_pencil_counts(theta, n):
     assert counts == {"above_1.01": above(1.01), "above_0.99": above(0.99),
                       "window": above(0.01) - above(0.99), "kernel": above(-thr) - above(thr)}
     # Every count, not only the reported ones: shifts across the spectrum.
-    pencil = capaf.assemble_operator(space)
-    modes = capaf.spectral._ModePencil(pencil.A, pencil.M, (n, n))
+    modes = capaf.spectral._ModePencil(capaf.assemble_operator(space))
     shifts = [1.5, 1.0 - 1e-3, 0.5, 1e-3, -1e-3, -0.3, -1.0, -3.0, -10.0, -100.0]
     per_mode, _ = modes.inertia(shifts)
     assert (per_mode @ modes.multiplicity).tolist() == [above(s) for s in shifts]
@@ -411,8 +410,7 @@ def test_inertia_counts_equal_the_dense_pencil_counts(theta, n):
 def _mode_pencil(space):
     """The pencil of space split into its azimuthal modes, with the pencil."""
     pencil = capaf.assemble_operator(space)
-    R, P = space.grid.node_shape
-    return capaf.spectral._ModePencil(pencil.A, pencil.M, (R - 1, P)), pencil
+    return capaf.spectral._ModePencil(pencil), pencil
 
 
 @pytest.mark.parametrize("reference", ["random", "translated"])
@@ -442,7 +440,7 @@ def test_the_cap_pencil_stops_at_its_ring_average_start(theta, n):
     # holds the top eigenpairs: the block solver stops before preconditioning.
     pencil = capaf.assemble_operator(cap_space(theta, n, n))
     k = 8
-    modes = capaf.spectral._ModePencil(pencil.A, pencil.M, (n, n))
+    modes = capaf.spectral._ModePencil(pencil)
     solved = []
     vals, vecs, residuals, counters = capaf.spectral._block_eigensolver(
         pencil.A, pencil.M, k, lambda x: solved.append(x) or x, modes.top(k + 2)[1])
@@ -501,39 +499,93 @@ def test_the_ring_average_start_bounds_the_preconditioner_solves():
     assert rep.stats["n_solves"] <= 200
 
 
+@pytest.mark.parametrize("reference", sorted(_REFERENCES))
+@pytest.mark.parametrize("n_rho, n_phi", [(8, 8), (16, 24), (40, 48)])
+def test_each_form_holds_its_matrix_bit_for_bit(reference, n_rho, n_phi):
+    # The azimuthal split reads the forms, and everything else reads A and M.
+    g = grid(1.2, n_rho, n_phi)
+    pencil = capaf.assemble_operator(capaf.WeightedSpace(g, _REFERENCES[reference](g)))
+    for form, matrix in ((pencil.A_form, pencil.A), (pencil.M_form, pencil.M)):
+        c1, d, e, values = form
+        keys = (c1 * (2 * n_rho + 1) + d) * n_phi + e
+        assert np.all(np.diff(keys) > 0)
+        j = np.arange(n_phi)
+        rows = c1[:, None] * n_phi + j
+        cols = (c1 + d)[:, None] * n_phi + (j + e[:, None]) % n_phi
+        dense = np.zeros(matrix.shape)
+        dense[rows, cols] = values
+        dense[dense == 0.0] = 0.0  # a stored -0.0 is an absent entry of the matrix
+        assert dense.tobytes() == matrix.toarray().tobytes()
+
+
 @pytest.mark.parametrize("reference", ["cap", "random"])
 @pytest.mark.parametrize("n_rho, n_phi", [(8, 8), (24, 32), (64, 64)])
 def test_mode_bands_match_the_unique_grouping_bit_for_bit(reference, n_rho, n_phi):
-    # _ModePencil holds these bands, and its counts, eigh and preconditioner
-    # all read them, so their bytes rest on these.
+    # _ModePencil fills these bands from the forms, and its counts, eigh and
+    # preconditioner all read them, so their bytes rest on these: the mean
+    # of each wrapped diagonal as the matrix's row-major entries give it.
     g = grid(2.2, n_rho, n_phi)
     ref = capaf.ell(g) if reference == "cap" else capaf.random_body(g, 40, amplitude=0.2)
     pencil = capaf.assemble_operator(capaf.WeightedSpace(g, ref))
-    for matrix in (pencil.A, pencil.M):
-        bands = capaf.spectral._mode_bands(matrix, (n_rho, n_phi))
-        expected = mode_bands_by_unique(matrix, (n_rho, n_phi))
-        assert bands.shape == expected.shape
-        assert bands.tobytes() == expected.tobytes()
+    _assert_lower_half_of_the_unique_grouping(capaf.spectral._ModePencil(pencil), pencil)
+
+
+def _assert_lower_half_of_the_unique_grouping(modes, pencil):
+    n, P, bw = modes.n_rho, modes.n_phi, modes.bw
+    widths = []
+    for low, matrix in ((modes.a, pencil.A), (modes.m, pencil.M)):
+        full = mode_bands_by_unique(matrix.tocsr(), (n, P))
+        assert low.shape == (bw + 1, n + bw, P // 2 + 1)
+        w = full.shape[1] // 2
+        widths.append(w)
+        for d in range(w + 1):
+            assert low[d, :n - d].tobytes() == full[:, w - d, d:].T.tobytes()
+        # Past the lattice, and past this matrix's own bandwidth, all zero.
+        for d in range(bw + 1):
+            assert not low[d, n - d:].any()
+        assert not low[w + 1:].any()
+    assert bw == max(widths)
+
+
+def test_mode_bands_skip_the_exact_zeros_a_matrix_does_not_store():
+    # The assembled forms hold no exact zero; this one holds +0.0 and -0.0
+    # entries, and a group of zeros only, which CSR does not store.
+    rng = np.random.default_rng(3)
+    c1, d, e = (x.ravel() for x in np.meshgrid(np.arange(2, 4), [-2, -1, 0], [0, 3, 4],
+                                               indexing="ij"))
+    values = rng.standard_normal((c1.size, 8))
+    values[rng.random(values.shape) < 0.3] = 0.0
+    values[rng.random(values.shape) < 0.1] = -0.0
+    values[d == -2] = 0.0  # so the stored bandwidth is 1
+    form = capaf.spectral._Form
+    A = form(c1, d, e, values)
+    M = form(np.arange(4), np.zeros(4, dtype=int), np.zeros(4, dtype=int), np.ones((4, 8)))
+    pencil = capaf.spectral.Pencil(A.csr(4).tocsc(), M.csr(4).tocsc(),
+                                   sp.identity(32, format="csr"), 0.0, A, M)
+    _assert_lower_half_of_the_unique_grouping(capaf.spectral._ModePencil(pencil), pencil)
 
 
 @pytest.mark.parametrize("reference", ["cap", "random"])
-def test_spectrum_takes_the_mode_bands_of_a_and_m_only(monkeypatch, reference):
+def test_spectrum_splits_the_pencil_it_assembled_once(monkeypatch, reference):
     g = grid(2.2, 24, 24)
     ref = capaf.ell(g) if reference == "cap" else capaf.random_body(g, 40, amplitude=0.2)
     space = capaf.WeightedSpace(g, ref)
-    pencil = capaf.assemble_operator(space)
-    banded = []
-    mode_bands = capaf.spectral._mode_bands
+    assembled, split = [], []
+    assemble, mode_pencil = capaf.spectral.assemble_operator, capaf.spectral._ModePencil
 
-    def recording(matrix, node_shape):
-        banded.append(matrix)
-        return mode_bands(matrix, node_shape)
+    def assembling(space):
+        assembled.append(assemble(space))
+        return assembled[-1]
 
-    monkeypatch.setattr(capaf.spectral, "_mode_bands", recording)
+    def splitting(pencil):
+        split.append(pencil)
+        return mode_pencil(pencil)
+
+    monkeypatch.setattr(capaf.spectral, "assemble_operator", assembling)
+    monkeypatch.setattr(capaf.spectral, "_ModePencil", splitting)
     capaf.spectrum(space, how_many=6)
-    assert len(banded) == 2
-    for matrix, expected in zip(banded, (pencil.A, pencil.M)):
-        assert matrix.toarray().tobytes() == expected.toarray().tobytes()
+    assert len(assembled) == 1
+    assert len(split) == 1 and split[0] is assembled[0]
 
 
 @pytest.mark.parametrize("theta", [0.3, 1.2, 3.0])
@@ -542,7 +594,7 @@ def test_the_lower_triangle_gives_the_eigh_of_the_full_hermitian_mode(theta):
     # keeps give the bytes of the full Hermitian mode matrix.
     n = 24
     modes, pencil = _mode_pencil(cap_space(theta, n, n))
-    full = [capaf.spectral._mode_bands(x, (n, n)) for x in (pencil.A, pencil.M)]
+    full = [mode_bands_by_unique(x.tocsr(), (n, n)) for x in (pencil.A, pencil.M)]
     for m in (0, 1, 5, n // 2):
         pair = []
         for bands, low in zip(full, (modes.a, modes.m)):
@@ -588,11 +640,18 @@ def test_azimuthal_mode_solve_matches_the_sparse_factor(n_rho, n_phi):
 
 
 def test_a_singular_azimuthal_mode_raises():
-    # A periodic second difference on every ring: the constant mode is singular.
-    ring = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(8, 8)).tolil()
-    ring[0, 7] = ring[7, 0] = -1.0
-    K = sp.kron(sp.identity(3), ring.tocsr()).tocsc()
-    modes = capaf.spectral._ModePencil(-K, sp.identity(24, format="csc"), (3, 8))
+    # A = -K, K a periodic second difference on every ring, and M = I: the
+    # constant mode of 0 M - A = K is singular.
+    form = capaf.spectral._Form
+    rings, zero = np.repeat(np.arange(3), 3), np.zeros(9, dtype=int)
+    A = form(rings, zero, np.tile([0, 1, 7], 3), np.repeat([[-2.0], [1.0], [1.0]] * 3, 8, axis=1))
+    M = form(np.arange(3), zero[:3], zero[:3], np.ones((3, 8)))
+    pencil = capaf.spectral.Pencil(A.csr(3).T, M.csr(3).tocsc(), sp.identity(24, format="csr"),
+                                   0.0, A, M)
+    ring = sp.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(8, 8)).toarray()
+    ring[0, 7] = ring[7, 0] = 1.0
+    assert np.array_equal(pencil.A.toarray(), np.kron(np.eye(3), ring))
+    modes = capaf.spectral._ModePencil(pencil)
     with pytest.raises(RuntimeError, match="azimuthal mode 0 "):
         modes.solver(0.0)
 
