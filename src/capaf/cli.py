@@ -276,8 +276,8 @@ def write_report(out_dir: Path, name: str, payload: dict, csv_text: str | None,
 def csv_table(header: list[str], rows: list[list]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerows([repr(v) if isinstance(v, float) else v for v in row]
-                     for row in [header, *rows])
+    writer.writerows([repr(float(v)) if isinstance(v, (float, np.floating)) else v
+                      for v in row] for row in [header, *rows])
     return buf.getvalue()
 
 

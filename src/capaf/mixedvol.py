@@ -168,7 +168,7 @@ def steiner_check(grid: CapGrid, body: CapillaryBody, t_values) -> SteinerReport
         np.max(np.abs(v @ coef - np.array(vols)))
     )
     refs = [math.comb(3, k) * w for k, w in enumerate(quermassintegral(grid, h))]
-    errs = [abs(c - r) / max(abs(r), 1e-300) for c, r in zip(coef, refs)]
+    errs = [float(abs(c - r)) / max(abs(r), 1e-300) for c, r in zip(coef, refs)]
     return SteinerReport(
         ts, vols, [float(c) for c in coef], refs, errs, max(errs), fit_residual
     )

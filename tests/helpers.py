@@ -10,6 +10,7 @@ continuum object.
 from __future__ import annotations
 
 import functools
+import io
 import itertools
 import math
 import types
@@ -389,3 +390,40 @@ def load_mesh(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         np.array(norms, dtype=float),
         np.array(tris, dtype=np.int64),
     )
+
+
+def obj_per_line(patch) -> bytes:
+    """The OBJ text as the per-line writer formatted it: the reference bytes."""
+    lines = []
+    for x, y, z in patch.flat_positions:
+        lines.append(f"v {x:.17g} {y:.17g} {z:.17g}")
+    for x, y, z in patch.flat_normals:
+        lines.append(f"vn {x:.17g} {y:.17g} {z:.17g}")
+    for a, b, c in patch.triangles:
+        lines.append(f"f {a + 1}//{a + 1} {b + 1}//{b + 1} {c + 1}//{c + 1}")
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def obj_by_templates(patch) -> bytes:
+    """The OBJ text as one C-level ``%`` per block writes it: the writer the
+    numpy float kernel replaced, and its oracle."""
+    n_nodes = len(patch.flat_positions)
+    tokens = np.array(["%d//%d" % (i, i) for i in range(1, n_nodes + 1)], dtype=object)
+    blocks = [("v %.17g %.17g %.17g\n" * n_nodes, patch.flat_positions),
+              ("vn %.17g %.17g %.17g\n" * n_nodes, patch.flat_normals),
+              ("f %s %s %s\n" * len(patch.triangles), tokens[patch.triangles])]
+    return "".join(template % tuple(numbers.ravel().tolist())
+                   for template, numbers in blocks).encode("utf-8")
+
+
+def floats_by_kernel(values) -> bytes:
+    """values, one ``v x`` line each, through export_mesh's float kernel."""
+    rows = np.reshape(np.asarray(values, dtype=float), (-1, 1))
+    buf = io.BytesIO()
+    capaf.reconstruct._write_float_lines(buf, b"v", rows)
+    return buf.getvalue()
+
+
+def floats_by_percent(values) -> bytes:
+    """values, one ``v x`` line each, through Python's '%.17g': the oracle."""
+    return "".join("v %.17g\n" % x for x in np.ravel(values).tolist()).encode("ascii")

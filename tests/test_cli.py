@@ -599,6 +599,41 @@ def test_report_bundle_runs_every_section(tmp_path):
         assert gates(rep)[name]["passed"] is True, name
 
 
+def plain_cell(cell: str) -> bool:
+    """A CSV cell as capaf writes it: an int, a float, True/False, a file
+    name, a row label or empty."""
+    if cell in ("", "True", "False", "body", "pair") or cell.endswith(".json"):
+        return True
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
+def test_every_csv_cell_is_plain(tmp_path):
+    assert run(["report", "--theta", "1.2", "--grid", "16x16", "--trials", "2", "--csv",
+                "--out", tmp_path / "report"]) == 0
+    assert run(["spectrum", "--theta", "1.5", "--grid", "16x16", "--sweep", "8,12", "--csv",
+                "--out", tmp_path / "sweep"]) == 0
+    tables = sorted(tmp_path.rglob("*.csv"))
+    assert {p.name for p in tables} == {
+        "af_report.csv", "chain_report.csv", "quermass_report.csv", "spectrum_report.csv",
+        "spectrum_sweep.csv", "steiner_report.csv"}
+    for path in tables:
+        header, *rows = [line.split(",") for line in path.read_text().splitlines()]
+        assert rows, path.name
+        for row in rows:
+            assert len(row) == len(header)
+            for cell in row:
+                assert "np." not in cell and plain_cell(cell), (path.name, cell)
+
+
+def test_csv_table_writes_numpy_floats_as_plain_floats():
+    text = cli.csv_table(["a", "b", "c"], [[np.float64(0.1), np.float32(0.5), 2]])
+    assert text == "a,b,c\n0.1,0.5,2\n"
+
+
 def test_report_bundle_is_deterministic(tmp_path):
     args = ["report", "--theta", "1.2", "--grid", "16x16"]
     assert run(args + ["--out", tmp_path / "a"]) == 0

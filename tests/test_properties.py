@@ -10,6 +10,8 @@ from hypothesis import given, settings, strategies as st
 import capaf
 from capaf import cli
 
+from helpers import floats_by_kernel, floats_by_percent
+
 THETAS = st.floats(0.05, math.pi - 0.05)
 GRIDS = st.tuples(st.integers(8, 24), st.integers(4, 12).map(lambda k: 2 * k))
 SEEDS = st.integers(0, 2**32 - 1)
@@ -54,3 +56,20 @@ def test_every_report_is_strict_json(tmp_path_factory, theta, grid, seed):
     assert len(reports) == 8
     for path in reports:
         json.loads(path.read_text(), parse_constant=_refuse)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+WINDOW = st.builds(lambda x, negative: -x if negative else x,
+                   st.floats(1e-6, 1e17, exclude_max=True), st.booleans())
+
+
+@settings(max_examples=300, **SETTINGS)
+@given(values=st.lists(FINITE, min_size=1, max_size=40))
+def test_the_float_kernel_matches_percent_on_every_finite_double(values):
+    assert floats_by_kernel(values) == floats_by_percent(values)
+
+
+@settings(max_examples=300, **SETTINGS)
+@given(values=st.lists(WINDOW, min_size=1, max_size=40))
+def test_the_float_kernel_matches_percent_inside_its_window(values):
+    assert floats_by_kernel(values) == floats_by_percent(values)

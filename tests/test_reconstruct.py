@@ -3,13 +3,17 @@ and byte pins of the mesh and body writers against per-line oracles."""
 
 import dataclasses
 import json
+import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import capaf
 
-from helpers import grid, load_mesh, smooth_body
+from helpers import (floats_by_kernel, floats_by_percent, grid, load_mesh, obj_by_templates,
+                     obj_per_line, smooth_body)
 
 
 def cap_patch(theta, n):
@@ -158,18 +162,6 @@ def test_patch_keeps_the_support_values_it_was_built_from():
 
 # -- writer byte pins ------------------------------------------------------------
 
-def obj_per_line(patch) -> bytes:
-    """The OBJ text as the per-line writer formatted it: the reference bytes."""
-    lines = []
-    for x, y, z in patch.flat_positions:
-        lines.append(f"v {x:.17g} {y:.17g} {z:.17g}")
-    for x, y, z in patch.flat_normals:
-        lines.append(f"vn {x:.17g} {y:.17g} {z:.17g}")
-    for a, b, c in patch.triangles:
-        lines.append(f"f {a + 1}//{a + 1} {b + 1}//{b + 1} {c + 1}//{c + 1}")
-    return ("\n".join(lines) + "\n").encode("utf-8")
-
-
 def extreme_patch():
     """A random-body patch with signed zeros, subnormals and huge magnitudes."""
     g = grid(1.1, 8, 8)
@@ -182,16 +174,164 @@ def extreme_patch():
     return dataclasses.replace(patch, positions=positions, normals=normals)
 
 
+def integer_patch():
+    """A patch whose coordinates are exact integers, so 2.0 is written 2."""
+    g = grid(1.1, 16, 16)
+    patch = capaf.embed(g, capaf.random_body(g, 3))
+    rng = np.random.default_rng(11)
+    return dataclasses.replace(
+        patch, positions=rng.integers(-10**6, 10**6, patch.positions.shape).astype(float),
+        normals=rng.integers(-3, 4, patch.normals.shape).astype(float))
+
+
 @pytest.mark.parametrize("make", [
     lambda: capaf.embed(grid(1.1, 32, 32), capaf.random_body(grid(1.1, 32, 32), 5)),
     lambda: cap_patch(2.2, 16)[1],
     extreme_patch,
-], ids=["random-body", "unit-cap", "extreme-values"])
+    lambda: capaf.embed(grid(1.2, 256, 256), capaf.random_body(grid(1.2, 256, 256), 3)),
+    lambda: capaf.embed(grid(1.2, 32, 32),
+                        capaf.random_body(grid(1.2, 32, 32), 4, base_radius=1e3)),
+    integer_patch,
+], ids=["random-body", "unit-cap", "extreme-values", "random-body-256", "base-radius-1e3",
+        "integers"])
 def test_export_mesh_matches_the_per_line_writer(make, tmp_path):
     patch = make()
     path = tmp_path / "patch.obj"
     capaf.export_mesh(patch, path)
-    assert path.read_bytes() == obj_per_line(patch)
+    assert path.read_bytes() == obj_per_line(patch) == obj_by_templates(patch)
+
+
+def test_export_mesh_peak_memory_stays_below_the_template_writer(tmp_path):
+    # 23.4 MB is the tracemalloc peak of the three-template writer at 256²,
+    # set by its face block; the float kernel works chunk by chunk.
+    g = grid(1.2, 256, 256)
+    patch = capaf.embed(g, capaf.random_body(g, 3))
+    tracemalloc.start()
+    try:
+        capaf.export_mesh(patch, tmp_path / "patch.obj")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 23.4e6
+
+
+# -- the %.17g kernel ------------------------------------------------------------
+
+def exact_ties(count=360):
+    """Doubles whose 17-digit decimal lies exactly half-way: x = odd * 2**-(k+1)
+    with x * 10**k = odd * 5**k / 2 in [1e16, 1e17), for every k of the window."""
+    rng = np.random.default_rng(2)
+    ties = []
+    for k in range(1, 23):
+        low, high = -(-2 * 10**16 // 5**k), min(2 * 10**17 // 5**k, 2**53)
+        odd = rng.integers(low, high - 1, count) | 1
+        ties.append(np.ldexp(odd.astype(float), -(k + 1)))
+        assert int(odd[0]) * 5**k % 2 == 1
+    ties = np.concatenate(ties)
+    return np.concatenate([ties, -ties])
+
+
+def powers_of_ten():
+    p = np.array([float(10**k) for k in range(19)] + [10.0**-k for k in range(1, 8)])
+    return np.concatenate([p, np.nextafter(p, 0.0), np.nextafter(p, np.inf), -p])
+
+
+@pytest.mark.parametrize("values", [
+    exact_ties(),
+    [0.99999999999999999, 9.99999999999999999e-5, 9.999999999999999e16, 99999999999999984.0,
+     0.5, 1e-4, 1e-5, 1e-6, 1.0000000000000002e-6, 2.0, 100.0, 123.25, -7.0],
+    powers_of_ten(),
+    [0.0, -0.0, 5e-324, -1e-310, 2.5e-301, -2.5e-301, 1e300, -1e300, 1e17,
+     np.inf, -np.inf, np.nan, 1.7976931348623157e308, -2.2250738585072014e-308],
+], ids=["ties", "edges", "powers-of-ten", "fallback-only"])
+def test_the_float_kernel_writes_what_percent_writes(values):
+    assert floats_by_kernel(values) == floats_by_percent(values)
+
+
+@pytest.mark.parametrize("nudge", [-1e-12, 1e-12])
+def test_the_float_kernel_corrects_a_log10_that_errs_either_way(nudge, monkeypatch):
+    # The exponent comes from log10 and is then checked exactly, so a log10
+    # off on either side next to a power of ten changes no byte.
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda a: log10(a) + nudge)
+    values = np.concatenate([powers_of_ten(), exact_ties(20)])
+    assert floats_by_kernel(values) == floats_by_percent(values)
+
+
+def test_no_double_of_the_window_rounds_up_to_a_power_of_ten():
+    # Why the kernel's digits take no carry: the largest double below each
+    # power of ten 10**m, m = -5..17, keeps its 17 digits under 10**17 - 1/2.
+    for m in range(-5, 18):
+        power = Fraction(10) ** m
+        x = float(power)
+        if Fraction(x) >= power:
+            x = math.nextafter(x, 0.0)
+        assert Fraction(x) * Fraction(10) ** (17 - m) < 10**17 - Fraction(1, 2), m
+
+
+def test_the_fallback_slot_holds_the_longest_text(tmp_path):
+    # 24 characters, the longest '%.17g' of any double, on a line of its own
+    # and beside kernel numbers.
+    longest = -2.5000000000000001e-301
+    assert len("%.17g" % longest) == 24
+    values = np.array([longest, 1.0 / 3.0, longest, -1.0 / 7.0, 1e-5])
+    assert floats_by_kernel(values) == floats_by_percent(values)
+    patch = extreme_patch()
+    positions = patch.positions.copy()
+    positions.reshape(-1, 3)[5] = [longest, 0.25, longest]
+    patch = dataclasses.replace(patch, positions=positions)
+    capaf.export_mesh(patch, tmp_path / "patch.obj")
+    assert (tmp_path / "patch.obj").read_bytes() == obj_by_templates(patch)
+
+
+def test_the_float_kernel_chunks_rows_without_seams():
+    rng = np.random.default_rng(5)
+    n = 2 * capaf.reconstruct._CHUNK_ROWS + 3
+    values = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 18, n)
+    values[::97] = 0.0
+    assert floats_by_kernel(values) == floats_by_percent(values)
+
+
+def find_degenerate_by_gather(patch):
+    """The degenerate triangles from corners gathered through the index
+    list: the reference that the sliced corners must reproduce."""
+    p, t = patch.flat_positions, patch.triangles
+    cross = np.cross(p[t[:, 1]] - p[t[:, 0]], p[t[:, 2]] - p[t[:, 0]])
+    areas = 0.5 * np.linalg.norm(cross, axis=1)
+    scale = float(np.max(np.abs(p))) or 1.0
+    return [int(i) for i in np.nonzero(areas <= capaf.reconstruct.DEGENERATE_AREA * scale**2)[0]]
+
+
+def enclosed_volume_by_gather(patch):
+    p, t = patch.flat_positions, patch.triangles
+    dets = np.einsum("ij,ij->i", p[t[:, 0]], np.cross(p[t[:, 1]], p[t[:, 2]]))
+    return float(np.sum(dets)) / 6.0
+
+
+@pytest.mark.parametrize("n_rows,n_phi", [(2, 3), (3, 4), (17, 5), (33, 32)])
+def test_the_sliced_corners_are_the_gathered_corners(n_rows, n_phi):
+    from capaf.reconstruct import _corners, _triangulate
+
+    positions = np.random.default_rng(n_rows).standard_normal((n_rows, n_phi, 3))
+    gathered = positions.reshape(-1, 3)[_triangulate(n_rows, n_phi)]
+    assert _corners(positions).tobytes() == gathered.transpose(1, 0, 2).tobytes()
+
+
+@pytest.mark.parametrize("theta,n", [(0.05, 16), (1.2, 64), (3.0, 33)])
+def test_degenerate_triangles_and_volume_match_the_gathered_corners(theta, n):
+    g = grid(theta, n, n + n % 2)
+    patch = capaf.embed(g, capaf.random_body(g, 4))
+    positions = patch.positions.copy()
+    positions[0, 1] = positions[0, 0]       # a fan triangle
+    positions[3, 5] = positions[3, 6]       # quads on both sides of a node
+    positions[-2, -1] = positions[-2, 0]    # across the azimuthal seam
+    positions[n // 2] = positions[n // 2, 0]  # a whole ring
+    planted = dataclasses.replace(patch, positions=positions)
+    expected = find_degenerate_by_gather(planted)
+    assert len(expected) > 2 * g.n_phi
+    assert capaf.reconstruct._find_degenerate(planted) == expected
+    for p in (patch, planted):
+        assert capaf.enclosed_volume(p).hex() == enclosed_volume_by_gather(p).hex()
 
 
 def triangulate_loop(n_rows, n_phi):

@@ -219,6 +219,28 @@ def test_af_check_on_a_free_random_field():
     assert rep.noise_estimate > 0
 
 
+@pytest.mark.parametrize("equality", [False, True])
+def test_af_check_volumes_are_the_mixed_volumes_bit_for_bit(equality):
+    # af_check forms one mixed discriminant per field against the reference;
+    # every volume and the bilinear form stay what the separate calls give.
+    g = grid(2.2, 24, 24)
+    space = capaf.WeightedSpace(g, capaf.random_body(g, 99))
+    f1 = capaf.random_body(g, 10)
+    f = (2.0 * f1.values + capaf.horizontal_linear(g, (0.3, -0.1)).values if equality
+         else capaf.random_capillary_field(g, 12).values)
+    rep = capaf.af_check(space, f, f1)
+    S = capaf.capfun.as_field(g, f)
+    v_m = capaf.mixed_volume(g, S, (f1, space.ref))
+    assert rep.v_mixed == v_m
+    assert rep.v_ff == capaf.mixed_volume(g, S, (S, space.ref))
+    assert rep.v_f1f1 == capaf.mixed_volume(g, f1, (f1, space.ref))
+    assert rep.bilinear_mixed == space.inner(S.values, space.apply_tensor(f1.tensor))
+    swap_err = abs(v_m - capaf.mixed_volume(g, f1, (S, space.ref)))
+    assert rep.noise_estimate == ((2.0 * abs(v_m) + abs(rep.v_ff) + abs(rep.v_f1f1)) * swap_err
+                                  + 1e-13 * max(abs(rep.lhs), abs(rep.rhs), 1.0))
+    assert rep.equality_within_resolution is equality
+
+
 def test_af_check_flags_the_equality_family():
     g = grid(1.2, 24, 24)
     sp = capaf.WeightedSpace(g, capaf.random_body(g, 99))
