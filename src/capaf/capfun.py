@@ -22,6 +22,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
+from ._floattext import float_lines
 from .capgrid import ROBIN_GATE, CapGrid, ShapeTensor, a_of, robin_residual, tensor_eigenvalues
 
 # A support function certifies as convex when the smallest eigenvalue of its
@@ -437,46 +438,70 @@ def random_capillary_field(grid: CapGrid, seed: int, mode_cap: int = 3) -> Capil
 
 def body_to_dict(body: CapillaryBody) -> dict:
     """JSON-ready dict; values are row-major, radial index slow."""
+    return _body_dict(body, body.values.ravel(order="C").tolist())
+
+
+def _body_dict(body: CapillaryBody, values) -> dict:
     return {
         "theta": body.grid.theta,
         "n_rho": body.grid.n_rho,
         "n_phi": body.grid.n_phi,
-        "values": body.values.ravel(order="C").tolist(),
+        "values": values,
         "provenance": body.provenance,
     }
 
 
 def body_from_dict(data: dict, grid: CapGrid | None = None) -> CapillaryBody:
-    """Inverse of body_to_dict; a malformed dict raises ValueError."""
+    """Inverse of body_to_dict; a malformed dict raises ValueError.
+
+    theta must be a number, n_rho and n_phi integers and values a flat list
+    of numbers, as JSON reads them: no strings, bools or nested lists.
+    """
     if not isinstance(data, dict):
         raise ValueError(f"body must be a JSON object, got {type(data).__name__}")
     missing = [k for k in ("theta", "n_rho", "n_phi", "values") if k not in data]
     if missing:
         raise ValueError(f"body is missing {', '.join(missing)}")
-    try:  # float() and int() raise TypeError on a list, an object or null
-        if grid is None:
-            grid = CapGrid(data["theta"], data["n_rho"], data["n_phi"])
-        elif (grid.theta, grid.n_rho, grid.n_phi) != (data["theta"], data["n_rho"], data["n_phi"]):
-            raise ValueError("grid does not match serialized body")
-        values = np.array(data["values"], dtype=float).reshape(grid.node_shape)
-    except TypeError as exc:
-        raise ValueError(f"body theta, n_rho, n_phi or values is malformed: {exc}") from None
+    theta, n_rho, n_phi, values = (data[k] for k in ("theta", "n_rho", "n_phi", "values"))
+    if isinstance(theta, bool) or not isinstance(theta, (int, float)):
+        problem = f"theta is {type(theta).__name__}, not a number"
+    elif any(isinstance(n, bool) or not isinstance(n, int) for n in (n_rho, n_phi)):
+        problem = "n_rho and n_phi must be integers"
+    # One C-level pass: bool, str and list are types of their own.
+    elif not (isinstance(values, list) and set(map(type, values)) <= {float, int}):
+        problem = "values must be a flat list of numbers"
+    else:
+        problem = None
+    if problem:
+        raise ValueError(f"body theta, n_rho, n_phi or values is malformed: {problem}")
+    if grid is None:
+        grid = CapGrid(theta, n_rho, n_phi)
+    elif (grid.theta, grid.n_rho, grid.n_phi) != (theta, n_rho, n_phi):
+        raise ValueError("grid does not match serialized body")
+    values = np.array(values, dtype=float).reshape(grid.node_shape)
     return certify(grid, values, data.get("provenance"))
 
 
 def save_body(body: CapillaryBody, path) -> None:
     """Write body_to_dict(body) as json.dump(..., indent=1) does, plus a newline.
 
-    json's indenting encoder runs in Python, so the values list, nearly all of
-    the file, is formatted instead by one C-level join of float reprs: that
-    is how json writes a finite float, and a certified body holds no other.
+    json's indenting encoder runs in Python, so the values list, nearly all
+    of the file, is written instead by the numpy kernel of capaf._floattext,
+    byte for byte as repr writes each float: that is how json writes a
+    finite float, and a certified body holds no other.  The kernel finds
+    the shortest round-trip digits itself for 1e-4 <= |x| < 1e16; zeros,
+    powers of two, smaller or larger magnitudes and the rare value too close
+    to its rounding interval's edge to call go through Python's repr.  The
+    head and tail of the file come from json.dumps.
     """
-    data = body_to_dict(body)
-    values = ",\n  ".join(map(repr, data["values"]))
-    data["values"] = None
-    head, tail = json.dumps(data, indent=1).split('"values": null', 1)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f'{head}"values": [\n  {values}\n ]{tail}\n')
+    head, tail = json.dumps(_body_dict(body, None), indent=1).split('"values": null', 1)
+    # Each item is ',\n  ' and a value; the first takes no comma.
+    items = float_lines(body.values.reshape(-1, 1), b",\n ", b"", shortest=True)
+    with open(path, "wb") as fh:
+        fh.write(f'{head}"values": ['.encode("utf-8"))
+        fh.write(next(items)[1:])
+        fh.writelines(items)
+        fh.write(f"\n ]{tail}\n".encode("utf-8"))
 
 
 def load_body(path, grid: CapGrid | None = None) -> CapillaryBody:

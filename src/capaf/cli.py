@@ -37,6 +37,7 @@ import numpy as np
 
 from .capgrid import CapGrid, build_grid
 from .capfun import (
+    MARGIN,
     ell,
     horizontal_linear,
     load_body,
@@ -307,9 +308,12 @@ def emit(args, name: str, payload: dict, gates: list[Gate], table: str | None = 
 # -- subcommands -----------------------------------------------------------------
 
 def cmd_gen(args) -> list[str]:
+    """Write --count seeded random bodies.  The sidecar records each body's
+    certification margin, min_eig / (MARGIN * base_radius), which random_body
+    keeps at 1 or above, and the amplitude it was accepted at."""
     grid, _ = setup(args)
     out = Path(args.out)
-    files, body_bytes = [], 0
+    files, body_bytes, bodies = [], 0, []
     for i in range(args.count):
         body = random_body(grid, seed=trial_seed(args.seed, i),
                            base_radius=args.base_radius, amplitude=args.amplitude)
@@ -317,9 +321,13 @@ def cmd_gen(args) -> list[str]:
         save_body(body, path)
         files.append(path.name)
         body_bytes += path.stat().st_size
+        bodies.append({
+            "file": path.name,
+            "certification_margin": body.min_eig / (MARGIN * args.base_radius),
+            "effective_amplitude": body.provenance["params"]["effective_amplitude"]})
     return emit(args, "gen_report",
                 {"identity": "seeded generation of certified convex support functions",
-                 "files": files}, [], meta={"body_bytes": body_bytes})
+                 "files": files}, [], meta={"body_bytes": body_bytes, "bodies": bodies})
 
 
 def cmd_quermass(args) -> list[str]:

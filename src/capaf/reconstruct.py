@@ -14,11 +14,11 @@ the quermassintegrals.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._floattext import float_lines
 from .capgrid import CapGrid, surface_gradient
 from .capfun import CapillaryField, as_field
 from .mixedvol import h_k_field
@@ -187,162 +187,24 @@ def boundary_form_quermass(patch: EmbeddedPatch, k: int) -> float:
 
 # -- mesh I/O ------------------------------------------------------------------
 
-# The numpy %.17g kernel formats 1e-6 < |x| < 1e17, where the decimal
-# exponent X lies in -6..16 and |x| * 10**(16 - X) is an exact product with an
-# exact power of ten; every other value goes through Python's own '%.17g'.
-# (The double 1e-6 itself lies below 10**-6, so the window starts above it.)
-_POW10 = np.array([float(10**k) for k in range(23)])
-_DEKKER = 134217729.0  # 2**27 + 1
-_CHUNK_ROWS = 4096
-# One number's columns on the line canvas: its leading space, a sign, '0.'
-# and three leading zeros, the 17 digits each followed by a possible point,
-# then 'e-0' and the exponent digit.  A fallback string (at most 24
-# characters) overwrites the columns after the space.
-_SLOT = b" -0.000" + b"0." * 17 + b"e-00"
-_FALLBACK_KEY = 23 * 17 * 2
-_FALLBACK_WIDTH = 24
-
-
-@functools.lru_cache(maxsize=None)
-def _format_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per 4-digit group: its digits each followed by a point, as one 8-byte
-    word, and its trailing-zero count; and the slot mask of every key.
-
-    The words are built byte by byte and only ever moved whole, so they hold
-    the same bytes under either byte order.  A key is ((X + 6) * 17 + digits
-    kept - 1) * 2 + sign for the kernel's numbers and _FALLBACK_KEY + length
-    for the fallback's strings.
-    """
-    g = np.arange(10000)
-    pairs = np.full((10000, 8), ord("."), dtype=np.uint8)
-    pairs[:, ::2] = 48 + np.stack([g // 1000, g // 100 % 10, g // 10 % 10, g % 10], axis=1)
-    zeros = (g % 10 == 0).astype(np.int64) + (g % 100 == 0) + (g % 1000 == 0) + (g == 0)
-
-    x = np.arange(-6, 17)[:, None, None]
-    nd = np.arange(1, 18)[None, :, None]
-    fixed = x >= -4
-    j = np.arange(17)
-    m = np.zeros((23, 17, 2, len(_SLOT)), dtype=bool)
-    m[..., 0] = True
-    m[..., 1] = np.arange(2) == 1
-    m[..., 2] = m[..., 3] = fixed & (x < 0)
-    for i in range(3):
-        m[..., 4 + i] = fixed & (i < -x - 1)
-    n_digits = np.where(fixed & (x >= 0), np.maximum(nd, x + 1), nd)
-    m[..., 7:41:2] = j < n_digits[..., None]
-    point_at = np.where(fixed, x, 0)
-    has_point = np.where(fixed, (x >= 0) & (nd > x + 1), nd > 1)
-    m[..., 8:42:2] = (j == point_at[..., None]) & has_point[..., None]
-    m[..., 41:] = ~fixed[..., None]
-    fallback = np.arange(len(_SLOT)) <= np.arange(_FALLBACK_WIDTH + 1)[:, None]
-    masks = np.concatenate([m.reshape(_FALLBACK_KEY, -1), fallback])
-    return pairs.view(np.uint64).ravel(), zeros, masks
-
-
-def _two_product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """a * b as hi + lo exactly, by Dekker's split product."""
-    hi = a * b
-    t = _DEKKER * a
-    ah = t - (t - a)
-    t = _DEKKER * b
-    bh = t - (t - b)
-    al, bl = a - ah, b - bh
-    return hi, ((ah * bh - hi) + ah * bl + al * bh) + al * bl
-
-
-def _format_into(slots: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Write the %.17g text of the flat x into slots, one row of _SLOT
-    columns per number, and return each number's mask key."""
-    pairs, zeros, _ = _format_tables()
-    a = np.abs(x)
-    inside = (a > 1e-6) & (a < 1e17)
-    # Values outside the window are formatted as 1.0 and overwritten below,
-    # so log10 and the int casts never see a zero, an inf or a nan.
-    a = np.where(inside, a, 1.0)
-    e = np.floor(np.log10(a)).astype(np.int64)
-    np.clip(e, -6, 16, out=e)
-    hi, lo = _two_product(a, _POW10[16 - e])
-    # log10 may miss X by one next to a power of ten: compare hi + lo with
-    # the exact doubles 1e16 and 1e17 and redo the product once.
-    below = (hi < 1e16) | ((hi == 1e16) & (lo < 0.0))
-    above = (hi > 1e17) | ((hi == 1e17) & (lo >= 0.0))
-    fix = np.flatnonzero(below | above)
-    e[fix] += np.where(above[fix], 1, -1)
-    hi[fix], lo[fix] = _two_product(a[fix], _POW10[16 - e[fix]])
-    # hi >= 1e16 is an even integer, so rounding lo half-even rounds hi + lo.
-    # No double of the window rounds up to 10**17, so X takes no carry.
-    d = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
-
-    lead, rest = np.divmod(d, 10**16)
-    upper, lower = np.divmod(rest, 10**8)
-    groups = np.empty((len(x), 4), dtype=np.int64)
-    np.divmod(upper, 10**4, out=(groups[:, 0], groups[:, 1]))
-    np.divmod(lower, 10**4, out=(groups[:, 2], groups[:, 3]))
-    slots[:, 7] = 48 + lead
-    slots[:, 9:41].view(np.uint64)[:] = pairs.take(groups)
-    z = zeros.take(groups)
-    trailing = z[:, 3] + (z[:, 3] == 4) * (z[:, 2] + (z[:, 2] == 4) * (
-        z[:, 1] + (z[:, 1] == 4) * z[:, 0]))
-    slots[:, -1] = 48 - e
-    key = ((e + 6) * 17 + 16 - trailing) * 2 + (x < 0)
-
-    outside = np.flatnonzero(~inside)
-    if len(outside):
-        text = ["%.17g" % v for v in x[outside].tolist()]
-        key[outside] = _FALLBACK_KEY + np.array([len(t) for t in text])
-        slots[outside, 1:1 + _FALLBACK_WIDTH] = np.frombuffer(
-            "".join(t.ljust(_FALLBACK_WIDTH) for t in text).encode("ascii"),
-            dtype=np.uint8).reshape(len(outside), _FALLBACK_WIDTH)
-    return key
-
-
-def _write_float_lines(fh, prefix: bytes, rows: np.ndarray) -> None:
-    """Write prefix, then ' %.17g' per entry, then a newline, per row of rows.
-
-    Each number gets a canvas row of the line prefix, its slot and a newline;
-    the prefix is kept on a line's first number only and the newline on its
-    last, so one boolean mask per chunk compacts the canvas into the lines.
-    The mask is applied as flatnonzero and take, which ran 2.8 times faster
-    than boolean indexing on these short irregular runs.
-    """
-    n_cols = rows.shape[1]
-    start = len(prefix)
-    template = np.frombuffer(prefix + _SLOT + b"\n", dtype=np.uint8)
-    slot_masks = _format_tables()[2]
-    # The mask of every (place in the line, key), places outermost.
-    place = np.arange(n_cols)[:, None]
-    masks = np.empty((n_cols, len(slot_masks), len(template)), dtype=bool)
-    masks[:, :, start:-1] = slot_masks
-    masks[:, :, :start] = (place == 0)[..., None]
-    masks[:, :, -1] = place == n_cols - 1
-    masks = masks.reshape(-1, len(template))
-    offsets = np.arange(n_cols) * len(slot_masks)
-    for first in range(0, len(rows), _CHUNK_ROWS):
-        chunk = rows[first:first + _CHUNK_ROWS]
-        canvas = np.empty((chunk.size, len(template)), dtype=np.uint8)
-        canvas[:] = template
-        key = _format_into(canvas[:, start:-1], chunk.ravel()).reshape(-1, n_cols) + offsets
-        fh.write(canvas.ravel().take(np.flatnonzero(masks[key])))
-
-
 def export_mesh(patch: EmbeddedPatch, path) -> None:
     """Write the patch as an ASCII OBJ file with full-precision floats.
 
     Lines are ``v x y z`` and ``vn x y z`` at %.17g, then ``f a//a b//b c//c``
     with 1-based indices.  The floats are written, byte for byte as
-    ``'%.17g' % x`` writes them, by a numpy kernel: for 1e-6 < |x| < 1e17 it
-    takes the 17 digits from the exact (Dekker) product of |x| with a power
-    of ten and lays them out as %g does, and every other value (zeros,
-    subnormals, |x| <= 1e-6 or >= 1e17, non-finite) goes through Python's
-    own '%.17g'.  It works on chunks of _CHUNK_ROWS rows, so its buffers stay
-    small beside the face block.  The face block is one ``%`` over a repeated
-    line template, and each node's ``a//a`` token is formatted once and
-    shared by the faces that use it.
+    ``'%.17g' % x`` writes them, by the numpy kernel of capaf._floattext: for
+    1e-6 < |x| < 1e17 it takes the 17 digits from the exact (Dekker) product
+    of |x| with a power of ten and lays them out as %g does, and every other
+    value (zeros, subnormals, |x| <= 1e-6 or >= 1e17, non-finite) goes
+    through Python's own '%.17g'.  It works on chunks of CHUNK_ROWS rows, so
+    its buffers stay small beside the face block.  The face block is one
+    ``%`` over a repeated line template, and each node's ``a//a`` token is
+    formatted once and shared by the faces that use it.
     """
     n_nodes = len(patch.flat_positions)
     tokens = np.array(["%d//%d" % (i, i) for i in range(1, n_nodes + 1)], dtype=object)
     with open(path, "wb") as fh:
-        _write_float_lines(fh, b"v", patch.flat_positions)
-        _write_float_lines(fh, b"vn", patch.flat_normals)
+        fh.writelines(float_lines(patch.flat_positions, b"v"))
+        fh.writelines(float_lines(patch.flat_normals, b"vn"))
         faces = "f %s %s %s\n" * len(patch.triangles)
         fh.write((faces % tuple(tokens[patch.triangles].ravel().tolist())).encode("ascii"))

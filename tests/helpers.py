@@ -420,10 +420,37 @@ def floats_by_kernel(values) -> bytes:
     """values, one ``v x`` line each, through export_mesh's float kernel."""
     rows = np.reshape(np.asarray(values, dtype=float), (-1, 1))
     buf = io.BytesIO()
-    capaf.reconstruct._write_float_lines(buf, b"v", rows)
+    buf.writelines(capaf._floattext.float_lines(rows, b"v"))
     return buf.getvalue()
 
 
 def floats_by_percent(values) -> bytes:
     """values, one ``v x`` line each, through Python's '%.17g': the oracle."""
     return "".join("v %.17g\n" % x for x in np.ravel(values).tolist()).encode("ascii")
+
+
+def exact_ties(count=360):
+    """Doubles whose 17-digit decimal lies exactly half-way: x = odd * 2**-(k+1)
+    with x * 10**k = odd * 5**k / 2 in [1e16, 1e17), for every k of the window."""
+    rng = np.random.default_rng(2)
+    ties = []
+    for k in range(1, 23):
+        low, high = -(-2 * 10**16 // 5**k), min(2 * 10**17 // 5**k, 2**53)
+        odd = rng.integers(low, high - 1, count) | 1
+        ties.append(np.ldexp(odd.astype(float), -(k + 1)))
+        assert int(odd[0]) * 5**k % 2 == 1
+    ties = np.concatenate(ties)
+    return np.concatenate([ties, -ties])
+
+
+def reprs_by_kernel(values) -> bytes:
+    """values, one `` x`` line each, through save_body's repr kernel."""
+    rows = np.reshape(np.asarray(values, dtype=float), (-1, 1))
+    buf = io.BytesIO()
+    buf.writelines(capaf._floattext.float_lines(rows, b"", shortest=True))
+    return buf.getvalue()
+
+
+def reprs_by_repr(values) -> bytes:
+    """values, one `` x`` line each, through Python's repr: the oracle."""
+    return "".join(" %r\n" % x for x in np.ravel(values).tolist()).encode("ascii")

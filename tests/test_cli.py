@@ -175,6 +175,21 @@ def test_gen_writes_loadable_bodies(tmp_path):
     np.testing.assert_allclose(body.values, capaf.ell_values(g), atol=1e-12)
 
 
+def test_gen_records_each_bodys_certification_in_the_sidecar(tmp_path):
+    assert run(["gen", "--theta", "1.2", "--grid", "16x16", "--count", "3", "--seed", "5",
+                "--base-radius", "2", "--amplitude", "4", "--out", tmp_path]) == 0
+    meta = read_report(tmp_path, "gen_report.meta.json")
+    g = capaf.build_grid(1.2, 16, 16)
+    assert [b["file"] for b in meta["bodies"]] == read_report(tmp_path, "gen_report.json")["files"]
+    for entry in meta["bodies"]:
+        body = capaf.load_body(tmp_path / entry["file"], g)
+        assert entry["certification_margin"] == body.min_eig / (capaf.capfun.MARGIN * 2.0)
+        assert entry["certification_margin"] >= 1.0
+        params = body.provenance["params"]
+        assert entry["effective_amplitude"] == params["effective_amplitude"] < 4.0
+    assert "certification_margin" not in (tmp_path / "gen_report.json").read_text()
+
+
 def test_quermass_runs_on_generated_bodies(tmp_path):
     assert run(["gen", "--theta", "1.2", "--grid", "16x16", "--count", "2",
                 "--out", tmp_path]) == 0
@@ -450,6 +465,12 @@ ZERO_BODY = json.dumps({"theta": 1.2, "n_rho": 16, "n_phi": 16,
                         "values": [0.0] * (17 * 16)})
 
 
+def body_text(**fields):
+    """The 16x16 unit cap's body file, with fields replaced."""
+    g = capaf.build_grid(1.2, 16, 16)
+    return json.dumps({**capaf.capfun.body_to_dict(capaf.ell(g)), **fields})
+
+
 @pytest.mark.parametrize("command", ["quermass", "reconstruct"])
 @pytest.mark.parametrize("content, message", [
     ('{"theta": 1.2, "n_rho": 16}', "body is missing n_phi, values"),
@@ -458,6 +479,15 @@ ZERO_BODY = json.dumps({"theta": 1.2, "n_rho": 16, "n_phi": 16,
     pytest.param('{"theta": 1.2, "n_rho": 16, "n_phi": 16, "values": {"0": 1.0}}',
                  "body theta, n_rho, n_phi or values is malformed", id="values-object"),
     pytest.param(ZERO_BODY, "certification failed", id="zero-body"),
+    # JSON that numpy would read as numbers, and that a body file must not hold.
+    pytest.param(body_text(values=["0.5"] * (17 * 16)), "values must be a flat list of numbers",
+                 id="values-strings"),
+    pytest.param(body_text(values=[[0.5]] * (17 * 16)), "values must be a flat list of numbers",
+                 id="values-nested"),
+    pytest.param(body_text(values=[True] * (17 * 16)), "values must be a flat list of numbers",
+                 id="values-bools"),
+    pytest.param(body_text(theta="1.2"), "theta is str, not a number", id="theta-string"),
+    pytest.param(body_text(n_rho=16.0), "n_rho and n_phi must be integers", id="n_rho-float"),
 ])
 def test_a_malformed_body_file_is_a_config_error(tmp_path, capsys, command,
                                                  content, message):

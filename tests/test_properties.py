@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import capaf
 from capaf import cli
 
-from helpers import floats_by_kernel, floats_by_percent
+from helpers import floats_by_kernel, floats_by_percent, reprs_by_kernel, reprs_by_repr
 
 THETAS = st.floats(0.05, math.pi - 0.05)
 GRIDS = st.tuples(st.integers(8, 24), st.integers(4, 12).map(lambda k: 2 * k))
@@ -73,3 +73,19 @@ def test_the_float_kernel_matches_percent_on_every_finite_double(values):
 @given(values=st.lists(WINDOW, min_size=1, max_size=40))
 def test_the_float_kernel_matches_percent_inside_its_window(values):
     assert floats_by_kernel(values) == floats_by_percent(values)
+
+
+REPR_WINDOW = st.builds(lambda x, negative: -x if negative else x,
+                        st.floats(1e-4, 1e16, exclude_max=True), st.booleans())
+
+
+@settings(max_examples=300, **SETTINGS)
+@given(values=st.lists(FINITE, min_size=1, max_size=40))
+def test_the_repr_kernel_matches_repr_on_every_finite_double(values):
+    assert reprs_by_kernel(values) == reprs_by_repr(values)
+
+
+@settings(max_examples=300, **SETTINGS)
+@given(values=st.lists(REPR_WINDOW, min_size=1, max_size=40))
+def test_the_repr_kernel_matches_repr_inside_its_window(values):
+    assert reprs_by_kernel(values) == reprs_by_repr(values)

@@ -12,8 +12,8 @@ import pytest
 
 import capaf
 
-from helpers import (floats_by_kernel, floats_by_percent, grid, load_mesh, obj_by_templates,
-                     obj_per_line, smooth_body)
+from helpers import (exact_ties, floats_by_kernel, floats_by_percent, grid, load_mesh,
+                     obj_by_templates, obj_per_line, smooth_body)
 
 
 def cap_patch(theta, n):
@@ -217,20 +217,6 @@ def test_export_mesh_peak_memory_stays_below_the_template_writer(tmp_path):
 
 # -- the %.17g kernel ------------------------------------------------------------
 
-def exact_ties(count=360):
-    """Doubles whose 17-digit decimal lies exactly half-way: x = odd * 2**-(k+1)
-    with x * 10**k = odd * 5**k / 2 in [1e16, 1e17), for every k of the window."""
-    rng = np.random.default_rng(2)
-    ties = []
-    for k in range(1, 23):
-        low, high = -(-2 * 10**16 // 5**k), min(2 * 10**17 // 5**k, 2**53)
-        odd = rng.integers(low, high - 1, count) | 1
-        ties.append(np.ldexp(odd.astype(float), -(k + 1)))
-        assert int(odd[0]) * 5**k % 2 == 1
-    ties = np.concatenate(ties)
-    return np.concatenate([ties, -ties])
-
-
 def powers_of_ten():
     p = np.array([float(10**k) for k in range(19)] + [10.0**-k for k in range(1, 8)])
     return np.concatenate([p, np.nextafter(p, 0.0), np.nextafter(p, np.inf), -p])
@@ -286,7 +272,7 @@ def test_the_fallback_slot_holds_the_longest_text(tmp_path):
 
 def test_the_float_kernel_chunks_rows_without_seams():
     rng = np.random.default_rng(5)
-    n = 2 * capaf.reconstruct._CHUNK_ROWS + 3
+    n = 2 * capaf._floattext.CHUNK_ROWS + 3
     values = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 18, n)
     values[::97] = 0.0
     assert floats_by_kernel(values) == floats_by_percent(values)
@@ -357,16 +343,7 @@ def test_triangulation_matches_the_loop(n_rows, n_phi):
     np.testing.assert_array_equal(tris, ref_tris)
 
 
-def test_save_body_matches_json_dump(tmp_path):
-    g = grid(1.1, 12, 16)
-    values = capaf.random_body(g, 2).values.copy()
-    values.reshape(-1)[:6] = [-0.0, 5e-324, -1e-310, 1e300, 0.1, 2.0]
-    provenance = {
-        "kind": "test", "nested": {"a": [1, 2.5, {"b": -0.0}], "tiny": 5e-324},
-        "lists": [[1.0, 2], [], {}], "text": "cap \u00e9", "none": None,
-        "flag": True, "values": None,
-    }
-    body = capaf.CapillaryBody(g, values, provenance)
+def assert_saved_as_json_dump(body, tmp_path):
     path = tmp_path / "body.json"
     capaf.save_body(body, path)
     ref = tmp_path / "ref.json"
@@ -375,9 +352,36 @@ def test_save_body_matches_json_dump(tmp_path):
         fh.write("\n")
     assert path.read_bytes() == ref.read_bytes()
 
-    seeded = capaf.random_body(g, 4)
-    capaf.save_body(seeded, path)
-    with open(ref, "w", encoding="utf-8") as fh:
-        json.dump(capaf.capfun.body_to_dict(seeded), fh, indent=1)
-        fh.write("\n")
-    assert path.read_bytes() == ref.read_bytes()
+
+def test_save_body_matches_json_dump(tmp_path):
+    g = grid(1.1, 12, 16)
+    values = capaf.random_body(g, 2).values.copy()
+    values.reshape(-1)[:6] = [-0.0, 5e-324, -1e-310, 1e300, 0.1, 2.0]
+    # The edges of the repr kernel's window [1e-4, 1e16), each with its
+    # neighbours, and integral values of the widest positional layouts.
+    edges = [1e-4, np.nextafter(1e-4, 0.0), np.nextafter(1e-4, 1.0), -1e16,
+             np.nextafter(1e16, 0.0), np.nextafter(1e16, np.inf), 1e15, -4503599627370497.0]
+    values.reshape(-1)[6:6 + len(edges)] = edges
+    provenance = {
+        "kind": "test", "nested": {"a": [1, 2.5, {"b": -0.0}], "tiny": 5e-324},
+        "lists": [[1.0, 2], [], {}], "text": "cap \u00e9", "none": None,
+        "flag": True, "values": None,
+    }
+    assert_saved_as_json_dump(capaf.CapillaryBody(g, values, provenance), tmp_path)
+    assert_saved_as_json_dump(capaf.random_body(g, 4), tmp_path)
+    # A 256² body, and one of base radius 1e3, whose values lie in decades
+    # X >= 2 of the positional layout.
+    big = grid(1.2, 256, 256)
+    assert_saved_as_json_dump(capaf.random_body(big, 3), tmp_path)
+    wide = capaf.random_body(g, 5, base_radius=1e3)
+    assert np.min(np.abs(wide.values)) >= 100.0
+    assert_saved_as_json_dump(wide, tmp_path)
+
+
+def test_save_body_round_trips_bit_for_bit_at_256(tmp_path):
+    g = grid(1.2, 256, 256)
+    body = capaf.random_body(g, 3)
+    capaf.save_body(body, tmp_path / "body.json")
+    back = capaf.load_body(tmp_path / "body.json", g)
+    assert back.values.tobytes() == body.values.tobytes()
+    assert back.provenance == body.provenance
