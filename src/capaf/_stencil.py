@@ -1,8 +1,14 @@
-"""Finite-difference stencils and quadrature weights on the offset radial lattice.
+"""Lattice stencils and quadrature weights on the offset radial lattice.
 
 The radial lattice is rho_j = (j + 1/2) * drho for j = 0..n_rho, with the last
-node landing exactly on the contact latitude.  Nothing here knows about the
-sphere; this module only manipulates 1-D node sets with uniform spacing.
+node landing exactly on the contact latitude.  Every lattice operator is a
+:class:`Stencil`, its entries sorted by row; rows near rho=0 reach across the
+pole to the antipodal meridian.  One builder, :func:`banded`, makes the radial
+operators: a centred band plus closure rows at rho=theta.  The grid's
+Fornberg derivatives (:func:`fornberg`) and the pencil's summation-by-parts
+derivative and norm (:func:`sbp`) both come from it.  Nothing here knows
+about the sphere; this module only manipulates node sets with uniform
+spacing.
 """
 
 from __future__ import annotations
@@ -97,42 +103,113 @@ def radial_quadrature(rho: np.ndarray, drho: float) -> np.ndarray:
     return w
 
 
-def stencil_table(n_nodes: int, drho: float, deriv: int) -> list[list[tuple[int, float]]]:
-    """Per-row stencil entries (col, weight) for d^deriv/drho^deriv.
+class Stencil(NamedTuple):
+    """A lattice operator as its entries, sorted by row.
 
-    Rows near rho=0 reach across the pole: a negative col names the ghost node
-    at -(g+1/2)*drho with g = -1-col, which holds the value of node g on the
-    antipodal meridian (see :class:`RadialStencil`).  The last two rows are
-    closed with 6-point one-sided stencils.
+    (G f)(i, j) is the sum, over the entries e with row[e] == i, of
+    weight[e] * f(col[e], j + shift[e]), with j + shift[e] taken mod n_phi:
+    a radial stencil with an azimuthal offset per entry.  The pole mirror is
+    the offset n_phi/2.
     """
+
+    row: np.ndarray
+    col: np.ndarray
+    shift: np.ndarray
+    weight: np.ndarray
+
+
+def radial(row, col, weight, n_phi: int) -> Stencil:
+    """Radial entries; a negative col names the ghost node -1 - col, which
+    holds that node's value on the antipodal meridian.  Zeros are dropped."""
+    keep = weight != 0.0
+    ghost = col < 0
+    return Stencil(row[keep], np.where(ghost, -1 - col, col)[keep],
+                   np.where(ghost, n_phi // 2, 0)[keep], weight[keep])
+
+
+def azimuthal(rows, offsets, weights) -> Stencil:
+    """The periodic stencil weights[r, k] at offsets[k] on each row rows[r]."""
+    k = len(offsets)
+    return Stencil(np.repeat(rows, k), np.repeat(rows, k),
+                   np.tile(offsets, len(rows)), np.reshape(weights, -1))
+
+
+def banded(n: int, centre, closure, n_phi: int) -> Stencil:
+    """An n-row radial operator: a centred band plus closure rows.
+
+    Each of the first n - m rows j takes centre[k] at column j + k - h, h =
+    len(centre) // 2, reaching across the pole near rho=0.  The last m rows
+    close it: row n - m + i takes closure[i, c] at column n - w + c, for the
+    m x w array closure.  Zeros are dropped.
+    """
+    (m, w), h = closure.shape, len(centre) // 2
+    inner = np.arange(n - m)
+    row = np.concatenate([np.repeat(inner, len(centre)), np.repeat(np.arange(n - m, n), w)])
+    col = np.concatenate([(inner[:, None] + np.arange(-h, h + 1)).ravel(),
+                          np.tile(np.arange(n - w, n), m)])
+    return radial(row, col, np.concatenate([np.tile(centre, n - m), closure.ravel()]), n_phi)
+
+
+def fornberg(n: int, drho: float, deriv: int, n_phi: int) -> Stencil:
+    """d^deriv/drho^deriv on n nodes: the 5-point centred Fornberg stencil,
+    and 6-point one-sided closures on the last CENTER_HALF rows."""
     if deriv not in (1, 2):
         raise ValueError("deriv must be 1 or 2")
-    R = n_nodes
     offs = np.arange(-CENTER_HALF, CENTER_HALF + 1)
-    centered = fornberg_weights(offs * drho, 0.0, deriv)[:, deriv]
-    rows = []
-    for j in range(R):
-        if j <= R - 1 - CENTER_HALF:
-            rows.append([(j + int(o), float(c)) for o, c in zip(offs, centered)])
-        else:
-            idx = np.arange(R - EDGE_POINTS, R)
-            w = fornberg_weights((idx - j) * drho, 0.0, deriv)[:, deriv]
-            rows.append([(int(k), float(c)) for k, c in zip(idx, w)])
-    return rows
+    edge = np.arange(n - EDGE_POINTS, n)
+    closure = np.array([fornberg_weights((edge - j) * drho, 0.0, deriv)[:, deriv]
+                        for j in range(n - CENTER_HALF, n)])
+    return banded(n, fornberg_weights(offs * drho, 0.0, deriv)[:, deriv], closure, n_phi)
+
+
+# Strand's summation-by-parts first derivative (J. Comput. Phys. 110, 1994),
+# interior order 4, with its diagonal norm (boundary order 2), edge rows for a
+# left boundary.  The exact identity H D + D^T H = boundary makes the weak form
+# adjoint-consistent at the contact ring, which one-sided closures are not:
+# with them the top eigenvalue drifts at low order instead of O(drho^2).
+SBP_D_EDGE = (
+    (-24 / 17, 59 / 34, -4 / 17, -3 / 34),
+    (-1 / 2, 0.0, 1 / 2),
+    (4 / 43, -59 / 86, 0.0, 59 / 86, -4 / 43),
+    (3 / 98, 0.0, -59 / 98, 0.0, 32 / 49, -4 / 49),
+)
+SBP_H_EDGE = (17 / 48, 59 / 48, 43 / 48, 49 / 48)
+SBP_CENTER = (1 / 12, -2 / 3, 0.0, 2 / 3, -1 / 12)
+
+
+def sbp(n: int, drho: float, n_phi: int) -> tuple[Stencil, np.ndarray]:
+    """The summation-by-parts derivative on n nodes, and its diagonal norm.
+
+    Rows near rho=0 stay centred and reach across the pole; the last six
+    columns of the last four rows take the edge rows, reversed and negated.
+    """
+    closure = np.array([(0.0,) * (6 - len(edge)) + edge[::-1] for edge in reversed(SBP_D_EDGE)])
+    # The norm is diagonal: one entry per row, in row order.
+    norm = banded(n, [drho], np.diag(SBP_H_EDGE[::-1]) * drho, n_phi).weight
+    return banded(n, np.array(SBP_CENTER) / drho, -closure / drho, n_phi), norm
+
+
+def on_rows(rows: np.ndarray, st: Stencil, n_rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (i, b) with st.row[b] == rows[i]: each i with every entry
+    of st on its row, i ascending."""
+    per_row = np.bincount(st.row, minlength=n_rows)
+    reps = per_row[rows]
+    i = np.repeat(np.arange(rows.size), reps)
+    b = ((np.cumsum(per_row) - per_row)[rows[i]] + np.arange(i.size)
+         - np.repeat(np.cumsum(reps) - reps, reps))
+    return i, b
 
 
 class RadialStencil(NamedTuple):
-    """An (n_nodes, n_nodes) radial operator of stencil_table, split for
-    numpy stencil sums.
+    """A radial Stencil on n_nodes rows, split for numpy stencil sums.
 
-    Rows CENTER_HALF..n_nodes-1-CENTER_HALF all take the centred stencil
-    ``centre`` over source rows j-CENTER_HALF..j+CENTER_HALF.  The other
-    rows, the CENTER_HALF pole rows and then the CENTER_HALF edge rows, take
-    ``rim`` over the source rows ``sources`` (ascending), dense with zeros
-    where a row has no entry.  A pole row j also takes ``mirror[j, g]``
-    times ghost node g, node g on the antipodal meridian, so on a field V of
-    shape (n_nodes, n_phi) the operator is its plain part plus
-    mirror @ roll(V[:CENTER_HALF], n_phi // 2, axis=1).
+    Rows CENTER_HALF..n_nodes-1-CENTER_HALF take the centred weights
+    ``centre`` over source rows j-CENTER_HALF..j+CENTER_HALF.  The CENTER_HALF
+    pole rows and then the CENTER_HALF edge rows take ``rim`` over the source
+    rows ``sources`` (ascending), zero where a row has no entry.  A pole row j
+    also takes ``mirror[j, g]`` times ghost node g, node g on the antipodal
+    meridian: on a field V of shape (n_nodes, n_phi) the operator is its
+    plain part plus mirror @ roll(V[:CENTER_HALF], n_phi // 2, axis=1).
     """
 
     centre: np.ndarray
@@ -140,17 +217,13 @@ class RadialStencil(NamedTuple):
     sources: np.ndarray
     mirror: np.ndarray
 
-
-def radial_stencil(rows, n_nodes: int) -> RadialStencil:
-    """The RadialStencil of stencil_table's rows; repeated entries are summed."""
-    H = CENTER_HALF
-    plain = np.zeros((2 * H, n_nodes))
-    mirror = np.zeros((H, H))
-    for i, j in enumerate([*range(H), *range(n_nodes - H, n_nodes)]):
-        for col, w in rows[j]:
-            if col < 0:
-                mirror[j, -1 - col] += w
-            else:
-                plain[i, col] += w
-    sources = np.flatnonzero(plain.any(axis=0))
-    return RadialStencil(np.array([w for _, w in rows[H]]), plain[:, sources], sources, mirror)
+    @classmethod
+    def of(cls, st: Stencil, n_nodes: int) -> RadialStencil:
+        H = CENTER_HALF
+        # Dense rows: the plain part, then the ghost entries of the pole rows.
+        dense = np.zeros((n_nodes + H, n_nodes))
+        dense[st.row + n_nodes * (st.shift != 0), st.col] = st.weight
+        rim = dense[np.r_[:H, n_nodes - H:n_nodes]]
+        sources = np.flatnonzero(rim.any(axis=0))
+        return cls(dense[H, :2 * H + 1].copy(), rim[:, sources], sources,
+                   dense[n_nodes:, :H].copy())

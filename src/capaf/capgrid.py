@@ -11,10 +11,11 @@ off-diagonal stored once.
 Node layout: rho_j = (j + 1/2) * drho with drho = theta / (n_rho + 1/2), so the
 pole is never a node and the last row sits exactly on the boundary circle
 rho = theta.  Azimuthal nodes are the n_phi equispaced angles on [0, 2*pi).
-Radial derivatives are finite-difference stencils in physical space; near the
-pole they reach across it to the antipodal meridian, a half-turn roll of the
-field.  They are numpy stencil sums in a fixed order, with no BLAS, FFT or
-scipy.  Azimuthal derivatives are Fourier.
+Radial derivatives are Fornberg finite-difference stencils, ``_stencil``
+Stencils from the banded builder that also makes the spectral pencil's; near
+the pole they reach across it to the antipodal meridian, a half-turn roll of
+the field.  They are numpy stencil sums in a fixed order, with no BLAS, FFT
+or scipy.  Azimuthal derivatives are Fourier.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._stencil import CENTER_HALF, EDGE_POINTS, radial_quadrature, radial_stencil, stencil_table
+from ._stencil import CENTER_HALF, EDGE_POINTS, RadialStencil, fornberg, radial_quadrature
 
 MIN_RHO = 8
 MIN_PHI = 8
@@ -34,6 +35,23 @@ MIN_PHI = 8
 # the coarsest supported grids.  Sharp statements are made by the
 # refinement-order tests, not by this gate.
 ROBIN_GATE = 5e-2
+
+
+def check_grid(theta, n_rho, n_phi) -> tuple[float, int, int]:
+    """(theta, n_rho, n_phi) as a CapGrid takes them, or a ValueError naming the
+    first rule broken: 0 < theta < pi, n_rho >= MIN_RHO, an even n_phi >= MIN_PHI."""
+    theta = float(theta)
+    if not np.isfinite(theta) or not (0.0 < theta < np.pi):
+        raise ValueError(f"invalid contact angle theta={theta!r}: need 0 < theta < pi")
+    if int(n_rho) != n_rho or int(n_phi) != n_phi:
+        raise ValueError("grid sizes must be integers")
+    n_rho, n_phi = int(n_rho), int(n_phi)
+    if n_rho < MIN_RHO or n_phi < MIN_PHI:
+        raise ValueError(f"grid too coarse: need n_rho >= {MIN_RHO} and n_phi >= {MIN_PHI}, "
+                         f"got {n_rho}x{n_phi}")
+    if n_phi % 2 != 0:
+        raise ValueError(f"n_phi must be even, got {n_phi}")
+    return theta, n_rho, n_phi
 
 
 class CapGrid:
@@ -48,23 +66,8 @@ class CapGrid:
     """
 
     def __init__(self, theta: float, n_rho: int, n_phi: int):
-        theta = float(theta)
-        if not np.isfinite(theta) or not (0.0 < theta < np.pi):
-            raise ValueError(f"invalid contact angle theta={theta!r}: need 0 < theta < pi")
-        if int(n_rho) != n_rho or int(n_phi) != n_phi:
-            raise ValueError("grid sizes must be integers")
-        n_rho, n_phi = int(n_rho), int(n_phi)
-        if n_rho < MIN_RHO or n_phi < MIN_PHI:
-            raise ValueError(
-                f"grid too coarse: need n_rho >= {MIN_RHO} and n_phi >= {MIN_PHI}, "
-                f"got {n_rho}x{n_phi}"
-            )
-        if n_phi % 2 != 0:
-            raise ValueError(f"n_phi must be even, got {n_phi}")
-
-        self.theta = theta
-        self.n_rho = n_rho
-        self.n_phi = n_phi
+        theta, n_rho, n_phi = check_grid(theta, n_rho, n_phi)
+        self.theta, self.n_rho, self.n_phi = theta, n_rho, n_phi
         self.drho = theta / (n_rho + 0.5)
         self.dphi = 2.0 * np.pi / n_phi
         rho = (np.arange(n_rho + 1) + 0.5) * self.drho
@@ -84,11 +87,11 @@ class CapGrid:
         self.quad_weights = np.outer(w_rho * self.sin_rho, np.full(n_phi, self.dphi))
 
         R = n_rho + 1
-        tables = {d: stencil_table(R, self.drho, d) for d in (1, 2)}
-        self._radial = {d: radial_stencil(rows, R) for d, rows in tables.items()}
+        stencils = {d: fornberg(R, self.drho, d, n_phi) for d in (1, 2)}
+        self._radial = {d: RadialStencil.of(st, R) for d, st in stencils.items()}
         # 6-point one-sided first derivative on the boundary row (boundary
         # row last): the one stencil of the contact-angle condition.
-        self.boundary_weights = np.array([w for _, w in tables[1][-1]])
+        self.boundary_weights = stencils[1].weight[stencils[1].row == n_rho]
         k = np.arange(n_phi // 2 + 1)
         self._sym_d1 = 1j * k.astype(float)
         self._sym_d1[-1] = 0.0  # Nyquist mode has no well-defined odd derivative

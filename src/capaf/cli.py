@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .capgrid import CapGrid, build_grid
+from .capgrid import CapGrid, build_grid, check_grid
 from .capfun import (
     MARGIN,
     ell,
@@ -196,6 +196,14 @@ def positive_int(text: str) -> int:
     n = int(text)
     if n < 1:
         raise ConfigError(f"must be a positive integer, got {n}")
+    return n
+
+
+def non_negative_int(text: str) -> int:
+    """argparse type for seeds: a negative value is a usage error before any work."""
+    n = int(text)
+    if n < 0:
+        raise ConfigError(f"must be a non-negative integer, got {n}")
     return n
 
 
@@ -619,7 +627,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="contact angle in (0, pi)")
     common.add_argument("--grid", type=parse_grid, default="32x32",
                         help="radial x azimuthal node counts, e.g. 64x64")
-    common.add_argument("--seed", type=int, default=1)
+    common.add_argument("--seed", type=non_negative_int, default=1)
     common.add_argument("--out", type=str, default=".")
     common.add_argument("--csv", action="store_true",
                         help="also write a CSV table next to the JSON report")
@@ -686,11 +694,14 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors; keep 2 reserved for breaches and
         # report malformed command lines as configuration errors instead.
         return EXIT_CONFIG if exc.code else EXIT_OK
-    # The only place an exception becomes an exit code.  LinAlgError is a
-    # ValueError, so the numerical clause must come first.  The environment
-    # is checked before --out is created, so a refused run leaves nothing.
+    # The only place an exception becomes an exit code.  LinAlgError is a ValueError,
+    # so the numerical clause must come first.  The environment and the grids are
+    # checked before --out is created, so a refused run leaves nothing.
     try:
         thread_count()
+        sweep = sweep_sizes(getattr(args, "sweep", ""))
+        for n_rho, n_phi in [args.grid, *zip(sweep, sweep)]:
+            check_grid(args.theta, n_rho, n_phi)
         failed = run_command(args)
     except (RuntimeError, np.linalg.LinAlgError) as exc:
         print(f"capaf: numerical failure: {exc}", file=sys.stderr)

@@ -31,11 +31,11 @@ DEGENERATE_AREA = 1e-16
 class EmbeddedPatch:
     """Triangulated embedded surface with per-node normals.
 
-    support is the support function the patch was built from (the body
-    itself when embed is given one), values its node values; positions and normals are (n_rho+1, n_phi, 3); triangles
-    index into the row-major flattening of the node array.  The pole hole
-    inside the first node ring is closed by a polygon fan, so the mesh is a
-    topological disk whose boundary is the contact ring.
+    support is the support function the patch was built from (the body itself
+    when embed is given one), values its node values; positions and normals
+    are (n_rho+1, n_phi, 3); triangles index the row-major flattening of the
+    node array.  A polygon fan closes the pole hole inside the first node
+    ring, so the mesh is a topological disk bounded by the contact ring.
     """
 
     grid: CapGrid

@@ -12,10 +12,11 @@ rest nonpositive.  This module builds the weight, assembles the operator as a
 sparse symmetric weak form (the contact-angle condition enters as a natural
 boundary term) and restricts it to the fields whose boundary row obeys that
 condition, through the grid's own boundary stencil: the result is the
-Pencil (A, M) on that trial space.  The assembly sums the products of
-the stencil entries of the form's factors in one vectorized pass, folds the
-boundary row in after, and forms no product of lattice matrices; A comes
-out symmetric bit for bit.  The pencil keeps A and M as the groups they
+Pencil (A, M) on that trial space.  The form's factors and the trial
+basis are ``_stencil`` Stencils from that module's builders.  The assembly
+sums the products of their entries in one vectorized pass, folds every
+group through the basis after, and forms no product of lattice matrices; A
+comes out symmetric bit for bit.  The pencil keeps A and M as the groups they
 are assembled in, which scipy lays out as sparse matrices.  The module then
 solves for the top eigenpairs and packages the inequality checks that
 follow from it.  Every spectrum splits the ring average of its pencil once,
@@ -43,6 +44,7 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from ._stencil import Stencil, azimuthal, on_rows, radial, sbp
 from .capgrid import CapGrid, ShapeTensor
 from .capfun import as_field, certify, ell_values, horizontal_linear
 from .mixedvol import mixed_sequence, q2
@@ -139,83 +141,6 @@ _DISSIPATION = 0.25
 # antisymmetric: the weight of offset -o is minus that of o.
 _PHI1 = ((-2, 1.0), (-1, -8.0), (1, 8.0), (2, -1.0))
 
-# Summation-by-parts first derivative of interior order 4 with its diagonal
-# companion norm (boundary order 2).  The exact discrete integration-by-parts
-# identity H D + D^T H = boundary makes the weak form adjoint-consistent at
-# the contact ring, which one-sided closures are not: with them the top
-# eigenvalue drifts at low order instead of O(drho^2).
-_SBP_D_EDGE = (
-    (-24 / 17, 59 / 34, -4 / 17, -3 / 34),
-    (-1 / 2, 0.0, 1 / 2),
-    (4 / 43, -59 / 86, 0.0, 59 / 86, -4 / 43),
-    (3 / 98, 0.0, -59 / 98, 0.0, 32 / 49, -4 / 49),
-)
-_SBP_H_EDGE = (17 / 48, 59 / 48, 43 / 48, 49 / 48)
-_SBP_CENTER = (1 / 12, -2 / 3, 0.0, 2 / 3, -1 / 12)
-
-
-class _Stencil(NamedTuple):
-    """A lattice operator as its entries, sorted by row.
-
-    (G f)(i, j) is the sum, over the entries e with row[e] == i, of
-    weight[e] * f(col[e], j + shift[e]), with j + shift[e] taken mod n_phi:
-    a radial stencil with an azimuthal offset per entry.  Every factor of
-    the weak form has this shape; the pole mirror is the offset n_phi/2.
-    """
-
-    row: np.ndarray
-    col: np.ndarray
-    shift: np.ndarray
-    weight: np.ndarray
-
-
-def _radial_stencil(row, col, weight, n_phi: int) -> _Stencil:
-    """Radial entries; a negative col names the ghost node -1 - col, which
-    holds that node's value on the antipodal meridian.  Zeros are dropped."""
-    keep = weight != 0.0
-    ghost = col < 0
-    return _Stencil(row[keep], np.where(ghost, -1 - col, col)[keep],
-                    np.where(ghost, n_phi // 2, 0)[keep], weight[keep])
-
-
-def _azimuthal_stencil(rows, offsets, weights) -> _Stencil:
-    """The periodic stencil weights[r, k] at offsets[k] on each row rows[r]."""
-    k = len(offsets)
-    return _Stencil(np.repeat(rows, k), np.repeat(rows, k),
-                    np.tile(offsets, len(rows)), np.reshape(weights, -1))
-
-
-def _sbp_radial(n: int, h: float, n_phi: int) -> tuple[_Stencil, np.ndarray]:
-    """The radial derivative as a stencil, plus its diagonal norm.
-
-    The lattice has no axis boundary: rows near rho=0 stay centred and reach
-    across to the antipodal meridian (ghost columns).  The contact boundary
-    at rho=theta gets the four-row edge closure, reversed and negated.
-    """
-    inner = np.arange(n - 4)
-    rows = [np.repeat(inner, 5)]
-    cols = [rows[0] + np.tile(np.arange(-2, 3), n - 4)]
-    weights = [np.tile(np.array(_SBP_CENTER) / h, n - 4)]
-    for k, edge in enumerate(reversed(_SBP_D_EDGE)):
-        rows.append(np.full(len(edge), n - 4 + k))
-        cols.append(n - 1 - np.arange(len(edge)))
-        weights.append(-np.array(edge) / h)
-    norm = np.full(n, h)
-    norm[n - 4:] = np.array(_SBP_H_EDGE[::-1]) * h
-    return _radial_stencil(*map(np.concatenate, (rows, cols, weights)), n_phi), norm
-
-
-def _on_rows(rows: np.ndarray, st: _Stencil, n_rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs (i, b) with st.row[b] == rows[i]: each i with every entry
-    of st on its row, i ascending."""
-    per_row = np.bincount(st.row, minlength=n_rows)
-    reps = per_row[rows]
-    i = np.repeat(np.arange(rows.size), reps)
-    b = ((np.cumsum(per_row) - per_row)[rows[i]] + np.arange(i.size)
-         - np.repeat(np.cumsum(reps) - reps, reps))
-    return i, b
-
-
 def _sum_by_key(key, scale, rows, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct keys, ascending, and for each the sum of scale[p] *
     table[rows[p]] over its p: one sparse-times-dense product.  Each sum
@@ -285,7 +210,7 @@ class _Form(NamedTuple):
                 mean[keep])
 
 
-def _robin_basis(grid: CapGrid) -> _Stencil:
+def _robin_basis(grid: CapGrid) -> Stencil:
     """Columns span the fields whose ring row obeys the contact condition.
 
     The basis maps the unknowns, the rows below the ring, to node rows: the
@@ -300,9 +225,8 @@ def _robin_basis(grid: CapGrid) -> _Stencil:
     w = grid.boundary_weights
     fold = np.arange(ring - w.size + 1, ring)
     rows = np.arange(ring)
-    return _Stencil(np.append(rows, np.full(fold.size, ring)), np.append(rows, fold),
-                    np.zeros(ring + fold.size, dtype=int),
-                    np.append(np.ones(ring), w[:-1] / (grid.cot_theta - w[-1])))
+    return radial(np.append(rows, np.full(fold.size, ring)), np.append(rows, fold),
+                  np.append(np.ones(ring), w[:-1] / (grid.cot_theta - w[-1])), grid.n_phi)
 
 
 class _Groups(NamedTuple):
@@ -326,35 +250,19 @@ class _Groups(NamedTuple):
         return c1, d - R, e
 
 
-def _robin_fold(groups: _Groups, group, coef, basis: _Stencil):
+def _robin_fold(groups: _Groups, group, coef, basis: Stencil):
     """Restrict a form's groups to the trial space, basis^T F basis.
 
-    A group moves to the basis entries on its row and on its column, scaled
-    by both weights.  The basis is the identity below its fold rows (the rows
-    that carry the ring's weights), so a group whose row and column both lie
-    there is its own one-term sum and passes through.  Only the rest are
-    summed; their sums land on a fold row, so no key is shared and every sum
-    keeps its terms and their order.  Groups come ordered by row, so every
-    group before the first one folded passes through as one block, and only
-    the last rows' are merged.  Returns the groups, ascending, and their
-    coefficients.
+    Every group moves to the basis entries on its row and on its column,
+    scaled by both weights, and the moved groups are summed by key.  Returns
+    the groups, ascending, and their coefficients.
     """
-    ring = groups.n_rho - 1
-    first_fold = np.min(basis.col[basis.row == ring])
     c1, d, e = groups.unkey(group)
-    kept = (c1 < first_fold) & (c1 + d < first_fold)
-    head = int(np.argmin(kept))
-    rest = head + np.flatnonzero(~kept[head:])
-    i, b1 = _on_rows(c1[rest], basis, groups.n_rho)
-    j, b2 = _on_rows((c1 + d)[rest[i]], basis, groups.n_rho)
-    src, b1 = rest[i[j]], b1[j]
-    folded, sums = _sum_by_key(groups.key(basis.col[b1], basis.col[b2], e[src]),
-                               basis.weight[b1] * basis.weight[b2], src, coef)
-    tail = head + np.flatnonzero(kept[head:])
-    merged = np.concatenate([group[tail], folded])
-    order = np.argsort(merged)
-    return (np.concatenate([group[:head], merged[order]]),
-            np.concatenate([coef[:head], np.concatenate([coef[tail], sums])[order]]))
+    i, b1 = on_rows(c1, basis, groups.n_rho)
+    j, b2 = on_rows((c1 + d)[i], basis, groups.n_rho)
+    src, b1 = i[j], b1[j]
+    return _sum_by_key(groups.key(basis.col[b1], basis.col[b2], e[src]),
+                       basis.weight[b1] * basis.weight[b2], src, coef)
 
 
 @dataclass
@@ -395,24 +303,26 @@ def assemble_operator(space: WeightedSpace) -> Pencil:
     where Q(W) = (trW * Id - W)/2 is positive definite for convex references,
     and the contact-angle condition enters naturally through the ring terms
     (cot(theta) Q_mumu f g plus a tangential cross term, symmetrized).  The
-    gradients are the offset-lattice radial stencils (pole rows reach across
-    to the antipodal meridian) and banded periodic differences in phi.
+    gradients are the summation-by-parts radial stencil of ``_stencil.sbp``
+    (pole rows reach across to the antipodal meridian) and banded periodic
+    differences in phi.
 
-    Every term is G_s^T diag(c) G_t for two :class:`_Stencil` factors.  A
+    Every term is G_s^T diag(c) G_t for two ``_stencil.Stencil`` factors.  A
     pair of their entries on a common row adds a row of c, rolled by the
     first entry's azimuthal offset and scaled by both weights, to the
     coefficients of one lattice offset (d_rho, d_phi) on one radial row, so
     F, the form on the node lattice, is one sparse-times-dense product of
-    such rows.  The Robin basis acts on radial rows only: restricting F to
-    the trial space moves its ring row and column onto the five rows below,
-    scaled by their basis weights, in a second such product over the groups
-    that reach those rows; the rest pass through (:func:`_robin_fold`).
-    Folding after the sums rather than into each factor keeps every entry of
-    A within one ulp of max|A| of the same form summed in long double, and
-    leaves F whole for the norm that asymmetry is relative to.  The result
-    is symmetrized against its transpose, kept as its groups (a
-    :class:`_Form`), and laid out by scipy as A; no lattice matrix is
-    multiplied.
+    such rows.  The Robin basis is a Stencil too, and acts on radial rows
+    only: restricting F to the trial space (:func:`_robin_fold`) moves every
+    group to the basis entries on its row and column, scaled by their
+    weights, in a second such product.  The identity rows below the fold
+    give one-term sums, so only the ring row and column change: they move
+    onto the five rows below.  Folding after the sums rather than into each
+    factor keeps every entry of A within one ulp of max|A| of the same form
+    summed in long double, and leaves F whole for the norm that asymmetry is
+    relative to.  The result is symmetrized against its transpose, kept as
+    its groups (a :class:`_Form`), and laid out by scipy as A; no lattice
+    matrix is multiplied.
     """
     import scipy.sparse as sp
 
@@ -424,18 +334,18 @@ def assemble_operator(space: WeightedSpace) -> Pencil:
     phi1 = np.array([c for _, c in _PHI1]) / (12.0 * g.dphi)
     off3 = [o for o, _ in _D3]
     d3 = np.array([c for _, c in _D3])
-    G_rho, h_rho = _sbp_radial(R, g.drho, P)
+    G_rho, h_rho = sbp(R, g.drho, P)
     factors = {
         "rho": G_rho,
-        "phi": _azimuthal_stencil(rho, off1, (1.0 / g.sin_rho)[:, None] * phi1),
+        "phi": azimuthal(rho, off1, (1.0 / g.sin_rho)[:, None] * phi1),
         # The pole row reflects through the axis (antipodal meridian); the
         # last rows shift the stencil inward so it stays on the lattice.
-        "rho3": _radial_stencil(np.repeat(rho, 4), np.repeat(np.minimum(rho, R - 3), 4)
-                                + np.tile(off3, R), np.tile(d3, R), P),
-        "phi3": _azimuthal_stencil(rho, off3, np.tile(d3, (R, 1))),
-        "eye": _azimuthal_stencil(rho, [0], np.ones((R, 1))),
+        "rho3": radial(np.repeat(rho, 4), np.repeat(np.minimum(rho, R - 3), 4)
+                       + np.tile(off3, R), np.tile(d3, R), P),
+        "phi3": azimuthal(rho, off3, np.tile(d3, (R, 1))),
+        "eye": azimuthal(rho, [0], np.ones((R, 1))),
         # Tangential derivative along the ring.
-        "arc": _azimuthal_stencil([ring], off1, phi1[None] / g.sin_theta),
+        "arc": azimuthal([ring], off1, phi1[None] / g.sin_theta),
     }
     basis = _robin_basis(g)
 
@@ -476,7 +386,7 @@ def assemble_operator(space: WeightedSpace) -> Pencil:
         if not fields[field].any():  # the cap's Q_rho,phi and ring cross term
             continue
         s, t = factors[s_name], factors[t_name]
-        a, b = _on_rows(s.row, t, R)
+        a, b = on_rows(s.row, t, R)
         keys.append(key(s.col[a], t.col[b], t.shift[b] - s.shift[a]))
         sources.append((field * P + s.shift[a] % P) * R + s.row[a])
         scales.append(sign * s.weight[a] * t.weight[b])
@@ -509,7 +419,7 @@ def assemble_operator(space: WeightedSpace) -> Pencil:
     # M = basis^T diag(omega) basis, each product rounded as
     # (weight omega) weight, as the matrix product rounds it.
     omega = w * space.detA2 / (3.0 * space.f2)
-    a, b = _on_rows(basis.row, basis, R)
+    a, b = on_rows(basis.row, basis, R)
     group, mass = _sum_by_key(key(basis.col[a], basis.col[b], 0), np.ones(a.size), np.arange(a.size),
                               basis.weight[a, None] * omega[basis.row[a]] * basis.weight[b, None])
     M_form = _Form(*unkey(group), mass)
@@ -892,9 +802,11 @@ def spectrum(space: WeightedSpace, how_many: int = 8) -> SpectrumReport:
             A_red, M_red, k, precondition, start)
         stats = {"factor_nnz": factor_nnz, **counters}
     inside = np.nonzero((top_vals > WINDOW[0]) & (top_vals < WINDOW[1]))[0]
-    # Both solvers return the top k, so every unreturned eigenvalue lies at or
-    # below the last one, which the cli's smallest_eigenvalue gate holds at or
-    # below -kernel_threshold: no unreturned eigenvalue can lie in (0.01, 0.99).
+    # The per-mode solve returns the top k, as its inertia counts certify, so no
+    # unreturned eigenvalue lies above the last one, which the cli's
+    # smallest_eigenvalue gate holds at or below -kernel_threshold: none lies in
+    # (0.01, 0.99).  Block LOBPCG's k converged Ritz pairs are the top k only if
+    # its start block reaches every top eigenvector, which nothing certifies.
     window_empty = bool(inside.size == 0)
     window_note = "" if window_empty else f"{inside.size} eigenvalues inside {WINDOW}"
 

@@ -136,33 +136,31 @@ def radial_quadrature_by_panels(rho: np.ndarray) -> np.ndarray:
     return w
 
 
-def stencil_pair(rows, n_nodes: int) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """Sparse (plain, mirror) pair of an (n_nodes, n_nodes) radial operator.
+def stencil_pair(st, n_nodes: int) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """Sparse (plain, mirror) pair of an (n_nodes, n_nodes) radial Stencil.
 
-    rows[j] lists the (col, weight) entries of output row j; a negative col
-    names the ghost node -1-col, whose value lives on the antipodal meridian.
+    An entry with a nonzero shift reads its column on the antipodal meridian.
     On a field V of shape (n_nodes, n_phi) the operator is
     plain @ V + mirror @ roll(V, n_phi // 2, axis=1), and on the flattened
     field kron(plain, I) + kron(mirror, half-turn shift).  Repeated entries
     are summed; explicit zeros are dropped.
     """
-    entries = [(j, col, w) for j, row in enumerate(rows) for col, w in row]
-    j, col, w = (np.array(x) for x in zip(*entries))
-    ghost = col < 0
+    ghost = st.shift != 0
 
-    def build(mask, cols):
-        m = sp.csr_matrix((w[mask], (j[mask], cols[mask])), shape=(n_nodes, n_nodes))
+    def build(mask):
+        m = sp.csr_matrix((st.weight[mask], (st.row[mask], st.col[mask])),
+                          shape=(n_nodes, n_nodes))
         m.eliminate_zeros()
         return m
 
-    return build(~ghost, col), build(ghost, -1 - col)
+    return build(~ghost), build(ghost)
 
 
 def d_rho_by_csr(grid, values: np.ndarray, order: int) -> np.ndarray:
     """CapGrid.d_rho as the products by its scipy CSR pair: the reference
     whose summation order, and so whose bytes, the numpy stencil sums keep."""
     R, P = grid.node_shape
-    plain, mirror = stencil_pair(capaf._stencil.stencil_table(R, grid.drho, order), R)
+    plain, mirror = stencil_pair(capaf._stencil.fornberg(R, grid.drho, order, P), R)
     h = capaf._stencil.CENTER_HALF
     out = plain @ values
     out[:h] += mirror[:h, :h] @ np.roll(values[:h], P // 2, axis=1)
@@ -180,13 +178,13 @@ def _periodic(n_phi: int, stencil) -> sp.csr_matrix:
 
 
 def _sbp_rows(n: int, h: float) -> tuple[list, np.ndarray]:
-    spectral = capaf.spectral
-    rows = [[(j + off, c / h) for off, c in zip(range(-2, 3), spectral._SBP_CENTER)]
+    stencil = capaf._stencil
+    rows = [[(j + off, c / h) for off, c in zip(range(-2, 3), stencil.SBP_CENTER)]
             for j in range(n - 4)]
     rows += [[(n - 1 - k, -c / h) for k, c in enumerate(edge)]
-             for edge in reversed(spectral._SBP_D_EDGE)]
+             for edge in reversed(stencil.SBP_D_EDGE)]
     weights = np.full(n, h)
-    weights[n - 4:] = np.array(spectral._SBP_H_EDGE[::-1]) * h
+    weights[n - 4:] = np.array(stencil.SBP_H_EDGE[::-1]) * h
     return rows, weights
 
 
@@ -212,7 +210,11 @@ def assemble_operator_by_products(space: capaf.WeightedSpace):
     eyeP = sp.identity(P, format="csr")
 
     def radial(rows):
-        plain, mirror = stencil_pair(rows, R)
+        # rows[j] lists the (col, weight) entries of output row j; a negative
+        # col names the ghost node -1 - col.
+        j, col, w = (np.array(x) for x in zip(*[(j, c, w) for j, row in enumerate(rows)
+                                                for c, w in row]))
+        plain, mirror = stencil_pair(capaf._stencil.radial(j, col, w, P), R)
         return sp.kron(plain, eyeP) + sp.kron(mirror, shift)
 
     rows, h_rho = _sbp_rows(R, g.drho)
@@ -264,16 +266,24 @@ def assemble_operator_by_products(space: capaf.WeightedSpace):
     return types.SimpleNamespace(A=A, M=M, basis=basis, asymmetry=asym)
 
 
-def robin_fold_by_full_sum(groups, group, coef, basis):
-    """spectral._robin_fold with every group summed, the identity rows too:
-    the reference that the fold must match bit for bit."""
+def robin_fold_by_pass_through(groups, group, coef, basis):
+    """spectral._robin_fold with the groups clear of the fold rows passed
+    through unsummed: the basis is the identity there, so each such group is
+    its own one-term sum.  The fold must match it bit for bit."""
     spectral = capaf.spectral
+    on_rows = capaf._stencil.on_rows
+    first_fold = np.min(basis.col[basis.row == groups.n_rho - 1])
     c1, d, e = groups.unkey(group)
-    i, b1 = spectral._on_rows(c1, basis, groups.n_rho)
-    j, b2 = spectral._on_rows((c1 + d)[i], basis, groups.n_rho)
-    src, b1 = i[j], b1[j]
-    return spectral._sum_by_key(groups.key(basis.col[b1], basis.col[b2], e[src]),
-                                basis.weight[b1] * basis.weight[b2], src, coef)
+    kept = (c1 < first_fold) & (c1 + d < first_fold)
+    rest = np.flatnonzero(~kept)
+    i, b1 = on_rows(c1[rest], basis, groups.n_rho)
+    j, b2 = on_rows((c1 + d)[rest[i]], basis, groups.n_rho)
+    src, b1 = rest[i[j]], b1[j]
+    folded, sums = spectral._sum_by_key(groups.key(basis.col[b1], basis.col[b2], e[src]),
+                                        basis.weight[b1] * basis.weight[b2], src, coef)
+    merged = np.concatenate([group[kept], folded])
+    order = np.argsort(merged)
+    return merged[order], np.concatenate([coef[kept], sums])[order]
 
 
 def apply(space: capaf.WeightedSpace, f) -> np.ndarray:

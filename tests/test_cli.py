@@ -131,6 +131,27 @@ def test_config_errors_exit_three(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "threads").exists()
 
 
+@pytest.mark.parametrize("command", ["gen", "quermass", "af", "chain", "spectrum", "steiner",
+                                     "reconstruct", "report"])
+def test_a_negative_seed_is_refused_while_parsing(tmp_path, capsys, command):
+    argv = [command, "--grid", "16x16", "--seed", "-1", "--out", str(tmp_path / "out")]
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args(argv)
+    assert "argument --seed: " in capsys.readouterr().err
+    assert run(argv) == 3
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--theta", "nan"], ["--theta", "0"], ["--theta", repr(np.pi)], ["--theta", "4"],
+    ["--grid", "7x8"], ["--grid", "8x7"], ["--grid", "16x15"], ["--sweep", "16,9"],
+], ids=" ".join)
+def test_a_bad_theta_or_grid_creates_no_out(tmp_path, capsys, argv):
+    assert run(["spectrum", *argv, "--out", tmp_path / "out"]) == 3
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["af", "chain", "report"])
 def test_zero_trials_is_a_config_error(tmp_path, command):
     assert run([command, "--grid", "16x16", "--trials", "0", "--out", tmp_path]) == 3

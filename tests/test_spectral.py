@@ -14,7 +14,7 @@ import scipy.sparse.linalg
 import capaf
 
 from helpers import (apply, assemble_operator_by_products, bilinear, cap_space, grid,
-                     mode_bands_by_unique, robin_fold_by_full_sum, smooth_body)
+                     mode_bands_by_unique, robin_fold_by_pass_through, smooth_body)
 
 
 def test_weight_is_positive_for_a_convex_reference():
@@ -119,12 +119,13 @@ def test_stencil_assembly_matches_the_sparse_product_chain(reference, theta, n_r
 @pytest.mark.parametrize("n_rho, n_phi", [(8, 8), (16, 24), (40, 48), (64, 64)])
 def test_robin_fold_keeps_the_bytes_of_the_full_fold(monkeypatch, reference, theta, n_rho,
                                                       n_phi):
-    # Groups clear of the fold rows pass through; summing them too must give
-    # the same pencil, bit for bit.
+    # The fold sums every group, those clear of the fold rows too, each of
+    # which is one term times 1; passing them through unsummed must give the
+    # same pencil, bit for bit.
     g = grid(theta, n_rho, n_phi)
     space = capaf.WeightedSpace(g, _REFERENCES[reference](g))
     pencil = capaf.assemble_operator(space)
-    monkeypatch.setattr(capaf.spectral, "_robin_fold", robin_fold_by_full_sum)
+    monkeypatch.setattr(capaf.spectral, "_robin_fold", robin_fold_by_pass_through)
     expected = capaf.assemble_operator(space)
     for got, want in ((pencil.A, expected.A), (pencil.M, expected.M),
                       (pencil.basis, expected.basis)):

@@ -8,11 +8,12 @@ import pytest
 import capaf
 from capaf._stencil import (
     CENTER_HALF,
+    EDGE_POINTS,
+    RadialStencil,
+    fornberg,
     fornberg_weights,
     panel_weights,
     radial_quadrature,
-    radial_stencil,
-    stencil_table,
 )
 
 from helpers import d_rho_by_csr, grid, radial_quadrature_by_panels, tensor_bytes
@@ -93,7 +94,7 @@ def test_d_rho_differentiates_across_the_pole(deriv):
     g = capaf.build_grid(theta, n, n_phi)
     drho, rho = g.drho, g.rho_nodes
     cos = np.cos(g.phi_nodes)
-    assert radial_stencil(stencil_table(n + 1, drho, deriv), n + 1).mirror.any()
+    assert RadialStencil.of(fornberg(n + 1, drho, deriv, n_phi), n + 1).mirror.any()
 
     even = np.repeat((rho**4)[:, None], n_phi, axis=1)
     ref = 4 * 3 * rho**2 if deriv == 2 else 4 * rho**3
@@ -135,6 +136,17 @@ def test_d_rho_keeps_the_bytes_of_the_csr_pair(theta, shape):
         assert tensor_bytes(capaf.a_of(g, values)) == tensor_bytes(capaf.a_of(oracle, values)), name
 
 
-def test_stencil_table_rejects_bad_order():
+@pytest.mark.parametrize("shape", [(8, 8), (16, 24), (128, 130)], ids="{0[0]}x{0[1]}".format)
+@pytest.mark.parametrize("theta", [0.05, 1.2, 3.0])
+def test_boundary_row_keeps_all_six_weights(theta, shape):
+    # Stencils drop zero weights; the contact-angle row must still hold one
+    # weight per row of the last EDGE_POINTS, the plain one-sided Fornberg row.
+    g = capaf.build_grid(theta, *shape)
+    want = fornberg_weights(np.arange(1 - EDGE_POINTS, 1) * g.drho, 0.0, 1)[:, 1]
+    assert g.boundary_weights.shape == (EDGE_POINTS,)
+    assert g.boundary_weights.tobytes() == want.tobytes()
+
+
+def test_fornberg_stencil_rejects_bad_order():
     with pytest.raises(ValueError, match="deriv"):
-        stencil_table(12, 0.1, 3)
+        fornberg(12, 0.1, 3, 8)
