@@ -101,6 +101,11 @@ class Bound(NamedTuple):
 BOUNDS = {
     "quermass": Bound(1e-6, 4),
     "identity": Bound(1e-5, 4),
+    # The boundary-form V_2 of a reconstructed body converges at fourth order
+    # with a constant that grows like 1/theta^2 below theta 0.3: over
+    # random_body seeds 0-11 and 16x16 to 128x128 it peaks at 0.53 times this
+    # bound at theta 0.05, and below 0.015 times it from theta 0.3 up.
+    "boundary_v2": Bound(2e-5, 4),
     # The equality-family gap floor shrinks with the fourth power of the
     # spacing and clears 1e-8 only around 256 radial nodes, so its budget is
     # anchored there.
@@ -540,16 +545,14 @@ def cmd_reconstruct(args) -> list[str]:
     vol_quad = quad_route["V_0"]
     vol_err = abs(vol_mesh - vol_quad) / max(abs(vol_quad), 1e-300)
     boundary = {f"V_{k + 1}": boundary_form_quermass(patch, k) for k in (1, 2)}
-    # The boundary-form V_2 is not gated: at theta 0.05 its error reaches 1.04
-    # times the identity bound on 32x32 and 64x64 (random bodies, seeds 0-11),
-    # where V_3 stays below 5.3e-4 times it (theta 0.05-3.0, 16x16 to 128x128).
-    v3_err = abs(boundary["V_3"] - quad_route["V_3"]) / quad_route["V_3"]
+    err = {v: abs(boundary[v] - quad_route[v]) / quad_route[v] for v in boundary}
     gates = [
         Gate("contact_angle", contact, tol["contact"], "<="),
         Gate("planarity", planar, tol["identity"], "<="),
         Gate("interior_min_height", interior, tol["interior"], ">"),
         Gate("volume_rel_err", vol_err, tol["volume"], "<="),
-        Gate("boundary_form_V_3", v3_err, tol["identity"], "<="),
+        Gate("boundary_form_V_2", err["V_2"], tol["boundary_v2"], "<="),
+        Gate("boundary_form_V_3", err["V_3"], tol["identity"], "<="),
     ]
     mesh = Path(args.out) / "patch.obj"
     export_mesh(patch, mesh)

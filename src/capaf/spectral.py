@@ -21,17 +21,17 @@ are assembled in, which scipy lays out as sparse matrices.  The module then
 solves for the top eigenpairs and packages the inequality checks that
 follow from it.  Every spectrum splits the ring average of its pencil once,
 from those groups, into one banded Hermitian pencil per azimuthal Fourier
-mode, held as lower bands.  A rotationally invariant
-reference makes the pencil block-circulant in phi, so that split is exact:
-Sylvester inertia of the modes' banded LDL^H factors counts the eigenvalues
+mode, held as lower bands, and factors its modes by one banded LDL^H.  A
+rotationally invariant reference makes the pencil block-circulant in phi, so
+that split is exact: the factor's Sylvester inertia counts the eigenvalues
 above any shift exactly, and a small eigh on the modes that hold the top k
-solves them.  Any other reference gets a block LOBPCG, preconditioned by a
-banded Cholesky factor of each mode of 1.5 M - A (which checks that the
-preconditioner is positive definite) and started from the exact top modes.
-It takes A's products with its iterates from those with its basis, and
-checks its residuals afresh before it stops; its counts are those of its
-Ritz values.  The functions that call scipy import it themselves, so
-importing capaf loads numpy alone and scipy arrives with the first pencil.
+solves them.  Any other reference gets a block LOBPCG, preconditioned by the
+same LDL^H of 1.5 M - A (its pivots check that it is positive definite) and
+started from the exact top modes.  It takes A's products with its iterates
+from those with its basis, and checks its residuals afresh before it stops;
+its counts are those of its Ritz values.  The functions that call scipy
+import it themselves, so importing capaf loads numpy alone and scipy arrives
+with the first pencil.
 """
 
 from __future__ import annotations
@@ -55,8 +55,7 @@ if TYPE_CHECKING:
 WINDOW = (0.01, 0.99)
 # The block eigensolver's preconditioner factors the ring average of s M - A
 # at s = _SHIFT.  The shift lies above the top eigenvalue 1, so its mode
-# matrices (diagonal blocks of its unitary transform) are positive definite,
-# which their Cholesky factors check.
+# matrices are positive definite, which the pivots of their LDL^H check.
 _SHIFT = 1.5
 # lambda1 counts as simple when the next eigenvalue lies at least this far
 # below it; the paper's dichotomy puts the next one at 0 or below.
@@ -496,12 +495,11 @@ class _ModePencil:
     0 < m < n_phi/2 stand for the pair m and -m, whose real eigenvectors are
     the cos and sin parts, so each of their eigenvalues counts twice.  Every
     count below is exact for the ring average by Sylvester's law of inertia.
-    Every reader takes the lower triangle only, so each mode is held once in
-    LAPACK lower band storage, filled from the forms' groups with d <= 0:
-    a[d, i, m] is entry (i + d, i) of A_m for d = 0..bw (the radial
-    bandwidth of either form's stored entries), and m likewise for M_m, zero
-    past the lattice and padded by bw rows for the Schur updates of
-    :meth:`inertia`.
+    Every reader takes the lower triangle only, so each mode is held once as
+    lower bands, filled from the forms' groups with d <= 0: a[d, i, m] is
+    entry (i + d, i) of A_m for d = 0..bw (the radial bandwidth of either
+    form's stored entries), and m likewise for M_m, zero past the lattice and
+    padded by bw rows for the Schur updates of :meth:`_factor`.
     """
 
     def __init__(self, pencil: Pencil):
@@ -520,69 +518,71 @@ class _ModePencil:
         self.multiplicity = np.full(P // 2 + 1, 2)
         self.multiplicity[[0, -1]] = 1
 
-    def inertia(self, shifts) -> tuple[np.ndarray, np.ndarray]:
-        """Per-mode counts of eigenvalues above each shift, and each shift's
-        smallest relative pivot.
-
-        The unpivoted banded LDL^H of s M_m - A_m, for every shift s and
-        mode m at once, has as many negative pivots as (A_m, M_m) has
-        eigenvalues above s, since M_m is positive definite (Sylvester's law
-        of inertia).  A pivot's relative size is |d_j| over the diagonal entry
-        it came from; a small one means cancellation, and the count is then
-        not certified.  Returns counts of shape (len(shifts), n_modes),
-        without multiplicity.
-        """
-        bw, n = self.bw, self.n_rho
-        s = np.asarray(shifts, dtype=float)
-        # The shift and the mode are the trailing axes, so each column's
-        # entries are contiguous.
-        work = self.m[:, :, None, :] * s[:, None] - self.a[:, :, None, :]
-        diag = np.abs(work[0, :n])
-        pivots = np.empty((n, s.size, work.shape[-1]))
-        a_idx, b_idx = (x + 1 for x in np.triu_indices(bw))
-        for j in range(n):
-            d = pivots[j] = work[0, j].real
-            l = work[1:, j] / d
+    def _factor(self, shifts) -> np.ndarray:
+        """The unpivoted banded LDL^H of s M_m - A_m for all shifts s and modes
+        m, in place in the padded bands, shift and mode trailing so each column
+        is contiguous: [0, j, i, m] holds pivot d_j of shift i in its real part,
+        [a, j, i, m] L(j + a, j).  M_m is positive definite, so the negative
+        pivots count the eigenvalues of (A_m, M_m) above s (Sylvester's law)."""
+        work = self.m[:, :, None, :] * np.asarray(shifts, dtype=float)[:, None]
+        work -= self.a[:, :, None, :]
+        a_idx, b_idx = (x + 1 for x in np.triu_indices(self.bw))
+        for j in range(self.n_rho):
+            d, l = work[0, j].real, work[1:, j]
+            l /= d
             # Schur update of the trailing band: entry (j+b, j+a) loses
             # L(j+b, j) d conj(L(j+a, j)) for 1 <= a <= b <= bw.
             work[b_idx - a_idx, j + a_idx] -= d * l[b_idx - 1] * np.conj(l[a_idx - 1])
+        return work
+
+    def inertia(self, shifts) -> tuple[np.ndarray, np.ndarray]:
+        """Per-mode counts of eigenvalues above each shift, the negative
+        pivots of :meth:`_factor`, of shape (len(shifts), n_modes) and
+        without multiplicity, and each shift's smallest relative pivot:
+        |d_j| over the diagonal entry it came from.  A small one means
+        cancellation, and the count is then not certified."""
+        n, s = self.n_rho, np.asarray(shifts, dtype=float)
+        diag = np.abs(self.m[0, :n, None, :] * s[:, None] - self.a[0, :n, None, :])
+        pivots = self._factor(s)[0, :n].real
         return (np.count_nonzero(pivots < 0.0, axis=0),
                 np.min(np.abs(pivots) / diag, axis=(0, 2)))
 
     def solver(self, shift: float):
-        """A solve with the ring average of shift * M - A, one mode at a time.
-
-        Each mode matrix shift M_m - A_m gets a banded Cholesky factor
-        (LAPACK zpbtrf on the lower bands), which exists only when the
-        matrix is positive definite: a mode that is not raises RuntimeError.
-        A solve is an rfft along phi, one banded solve per mode for the whole
-        block of right-hand sides, and an irfft.  Returns the solve and the
-        number of entries the band factors store.
-        """
-        from scipy.linalg import lapack
-
-        n, P = self.n_rho, self.n_phi
-        work = shift * self.m[:, :n] - self.a[:, :n]
-        factors = []
-        for m in range(work.shape[-1]):
-            c, info = lapack.zpbtrf(work[:, :, m], lower=1)
-            if info != 0:
-                raise RuntimeError(f"azimuthal mode {m} of {shift} M - A is not "
-                                   f"positive definite (zpbtrf info {info})")
-            factors.append(c)
+        """A solve with the ring average of shift * M - A by the counts' own
+        factor (:meth:`_factor`), and the number of entries of L and D.  The
+        first mode with a pivot that is not positive and finite, so not
+        positive definite, raises RuntimeError before anything divides by D.
+        A solve is an rfft along phi, a forward sweep of L, a division by D
+        and a backward sweep of L^H over the radial rows, for every mode and
+        column at once, and an irfft."""
+        n, P, bw = self.n_rho, self.n_phi, self.bw
+        factor = self._factor([shift])[:, :n, 0]
+        d = factor[0].real.copy()  # the solve keeps no view of the whole band
+        bad = np.flatnonzero(~np.all((d > 0.0) & (d < np.inf), axis=0))
+        if bad.size:
+            raise RuntimeError(f"azimuthal mode {bad[0]} of {shift} M - A is not positive "
+                               f"definite (smallest pivot {np.min(d[:, bad[0]]):.3e})")
+        # As (a, column, mode): lower[j, a - 1] = L(j + a, j), upper[j, bw - a] = conj L(j, j - a).
+        lower = factor[1:].transpose(1, 0, 2)[:, :, None].copy()
+        upper = np.zeros_like(lower)
+        for a in range(1, bw + 1):
+            upper[a:, bw - a] = np.conj(lower[:n - a, a - 1])
 
         def solve(x):
-            # x is one vector or a block of them, one per column.
-            lattice = x.reshape(n, P, *x.shape[1:])
-            coeffs = np.fft.rfft(lattice, axis=1).swapaxes(0, 1).copy()
-            for m, c in enumerate(factors):
-                coeffs[m], info = lapack.zpbtrs(c, coeffs[m], lower=1)
-                if info != 0:
-                    raise RuntimeError(f"banded solve of azimuthal mode {m} failed "
-                                       f"(zpbtrs info {info})")
-            return np.fft.irfft(coeffs.swapaxes(0, 1), n=P, axis=1).reshape(x.shape)
+            # x is one vector or a block of them, one per column.  y holds the
+            # radial rows between bw padding rows, each as (column, mode), so
+            # every update runs over the modes innermost for any block width.
+            y = np.zeros((n + 2 * bw, x.size // (n * P), P // 2 + 1), dtype=complex)
+            rows, step = y[bw:n + bw], np.empty_like(y[:bw])
+            rows[...] = np.fft.rfft(x.reshape(n, P, -1), axis=1).transpose(0, 2, 1)
+            for j in range(n):
+                y[bw + j + 1:2 * bw + j + 1] -= np.multiply(lower[j], rows[j], out=step)
+            rows /= d[:, None]
+            for j in range(n - 1, -1, -1):
+                y[j:bw + j] -= np.multiply(upper[j], rows[j], out=step)
+            return np.fft.irfft(rows.transpose(0, 2, 1), n=P, axis=1).reshape(x.shape)
 
-        return solve, int(sum(c.size for c in factors))
+        return solve, int(factor.size)
 
     def _dense(self, low: np.ndarray, m: int) -> np.ndarray:
         """Mode m's matrix from its lower bands, as its lower triangle: the
@@ -770,10 +770,10 @@ def spectrum(space: WeightedSpace, how_many: int = 8) -> SpectrumReport:
     for bit, makes the pencil block-circulant in phi, so the split is the
     pencil itself: it is counted exactly by inertia and solved only in the
     modes that hold the top k.  Any other reference gets the block
-    eigensolver, preconditioned by the split's banded Cholesky solve of
-    1.5 M - A and started from its top k + 2 eigenvectors.  The eigenpair
-    residuals of :func:`_residuals` on the full pencil are reported either
-    way.
+    eigensolver, preconditioned by the split's LDL^H solve of 1.5 M - A (the
+    factor its counts use) and started from its top k + 2 eigenvectors.  The
+    eigenpair residuals of :func:`_residuals` on the full pencil are reported
+    either way.
     """
     if how_many < 1:
         raise ValueError(f"how_many must be at least 1, got {how_many}")

@@ -748,6 +748,11 @@ def minkowski_spoiled(spoiled_k):
     return lambda real: lambda grid, body, k: 1.0 if k == spoiled_k else real(grid, body, k)
 
 
+def boundary_form_spoiled(spoiled_k, factor):
+    """boundary_form_quermass with its value for spoiled_k times factor."""
+    return lambda real: lambda patch, k: real(patch, k) * (factor if k == spoiled_k else 1.0)
+
+
 def last_replaced(values, value):
     return [*values[:-1], value]
 
@@ -799,9 +804,11 @@ GATE_CASES = [
     # The bound is strict: a height of exactly zero fails.
     ("interior_min_height", ["reconstruct"], "interior_min_height", spoiled(lambda v: 0.0)),
     ("volume_rel_err", ["reconstruct"], "enclosed_volume", spoiled(lambda v: 2.0 * v)),
-    # Doubles the boundary-form V_2 as well, which is reported but not gated.
+    # boundary_form_quermass(patch, k) is the boundary-form V_(k + 1).
+    ("boundary_form_V_2", ["reconstruct"], "boundary_form_quermass",
+     boundary_form_spoiled(1, 2.0)),
     ("boundary_form_V_3", ["reconstruct"], "boundary_form_quermass",
-     spoiled(lambda v: 2.0 * v)),
+     boundary_form_spoiled(2, 2.0)),
     ("reconstruct", ["report", "--trials", "2"], "planarity_residual", spoiled(lambda v: 1.0)),
 ]
 
@@ -818,6 +825,18 @@ def test_each_gate_trips_past_its_bound(bundle, tmp_path, monkeypatch, gate, arg
     # Each command passes unspoiled, so this gate alone fails.
     assert [g["name"] for g in rep["gates"] if not g["passed"]] == [gate]
     assert gates(rep)[gate]["margin"] <= 0
+
+
+def test_the_boundary_form_v2_gate_trips_at_one_percent(tmp_path, monkeypatch):
+    # 32x32 at theta 1.2 measures 5.9e-6 against a bound of 4.9e-3 there; a
+    # V_2 one percent off breaches it, and that gate alone fails.
+    argv = ["reconstruct", "--theta", "1.2", "--grid", "32x32"]
+    assert run([*argv, "--out", tmp_path / "exact"]) == 0
+    monkeypatch.setattr(cli, "boundary_form_quermass",
+                        boundary_form_spoiled(1, 1.0 + 1e-2)(cli.boundary_form_quermass))
+    assert run([*argv, "--out", tmp_path / "spoiled"]) == cli.EXIT_BREACH
+    rep = read_report(tmp_path / "spoiled", "reconstruct_report.json")
+    assert [g["name"] for g in rep["gates"] if not g["passed"]] == ["boundary_form_V_2"]
 
 
 # The block solver's kernel and window gates read its returned eigenvalues.

@@ -143,8 +143,9 @@ def test_cap_spectrum_at_128_is_byte_identical_across_blas_thread_counts(tmp_pat
 
 
 def test_azimuthal_mode_solve_is_byte_identical_across_blas_thread_counts():
-    # Banded Cholesky per mode, not a dense inverse: a dense per-mode inverse
-    # changes its output bytes with the BLAS thread count at this size.
+    # The counts' own banded LDL^H, swept in numpy over all modes at once, not
+    # a dense inverse: a dense per-mode inverse changes its output bytes with
+    # the BLAS thread count at this size.
     script = (
         "import hashlib, numpy as np, capaf\n"
         "from capaf import spectral\n"

@@ -456,6 +456,48 @@ def test_block_eigensolver_matches_the_dense_pencil(reference, theta, n):
     assert rep.stats["n_solves"] > 0 and rep.stats["n_solves"] % 10 == 0
 
 
+def _reflected(values: np.ndarray) -> np.ndarray:
+    """values at phi -> -phi: phi index j -> -j mod n_phi."""
+    return np.roll(values[:, ::-1], 1, axis=1)
+
+
+@pytest.mark.parametrize("n", [24, 48])
+def test_a_roll_or_a_reflection_of_the_reference_keeps_its_spectrum(n):
+    # A roll by one phi step permutes the lattice: the pencil is the same but
+    # for the order in which the assembly and _Form.lower_diagonals sum along
+    # phi, so the eigenvalues agree to roundoff.  A reflection keeps every
+    # term of the form but the odd-even penalty, whose third difference
+    # reaches from j - 1 to j + 2 with its weight read at node j: reflected,
+    # the weight sits one node off, and the eigenvalues move at sixth order
+    # (5.2e-7 on 24x24, 5.5e-9 on 48x48).  Each runs the block eigensolver.
+    g = grid(2.2, n, n)
+    values = capaf.random_body(g, 40, amplitude=0.2).values
+    base = capaf.spectrum(capaf.WeightedSpace(g, values), how_many=8)
+    for moved, bound in ((np.roll(values, 1, axis=1), 1e-12),
+                         (_reflected(values), 2e-6 * (24 / n) ** 6)):
+        rep = capaf.spectrum(capaf.WeightedSpace(g, moved), how_many=8)
+        assert rep.solver == "block_lobpcg"
+        np.testing.assert_allclose(rep.eigenvalues, base.eigenvalues, rtol=0, atol=bound)
+        assert rep.kernel_indices == base.kernel_indices
+        assert rep.window_empty == base.window_empty
+        assert max(rep.residuals) < 1e-9
+
+
+def test_without_the_penalty_a_reflection_permutes_the_pencil(monkeypatch):
+    # The odd-even penalty is the only term that a reflection moves: with
+    # it, A moves by 8.7e-4 of its largest entry; without it, A and M move
+    # by 2.0e-14 and 2.9e-14, the roundoff of the reflected reference's
+    # shape tensor.
+    monkeypatch.setattr(capaf.spectral, "_DISSIPATION", 0.0)
+    g = grid(2.2, 24, 24)
+    values = capaf.random_body(g, 40, amplitude=0.2).values
+    base, moved = (capaf.assemble_operator(capaf.WeightedSpace(g, v))
+                   for v in (values, _reflected(values)))
+    phi = _reflected(np.arange(base.A.shape[0]).reshape(-1, g.n_phi)).ravel()
+    for got, want in ((moved.A, base.A), (moved.M, base.M)):
+        assert abs(got - want[phi][:, phi]).max() <= 1e-13 * abs(want).max()
+
+
 @pytest.mark.parametrize("theta", [0.3, 1.2, 3.0])
 @pytest.mark.parametrize("n", [16, 48])
 def test_the_cap_pencil_stops_at_its_ring_average_start(theta, n):
@@ -662,15 +704,47 @@ def test_azimuthal_mode_solve_matches_the_sparse_factor(n_rho, n_phi):
     assert stored == (n_phi // 2 + 1) * 5 * modes.n_rho
 
 
+def test_azimuthal_mode_solve_of_complex_hermitian_modes():
+    # The ring averages that capaf assembles have real mode matrices up to
+    # roundoff.  A radial coupling twisted by one phi step makes them complex
+    # Hermitian, so the solve is right only if its backward sweep conjugates L.
+    form = capaf.spectral._Form
+    # Four rings of 8 nodes: -2 on the diagonal, and 0.5 coupling node (i, j)
+    # to (i + 1, j + 1) and back; M = I.
+    rings = np.arange(4)
+    c1 = np.concatenate([rings, rings[:3], rings[1:]])
+    d, e = (np.repeat(x, [4, 3, 3]) for x in ([0, 1, -1], [0, 1, 7]))
+    order = np.lexsort((e, d, c1))
+    values = np.repeat(np.where(d == 0, -2.0, 0.5)[order, None], 8, axis=1)
+    A = form(c1[order], d[order], e[order], values)
+    M = form(rings, np.zeros(4, dtype=int), np.zeros(4, dtype=int), np.ones((4, 8)))
+    pencil = capaf.spectral.Pencil(A.csr(4).T, M.csr(4).tocsc(), sp.identity(32, format="csr"),
+                                   0.0, A, M)
+    assert (pencil.A != pencil.A.T).nnz == 0
+    modes = capaf.spectral._ModePencil(pencil)
+    assert np.max(np.abs(modes.a.imag)) > 0.1
+    solve, _ = modes.solver(1.0)
+    x = np.random.default_rng(5).standard_normal((32, 3))
+    expected = np.linalg.solve((pencil.M - pencil.A).toarray(), x)
+    assert np.max(np.abs(solve(x) - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def _ring_pencil(diagonal: float, neighbour: float):
+    """Three uncoupled rings of 8 nodes: A weighs each node by diagonal and
+    its two ring neighbours by neighbour, and M = I."""
+    form = capaf.spectral._Form
+    rings, zero = np.repeat(np.arange(3), 3), np.zeros(9, dtype=int)
+    A = form(rings, zero, np.tile([0, 1, 7], 3),
+             np.repeat([[diagonal], [neighbour], [neighbour]] * 3, 8, axis=1))
+    M = form(np.arange(3), zero[:3], zero[:3], np.ones((3, 8)))
+    return capaf.spectral.Pencil(A.csr(3).T, M.csr(3).tocsc(), sp.identity(24, format="csr"),
+                                 0.0, A, M)
+
+
 def test_a_singular_azimuthal_mode_raises():
     # A = -K, K a periodic second difference on every ring, and M = I: the
     # constant mode of 0 M - A = K is singular.
-    form = capaf.spectral._Form
-    rings, zero = np.repeat(np.arange(3), 3), np.zeros(9, dtype=int)
-    A = form(rings, zero, np.tile([0, 1, 7], 3), np.repeat([[-2.0], [1.0], [1.0]] * 3, 8, axis=1))
-    M = form(np.arange(3), zero[:3], zero[:3], np.ones((3, 8)))
-    pencil = capaf.spectral.Pencil(A.csr(3).T, M.csr(3).tocsc(), sp.identity(24, format="csr"),
-                                   0.0, A, M)
+    pencil = _ring_pencil(-2.0, 1.0)
     ring = sp.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(8, 8)).toarray()
     ring[0, 7] = ring[7, 0] = 1.0
     assert np.array_equal(pencil.A.toarray(), np.kron(np.eye(3), ring))
@@ -679,13 +753,58 @@ def test_a_singular_azimuthal_mode_raises():
         modes.solver(0.0)
 
 
+def test_the_solver_names_the_first_mode_that_is_not_positive_definite():
+    # Mode m of -3 M - A is -1 + 2 cos(2 pi m / 8) on each of the three
+    # rings: positive in modes 0 and 1, negative from mode 2 on.
+    modes = capaf.spectral._ModePencil(_ring_pencil(-2.0, -1.0))
+    assert modes.inertia([-3.0])[0][0].tolist() == [0, 0, 3, 3, 3]
+    with pytest.raises(RuntimeError, match="azimuthal mode 2 of -3.0 M - A is not positive definite"):
+        modes.solver(-3.0)
+    modes.solver(1.0)
+
+
 def test_a_mode_that_is_not_positive_definite_raises():
     # lambda1 = 1 lies in mode 0, above the shift 0.5: 0.5 M_0 - A_0 is
-    # indefinite.  A pivoted LU factors it without complaint; Cholesky refuses.
+    # indefinite.  A pivoted LU factors it without complaint; the pivots of
+    # its LDL^H refuse it.
     modes, _ = _mode_pencil(cap_space(1.2, 16, 16))
     with pytest.raises(RuntimeError, match="azimuthal mode 0 .*not positive definite"):
         modes.solver(0.5)
     modes.solver(capaf.spectral._SHIFT)
+
+
+@pytest.mark.parametrize("reference", ["cap", "random"])
+@pytest.mark.parametrize("theta", [0.3, 2.2])
+@pytest.mark.parametrize("n", [16, 32, 48])
+def test_the_solver_refuses_exactly_the_modes_that_inertia_counts(monkeypatch, reference, theta, n):
+    # The counts and the preconditioner read one factor: the solve at s is
+    # refused exactly when inertia([s]) counts an eigenvalue above s in some
+    # mode, the refusal names the first such mode, and both read the same
+    # pivots bit for bit.
+    g = grid(theta, n, n)
+    ref = capaf.ell(g) if reference == "cap" else capaf.random_body(g, 40, amplitude=0.2)
+    modes, _ = _mode_pencil(capaf.WeightedSpace(g, ref))
+    factor, pivots = capaf.spectral._ModePencil._factor, []
+
+    def recording(self, shifts):
+        work = factor(self, shifts)
+        pivots.append(work[0, :self.n_rho].real.tobytes())
+        return work
+
+    monkeypatch.setattr(capaf.spectral._ModePencil, "_factor", recording)
+    refused = []
+    for s in (0.5, 1.0, 1.01, 1.5, 3.0):
+        above = np.flatnonzero(modes.inertia([s])[0][0])
+        if above.size:
+            with pytest.raises(RuntimeError, match=f"azimuthal mode {above[0]} of "):
+                modes.solver(s)
+        else:
+            modes.solver(s)
+        assert len(pivots) == 2 and pivots[0] == pivots[1]
+        pivots.clear()
+        refused.append(bool(above.size))
+    # lambda1 = 1 lies in mode 0; the pencil's spectrum lies below 1.5.
+    assert refused[0] and not any(refused[3:])
 
 
 def test_every_reference_factors_the_same_shifted_pencil(monkeypatch):
