@@ -309,6 +309,9 @@ def _cap_meridian_tensor(grid: CapGrid) -> ShapeTensor:
     return ShapeTensor._make(plane[:, :1].copy() for plane in full)
 
 
+# Huge radii or amplitudes may overflow: -inf reads as a sure miss and NaN never
+# does, so no acceptable halving is skipped and the exact check still decides.
+@np.errstate(over="ignore", invalid="ignore")
 def _predicted_misses(grid: CapGrid, lv: np.ndarray, u: np.ndarray,
                       base_radius: float, amplitude: float) -> int:
     """Number of leading halvings of amplitude that the margin check would reject.

@@ -225,7 +225,7 @@ def a_of(grid: CapGrid, values: np.ndarray) -> ShapeTensor:
 def tensor_eigenvalues(A: ShapeTensor) -> tuple[np.ndarray, np.ndarray]:
     """Pointwise (smaller, larger) eigenvalues of a symmetric 2x2 tensor field."""
     mean = 0.5 * (A.rr + A.pp)
-    rad = np.sqrt((0.5 * (A.rr - A.pp)) ** 2 + A.rp ** 2)
+    rad = np.hypot(0.5 * (A.rr - A.pp), A.rp)  # no square to overflow
     return mean - rad, mean + rad
 
 

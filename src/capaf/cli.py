@@ -498,7 +498,7 @@ def cmd_spectrum(args) -> list[str]:
     if counts is not None:
         gates.append(Gate("inertia_pivot", counts["min_relative_pivot"],
                           tol["inertia_pivot"], ">="))
-    if args.reference == "cap" and rep.kernel_cosine is not None:
+    if rep.kernel_cosine is not None:
         gates.append(Gate("kernel_cosine", rep.kernel_cosine, 1.0 - tol["kernel_cos"], ">="))
     rows = [[i, v, r] for i, (v, r) in enumerate(zip(rep.eigenvalues, rep.residuals))]
     payload = {

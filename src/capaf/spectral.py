@@ -6,32 +6,33 @@ With a fixed convex reference field f2, the operator
 
 is formally self-adjoint in L2 of the weight d_omega = det A[f2] / (3 f2) dsigma,
 and its bilinear form reproduces the mixed volume: <f, A g>_omega = V(f, g, f2).
-Its spectrum carries the quadratic inequality: a simple eigenvalue 1 on top,
-a two-dimensional kernel spanned by the horizontal linear functions, and the
+Its spectrum carries the quadratic inequality: a simple eigenvalue 1 on top, a
+two-dimensional kernel spanned by the horizontal linear functions, and the
 rest nonpositive.  This module builds the weight, assembles the operator as a
 sparse symmetric weak form (the contact-angle condition enters as a natural
 boundary term) and restricts it to the fields whose boundary row obeys that
-condition, through the grid's own boundary stencil: the result is the
-Pencil (A, M) on that trial space.  The form's factors and the trial
-basis are ``_stencil`` Stencils from that module's builders.  The assembly
-sums the products of their entries in one vectorized pass, folds every
-group through the basis after, and forms no product of lattice matrices; A
-comes out symmetric bit for bit.  The pencil keeps A and M as the groups they
-are assembled in, which scipy lays out as sparse matrices.  The module then
-solves for the top eigenpairs and packages the inequality checks that
-follow from it.  Every spectrum splits the ring average of its pencil once,
-from those groups, into one banded Hermitian pencil per azimuthal Fourier
-mode, held as lower bands, and factors its modes by one banded LDL^H.  A
-rotationally invariant reference makes the pencil block-circulant in phi, so
+condition, through the grid's own boundary stencil: the result is the Pencil
+(A, M) on that trial space.  The form's factors and the trial basis are
+``_stencil`` Stencils from that module's builders.  The assembly sums the
+products of their entries in one vectorized pass, folds every group through
+the basis after, and forms no product of lattice matrices; A comes out
+symmetric bit for bit.  The pencil holds A and M only as the groups they are
+assembled in, which scipy lays out as sparse matrices on first read.  The
+module then solves for the top eigenpairs and packages the inequality checks
+that follow from it.  Every spectrum splits the ring average of its pencil
+once, from those groups, into one banded Hermitian pencil per azimuthal
+Fourier mode, held as lower bands, and factors its modes by one banded LDL^H.
+A rotationally invariant reference makes the pencil block-circulant in phi, so
 that split is exact: the factor's Sylvester inertia counts the eigenvalues
 above any shift exactly, and a small eigh on the modes that hold the top k
 solves them.  Any other reference gets a block LOBPCG, preconditioned by the
 same LDL^H of 1.5 M - A (its pivots check that it is positive definite) and
 started from the exact top modes.  It takes A's products with its iterates
 from those with its basis, and checks its residuals afresh before it stops;
-its counts are those of its Ritz values.  The functions that call scipy
-import it themselves, so importing capaf loads numpy alone and scipy arrives
-with the first pencil.
+its counts are those of its Ritz values.  The found kernel is compared with
+the exact linears in M's inner product.  The functions that call scipy import
+it themselves, so importing capaf loads numpy alone and scipy arrives with the
+first pencil.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -264,31 +266,43 @@ def _robin_fold(groups: _Groups, group, coef, basis: Stencil):
                        basis.weight[b1] * basis.weight[b2], src, coef)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Pencil:
     """Weak-form (Galerkin) pencil of the weighted operator on the trial space.
 
-    The trial space is the fields whose boundary row obeys the contact
-    condition; basis maps its unknowns to node vectors.  A is the symmetric
-    stiffness-plus-mass matrix of the bilinear map (f, g) -> <f, A g>_omega
-    restricted to it, and M the Gram matrix of omega in the derivative
-    operator's companion quadrature (which differs from the reporting
-    quadrature in the six pole rows and the six rows nearest the boundary,
-    by up to 0.74 drho at 32x32), so the eigenproblem is A u = lambda M u.
-    Assembling the quadratic form instead of the raw second-order stencil
-    keeps A symmetric by construction, and its entries are symmetrized last,
-    so A equals its transpose bit for bit.  What the form leaves out is the
-    antisymmetric half of the boundary cross term; its size relative to the
-    form is recorded in asymmetry.  A_form and M_form are A and M in the
-    groups they are assembled in, which the azimuthal split reads.
+    The trial space, :func:`_robin_basis`, is the fields whose boundary row
+    obeys the contact condition.  A is the symmetric stiffness-plus-mass
+    matrix of the bilinear map (f, g) -> <f, A g>_omega restricted to it, and
+    M the Gram matrix of omega in the derivative operator's companion
+    quadrature (which differs from the reporting quadrature in the six pole
+    rows and the six rows nearest the boundary, by up to 0.74 drho at
+    32x32), so the eigenproblem is A u = lambda M u.  Assembling the
+    quadratic form instead of the raw second-order stencil keeps A symmetric
+    by construction, and its entries are symmetrized last, so A equals its
+    transpose bit for bit.  What the form leaves out is the antisymmetric
+    half of the boundary cross term; its size relative to the form is
+    recorded in asymmetry.  The pencil holds A and M only as A_form and
+    M_form, the groups they are assembled in, which the azimuthal split
+    reads; the sparse A and M are laid out from them on first read, once.
     """
 
-    A: sp.csc_matrix
-    M: sp.csc_matrix
-    basis: sp.csr_matrix
-    asymmetry: float
     A_form: _Form
     M_form: _Form
+    asymmetry: float
+
+    @property
+    def n_rings(self) -> int:
+        """Rings of unknowns: M is positive definite, so it stores the last one's diagonal."""
+        return int(self.M_form.c1[-1]) + 1
+
+    @cached_property
+    def A(self) -> sp.csc_matrix:
+        # A is symmetric, so its CSR form, transposed, is its CSC form.
+        return self.A_form.csr(self.n_rings).T
+
+    @cached_property
+    def M(self) -> sp.csc_matrix:
+        return self.M_form.csr(self.n_rings).tocsc()
 
 
 def assemble_operator(space: WeightedSpace) -> Pencil:
@@ -320,11 +334,8 @@ def assemble_operator(space: WeightedSpace) -> Pencil:
     factor keeps every entry of A within one ulp of max|A| of the same form
     summed in long double, and leaves F whole for the norm that asymmetry is
     relative to.  The result is symmetrized against its transpose, kept as
-    its groups (a :class:`_Form`), and laid out by scipy as A; no lattice
-    matrix is multiplied.
+    its groups (a :class:`_Form`); no lattice matrix is multiplied.
     """
-    import scipy.sparse as sp
-
     g = space.grid
     R, P = g.node_shape
     ring = R - 1
@@ -421,13 +432,7 @@ def assemble_operator(space: WeightedSpace) -> Pencil:
     a, b = on_rows(basis.row, basis, R)
     group, mass = _sum_by_key(key(basis.col[a], basis.col[b], 0), np.ones(a.size), np.arange(a.size),
                               basis.weight[a, None] * omega[basis.row[a]] * basis.weight[b, None])
-    M_form = _Form(*unkey(group), mass)
-    phi = np.arange(P)
-    basis_matrix = sp.csr_matrix((np.repeat(basis.weight, P), ((basis.row[:, None] * P + phi).ravel(),
-                                  (basis.col[:, None] * P + phi).ravel())), shape=(R * P, ring * P))
-    # A is symmetric, so its CSR form, transposed, is its CSC form.
-    return Pencil(A_form.csr(ring).T, M_form.csr(ring).tocsc(), basis_matrix, asym,
-                  A_form, M_form)
+    return Pencil(A_form, _Form(*unkey(group), mass), asym)
 
 
 # -- spectrum ------------------------------------------------------------------
@@ -466,20 +471,15 @@ class SpectrumReport:
         return {"solver": self.solver, **self.stats}
 
 
-def _kernel_cosine(space: WeightedSpace, vectors: np.ndarray) -> float | None:
-    """Smallest principal cosine between found kernel vectors and exact linears.
-
-    vectors are node vectors, one per column; None when there are none.
-    """
-    from scipy.linalg import subspace_angles
-
-    if vectors.shape[1] == 0:
+def _kernel_cosine(K: np.ndarray, MK: np.ndarray, L: np.ndarray, ML: np.ndarray) -> float | None:
+    """Smallest principal cosine, in M's inner product, between the found kernel
+    vectors K and the exact linears L (columns; MK = M @ K, ML = M @ L), or None
+    when K has none: the least singular value of Q_K^T M Q_L for bases made
+    M-orthonormal by SVQB (Knyazev & Argentati, SIAM J. Sci. Comput. 23(6), 2002)."""
+    if K.shape[1] == 0:
         return None
-    lins = np.stack([lin.reshape(-1) for lin in space.linears], axis=1)
-    # Scaling by sqrt(omega) turns the omega inner product into the Euclidean one.
-    root_w = np.sqrt(space.omega.reshape(-1))[:, None]
-    angles = subspace_angles(root_w * vectors, root_w * lins)
-    return float(np.cos(np.max(angles)))
+    cosines = np.linalg.svd(_svqb(K, MK).T @ (MK.T @ L) @ _svqb(L, ML), compute_uv=False)
+    return float(cosines[-1])
 
 
 class _ModePencil:
@@ -503,9 +503,8 @@ class _ModePencil:
     """
 
     def __init__(self, pencil: Pencil):
-        self.A, self.M = pencil.A, pencil.M
         self.n_phi = P = pencil.A_form.values.shape[1]
-        self.n_rho = n = pencil.A.shape[0] // P
+        self.n_rho = n = pencil.n_rings
         diagonals = [f.lower_diagonals() for f in (pencil.A_form, pencil.M_form)]
         self.bw = bw = max(int(np.max(below, initial=0)) for _, below, _, _ in diagonals)
         self.a, self.m = (np.zeros((bw + 1, n + bw, P // 2 + 1), dtype=complex) for _ in range(2))
@@ -594,8 +593,9 @@ class _ModePencil:
             out[rows[d:], rows[:n - d]] = low[d, :n - d, m]
         return out
 
-    def top(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
-        """The top k eigenpairs, largest first, with the mode of each.
+    def top(self, k: int) -> tuple[np.ndarray, np.ndarray, dict]:
+        """The ring average's top k eigenvectors, largest eigenvalue first, with
+        the mode of each.
 
         Counts at the shifts of _LADDER, doubled further until they hold k
         eigenvalues, say how many eigenvalues each mode has above the first
@@ -603,12 +603,10 @@ class _ModePencil:
         eigh for exactly that many, so every eigenvalue not computed lies at
         or below s.  Eigenvectors are real, one per column on the trial
         lattice: u itself for modes 0 and n_phi/2, the cos and sin parts of
-        u exp(i m phi) for the others.  A mode's eigh is accurate to roundoff
-        of the pencil's largest eigenvalue (about 1e-11 at 128x128), so each
-        eigenvalue is the Rayleigh quotient of its eigenvector on the full
-        pencil, accurate to the square of the residual, in numpy sums.
-        Returns the eigenvalues, eigenvectors and modes, and the counts of
-        shifts factored and modes solved.
+        u exp(i m phi) for the others, ordered by their modes' eigh values,
+        which :func:`spectrum` refines on the full pencil.  Returns the
+        eigenvectors, their modes, and the counts of shifts factored and modes
+        solved.
         """
         from scipy.linalg import eigh
 
@@ -637,12 +635,8 @@ class _ModePencil:
                 modes.append(np.full(w.size, m))
         vals, vecs, modes = (np.concatenate(x, axis=-1) for x in (vals, vecs, modes))
         keep = np.argsort(-vals, kind="stable")[:k]
-        vecs, modes = vecs[:, keep], modes[keep]
-        vals = (np.sum(vecs * (self.A @ vecs), axis=0)
-                / np.sum(vecs * (self.M @ vecs), axis=0))
-        order = np.argsort(-vals, kind="stable")
         stats = {"inertia_shifts": len(shifts), "mode_solves": int(np.count_nonzero(counts))}
-        return vals[order], vecs[:, order], modes[order], stats
+        return vecs[:, keep], modes[keep], stats
 
 
 def _svqb(S: np.ndarray, MS: np.ndarray) -> np.ndarray:
@@ -674,13 +668,6 @@ def _residual_norms(M, lam: np.ndarray, X: np.ndarray, AX: np.ndarray, MX: np.nd
     return R, res
 
 
-def _residuals(A, M, lam: np.ndarray, X: np.ndarray):
-    """A @ X, the residual block R = A X - M X diag(lam), and its column
-    norms (:func:`_residual_norms`), every product taken afresh."""
-    AX = A @ X
-    return (AX, *_residual_norms(M, lam, X, AX, M @ X))
-
-
 def _block_eigensolver(A, M, k: int, precondition, start: np.ndarray):
     """The top k eigenpairs of A u = lambda M u, by block LOBPCG.
 
@@ -704,13 +691,13 @@ def _block_eigensolver(A, M, k: int, precondition, start: np.ndarray):
 
     Once each of the k wanted pairs has a residual below _BLOCK_TOL, in the
     norm of :func:`_residual_norms`, on those implicit products, the
-    residuals are taken again by :func:`_residuals`.  It stops if they pass
+    residuals are taken again from fresh products.  It stops if they pass
     too; if not, A [X, P] is multiplied out and the iteration goes on.
     Raises RuntimeError after _BLOCK_MAX_ITER iterations.  Returns the
     eigenvalues, largest first, the M-orthonormal eigenvectors as columns,
-    their explicit residuals, and the counts of n_solves (columns
-    preconditioned), iterations and residual_refreshes (explicit checks that
-    failed).
+    M times them, their explicit residuals, and the counts of n_solves
+    (columns preconditioned), iterations and residual_refreshes (explicit
+    checks that failed).
     """
     b = start.shape[1]
     S = start @ _svqb(start, M @ start)
@@ -735,9 +722,10 @@ def _block_eigensolver(A, M, k: int, precondition, start: np.ndarray):
         X = XP[:, :b]
         R, res = _residual_norms(M, lam, X, AXP[:, :b], MXP[:, :b])
         if np.all(res[:k] < _BLOCK_TOL):
-            res = _residuals(A, M, lam[:k], X[:, :k])[2]
+            MXk = M @ X[:, :k]
+            res = _residual_norms(M, lam[:k], X[:, :k], A @ X[:, :k], MXk)[1]
             if np.all(res < _BLOCK_TOL):
-                return lam[:k], X[:, :k], res, {
+                return lam[:k], X[:, :k], MXk, res, {
                     "n_solves": n_solves, "iterations": iteration, "residual_refreshes": refreshes}
             refreshes += 1
             AXP = A @ XP
@@ -771,9 +759,11 @@ def spectrum(space: WeightedSpace, how_many: int = 8) -> SpectrumReport:
     pencil itself: it is counted exactly by inertia and solved only in the
     modes that hold the top k.  Any other reference gets the block
     eigensolver, preconditioned by the split's LDL^H solve of 1.5 M - A (the
-    factor its counts use) and started from its top k + 2 eigenvectors.  The
-    eigenpair residuals of :func:`_residuals` on the full pencil are reported
-    either way.
+    factor its counts use) and started from its top k + 2 eigenvectors.
+    Either way the returned block is multiplied by A and by M once, for the
+    mode solve's Rayleigh quotients and residuals on the full pencil or for
+    the block solver's explicit check; its M product and that of the linears
+    also give the kernel cosine.
     """
     if how_many < 1:
         raise ValueError(f"how_many must be at least 1, got {how_many}")
@@ -781,7 +771,7 @@ def spectrum(space: WeightedSpace, how_many: int = 8) -> SpectrumReport:
     pencil = assemble_operator(space)
     per_mode = _ModePencil(pencil)
     # The split alone reads the forms: they are not held through the solve.
-    A_red, M_red, basis, asymmetry = pencil.A, pencil.M, pencil.basis, pencil.asymmetry
+    A_red, M_red, asymmetry = pencil.A, pencil.M, pencil.asymmetry
     del pencil
     N = A_red.shape[0]
     k = int(min(max(how_many, 6), N - 2))
@@ -789,16 +779,23 @@ def spectrum(space: WeightedSpace, how_many: int = 8) -> SpectrumReport:
     invariant = bool(np.all(space.f2 == space.f2[:, :1]))
     if invariant:
         solver = "azimuthal_modes"
-        top_vals, top_vecs, mode_of, stats = per_mode.top(k)
-        stats = {"modes": [int(m) for m in mode_of], **stats}
-        residuals = _residuals(A_red, M_red, top_vals, top_vecs)[2]
+        X, mode_of, stats = per_mode.top(k)
+        AX, MX = A_red @ X, M_red @ X
+        # A mode's eigh is accurate to roundoff of the largest eigenvalue (about
+        # 1e-11 at 128x128); Rayleigh quotients on the full pencil are accurate
+        # to the square of the residual, in numpy sums.
+        vals = np.sum(X * AX, axis=0) / np.sum(X * MX, axis=0)
+        order = np.argsort(-vals, kind="stable")
+        top_vals, top_vecs, AX, MX = vals[order], X[:, order], AX[:, order], MX[:, order]
+        stats = {"modes": [int(m) for m in mode_of[order]], **stats}
+        residuals = _residual_norms(M_red, top_vals, top_vecs, AX, MX)[1]
     else:
         solver = "block_lobpcg"
         # Factored before the start block is solved: the other order raised
         # the peak RSS of a 96x96 random spectrum.
         precondition, factor_nnz = per_mode.solver(_SHIFT)
-        start = per_mode.top(k + 2)[1]
-        top_vals, top_vecs, residuals, counters = _block_eigensolver(
+        start = per_mode.top(k + 2)[0]
+        top_vals, top_vecs, MX, residuals, counters = _block_eigensolver(
             A_red, M_red, k, precondition, start)
         stats = {"factor_nnz": factor_nnz, **counters}
     inside = np.nonzero((top_vals > WINDOW[0]) & (top_vals < WINDOW[1]))[0]
@@ -820,13 +817,12 @@ def spectrum(space: WeightedSpace, how_many: int = 8) -> SpectrumReport:
     # supported grids).  The relative floor keeps the threshold meaningful on
     # grids fine enough to beat both anchors.
     lins = np.stack([lin[:-1].reshape(-1) for lin in space.linears], axis=1)
-    B = lins.T @ (A_red @ lins)
-    G = lins.T @ (M_red @ lins)
-    ritz = np.linalg.eigvals(np.linalg.solve(G, B))
+    M_lins = M_red @ lins
+    ritz = np.linalg.eigvals(np.linalg.solve(lins.T @ M_lins, lins.T @ (A_red @ lins)))
     kernel_scale = float(np.max(np.abs(ritz)))
     thr = max(1e-6 * abs(lambda1), 3.0 * kernel_scale, g.drho**2)
     kernel_idx = [i for i, v in enumerate(top_vals) if abs(v) <= thr]
-    cosine = _kernel_cosine(space, (basis @ top_vecs)[:, kernel_idx])
+    cosine = _kernel_cosine(top_vecs[:, kernel_idx], MX[:, kernel_idx], lins, M_lins)
 
     counts = None
     if invariant:

@@ -197,6 +197,29 @@ def _robin_basis_by_kron(grid) -> sp.csr_matrix:
     return sp.vstack([sp.identity((R - 1) * P, format="csr"), ring_block]).tocsr()
 
 
+def robin_basis_matrix(grid) -> sp.csr_matrix:
+    """spectral._robin_basis laid out on the lattice as CSR, from unknowns to
+    node values: the matrix that _robin_basis_by_kron builds."""
+    R, P = grid.node_shape
+    plain, mirror = stencil_pair(capaf.spectral._robin_basis(grid), R)
+    assert mirror.nnz == 0
+    return sp.kron(plain[:, :R - 1], sp.identity(P, format="csr"), format="csr")
+
+
+def kernel_cosine_by_node_angles(space: capaf.WeightedSpace, vectors: np.ndarray) -> float:
+    """The smallest principal cosine between trial vectors, one per column,
+    and the exact linears, taken in the node weight omega of the reporting
+    quadrature after lifting the vectors to nodes through the Robin basis, by
+    scipy's subspace_angles.  The reference that spectrum's cosine in M's
+    inner product on the trial space is checked against."""
+    from scipy.linalg import subspace_angles
+
+    nodes = _robin_basis_by_kron(space.grid) @ vectors
+    lins = np.stack([lin.reshape(-1) for lin in space.linears], axis=1)
+    root_w = np.sqrt(space.omega.reshape(-1))[:, None]
+    return float(np.cos(np.max(subspace_angles(root_w * nodes, root_w * lins))))
+
+
 def assemble_operator_by_products(space: capaf.WeightedSpace):
     """spectral.assemble_operator as a chain of scipy sparse products: every
     factor of the weak form a sum of Kronecker products, multiplied out and

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -169,6 +171,28 @@ def test_generation_failure_exits_four(tmp_path, monkeypatch):
     monkeypatch.setattr(capaf.capfun, "MAX_HALVINGS", 0)
     assert run(["gen", "--grid", "16x16", "--amplitude", "50",
                 "--out", tmp_path]) == cli.EXIT_NUMERIC == 4
+
+
+@pytest.mark.parametrize("option, code", [("--base-radius", cli.EXIT_OK),
+                                          ("--amplitude", cli.EXIT_NUMERIC)])
+def test_gen_at_a_huge_radius_or_amplitude_warns_of_no_overflow(tmp_path, option, code):
+    # At base radius 1e200 the body is a scaled cap; squaring its tensor's
+    # entries once overflowed its eigenvalues, so every halving failed.  At
+    # amplitude 1e200 no body is convex, and the halving walk's products
+    # overflow on the way there.  Run with every warning an error.
+    src = os.path.dirname(os.path.dirname(capaf.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "capaf", "gen", "--theta", "1.2",
+                           "--grid", "16x16", "--count", "1", option, "1e200",
+                           "--out", str(tmp_path)],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == code, proc.stderr
+    assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+    if code == cli.EXIT_OK:
+        g = capaf.build_grid(1.2, 16, 16)
+        name = read_report(tmp_path, "gen_report.json")["files"][0]
+        body = capaf.load_body(tmp_path / name, g)
+        assert body.min_eig >= capaf.capfun.MARGIN * 1e200
 
 
 def test_help_exits_zero():
@@ -796,6 +820,9 @@ GATE_CASES = [
          r.residuals, 10.0 * cli.BOUNDS["residual"].budget)))),
     ("kernel_cosine", ["spectrum"], "spectrum",
      spoiled(lambda r: replace(r, kernel_cosine=0.5))),
+    # Every reference with a kernel gates its cosine, not only the cap.
+    ("kernel_cosine", ["spectrum", "--reference", "random"], "spectrum",
+     spoiled(lambda r: replace(r, kernel_cosine=0.5))),
     ("max_rel_err", ["steiner"], "steiner_check", spoiled(lambda r: replace(r, max_rel_err=1.0))),
     ("minkowski_k1", ["steiner"], "minkowski_identity_residual", minkowski_spoiled(1)),
     ("minkowski_k2", ["steiner"], "minkowski_identity_residual", minkowski_spoiled(2)),
@@ -813,8 +840,14 @@ GATE_CASES = [
 ]
 
 
+def gate_case_id(gate, argv, *_):
+    """command-gate, with the reference between them when it is not the cap."""
+    reference = argv[argv.index("--reference") + 1:][:1] if "--reference" in argv else []
+    return "-".join([argv[0], *reference, gate])
+
+
 @pytest.mark.parametrize("gate, argv, attribute, patch", [
-    pytest.param(*case, id=f"{case[1][0]}-{case[0]}") for case in GATE_CASES])
+    pytest.param(*case, id=gate_case_id(*case)) for case in GATE_CASES])
 def test_each_gate_trips_past_its_bound(bundle, tmp_path, monkeypatch, gate, argv, attribute,
                                        patch):
     monkeypatch.setattr(cli, attribute, patch(getattr(cli, attribute)))

@@ -1,9 +1,11 @@
 """Weighted operator, quadratic form inequality, spectrum dichotomy, chains."""
 
+import dataclasses
 import json
 import os
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -12,9 +14,11 @@ import scipy.sparse as sp
 import scipy.sparse.linalg
 
 import capaf
+from capaf.cli import BOUNDS
 
 from helpers import (apply, assemble_operator_by_products, bilinear, cap_space, grid,
-                     mode_bands_by_unique, robin_fold_by_pass_through, smooth_body)
+                     kernel_cosine_by_node_angles, mode_bands_by_unique, robin_basis_matrix,
+                     robin_fold_by_pass_through, smooth_body)
 
 
 def test_weight_is_positive_for_a_convex_reference():
@@ -106,7 +110,7 @@ def test_stencil_assembly_matches_the_sparse_product_chain(reference, theta, n_r
     # M is canonical, with the same bits at the same places.
     assert pencil.M.has_sorted_indices
     expected.M.sort_indices()
-    for got, want in ((pencil.M, expected.M), (pencil.basis, expected.basis)):
+    for got, want in ((pencil.M, expected.M), (robin_basis_matrix(g), expected.basis)):
         assert got.shape == want.shape and got.format == want.format
         for part in ("data", "indices", "indptr"):
             assert getattr(got, part).tobytes() == getattr(want, part).tobytes()
@@ -127,8 +131,7 @@ def test_robin_fold_keeps_the_bytes_of_the_full_fold(monkeypatch, reference, the
     pencil = capaf.assemble_operator(space)
     monkeypatch.setattr(capaf.spectral, "_robin_fold", robin_fold_by_pass_through)
     expected = capaf.assemble_operator(space)
-    for got, want in ((pencil.A, expected.A), (pencil.M, expected.M),
-                      (pencil.basis, expected.basis)):
+    for got, want in ((pencil.A, expected.A), (pencil.M, expected.M)):
         assert got.shape == want.shape and got.format == want.format
         for part in ("data", "indices", "indptr"):
             assert getattr(got, part).tobytes() == getattr(want, part).tobytes()
@@ -174,8 +177,10 @@ def test_trial_space_meets_the_grids_contact_angle_row(theta, n):
     # The trial space is built from the same boundary row that certify gates
     # with, so its fields meet robin_residual at roundoff.
     g = grid(theta, n, n)
-    basis = capaf.assemble_operator(capaf.WeightedSpace(g, capaf.ell(g))).basis
-    f = (basis @ np.random.default_rng(n).standard_normal(basis.shape[1])).reshape(g.node_shape)
+    basis = capaf.spectral._robin_basis(g)
+    unknowns = np.random.default_rng(n).standard_normal((g.node_shape[0] - 1, g.n_phi))
+    f = np.zeros(g.node_shape)
+    np.add.at(f, basis.row, basis.weight[:, None] * unknowns[basis.col])
     scale = np.sum(np.abs(g.boundary_weights)) + abs(g.cot_theta)
     bound = 2.0 * np.finfo(float).eps * scale * np.max(np.abs(f))
     assert np.max(np.abs(capaf.robin_residual(g, f))) <= bound
@@ -507,11 +512,12 @@ def test_the_cap_pencil_stops_at_its_ring_average_start(theta, n):
     k = 8
     modes = capaf.spectral._ModePencil(pencil)
     solved = []
-    vals, vecs, residuals, counters = capaf.spectral._block_eigensolver(
-        pencil.A, pencil.M, k, lambda x: solved.append(x) or x, modes.top(k + 2)[1])
+    vals, vecs, _, residuals, counters = capaf.spectral._block_eigensolver(
+        pencil.A, pencil.M, k, lambda x: solved.append(x) or x, modes.top(k + 2)[0])
     assert counters == {"n_solves": 0, "iterations": 0, "residual_refreshes": 0}
     assert solved == []
-    np.testing.assert_allclose(vals, modes.top(k)[0], rtol=0, atol=1e-12)
+    expected = capaf.spectrum(cap_space(theta, n, n), how_many=k).eigenvalues
+    np.testing.assert_allclose(vals, expected, rtol=0, atol=1e-12)
     assert max(residuals) < 1e-9
 
 
@@ -527,9 +533,11 @@ def test_block_solver_reports_its_explicit_residuals(monkeypatch):
 
     monkeypatch.setattr(capaf.spectral, "_block_eigensolver", recording)
     rep = capaf.spectrum(space, how_many=8)
-    vals, vecs = returned[0][:2]
+    vals, vecs, MX = returned[0][:3]
     pencil = capaf.assemble_operator(space)
-    expected = capaf.spectral._residuals(pencil.A, pencil.M, vals, vecs)[2]
+    assert MX.tobytes() == (pencil.M @ vecs).tobytes()
+    expected = capaf.spectral._residual_norms(pencil.M, vals, vecs, pencil.A @ vecs,
+                                              pencil.M @ vecs)[1]
     assert np.array(rep.residuals).tobytes() == expected.tobytes()
 
 
@@ -537,15 +545,17 @@ def test_a_failed_explicit_check_refreshes_and_iterates_on(monkeypatch):
     g = grid(2.2, 16, 16)
     space = capaf.WeightedSpace(g, capaf.random_body(g, 40, amplitude=0.2))
     plain = capaf.spectrum(space, how_many=8)
-    residuals = capaf.spectral._residuals
+    residual_norms = capaf.spectral._residual_norms
     checks = []
 
-    def failing_once(A, M, lam, X):
-        AX, R, res = residuals(A, M, lam, X)
-        checks.append(res)
-        return AX, R, res + (1.0 if len(checks) == 1 else 0.0)
+    def failing_once(M, lam, X, AX, MX):
+        R, res = residual_norms(M, lam, X, AX, MX)
+        if lam.size == 8:  # the explicit check of the 8 wanted pairs, not the 10 iterates
+            checks.append(res)
+            res = res + (1.0 if len(checks) == 1 else 0.0)
+        return R, res
 
-    monkeypatch.setattr(capaf.spectral, "_residuals", failing_once)
+    monkeypatch.setattr(capaf.spectral, "_residual_norms", failing_once)
     rep = capaf.spectrum(space, how_many=8)
     assert len(checks) == 2
     assert rep.stats["residual_refreshes"] == 1
@@ -598,8 +608,10 @@ def test_mode_bands_match_the_unique_grouping_bit_for_bit(reference, n_rho, n_ph
 def _assert_lower_half_of_the_unique_grouping(modes, pencil):
     n, P, bw = modes.n_rho, modes.n_phi, modes.bw
     widths = []
-    for low, matrix in ((modes.a, pencil.A), (modes.m, pencil.M)):
-        full = mode_bands_by_unique(matrix.tocsr(), (n, P))
+    # The forms laid out as they are: the skipped-zeros case has an A that is
+    # not symmetric, which Pencil.A, the transposed layout, would transpose.
+    for low, form in ((modes.a, pencil.A_form), (modes.m, pencil.M_form)):
+        full = mode_bands_by_unique(form.csr(n), (n, P))
         assert low.shape == (bw + 1, n + bw, P // 2 + 1)
         w = full.shape[1] // 2
         widths.append(w)
@@ -625,8 +637,7 @@ def test_mode_bands_skip_the_exact_zeros_a_matrix_does_not_store():
     form = capaf.spectral._Form
     A = form(c1, d, e, values)
     M = form(np.arange(4), np.zeros(4, dtype=int), np.zeros(4, dtype=int), np.ones((4, 8)))
-    pencil = capaf.spectral.Pencil(A.csr(4).tocsc(), M.csr(4).tocsc(),
-                                   sp.identity(32, format="csr"), 0.0, A, M)
+    pencil = capaf.spectral.Pencil(A, M, 0.0)
     _assert_lower_half_of_the_unique_grouping(capaf.spectral._ModePencil(pencil), pencil)
 
 
@@ -718,8 +729,7 @@ def test_azimuthal_mode_solve_of_complex_hermitian_modes():
     values = np.repeat(np.where(d == 0, -2.0, 0.5)[order, None], 8, axis=1)
     A = form(c1[order], d[order], e[order], values)
     M = form(rings, np.zeros(4, dtype=int), np.zeros(4, dtype=int), np.ones((4, 8)))
-    pencil = capaf.spectral.Pencil(A.csr(4).T, M.csr(4).tocsc(), sp.identity(32, format="csr"),
-                                   0.0, A, M)
+    pencil = capaf.spectral.Pencil(A, M, 0.0)
     assert (pencil.A != pencil.A.T).nnz == 0
     modes = capaf.spectral._ModePencil(pencil)
     assert np.max(np.abs(modes.a.imag)) > 0.1
@@ -737,8 +747,7 @@ def _ring_pencil(diagonal: float, neighbour: float):
     A = form(rings, zero, np.tile([0, 1, 7], 3),
              np.repeat([[diagonal], [neighbour], [neighbour]] * 3, 8, axis=1))
     M = form(np.arange(3), zero[:3], zero[:3], np.ones((3, 8)))
-    return capaf.spectral.Pencil(A.csr(3).T, M.csr(3).tocsc(), sp.identity(24, format="csr"),
-                                 0.0, A, M)
+    return capaf.spectral.Pencil(A, M, 0.0)
 
 
 def test_a_singular_azimuthal_mode_raises():
@@ -828,9 +837,127 @@ def test_every_reference_factors_the_same_shifted_pencil(monkeypatch):
         modes, shift = factored[0]
         assert shift == capaf.spectral._SHIFT
         assert (modes.n_rho, modes.n_phi) == (16, 16)
-        pencil = capaf.assemble_operator(space)
-        for matrix, expected in ((modes.A, pencil.A), (modes.M, pencil.M)):
-            assert matrix.toarray().tobytes() == expected.toarray().tobytes()
+        fresh = capaf.spectral._ModePencil(capaf.assemble_operator(space))
+        for got, expected in ((modes.a, fresh.a), (modes.m, fresh.m)):
+            assert got.tobytes() == expected.tobytes()
+
+
+def test_a_pencil_lays_out_each_matrix_once_on_its_first_read(monkeypatch):
+    calls = []
+    csr = capaf.spectral._Form.csr
+    monkeypatch.setattr(capaf.spectral._Form, "csr", lambda self, n: calls.append(n) or csr(self, n))
+    g = grid(1.2, 16, 16)
+    pencil = capaf.assemble_operator(capaf.WeightedSpace(g, capaf.ell(g)))
+    assert [f.name for f in dataclasses.fields(pencil)] == ["A_form", "M_form", "asymmetry"]
+    assert calls == []
+    A, M = pencil.A, pencil.M
+    assert pencil.A is A and pencil.M is M
+    assert calls == [g.node_shape[0] - 1] * 2
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        pencil.A = M
+    calls.clear()
+    capaf.spectrum(capaf.WeightedSpace(g, capaf.ell(g)), how_many=6)
+    assert len(calls) == 2
+
+
+class _Counting:
+    """A matrix that logs the column count of every block it multiplies."""
+
+    def __init__(self, matrix, log):
+        self.matrix, self.log = matrix, log
+
+    def __matmul__(self, x):
+        self.log.append(x.shape[1])
+        return self.matrix @ x
+
+    def __getattr__(self, name):
+        return getattr(self.matrix, name)
+
+
+@pytest.mark.parametrize("theta", [0.3, 2.2])
+def test_a_cap_spectrum_multiplies_its_block_by_each_matrix_once(monkeypatch, theta):
+    # The returned block, once by A and once by M, gives both the Rayleigh
+    # quotients and the residuals; the two linears, once by each, give the
+    # kernel threshold and the kernel cosine.
+    space = cap_space(theta, 24, 24)
+    plain = capaf.spectrum(space, how_many=8)
+    logs = {"A": [], "M": []}
+    assemble = capaf.spectral.assemble_operator
+
+    def counting(space):
+        pencil = assemble(space)
+        return types.SimpleNamespace(
+            A_form=pencil.A_form, M_form=pencil.M_form, asymmetry=pencil.asymmetry,
+            n_rings=pencil.n_rings, A=_Counting(pencil.A, logs["A"]),
+            M=_Counting(pencil.M, logs["M"]))
+
+    monkeypatch.setattr(capaf.spectral, "assemble_operator", counting)
+    rep = capaf.spectrum(space, how_many=8)
+    assert logs == {"A": [8, 2], "M": [8, 2]}
+    assert rep == plain
+
+
+@pytest.mark.parametrize("reference", ["cap", "random"])
+def test_the_mode_split_holds_no_full_pencil_matrix(reference):
+    # Given the forms alone, the split counts, solves and factors, and holds
+    # the bytes of the split of the whole pencil.
+    g = grid(2.2, 16, 16)
+    pencil = capaf.assemble_operator(capaf.WeightedSpace(g, _REFERENCES[reference](g)))
+    forms = types.SimpleNamespace(A_form=pencil.A_form, M_form=pencil.M_form,
+                                  n_rings=pencil.n_rings)
+    modes, whole = capaf.spectral._ModePencil(forms), capaf.spectral._ModePencil(pencil)
+    for got, want in ((modes.top(8), whole.top(8)), (modes.inertia([0.5]), whole.inertia([0.5]))):
+        for a, b in zip(got[:2], want[:2]):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+    modes.solver(capaf.spectral._SHIFT)
+    assert not [name for name, value in vars(modes).items() if sp.issparse(value)]
+    assert "A" not in vars(pencil) and "M" not in vars(pencil)
+
+
+def _recorded_kernel_cosine(monkeypatch, space):
+    """spectrum of space, and the arguments (K, MK, L, ML) of its kernel cosine."""
+    calls = []
+    cosine = capaf.spectral._kernel_cosine
+    monkeypatch.setattr(capaf.spectral, "_kernel_cosine", lambda *a: calls.append(a) or cosine(*a))
+    rep = capaf.spectrum(space)
+    assert len(calls) == 1
+    return rep, calls[0]
+
+
+@pytest.mark.parametrize("reference", ["cap", "random"])
+@pytest.mark.parametrize("theta", [0.3, 1.2, 3.0])
+@pytest.mark.parametrize("n", [16, 64])
+def test_the_kernel_cosine_in_m_agrees_with_the_node_omega_cosine(monkeypatch, reference, theta,
+                                                                  n):
+    # 1 - cos in M on the trial space is 0.85-0.99 times 1 - cos in the
+    # reporting quadrature's omega on the nodes (16x16 to 64x64).
+    g = grid(theta, n, n)
+    space = capaf.WeightedSpace(g, _REFERENCES[reference](g))
+    rep, (K, _, _, _) = _recorded_kernel_cosine(monkeypatch, space)
+    assert len(rep.kernel_indices) == 2
+    ratio = (1.0 - rep.kernel_cosine) / (1.0 - kernel_cosine_by_node_angles(space, K))
+    assert 1.0 / 1.25 <= ratio <= 1.25
+
+
+@pytest.mark.parametrize("theta", [1.2, 3.0])
+def test_a_spoiled_kernel_block_fails_the_kernel_cosine_in_both_metrics(monkeypatch, theta):
+    # One kernel vector tilted by 1e-2 toward the eigenvector of lambda1 = 1,
+    # both of unit M-norm: 1 - cos is about 5e-5, above the bound 1.6e-5 at 64x64.
+    n = 64
+    space = cap_space(theta, n, n)
+    pencil = capaf.assemble_operator(space)
+    top = capaf.spectral._ModePencil(pencil).top(1)[0][:, 0]
+    rep, (K, _, L, ML) = _recorded_kernel_cosine(monkeypatch, space)
+    bound = 1.0 - BOUNDS["kernel_cos"].at("default", space.grid.n_rho)
+    assert rep.kernel_cosine >= bound and kernel_cosine_by_node_angles(space, K) >= bound
+
+    def unit(v):
+        return v / np.sqrt(v @ (pencil.M @ v))
+
+    spoiled = K.copy()
+    spoiled[:, 0] = unit(K[:, 0]) + 1e-2 * unit(top)
+    assert capaf.spectral._kernel_cosine(spoiled, pencil.M @ spoiled, L, ML) < bound
+    assert kernel_cosine_by_node_angles(space, spoiled) < bound
 
 
 def test_only_a_rotationally_invariant_reference_takes_the_mode_solve():
