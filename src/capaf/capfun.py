@@ -4,12 +4,12 @@ A field is *admissible* here when it satisfies the Robin condition
 df/drho = cot(theta) f on the boundary circle; it is the support function of a
 convex body when additionally Hess(f) + f*metric is positive definite.  A
 body (CapillaryBody) is a CapillaryField that certify or random_body accepted,
-carrying its provenance; it goes wherever a field goes.  certify returns
-the body or raises a ValueError naming every gate the field failed, and a
-body on the same grid passes through it unchanged.  The module provides
-the canonical fields (unit-cap support function, horizontal linear
-functions), a seeded random body generator, certification and a bit-exact
-JSON round trip.
+carrying its provenance; it goes wherever a field goes.  certify returns the
+body or raises a ValueError naming every gate the field failed, and a body on
+the same grid passes through it unchanged.  The module provides the canonical
+fields (the unit cap ell, horizontal linear functions), a seeded random body
+generator, certification and a bit-exact JSON round trip.  ell(grid) is one
+body per grid: its values and tensor are certified once per live grid.
 """
 
 from __future__ import annotations
@@ -153,8 +153,18 @@ def certify(grid: CapGrid, values, provenance: dict | None = None) -> CapillaryB
 
 
 def ell(grid: CapGrid) -> CapillaryBody:
-    """The unit cap as a body.  Its shape tensor is the identity."""
-    return certify(grid, ell_values(grid), {"kind": "unit-cap"})
+    """The grid's unit cap, certified once per live grid: every call shares its
+    read-only values and shape-tensor planes, the identity up to truncation."""
+    values, *planes = _table(grid, _cap_arrays)
+    body = CapillaryBody(grid, values, {"kind": "unit-cap"})
+    body._tensor = ShapeTensor(*planes)
+    return body
+
+
+def _cap_arrays(grid: CapGrid) -> tuple[np.ndarray, ...]:
+    """ell's arrays, not its body: a body holds its grid and would keep it alive."""
+    body = certify(grid, ell_values(grid))
+    return (body.values, *body.tensor)
 
 
 def horizontal_linear(grid: CapGrid, direction: Sequence[float]) -> CapillaryField:
@@ -292,19 +302,12 @@ MAX_HALVINGS = 50
 # amplitude up to 4), so every halving it skips would fail the exact check too.
 PREDICTION_GUARD = 64.0
 
-def _ell_tensor(grid: CapGrid) -> ShapeTensor:
-    """The unit cap's shape tensor on the meridian phi = 0: read-only planes
-    shaped (n_rho+1, 1), which broadcast against node-shaped ones.
-
-    The cap is rotationally symmetric, so its tensor is the same on every
-    meridian up to roundoff (0.13 times the guard scale of PREDICTION_GUARD,
-    on grids with odd factors in n_phi; none on powers of two).
-    """
-    return _table(grid, _cap_meridian_tensor)
-
-
 def _cap_meridian_tensor(grid: CapGrid) -> ShapeTensor:
-    """_ell_tensor's planes, copied off the full-grid tensor."""
+    """The enforced unit cap's shape tensor on the meridian phi = 0: planes
+    shaped (n_rho+1, 1), which broadcast against node-shaped ones.  The cap is
+    rotationally symmetric, so its tensor is the same on every meridian up to
+    roundoff (0.13 times the guard scale of PREDICTION_GUARD, on grids with
+    odd factors in n_phi; none on powers of two)."""
     full = a_of(grid, enforce_contact_angle(grid, ell_values(grid)))
     return ShapeTensor._make(plane[:, :1].copy() for plane in full)
 
@@ -325,7 +328,7 @@ def _predicted_misses(grid: CapGrid, lv: np.ndarray, u: np.ndarray,
     determinants and the mixed term of det(B + aC) are kept while the
     amplitudes are walked; B's are one value per ring.
     """
-    A0 = _ell_tensor(grid)
+    A0 = _table(grid, _cap_meridian_tensor)
     lu = enforce_contact_angle(grid, lv * u)
     bound = base_radius * np.max(lv) + amplitude * np.max(np.abs(lu))
     guard = PREDICTION_GUARD * np.finfo(float).eps * (grid.n_phi / 2 / grid.sin_rho[0]) ** 2 * bound

@@ -184,7 +184,7 @@ class ShapeTensor(NamedTuple):
     """Symmetric 2x2 tensor field in the frame (e_rho, e_phi), one plane per
     component: rr = (rho,rho), rp = (rho,phi) = (phi,rho), pp = (phi,phi).
     Each plane is a node-shaped array, or one meridian of it (see
-    capfun._ell_tensor); a_of's planes are C-contiguous and distinct."""
+    capfun._cap_meridian_tensor); a_of's planes are C-contiguous and distinct."""
 
     rr: np.ndarray
     rp: np.ndarray
@@ -225,7 +225,11 @@ def a_of(grid: CapGrid, values: np.ndarray) -> ShapeTensor:
 def tensor_eigenvalues(A: ShapeTensor) -> tuple[np.ndarray, np.ndarray]:
     """Pointwise (smaller, larger) eigenvalues of a symmetric 2x2 tensor field."""
     mean = 0.5 * (A.rr + A.pp)
-    rad = np.hypot(0.5 * (A.rr - A.pp), A.rp)  # no square to overflow
+    half = 0.5 * (A.rr - A.pp)
+    with np.errstate(over="ignore"):
+        rad = np.sqrt(half * half + A.rp * A.rp)
+    if np.isinf(rad).any():  # where the squares overflowed, np.hypot squares nothing
+        rad = np.where(np.isinf(rad), np.hypot(half, A.rp), rad)
     return mean - rad, mean + rad
 
 

@@ -419,19 +419,16 @@ def cmd_chain(args) -> list[str]:
     grid, tol = setup(args)
     threads = thread_count()
 
-    # Bodies keep the tensors that certified them, so each body and the cap are
-    # shaped once for all their chains; the cap's own chain shapes it once more.
-    cap = ell(grid)
-
+    # Bodies and the grid's cap keep their tensors: each is shaped once.
     def one(i):
         body = random_body(grid, trial_seed(args.seed, i))
-        return body, af_chain_check(grid, body, cap)
+        return body, quermass_chain_check(grid, body)
 
     bodies, reports = zip(*run_indexed(args.trials, one, threads))
     pairs = run_indexed(args.trials - 1,
                         lambda i: af_chain_check(grid, bodies[i], bodies[i + 1]),
                         threads)
-    cap_rep = quermass_chain_check(grid, cap)
+    cap_rep = quermass_chain_check(grid, ell(grid))
     rows = [[kind, n, t["i"], t["j"], t["k"], t["lhs"], t["rhs"], t["slack"]]
             for kind, reps in (("body", reports), ("pair", pairs))
             for n, rep in enumerate(reps) for t in rep.triples]
@@ -518,7 +515,7 @@ def cmd_spectrum(args) -> list[str]:
 def cmd_steiner(args) -> list[str]:
     grid, tol = setup(args)
     t_values = [float(p) for p in args.t_samples.split(",")]
-    body = ell(grid) if args.cap else random_body(grid, args.seed)
+    body = random_body(grid, args.seed)
     rep = steiner_check(grid, body, t_values)
     minkowski = {f"k{k}": minkowski_identity_residual(grid, body, k) for k in (1, 2)}
     rows = [[k, rep.coefficients[k], rep.references[k], rep.rel_errs[k]]
@@ -674,7 +671,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("steiner", parents=[common],
                         help="parallel-volume polynomial check")
     p.add_argument("--t-samples", type=finite_floats, default="0.1,0.4,0.8,1.2,1.6,2.0")
-    p.add_argument("--cap", action="store_true", help="use the unit cap body")
     p.set_defaults(func=cmd_steiner)
 
     p = subs.add_parser("reconstruct", parents=[common],

@@ -5,9 +5,9 @@ The mixed volume of support-like fields f1, f2, f3 is
     V(f1, f2, f3) = (1/3) * integral of f1 * Q(A[f2], A[f3])
 
 over the cap, where Q is the two-dimensional mixed discriminant and A[f] the
-shape tensor.  Quermassintegrals are the mixed volumes against copies of the
-unit-cap support function, and the Minkowski and Steiner identities become
-testable residuals (the tests check permutation symmetry).
+shape tensor.  Quermassintegrals are mixed volumes against copies of the
+grid's one unit cap, ell(grid), and the Minkowski and Steiner identities
+become testable residuals (the tests check permutation symmetry).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .capgrid import CapGrid, ShapeTensor
-from .capfun import CapillaryBody, CapillaryField, as_field, ell_values
+from .capfun import CapillaryBody, CapillaryField, as_field, ell
 
 
 def b_theta(theta: float) -> float:
@@ -70,7 +70,7 @@ def quermassintegral(grid: CapGrid, body) -> list[float]:
     W_0 is the enclosed volume, W_3 the unit-cap volume b_theta regardless of
     the body (degree of the Gauss map).
     """
-    return mixed_sequence(grid, body, ell_values(grid))
+    return mixed_sequence(grid, body, ell(grid))
 
 
 def _h_k(A: ShapeTensor, k: int) -> np.ndarray:
@@ -100,7 +100,7 @@ def minkowski_identity_residual(grid: CapGrid, f, k: int) -> float:
         raise ValueError(f"k must be 1 or 2, got {k}")
     field = as_field(grid, f)
     lhs = grid.integrate(field.values * _h_k(field.tensor, k - 1))
-    rhs = grid.integrate(ell_values(grid) * _h_k(field.tensor, k))
+    rhs = grid.integrate(ell(grid).values * _h_k(field.tensor, k))
     scale = max(abs(lhs), abs(rhs), 1e-300)
     return abs(lhs - rhs) / scale
 
@@ -155,7 +155,7 @@ def steiner_check(grid: CapGrid, body: CapillaryBody, t_values) -> SteinerReport
     if any(b - a < 1e-12 for a, b in zip(ts, ts[1:])):
         raise ValueError("parallel distances must be distinct")
     h = as_field(grid, body)
-    lv = ell_values(grid)
+    lv = ell(grid).values
     vols = []
     for t in ts:
         g = CapillaryField(grid, h.values + t * lv)

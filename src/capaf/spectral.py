@@ -48,7 +48,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from ._stencil import Stencil, azimuthal, on_rows, radial, sbp
 from .capgrid import CapGrid, ShapeTensor
-from .capfun import as_field, certify, ell_values, horizontal_linear
+from .capfun import as_field, certify, ell, horizontal_linear
 from .mixedvol import mixed_sequence, q2
 
 if TYPE_CHECKING:
@@ -1010,5 +1010,5 @@ def quermass_chain_check(grid: CapGrid, body) -> ChainReport:
     W_j / W_3 >= (W_i / W_3)^((3-j)/(3-i)), and a cap body sits exactly on
     the equality case.
     """
-    return af_chain_check(grid, body, ell_values(grid))
+    return af_chain_check(grid, body, ell(grid))
 

@@ -104,6 +104,7 @@ def test_config_errors_exit_three(tmp_path, capsys, monkeypatch):
     assert run(["spectrum", "--grid", "16x16", "--how-many", "-5", "--out", tmp_path]) == 3
     assert run(["reconstruct", "--out", tmp_path, "a.json", "b.json"]) == 3
     assert run(["af", "--json", "--out", tmp_path]) == 3
+    assert run(["steiner", "--cap", "--out", tmp_path]) == 3
     assert run(["nosuchcommand"]) == 3
     assert run([]) == 3
     # Non-finite numbers are rejected while parsing, before any field is
@@ -250,6 +251,25 @@ def test_quermass_runs_on_generated_bodies(tmp_path):
         assert os.sep not in entry["file"]
         assert entry["top_rel_err"] < 1e-4
         assert len(entry["values"]) == 4
+
+
+def test_quermass_shapes_each_body_and_the_cap_once(tmp_path, monkeypatch):
+    # Each body file keeps the tensor that certified it on loading, and the
+    # command's grid shapes its unit cap once for every body's table.
+    assert run(["gen", "--theta", "1.2", "--grid", "16x16", "--count", "3",
+                "--out", tmp_path]) == 0
+    files = [tmp_path / name for name in read_report(tmp_path, "gen_report.json")["files"]]
+    calls = []
+    real = capaf.capfun.a_of
+
+    def counted(grid, values):
+        calls.append(1)
+        return real(grid, values)
+
+    monkeypatch.setattr(capaf.capfun, "a_of", counted)
+    assert run(["quermass", "--theta", "1.2", "--grid", "16x16",
+                "--out", tmp_path / "quermass"] + files) == 0
+    assert len(calls) == len(files) + 1
 
 
 def test_af_exit_codes_and_determinism(tmp_path):
@@ -586,9 +606,8 @@ def test_chain_shapes_each_body_and_the_cap_once(tmp_path, monkeypatch):
     # trials 4: random_body shapes each field it passes through
     # enforce_contact_angle once (the grid's cap, each body's datum, each
     # amplitude it tries), and each body keeps the tensor of the amplitude
-    # it accepted.  The unit cap keeps the tensor that certified it; together
-    # they serve 4 quermass chains and 3 pair chains.  The cap chain shapes
-    # the cap once more as its second body.
+    # it accepted.  The grid's unit cap is shaped once; together they serve
+    # 4 quermass chains, 3 pair chains and the cap's own chain.
     calls, enforced = [], []
     real, real_enforce = capaf.capfun.a_of, capaf.capfun.enforce_contact_angle
 
@@ -605,7 +624,7 @@ def test_chain_shapes_each_body_and_the_cap_once(tmp_path, monkeypatch):
     monkeypatch.setattr(capaf.capfun, "enforce_contact_angle", enforce)
     assert run(CHAIN_FLAGS + ["--trials", "4", "--out", tmp_path]) == 0
     assert len(enforced) >= 4
-    assert len(calls) == len(enforced) + 2
+    assert len(calls) == len(enforced) + 1
 
 
 def test_reconstruct_embeds_once_and_ignores_the_thread_count(tmp_path, monkeypatch):

@@ -336,7 +336,8 @@ def test_the_cap_tensor_dies_with_its_grid_and_threads_agree_on_it():
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=8) as pool:
-            futures = [pool.submit(capfun._ell_tensor, g) for _ in range(16)]
+            futures = [pool.submit(capfun._table, g, capfun._cap_meridian_tensor)
+                       for _ in range(16)]
             # The datum's mode table is raced for at the same time.
             datum_futures = [pool.submit(capfun._random_neumann_datum, g,
                                          np.random.default_rng(4), 3) for _ in range(16)]
@@ -355,6 +356,62 @@ def test_the_cap_tensor_dies_with_its_grid_and_threads_agree_on_it():
     del g, tensors, futures, datum_futures
     gc.collect()
     assert all(ref() is None for ref in refs)
+
+
+def test_ell_is_one_read_only_cap_per_grid():
+    g = capaf.build_grid(2.2, 24, 24)
+    first, second = capaf.ell(g), capaf.ell(g)
+    # Two bodies on one set of arrays: the values and each plane are shared.
+    assert first.values is second.values
+    assert all(a is b for a, b in zip(first.tensor, second.tensor))
+    for array in (first.values, *first.tensor):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 0.0
+    certified = capaf.certify(g, capaf.ell_values(g))
+    assert first.values.tobytes() == certified.values.tobytes()
+    assert tensor_bytes(first.tensor) == tensor_bytes(certified.tensor)
+    assert first.provenance == {"kind": "unit-cap"}
+    assert first.provenance is not second.provenance
+    # ell_values stays a fresh, writable array.
+    assert capaf.ell_values(g).flags.writeable
+
+
+def test_the_cap_dies_with_its_grid():
+    # The grid's table holds the cap's arrays, not a body: a body holds its
+    # grid, so a cached body would keep the grid and its table alive.
+    capfun = capaf.capfun
+    tables = len(capfun._TABLES)
+    g = capaf.build_grid(1.2, 16, 16)
+    cap = capaf.ell(g)
+    capaf.quermassintegral(g, capaf.random_body(g, 3))
+    assert len(capfun._TABLES) == tables + 1
+    refs = [weakref.ref(g)] + [weakref.ref(a) for a in (cap.values, *cap.tensor)]
+    del g, cap
+    gc.collect()
+    assert all(ref() is None for ref in refs)
+    assert len(capfun._TABLES) == tables
+
+
+def test_threads_racing_on_a_fresh_grids_cap_shape_it_once(monkeypatch):
+    g = capaf.build_grid(2.2, 16, 16)
+    calls = []
+    real = capaf.capfun.a_of
+
+    def counted(grid_, values):
+        calls.append(1)
+        return real(grid_, values)
+
+    monkeypatch.setattr(capaf.capfun, "a_of", counted)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            caps = list(pool.map(lambda _: capaf.ell(g), range(16)))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(calls) == 1
+    assert all(c.values is caps[0].values for c in caps)
+    assert all(a is b for c in caps for a, b in zip(c.tensor, caps[0].tensor))
 
 
 def test_random_body_amplitude_zero_is_the_cap():

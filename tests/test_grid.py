@@ -1,5 +1,6 @@
 """Grid construction, derivatives, quadrature and the boundary defect."""
 
+import itertools
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import capaf
-from capaf.capgrid import MIN_PHI, MIN_RHO
+from capaf.capgrid import MIN_PHI, MIN_RHO, tensor_eigenvalues
 
 from helpers import grid, observed_orders, shape_tensor, tensor_bytes
 
@@ -324,6 +325,33 @@ def test_hessian_of_the_cap_support_is_the_metric():
         errs.append(max(float(np.max(np.abs(plane))) for plane in dev))
     assert errs[-1] < 2e-7
     assert min(observed_orders(errs)) > 3.5
+
+
+@pytest.mark.parametrize("theta", [0.3, 1.2, 2.2, 3.0])
+def test_tensor_eigenvalues_agree_with_the_hypot_radius_to_one_ulp(theta):
+    # The radius is the square root of squares, np.hypot only where those
+    # overflow.  With a zero mean the larger eigenvalue is the radius itself.
+    g = grid(theta, 32, 32)
+    for seed, amplitude in itertools.product(range(4), (0.25, 2.0)):
+        T = capaf.random_body(g, seed, amplitude=amplitude).tensor
+        half = 0.5 * (T.rr - T.pp)
+        lo, hi = tensor_eigenvalues(capaf.ShapeTensor(half, T.rp, -half))
+        ref = np.hypot(half, T.rp)
+        assert np.all(np.abs(hi - ref) <= np.spacing(ref))
+        assert np.array_equal(lo, -hi)
+
+
+def test_tensor_eigenvalues_stay_finite_where_the_squares_overflow():
+    g = grid(1.2, 16, 16)
+    unit = capaf.ell(g).tensor
+    T = capaf.ShapeTensor._make(1e200 * plane for plane in unit)
+    with np.errstate(over="ignore"):
+        overflowed = np.isinf((0.5 * (T.rr - T.pp)) ** 2 + T.rp ** 2)
+    assert overflowed.any()
+    lo, hi = tensor_eigenvalues(T)
+    assert np.isfinite(lo).all() and np.isfinite(hi).all()
+    for scaled, plain in zip((lo, hi), tensor_eigenvalues(unit)):
+        np.testing.assert_allclose(scaled, 1e200 * plain, rtol=1e-14)
 
 
 def test_horizontal_linears_annihilate_the_shape_tensor():
