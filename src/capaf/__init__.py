@@ -57,7 +57,6 @@ from .spectral import (
 from .reconstruct import (
     EmbeddedPatch,
     boundary_form_quermass,
-    contact_angle_residual,
     embed,
     enclosed_volume,
     export_mesh,
@@ -78,7 +77,7 @@ __all__ = [
     "AFReport", "ChainReport", "SpectrumReport", "WeightedSpace",
     "af_chain_check", "af_check", "assemble_operator", "equality_decompose",
     "quermass_chain_check", "spectrum",
-    "EmbeddedPatch", "boundary_form_quermass", "contact_angle_residual", "embed",
-    "enclosed_volume", "export_mesh", "interior_min_height", "planarity_residual",
+    "EmbeddedPatch", "boundary_form_quermass", "embed", "enclosed_volume",
+    "export_mesh", "interior_min_height", "planarity_residual",
     "__version__",
 ]

@@ -53,7 +53,6 @@ from .mixedvol import (
 )
 from .reconstruct import (
     boundary_form_quermass,
-    contact_angle_residual,
     embed,
     enclosed_volume,
     export_mesh,
@@ -131,8 +130,6 @@ BOUNDS = {
     # measure 5.2e-13 to 1.6e-12 at 64x64 and 2.4e-12 to 1.1e-11 at 128x128
     # (theta 0.3 to 3.0); random references stop between 1e-10 and 1e-9.
     "residual": Bound(1e-8),
-    "contact": Bound(1e-12),
-    "cap_equality": Bound(1e-12),
     "decomposition": Bound(1e-6),
     "interior": Bound(0.0),
     "failures": Bound(0),
@@ -428,16 +425,11 @@ def cmd_chain(args) -> list[str]:
     pairs = run_indexed(args.trials - 1,
                         lambda i: af_chain_check(grid, bodies[i], bodies[i + 1]),
                         threads)
-    cap_rep = quermass_chain_check(grid, ell(grid))
     rows = [[kind, n, t["i"], t["j"], t["k"], t["lhs"], t["rhs"], t["slack"]]
             for kind, reps in (("body", reports), ("pair", pairs))
             for n, rep in enumerate(reps) for t in rep.triples]
-    gates = [
-        Gate("min_relative_slack", min(rep.min_relative_slack for rep in (*reports, *pairs)),
-             -tol["af"], ">="),
-        Gate("cap_equality_defect", max(abs(t["relative_slack"]) for t in cap_rep.triples),
-             tol["cap_equality"], "<="),
-    ]
+    gates = [Gate("min_relative_slack", min(rep.min_relative_slack for rep in (*reports, *pairs)),
+                  -tol["af"], ">=")]
     return emit(args, "chain_report", {
         "identity": "mixed-volume chain V_j/V_k >= (V_i/V_k)^((k-j)/(k-i)) "
                     "for i < j < k, V_i = V(L x i, K x (3-i)): quermassintegrals "
@@ -534,7 +526,6 @@ def cmd_reconstruct(args) -> list[str]:
     grid, tol = setup(args)
     body = load_body(args.body, grid) if args.body else random_body(grid, args.seed)
     patch = embed(grid, body)
-    contact = contact_angle_residual(patch)
     planar = planarity_residual(patch)
     interior = interior_min_height(patch)
     vol_mesh = enclosed_volume(patch)
@@ -544,7 +535,6 @@ def cmd_reconstruct(args) -> list[str]:
     boundary = {f"V_{k + 1}": boundary_form_quermass(patch, k) for k in (1, 2)}
     err = {v: abs(boundary[v] - quad_route[v]) / quad_route[v] for v in boundary}
     gates = [
-        Gate("contact_angle", contact, tol["contact"], "<="),
         Gate("planarity", planar, tol["identity"], "<="),
         Gate("interior_min_height", interior, tol["interior"], ">"),
         Gate("volume_rel_err", vol_err, tol["volume"], "<="),
@@ -558,7 +548,6 @@ def cmd_reconstruct(args) -> list[str]:
                     "prescribed contact angle; enclosed volume agrees "
                     "across quadrature, mesh and boundary-form routes",
         "residuals": {
-            "contact_angle": contact,
             "planarity": planar,
             "interior_min_height": interior,
             "volume_rel_err": vol_err,

@@ -59,20 +59,9 @@ class EmbeddedPatch:
 
 
 def _triangulate(n_rows: int, n_phi: int) -> np.ndarray:
-    """Fan over the pole hole plus split quads; outward (counterclockwise) order.
-
-    Ring 0 is a small convex polygon around the pole, fanned from its vertex 0.
-    Each quad between rings j and j+1 is split into two triangles, listed
-    quad by quad in row-major order.
-    """
-    i = np.arange(1, n_phi - 1, dtype=np.int64)
-    fan = np.stack([np.zeros_like(i), i, i + 1], axis=1)
-    # Node (j, i) of each quad and its neighbours (j, i+1), (j+1, i), (j+1, i+1).
-    lo = np.arange((n_rows - 1) * n_phi, dtype=np.int64).reshape(n_rows - 1, n_phi)
-    lo_next = np.roll(lo, -1, axis=1)
-    hi, hi_next = lo + n_phi, lo_next + n_phi
-    quads = np.stack([lo, hi, hi_next, lo, hi_next, lo_next], axis=-1)
-    return np.concatenate([fan, quads.reshape(-1, 3)])
+    """_corners' triangles, (n_triangles, 3), as row-major node indices."""
+    lattice = np.arange(n_rows * n_phi, dtype=np.int64).reshape(n_rows, n_phi, 1)
+    return _corners(lattice)[..., 0].T.copy()
 
 
 def embed(grid: CapGrid, body) -> EmbeddedPatch:
@@ -98,17 +87,24 @@ def embed(grid: CapGrid, body) -> EmbeddedPatch:
     return patch
 
 
-def _corners(positions: np.ndarray) -> np.ndarray:
-    """The corners of _triangulate's triangles, (3, n_triangles, 3), sliced
-    from the (R, P, 3) node lattice in its order: the fan, then per quad
-    (lo, hi, hi_next) and (lo, hi_next, lo_next)."""
-    fan = positions.shape[1] - 2
-    lo, hi = positions[:-1], positions[1:]
-    out = np.empty((3, fan + 2 * lo.shape[0] * lo.shape[1], 3))
-    out[0, :fan] = positions[0, 0]
-    out[1, :fan] = positions[0, 1:-1]
-    out[2, :fan] = positions[0, 2:]
-    quads = out[:, fan:].reshape(3, *lo.shape[:2], 2, 3)
+def _corners(lattice: np.ndarray) -> np.ndarray:
+    """The corners of the patch's triangles, (3, n_triangles, W), sliced from
+    an (R, P, W) node lattice of any payload width W and dtype.
+
+    The fan over the pole hole comes first: ring 0 is a small convex polygon
+    around the pole, fanned from its vertex 0.  Each quad between rings j and
+    j+1 follows, split into two triangles and listed quad by quad in
+    row-major order: with lo = (j, i), hi = (j+1, i) and lo_next, hi_next
+    their neighbours at i+1, (lo, hi, hi_next) and (lo, hi_next, lo_next).
+    Every triangle is in outward (counterclockwise) order.
+    """
+    fan = lattice.shape[1] - 2
+    lo, hi = lattice[:-1], lattice[1:]
+    out = np.empty((3, fan + 2 * lo.shape[0] * lo.shape[1], lattice.shape[2]), lattice.dtype)
+    out[0, :fan] = lattice[0, 0]
+    out[1, :fan] = lattice[0, 1:-1]
+    out[2, :fan] = lattice[0, 2:]
+    quads = out[:, fan:].reshape(3, *lo.shape[:2], 2, -1)
     for corner, tri, node in ((0, 0, lo), (0, 1, lo), (1, 0, hi)):
         quads[corner, :, :, tri] = node
     for corner, tri, node in ((1, 1, hi), (2, 0, hi), (2, 1, lo)):
@@ -123,17 +119,6 @@ def _find_degenerate(patch: EmbeddedPatch) -> list[int]:
     areas = 0.5 * np.linalg.norm(cross, axis=1)
     scale = float(np.max(np.abs(patch.positions))) or 1.0
     return [int(i) for i in np.nonzero(areas <= DEGENERATE_AREA * scale**2)[0]]
-
-
-def contact_angle_residual(patch: EmbeddedPatch) -> float:
-    """Max deviation of the boundary-ring normal tilt from cos(theta).
-
-    The stored normals are exact functions of the node angles and the boundary
-    row sits exactly at rho = theta, so this vanishes identically; it guards
-    against regressions in the node layout or normal bookkeeping.
-    """
-    nz = patch.normals[patch.grid.boundary_index, :, 2]
-    return float(np.max(np.abs(nz - patch.grid.cos_theta)))
 
 
 def planarity_residual(patch: EmbeddedPatch) -> float:

@@ -172,21 +172,24 @@ def test_azimuthal_mode_solve_is_byte_identical_across_blas_thread_counts():
 
 def test_report_bundle_is_byte_identical_across_blas_thread_counts(tmp_path):
     # The whole bundle, spectrum section included, must not depend on how many
-    # threads the BLAS library uses.
+    # threads the BLAS library uses: every report, CSV, body and mesh it writes.
+    # Only the .meta.json sidecars hold timings, and may differ.
     src = os.path.dirname(os.path.dirname(capaf.__file__))
-    reports = []
+    written = []
     for threads in ("1", "2"):
         out = tmp_path / f"blas{threads}"
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                    PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         subprocess.run([sys.executable, "-m", "capaf", "report", "--theta", "1.2",
-                        "--grid", "48x64", "--trials", "1", "--out", str(out)],
+                        "--grid", "48x64", "--trials", "1", "--csv", "--out", str(out)],
                        env=env, check=True, capture_output=True)
-        reports.append({p.relative_to(out).as_posix(): p.read_bytes()
-                        for p in sorted(out.rglob("*_report.json"))})
-    assert "spectrum_report.json" in reports[0]
-    assert len(reports[0]) == 8
-    assert reports[0] == reports[1]
+        written.append({p.relative_to(out).as_posix(): p.read_bytes()
+                        for p in sorted(out.rglob("*"))
+                        if p.is_file() and not p.name.endswith(".meta.json")})
+    assert {"spectrum_report.json", "spectrum_report.csv", "patch.obj",
+            "bodies/body_0000.json"} <= set(written[0])
+    assert len(written[0]) == 16
+    assert written[0] == written[1]
 
 
 @pytest.mark.parametrize("theta", [0.5, np.pi / 2, 2.2])

