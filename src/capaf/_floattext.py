@@ -24,6 +24,19 @@ exact.
 Each number is laid into a slot of a byte canvas, and a per-layout mask
 table picks the slot's columns that the text keeps.  Everything is built on
 first use and works on chunks of CHUNK_ROWS rows, so buffers stay small.
+
+read_floats is the writer's inverse for body files: it reads a json list in
+the layout save_body writes, each token positional, and returns the floats
+bit for bit as float(token) reads them.  A token of at most 17 significant
+digits is the integer D of its digits over 10**k, k its fraction digits.
+D < 2**53 is a double, and so is 10**k for k <= 22, so one IEEE division
+rounds D / 10**k correctly (Clinger's fast path).  A larger D is first
+rounded to a double, and the quotient q of that is corrected by the exact
+remainder D - q * 10**k, from Dekker's product; a token whose quotient lies
+within _BAND ulps of a tie between two doubles, or next to a power of two,
+goes to Python's float().  Tokens are found with flatnonzero and their
+digits read eight at a time from byte windows (SWAR, after Lemire), on
+chunks of READ_BYTES bytes.
 """
 
 from __future__ import annotations
@@ -49,6 +62,30 @@ _FALLBACK_WIDTH = 24
 # P - D17 to an integer below 10**17, which errs by far less.
 _BAND = 1e-9
 _MANTISSA = np.uint64(2**52 - 1)
+
+READ_BYTES = 1 << 17
+# Bytes of slack before a chunk's copy: a byte window ends inside the chunk
+# but may start up to 24 bytes before it.
+_READ_PAD = 24
+_SEPARATOR = b",\n  "
+_U64 = np.uint64
+_ASCII_ZEROS = _U64(0x3030303030303030)
+# SWAR constants: eight digit bytes, the first the most significant, to their
+# integer (Lemire 2021).
+_PAIR = _U64(2561)
+_LANES = _U64(0x000000FF000000FF)
+_HUNDREDS = _U64(100 + (1000000 << 32))
+_ONES = _U64(1 + (10000 << 32))
+_E8 = _U64(10**8)
+# _KEEP[24 + n]: the mask of a little-endian word's last n bytes, n clipped to
+# 0..8.
+_KEEP = np.array([2**64 - 2 ** (64 - 8 * min(max(n, 0), 8)) for n in range(-24, 25)],
+                 dtype=np.uint64)
+_SEPARATOR_TAIL = np.arange(1, 4)[:, None]
+_SEPARATOR_BYTES = np.frombuffer(_SEPARATOR[1:], dtype=np.uint8)[:, None]
+# 10**k for the integer part's place; past 10**16 only a zero integer part
+# stays within 17 significant digits.
+_POW10_U64 = np.array([10**k if k < 17 else 0 for k in range(23)], dtype=np.uint64)
 
 
 @functools.lru_cache(maxsize=None)
@@ -231,3 +268,143 @@ def float_lines(rows: np.ndarray, prefix: bytes, suffix: bytes = b"\n",
         key = format_into(canvas[:, start:end], chunk.ravel(), shortest)
         key = key.reshape(-1, n_cols) + offsets
         yield canvas.ravel().take(np.flatnonzero(masks[key]))
+
+
+def read_floats(block: bytes) -> np.ndarray | None:
+    """The floats of a json list's inside as float_lines(..., shortest=True)
+    writes it in a body file, or None if block is not in that layout.
+
+    The layout is '\\n  ' before the first token, ',\\n  ' between tokens and
+    '\\n ' after the last; every token is -?(0|[1-9]\\d*)\\.\\d+ with at most 17
+    significant digits and at most 22 fraction digits.  Exponent or integer
+    tokens, NaN, strings, bools and nested lists are not in it.  A chunk of at
+    most READ_BYTES bytes, cut at a separator, is copied behind _READ_PAD bytes
+    of slack, so that every window lies in the copy.
+    """
+    if len(block) < 8 or block[:3] != _SEPARATOR[1:] or block[-2:] != b"\n ":
+        return None
+    buf = np.empty(_READ_PAD + min(len(block), READ_BYTES), dtype=np.uint8)
+    chunks, start, stop = [], 3, len(block) - 2
+    while True:
+        cut = (stop if stop - start <= READ_BYTES
+               else block.rfind(b",", start, start + READ_BYTES))
+        size = cut - start
+        if size <= 0:
+            return None
+        buf[_READ_PAD:_READ_PAD + size] = np.frombuffer(block, np.uint8, size, start)
+        values = _read_chunk(buf, size, block, start)
+        if values is None:
+            return None
+        chunks.append(values)
+        if cut == stop:
+            return np.concatenate(chunks)
+        if block[cut:cut + 4] != _SEPARATOR:
+            return None
+        start = cut + 4
+
+
+def _read_chunk(buf: np.ndarray, size: int, block: bytes, offset: int) -> np.ndarray | None:
+    """The floats of buf[_READ_PAD:_READ_PAD + size], a copy of block[offset:]
+    that holds whole tokens, or None if it breaks the layout."""
+    text = buf[_READ_PAD:_READ_PAD + size]
+    if text.max() > ord("9"):
+        return None
+    # The points and commas (the only bytes that | 2 maps to '.') alternate;
+    # every other byte below '0' must then be a sign or a separator's tail.
+    marks = np.flatnonzero((text | 2) == ord("."))
+    kind = text.take(marks)
+    if (len(marks) % 2 == 0 or kind[::2].min() != ord(".")
+            or (len(marks) > 1 and kind[1::2].max() != ord(","))):
+        return None
+    marks += _READ_PAD
+    points, commas = marks[::2], marks[1::2]
+    n = len(points)
+    starts = np.empty(n, dtype=np.int64)
+    starts[0] = _READ_PAD
+    np.add(commas, 4, out=starts[1:])
+    negative = buf.take(starts) == ord("-")
+    if (np.count_nonzero(text < ord("0"))
+            != len(marks) + 3 * len(commas) + np.count_nonzero(negative)
+            or (buf.take(commas + _SEPARATOR_TAIL) != _SEPARATOR_BYTES).any()):
+        return None
+    ends = np.empty(n, dtype=np.int64)
+    ends[:-1] = commas
+    ends[-1] = _READ_PAD + size
+    int_digits = points - starts - negative
+    frac_digits = ends - points
+    frac_digits -= 1
+    lead = buf.take(starts + negative)
+    most_int, most_frac = int(int_digits.max()), int(frac_digits.max())
+    if (int_digits.min() < 1 or frac_digits.min() < 1 or most_int > 16 or most_frac > 22
+            or ((int_digits > 1) & (lead == ord("0"))).any()):
+        return None
+
+    # Word j of a part ends 8 * j bytes before the part does and keeps the
+    # part's digits in it: the fraction's words first, then the integer's,
+    # unless every integer part is one digit, read from its byte.
+    n_frac, n_int = (most_frac + 7) // 8, (most_int + 7) // 8 if most_int > 1 else 0
+    at = np.empty((n_frac + n_int, n), dtype=np.int64)
+    keep = np.empty((n_frac + n_int, n), dtype=np.int64)
+    for j in range(n_frac):
+        np.subtract(ends, 8 * j + 8, out=at[j])
+        np.add(frac_digits, 24 - 8 * j, out=keep[j])
+    for j in range(n_int):
+        np.subtract(points, 8 * j + 8, out=at[n_frac + j])
+        np.add(int_digits, 24 - 8 * j, out=keep[n_frac + j])
+    windows = np.ndarray((len(buf) - 7,), dtype="V8", buffer=buf, strides=(1,))
+    v = windows[at].view("<u8")
+    v ^= _ASCII_ZEROS
+    v &= _KEEP.take(keep)
+    v *= _PAIR
+    v >>= _U64(8)
+    odd = v >> _U64(16)
+    odd &= _LANES
+    odd *= _ONES
+    v &= _LANES
+    v *= _HUNDREDS
+    v += odd
+    v >>= _U64(32)
+
+    # D, from 8-digit groups; more than 17 significant digits would overflow.
+    digits = v[n_frac - 1]
+    if n_frac == 3 and digits.max() >= 10:
+        return None
+    for j in range(n_frac - 2, -1, -1):
+        digits *= _E8
+        digits += v[j]
+    whole = v[-1] if n_int else (lead ^ ord("0")).astype(np.uint64)
+    if n_int == 2:
+        whole *= _E8
+        whole += v[n_frac]
+    if ((int_digits + frac_digits > 17) & (whole > 0)).any():
+        return None
+    whole *= _POW10_U64.take(frac_digits)
+    digits += whole
+
+    scale = _POW10.take(frac_digits)
+    x = digits.astype(np.float64)
+    q = x / scale
+    big = np.flatnonzero(digits >= 2**53)
+    unsure = []
+    if len(big):
+        # x = fl(D) is an integer within 8 of D, and q * 10**k = hi + lo
+        # exactly; hi lies within a factor 2 of x, so D - q * 10**k is
+        # (x - hi) + (D - x) - lo with one rounding, in the last step.
+        d, x, q_big, s = digits[big], x[big], q[big], scale[big]
+        hi, lo = two_product(q_big, s)
+        rem = ((x - hi) + (d - x.astype(np.uint64)).view(np.int64)) - lo
+        ulp = np.spacing(q_big)
+        t = rem / (ulp * s)  # D / 10**k - q, in ulps of q
+        step = np.rint(t)
+        fixed = q_big + step * ulp
+        # fixed is the nearest double if it lies within half an ulp, clear of
+        # the tie by _BAND, and neither it nor q is a power of two, where the
+        # ulp below is half the ulp above.
+        unsure = big[(np.abs(np.abs(t - step) - 0.5) < _BAND) | (np.abs(step) > 1)
+                     | ((q_big.view(np.uint64) & _MANTISSA) == 0)
+                     | ((fixed.view(np.uint64) & _MANTISSA) == 0)].tolist()
+        q[big] = fixed
+    np.negative(q, out=q, where=negative)
+    for i in unsure:
+        q[i] = float(block[starts[i] - _READ_PAD + offset:ends[i] - _READ_PAD + offset])
+    return q

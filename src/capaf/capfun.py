@@ -14,7 +14,9 @@ body per grid: its values and tensor are certified once per live grid.
 
 from __future__ import annotations
 
+import io
 import json
+import re
 import threading
 import weakref
 from dataclasses import dataclass, field
@@ -22,7 +24,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from ._floattext import float_lines
+from ._floattext import float_lines, read_floats
 from .capgrid import ROBIN_GATE, CapGrid, ShapeTensor, a_of, robin_residual, tensor_eigenvalues
 
 # A support function certifies as convex when the smallest eigenvalue of its
@@ -461,7 +463,9 @@ def body_from_dict(data: dict, grid: CapGrid | None = None) -> CapillaryBody:
     """Inverse of body_to_dict; a malformed dict raises ValueError.
 
     theta must be a number, n_rho and n_phi integers and values a flat list
-    of numbers, as JSON reads them: no strings, bools or nested lists.
+    of numbers, as JSON reads them: no strings, bools or nested lists.  An
+    integer theta or value must fit a float.  values may also be the float64
+    array that load_body reads from a file save_body wrote.
     """
     if not isinstance(data, dict):
         raise ValueError(f"body must be a JSON object, got {type(data).__name__}")
@@ -471,21 +475,37 @@ def body_from_dict(data: dict, grid: CapGrid | None = None) -> CapillaryBody:
     theta, n_rho, n_phi, values = (data[k] for k in ("theta", "n_rho", "n_phi", "values"))
     if isinstance(theta, bool) or not isinstance(theta, (int, float)):
         problem = f"theta is {type(theta).__name__}, not a number"
+    elif not _fits_float(theta):
+        problem = "theta is an integer too large for a float"
     elif any(isinstance(n, bool) or not isinstance(n, int) for n in (n_rho, n_phi)):
         problem = "n_rho and n_phi must be integers"
+    elif isinstance(values, np.ndarray) and values.dtype == np.float64 and values.ndim == 1:
+        problem = None
     # One C-level pass: bool, str and list are types of their own.
     elif not (isinstance(values, list) and set(map(type, values)) <= {float, int}):
         problem = "values must be a flat list of numbers"
     else:
         problem = None
+        try:
+            values = np.array(values, dtype=float)
+        except OverflowError:
+            problem = "values holds an integer too large for a float"
     if problem:
         raise ValueError(f"body theta, n_rho, n_phi or values is malformed: {problem}")
     if grid is None:
         grid = CapGrid(theta, n_rho, n_phi)
     elif (grid.theta, grid.n_rho, grid.n_phi) != (theta, n_rho, n_phi):
         raise ValueError("grid does not match serialized body")
-    values = np.array(values, dtype=float).reshape(grid.node_shape)
-    return certify(grid, values, data.get("provenance"))
+    return certify(grid, values.reshape(grid.node_shape), data.get("provenance"))
+
+
+def _fits_float(x: float | int) -> bool:
+    """Whether float(x) does not overflow."""
+    try:
+        float(x)
+    except OverflowError:
+        return False
+    return True
 
 
 def save_body(body: CapillaryBody, path) -> None:
@@ -512,9 +532,57 @@ def save_body(body: CapillaryBody, path) -> None:
 
 def load_body(path, grid: CapGrid | None = None) -> CapillaryBody:
     """Read a body file; a malformed or uncertifiable one raises a ValueError
-    whose message starts with the path."""
+    whose message starts with the path.
+
+    The file is read once, as bytes.  In a file that save_body wrote, the
+    values list is read by capaf._floattext.read_floats, and the rest, with
+    null in its place, by json; every other file is read by json.load as
+    UTF-8 text.  Both give body_from_dict the same dict, so its checks and
+    messages hold either way.
+    """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return body_from_dict(json.load(fh), grid)
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        data = _saved_body_dict(raw)
+        if data is None:
+            data = json.load(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"))
+        return body_from_dict(data, grid)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
+
+
+_VALUES_KEY = b'"values": ['
+_BRACKET = re.compile(rb"[][{}]")
+
+
+def _saved_body_dict(raw: bytes) -> dict | None:
+    """The dict json.load reads from raw, its values as a float64 array, if
+    raw holds the values list in save_body's layout, else None.
+
+    The list is cut at the first '"values": [' and the first ']' after it.
+    That key is at the top level when no bracket but the object's own '{'
+    comes before it.  json.load keeps the last of duplicate keys, so the
+    parse of the rest must find it the object's only values key.
+    """
+    at = raw.find(_VALUES_KEY)
+    end = raw.find(b"]", at)
+    if at < 0 or end < 0 or raw[:1] != b"{" or _BRACKET.search(raw, 1, at):
+        return None
+    values = read_floats(raw[at + len(_VALUES_KEY):end])
+    if values is None:
+        return None
+    top = []
+
+    def pairs_hook(pairs):
+        top[:] = pairs
+        return dict(pairs)
+
+    try:
+        data = json.loads((raw[:at] + b'"values": null' + raw[end + 1:]).decode("utf-8"),
+                          object_pairs_hook=pairs_hook)
+    except ValueError:
+        return None
+    if [value for key, value in top if key == "values"] != [None]:
+        return None
+    data["values"] = values
+    return data

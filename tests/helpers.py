@@ -487,3 +487,15 @@ def reprs_by_kernel(values) -> bytes:
 def reprs_by_repr(values) -> bytes:
     """values, one `` x`` line each, through Python's repr: the oracle."""
     return "".join(" %r\n" % x for x in np.ravel(values).tolist()).encode("ascii")
+
+
+def values_block(values) -> bytes:
+    """values as save_body writes a body's values list, between '[' and ']'."""
+    rows = np.reshape(np.asarray(values, dtype=float), (-1, 1))
+    items = capaf._floattext.float_lines(rows, b",\n ", b"", shortest=True)
+    return b"".join(items)[1:] + b"\n "
+
+
+def floats_by_float(block: bytes) -> np.ndarray:
+    """The tokens of a values block, each through Python's float: the oracle."""
+    return np.array([float(token) for token in block.split(b",")])

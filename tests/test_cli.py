@@ -552,6 +552,11 @@ def body_text(**fields):
                  id="values-bools"),
     pytest.param(body_text(theta="1.2"), "theta is str, not a number", id="theta-string"),
     pytest.param(body_text(n_rho=16.0), "n_rho and n_phi must be integers", id="n_rho-float"),
+    # Integers that json reads exactly and that float() refuses.
+    pytest.param(body_text(theta=10**400), "theta is an integer too large for a float",
+                 id="theta-oversized-integer"),
+    pytest.param(body_text(values=[10**400] + [0.5] * (17 * 16 - 1)),
+                 "values holds an integer too large for a float", id="values-oversized-integer"),
 ])
 def test_a_malformed_body_file_is_a_config_error(tmp_path, capsys, command,
                                                  content, message):

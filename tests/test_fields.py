@@ -138,6 +138,24 @@ def test_load_body_without_a_grid_refuses_a_field_that_is_not_a_number(tmp_path,
         capaf.load_body(path)
 
 
+@pytest.mark.parametrize("field, message", [
+    ("theta", "theta is an integer too large for a float"),
+    ("values", "values holds an integer too large for a float"),
+])
+def test_load_body_refuses_an_integer_too_large_for_a_float(tmp_path, field, message):
+    data = {"theta": 1.2, "n_rho": 16, "n_phi": 16, "values": [1.0] * (17 * 16)}
+    if field == "theta":
+        data["theta"] = 10**400
+    else:
+        data["values"][5] = 10**400
+    path = tmp_path / "body.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError) as info:
+        capaf.load_body(path)
+    assert str(info.value) == (f"{path}: body theta, n_rho, n_phi or values is malformed: "
+                               f"{message}")
+
+
 @pytest.mark.parametrize("theta", THETAS)
 def test_enforce_contact_angle_cancels_the_discrete_defect(theta):
     g = grid(theta, 16, 16)
@@ -448,3 +466,126 @@ def test_body_roundtrip_through_json(tmp_path):
     other = grid(1.5, 16, 16)
     with pytest.raises(ValueError, match="grid"):
         capaf.load_body(path, other)
+
+
+def load_by_json(path, grid=None):
+    """load_body as it was before its values reader: json.load of the UTF-8
+    text, then body_from_dict; the body, or the message of its ValueError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return capaf.capfun.body_from_dict(json.load(fh), grid)
+    except ValueError as exc:
+        return f"{path}: {exc}"
+
+
+def load_outcome(path, grid=None):
+    """load_body's body, or the message of its ValueError."""
+    try:
+        return capaf.load_body(path, grid)
+    except ValueError as exc:
+        return str(exc)
+
+
+def assert_same_outcome(got, want):
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert not isinstance(got, str), got
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got.provenance == want.provenance
+        assert (got.grid.theta, got.grid.n_rho, got.grid.n_phi) == (
+            want.grid.theta, want.grid.n_rho, want.grid.n_phi)
+
+
+@pytest.mark.parametrize("theta, n_rho, n_phi", [(0.3, 16, 16), (1.2, 48, 64), (3.0, 256, 256)])
+@pytest.mark.parametrize("kind", ["random", "cap"])
+def test_load_body_reads_a_saved_body_as_json_does(tmp_path, theta, n_rho, n_phi, kind):
+    g = grid(theta, n_rho, n_phi)
+    body = seeded_body(theta, n_rho, n_phi, 11) if kind == "random" else capaf.ell(g)
+    path = tmp_path / "body.json"
+    capaf.save_body(body, path)
+    for on in (g, None):
+        got = capaf.load_body(path, on)
+        assert_same_outcome(got, load_by_json(path, on))
+        assert got.values.tobytes() == body.values.tobytes()
+
+
+def saved_variants():
+    """Body files that save_body does not write, each as (id, text)."""
+    body = seeded_body(1.2, 16, 16, 2)
+    d = capaf.capfun.body_to_dict(body)
+    saved = json.dumps(d, indent=1)
+    first = repr(d["values"][0])
+    assert saved.count(f"[\n  {first},") == 1
+    head, tail = saved.split('\n "provenance"')
+
+    def token(text):
+        return saved.replace(f"[\n  {first},", f"[\n  {text},")
+
+    variants = {
+        "one-line": json.dumps(d),
+        "indent-2": json.dumps(d, indent=2),
+        "reordered": json.dumps({k: d[k] for k in ("values", "provenance", "n_phi", "theta",
+                                                   "n_rho")}, indent=1),
+        "values-in-provenance-first": json.dumps(
+            {"provenance": {"values": d["values"]}, **{k: d[k] for k in ("theta", "n_rho",
+                                                                          "n_phi", "values")}},
+            indent=1),
+        "values-in-provenance-last": json.dumps({**d, "provenance": {"values": [0.5]}}, indent=1),
+        # The list in the writer's layout, but inside provenance, and a top-level
+        # values that json reads as null.
+        "values-nested-in-layout": '{"provenance": {"values": [\n  '
+        + ",\n  ".join(map(repr, d["values"])) + '\n ]}, "theta": 1.2, "n_rho": 16, '
+        '"n_phi": 16, "values": null}',
+        "duplicate-values-list": head + '\n "values": [1.0],\n "provenance"' + tail,
+        "duplicate-values-null": head + '\n "values": null,\n "provenance"' + tail,
+        "duplicate-values-same": head + '\n "values": ' + json.dumps(d["values"], indent=1)
+        + ',\n "provenance"' + tail,
+        "duplicate-values-escaped": head + '\n "val\\u0075es": null,\n "provenance"' + tail,
+        "duplicate-values-before": '{\n "values": null,' + saved[1:],
+        "nan": token("NaN"),
+        "plus-sign": token("+1.0"),
+        "leading-zero": token("01.5"),
+        "no-integer-part": token(".5"),
+        "no-fraction": token("5."),
+        "integer": token("1"),
+        "exponent": token("1e-05"),
+        "bom": "\ufeff" + saved,
+        "trailing-data": saved + " []",
+        "crlf": saved.replace("\n", "\r\n"),
+    }
+    return list(variants.items())
+
+
+@pytest.mark.parametrize("name, text", saved_variants(), ids=[n for n, _ in saved_variants()])
+def test_load_body_reads_any_other_layout_as_json_does(tmp_path, name, text):
+    path = tmp_path / "body.json"
+    path.write_bytes(text.encode("utf-8"))
+    for on in (grid(1.2, 16, 16), None):
+        assert_same_outcome(load_outcome(path, on), load_by_json(path, on))
+
+
+def test_load_body_hands_json_only_the_header_and_provenance(tmp_path, monkeypatch):
+    # Without its values reader load_body would still read every body
+    # right, through json, and slowly.
+    g = grid(1.2, 64, 64)
+    body = seeded_body(1.2, 64, 64, 4)
+    path = tmp_path / "body.json"
+    capaf.save_body(body, path)
+    seen = []
+    real_loads = json.loads
+
+    def loads(text, *args, **kwargs):
+        seen.append(text)
+        return real_loads(text, *args, **kwargs)
+
+    def load(*args, **kwargs):
+        raise AssertionError("json.load read a file that save_body wrote")
+
+    monkeypatch.setattr(json, "loads", loads)
+    monkeypatch.setattr(json, "load", load)
+    back = capaf.load_body(path, g)
+    head, rest = path.read_text().split('"values": [', 1)
+    assert seen == [head + '"values": null' + rest.split("]", 1)[1]]
+    assert back.values.tobytes() == body.values.tobytes()
+    assert back.provenance == body.provenance

@@ -1,4 +1,5 @@
-"""The repr layout of the float kernel (body files) against Python's repr."""
+"""The repr layout of the float kernel (body files) against Python's repr, and
+its reader against Python's float."""
 
 import math
 from fractions import Fraction
@@ -8,7 +9,7 @@ import pytest
 
 from capaf import _floattext
 
-from helpers import exact_ties, reprs_by_kernel, reprs_by_repr
+from helpers import exact_ties, floats_by_float, reprs_by_kernel, reprs_by_repr, values_block
 
 
 def with_neighbours(values, steps=2):
@@ -159,3 +160,99 @@ def test_two_candidates_at_one_distance_are_left_to_repr():
         np.array([10**16 + 5, 10**16 + 2]), np.array([0.0, 0.5]),
         np.array([6.0, 1.0]), np.arange(2))
     assert flagged.tolist() == [True, True]
+
+
+def positional(values):
+    """The entries of values that repr writes without an exponent."""
+    values = np.asarray(values, dtype=float)
+    return values[((np.abs(values) >= 1e-4) & (np.abs(values) < 1e16)) | (values == 0.0)]
+
+
+READER_INPUTS = [
+    with_neighbours(2.0 ** np.arange(-13, 54)),
+    exact_ties(),
+    with_neighbours([1e-4, 1.0000000000000002e-4, 9999999999999998.0, 1e15]),
+    [2.0, 1e15, 3.0, 10.0, 12345.0, 999999999999999.0, 9999999999999998.0,
+     4503599627370497.0, 1234567890123456.8, 1e14 + 0.5, -7.0, 0.0, -0.0],
+    short_decimals(),
+]
+READER_IDS = ["powers-of-two", "ties", "window-edges", "integral", "lengths"]
+
+
+@pytest.mark.parametrize("values", READER_INPUTS, ids=READER_IDS)
+def test_the_reader_reads_what_float_reads_from_every_block_the_writer_writes(values):
+    values = positional(values)
+    block = values_block(values)
+    got = _floattext.read_floats(block)
+    assert got.tobytes() == floats_by_float(block).tobytes()
+    assert got.tobytes() == values.tobytes()
+
+
+def test_the_reader_sweeps_reach_its_paths():
+    tokens = values_block(np.concatenate([positional(v) for v in READER_INPUTS])).split(b",")
+    tokens = [t.strip() for t in tokens]
+    digits = [t.lstrip(b"-").replace(b".", b"") for t in tokens]
+    fraction = [len(t.split(b".")[1]) for t in tokens]
+    mantissas = [int(d) for d in digits]
+    assert any(t.startswith(b"-") for t in tokens)
+    assert max(len(d.lstrip(b"0")) for d in digits) == 17
+    assert max(len(t.lstrip(b"-").split(b".")[0]) for t in tokens) == 16
+    # 17-digit mantissas above 2**53, where one division by 10**k would
+    # round twice: the remainder's correction changes some of them.
+    assert sum(m >= 2**53 for m in mantissas) > 1000
+    assert any(float(m) / 10**k != float(t) for m, k, t in zip(mantissas, fraction, tokens))
+    assert min(abs(float(t)) for t in tokens if float(t)) == 1e-4
+
+
+@pytest.mark.parametrize("read_bytes", [32, 33, 64, 1000])
+def test_the_reader_cuts_its_chunks_at_separators(monkeypatch, read_bytes):
+    values = positional(short_decimals())
+    block = values_block(values)
+    monkeypatch.setattr(_floattext, "READ_BYTES", read_bytes)
+    assert _floattext.read_floats(block).tobytes() == values.tobytes()
+
+
+def test_the_reader_leaves_ties_and_powers_of_two_to_float(monkeypatch):
+    # 2**53 + 1 lies half-way between two doubles, and 2**52 with a
+    # 17-digit mantissa is a quotient at a power of two; the rest are the
+    # kernel's, on either path.
+    tokens = [b"9007199254740993.0", b"0.1", b"4503599627370496.0", b"-1.2345678901234567",
+              b"0.0", b"12345.678"]
+    seen = []
+
+    def spy(token):
+        seen.append(token)
+        return float(token)
+
+    monkeypatch.setattr(_floattext, "float", spy, raising=False)
+    block = b"\n  " + b",\n  ".join(tokens) + b"\n "
+    got = _floattext.read_floats(block)
+    assert got.tolist() == [9007199254740992.0, 0.1, 4503599627370496.0, -1.2345678901234567,
+                            0.0, 12345.678]
+    assert seen == [tokens[0], tokens[2]]
+
+
+@pytest.mark.parametrize("block", [
+    b"\n  0.0\n ", b"\n  -0.0,\n  0.5\n ",
+])
+def test_the_reader_reads_positional_zeros(block):
+    assert _floattext.read_floats(block).tobytes() == floats_by_float(block).tobytes()
+
+
+@pytest.mark.parametrize("token", [
+    b"1e-05", b"1e+16", b"5e-324", b"NaN", b"Infinity", b"1", b"+1.0", b"01.5", b".5", b"5.",
+    b"-.5", b"--1.0", b"1.0.0", b"1.5-", b'"0.5"', b"true", b"[0.5]", b"",
+    b"0.123456789012345678", b"12345678901234567.0", b"0.00000000000000000000001",
+])
+def test_the_reader_declines_a_token_out_of_its_grammar(token):
+    assert _floattext.read_floats(b"\n  0.5,\n  " + token + b",\n  0.25\n ") is None
+
+
+@pytest.mark.parametrize("block", [
+    b"0.5, 0.25", b"\n    0.5,\n    0.25\n  ", b"\n  0.5,\n 0.25\n ", b"\n  0.5, \n  0.25\n ",
+    b"\n  0.5\n", b"\n  0.5,\n  0.25,\n  \n ", b"\n  0.5\t\n ", b"\n  0.5,\r\n  0.25\n ", b"",
+    # A separator of the right length whose bytes are out of place.
+    b"\n  0.5,  \n0.25\n ", b"\n  0.5,\n +0.25\n ",
+])
+def test_the_reader_declines_another_layout(block):
+    assert _floattext.read_floats(block) is None

@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 import capaf
 from capaf import cli
 
-from helpers import floats_by_kernel, floats_by_percent, reprs_by_kernel, reprs_by_repr
+from helpers import (floats_by_float, floats_by_kernel, floats_by_percent, reprs_by_kernel,
+                     reprs_by_repr, values_block)
 
 THETAS = st.floats(0.05, math.pi - 0.05)
 GRIDS = st.tuples(st.integers(8, 24), st.integers(4, 12).map(lambda k: 2 * k))
@@ -89,3 +90,11 @@ def test_the_repr_kernel_matches_repr_on_every_finite_double(values):
 @given(values=st.lists(REPR_WINDOW, min_size=1, max_size=40))
 def test_the_repr_kernel_matches_repr_inside_its_window(values):
     assert reprs_by_kernel(values) == reprs_by_repr(values)
+
+
+@settings(max_examples=300, **SETTINGS)
+@given(values=st.lists(REPR_WINDOW, min_size=1, max_size=40))
+def test_the_reader_reads_back_every_value_inside_the_repr_window(values):
+    block = values_block(values)
+    got = capaf._floattext.read_floats(block)
+    assert got.tobytes() == floats_by_float(block).tobytes() == np.array(values).tobytes()
