@@ -25,7 +25,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from ._floattext import float_lines, read_floats
-from .capgrid import ROBIN_GATE, CapGrid, ShapeTensor, a_of, robin_residual, tensor_eigenvalues
+from .capgrid import ROBIN_GATE, CapGrid, ShapeTensor, a_of, min_eigenvalue, robin_residual
 
 # A support function certifies as convex when the smallest eigenvalue of its
 # shape tensor clears this floor (relative to max(1, sup|h|)); the floor only
@@ -71,7 +71,7 @@ class CapillaryField:
     @property
     def min_eig(self) -> float:
         """Smallest eigenvalue of the shape tensor over all nodes."""
-        return float(np.min(tensor_eigenvalues(self.tensor)[0]))
+        return min_eigenvalue(self.tensor)
 
 
 @dataclass
@@ -255,11 +255,12 @@ def _mode_profiles(grid: CapGrid, mode_cap: int) -> list[tuple[int, np.ndarray]]
     return profiles
 
 
-def _mode_table(grid: CapGrid, mode_cap: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _mode_table(grid: CapGrid, mode_cap: int) -> tuple[np.ndarray, ...]:
     """The datum's terms in draw order, one row each: the radial profile, the
-    azimuthal row and the weight.  Each profile of _mode_profiles gives a
-    cos(m phi) row, then a sin(m phi) row when m > 0, both weighted 1/(1+m)^2."""
-    profiles, trig, weights = [], [], []
+    azimuthal row, the weight and the order m.  Each profile of _mode_profiles
+    gives a cos(m phi) row, then a sin(m phi) row when m > 0, both weighted
+    1/(1+m)^2."""
+    profiles, trig, weights, orders = [], [], [], []
     for m, prof in _mode_profiles(grid, mode_cap):
         rows = [np.cos(m * grid.phi_nodes)]
         if m > 0:
@@ -268,12 +269,20 @@ def _mode_table(grid: CapGrid, mode_cap: int) -> tuple[np.ndarray, np.ndarray, n
             profiles.append(prof)
             trig.append(row)
             weights.append(1.0 / (1.0 + m) ** 2)
+            orders.append(m)
     return (np.array(profiles).reshape(-1, grid.n_rho + 1),
-            np.array(trig).reshape(-1, grid.n_phi), np.array(weights))
+            np.array(trig).reshape(-1, grid.n_phi), np.array(weights), np.array(orders, dtype=int))
 
 
 def _random_neumann_datum(grid: CapGrid, rng: np.random.Generator, mode_cap: int) -> np.ndarray:
-    """Seeded smooth datum u with max|u| = 1: a weighted sum of mode_table terms.
+    """Seeded smooth datum u with max|u| = 1: a weighted sum of mode_table terms."""
+    return _random_datum_terms(grid, rng, mode_cap)[1]
+
+
+def _random_datum_terms(grid: CapGrid, rng: np.random.Generator,
+                        mode_cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """The datum u of _random_neumann_datum and the coefficient of each
+    mode_table term in it, divided by max|u| as u is.
 
     The coefficients are drawn in the table's (m, k, cos/sin) order, one
     array draw being the stream of one scalar draw per term, so a seed is
@@ -282,13 +291,43 @@ def _random_neumann_datum(grid: CapGrid, rng: np.random.Generator, mode_cap: int
     products does, and calls no BLAS; a reordering sum (``@``, tensordot,
     ``optimize=True``) would change every body's bytes.
     """
-    profiles, trig, weights = _table(grid, _mode_table, mode_cap)
+    profiles, trig, weights, _ = _table(grid, _mode_table, mode_cap)
     coef = rng.standard_normal(weights.size) * weights
     u = np.einsum("tj,ti->ji", coef[:, None] * profiles, trig, optimize=False)
     top = float(np.max(np.abs(u)))
     if top > 0:
         u /= top
-    return u
+        coef /= top
+    return coef, u
+
+
+def _term_tensors(grid: CapGrid, mode_cap: int) -> tuple[np.ndarray, ...]:
+    """Shape tensors of the enforced datum terms, as radial planes by azimuthal
+    rows: the planes rr, rp and pp, shaped (n_rho+1, T), for the T terms of
+    mode_table, and the rows trig', shaped (T, n_phi).
+
+    Term t times ell is p_t(rho) trig_t(phi).  Its Robin residual is
+    delta_t trig_t, with delta_t the boundary defect of p_t, and lies in the
+    parity of m, so enforce_contact_angle takes off delta_t lift_(m mod 2)
+    trig_t: the enforced term is q_t trig_t with q_t = p_t - delta_t lift.  Its
+    a_of is rr_t trig_t, rp_t trig_t' and pp_t trig_t, with rr = q'' + q,
+    rp = (q' - cot q) / sin and pp = cot q' + q - k^2 q / sin^2.  The radial
+    derivatives are grid.d_rho's on [q | (-1)^m q], whose half-turn roll
+    hands each term the pole mirror that a_of's roll hands q_t trig_t.  The
+    azimuthal ones are a_of's spectral symbols on the row's frequency k, m
+    folded into 0..n_phi/2: trig' is the rows' d_phi, zero on the Nyquist
+    row, and trig'' = -k^2 trig.
+    """
+    profiles, trig, _, orders = _table(grid, _mode_table, mode_cap)
+    p = profiles.T * _ell_column(grid)
+    defect = grid.boundary_d_rho(p) - grid.cot_theta * p[-1]
+    q = p - np.stack(_table(grid, _parity_lifts), axis=1)[:, orders % 2] * defect
+    mirrored = np.hstack([q, q * np.where(orders % 2, -1.0, 1.0)])
+    d1, d2 = (grid.d_rho(mirrored, order)[:, :q.shape[1]] for order in (1, 2))
+    sin, cot = grid.sin_rho[:, None], grid.cot_rho[:, None]
+    k = np.minimum(orders % grid.n_phi, -orders % grid.n_phi)
+    planes = (d2 + q, (d1 - cot * q) / sin, cot * d1 + q - k**2.0 * q / sin**2)
+    return (*planes, grid.d_phi(trig, 1))
 
 
 # A random body must clear min_eig >= MARGIN * base_radius; the amplitude is
@@ -298,10 +337,12 @@ MAX_HALVINGS = 50
 # random_body does not try a halving whose predicted tensor (see
 # _predicted_misses) misses the margin by more than a guard: PREDICTION_GUARD
 # times eps * (n_phi/2)^2 / sin(rho_0)^2 * max|h|, the roundoff of a spectral
-# second phi-derivative on the pole row.  Measured node by node, the
-# prediction's min_eig differs from the exact one by at most 1.2 times that
-# scale (grids 8x8 to 512x512 and 256x16 to 16x512, theta 0.01 to 3.1,
-# amplitude up to 4), so every halving it skips would fail the exact check too.
+# second phi-derivative on the pole row.  Measured node by node on every
+# amplitude walked, the prediction's smaller eigenvalue differs from the exact
+# one by at most 3.0 times that scale (grids 8x8 to 512x512 and 256x16 to
+# 16x512, theta 0.01 to 3.1, mode_cap 3 and 5, amplitude up to 4; the largest
+# at theta 3.1 on 8x8 with mode_cap 5, whose rows alias), so every halving it
+# skips would fail the exact check too.
 PREDICTION_GUARD = 64.0
 
 def _cap_meridian_tensor(grid: CapGrid) -> ShapeTensor:
@@ -314,48 +355,60 @@ def _cap_meridian_tensor(grid: CapGrid) -> ShapeTensor:
     return ShapeTensor._make(plane[:, :1].copy() for plane in full)
 
 
+def _datum_tensor(grid: CapGrid, coef: np.ndarray, mode_cap: int) -> ShapeTensor:
+    """a_of(grid, enforce_contact_angle(grid, ell * u)) up to roundoff, for the
+    datum u whose mode_table terms have the coefficients coef (see
+    _random_datum_terms): each plane is one product of a (n_rho+1, T) plane
+    of _term_tensors by a (T, n_phi) block of weighted rows."""
+    trig = _table(grid, _mode_table, mode_cap)[1]
+    rr, rp, pp, trig_1 = _table(grid, _term_tensors, mode_cap)
+    rows = coef[:, None] * trig
+    return ShapeTensor(rr @ rows, rp @ (coef[:, None] * trig_1), pp @ rows)
+
+
 # Huge radii or amplitudes may overflow: -inf reads as a sure miss and NaN never
 # does, so no acceptable halving is skipped and the exact check still decides.
 @np.errstate(over="ignore", invalid="ignore")
-def _predicted_misses(grid: CapGrid, lv: np.ndarray, u: np.ndarray,
+def _predicted_misses(grid: CapGrid, u: np.ndarray, coef: np.ndarray, mode_cap: int,
                       base_radius: float, amplitude: float) -> int:
     """Number of leading halvings of amplitude that the margin check would reject.
 
     enforce_contact_angle and a_of are linear, so the body at amplitude a has
-    the shape tensor r*A0 + a*A1 up to roundoff, with A0 the tensor of the
-    unit cap and A1 that of lv*u, both passed through
-    enforce_contact_angle.  With B = r*A0 - (MARGIN*r - guard)*I and C = A1,
-    a halving is a sure miss when tr(B + aC) or det(B + aC) is negative at
-    some node (see PREDICTION_GUARD for the guard).  Only the traces, the
-    determinants and the mixed term of det(B + aC) are kept while the
-    amplitudes are walked; B's are one value per ring.
+    the shape tensor r*A0 + a*C up to roundoff, with A0 the tensor of the
+    unit cap and C that of ell*u, both passed through enforce_contact_angle.
+    A0 is a table entry per grid, and C the datum's term tensors summed with
+    the datum's coefficients coef (_datum_tensor), so neither is an a_of
+    call.  With B = r*A0 - (MARGIN*r - guard)*I, a halving is a sure miss
+    when tr(B + aC) or det(B + aC) is negative at some node (see
+    PREDICTION_GUARD for the guard, which scales with r*max(ell) +
+    a*max|ell*u|).  Only the traces, the determinants and the mixed term of
+    det(B + aC) are kept while the amplitudes are walked; B's are one value
+    per ring.
     """
     A0 = _table(grid, _cap_meridian_tensor)
-    lu = enforce_contact_angle(grid, lv * u)
-    bound = base_radius * np.max(lv) + amplitude * np.max(np.abs(lu))
+    lv = _ell_column(grid)
+    bound = base_radius * np.max(lv) + amplitude * np.max(np.abs(lv * u))
     guard = PREDICTION_GUARD * np.finfo(float).eps * (grid.n_phi / 2 / grid.sin_rho[0]) ** 2 * bound
-    C = a_of(grid, lu)
-    del lu
     shift = MARGIN * base_radius - guard
     b00 = base_radius * A0.rr - shift
     b11 = base_radius * A0.pp - shift
     b01 = base_radius * A0.rp
-    c00, c11, c01 = C.rr, C.pp, C.rp
+    c00, c01, c11 = _datum_tensor(grid, coef, mode_cap)
     tr_b, det_b = b00 + b11, b00 * b11 - b01 * b01
-    # Peak memory stays that of an exact attempt: C, the three results and
-    # one full-size temporary at a time.
     tr_c = c00 + c11
     det_c = c00 * c11
-    det_c -= c01 * c01
-    mixed = b00 * c11
-    mixed += b11 * c00
-    mixed -= (2.0 * b01) * c01
-    del C, c00, c11, c01
+    value = np.multiply(c01, c01)
+    det_c -= value
+    # The mixed term b00*c11 + b11*c00 - 2*b01*c01 goes into C's own planes, so
+    # at most six full-size arrays are alive at once: C, tr_c, det_c and value.
+    mixed = np.multiply(c11, b00, out=c11)
+    mixed += np.multiply(c00, b11, out=c00)
+    mixed -= np.multiply(c01, 2.0 * b01, out=c01)
+    del c00, c01
     # One value and one mask buffer serve every halving.  Most nodes miss the
     # early halvings (44-87% miss the first, theta 2.2 at 256x256), so
     # restricting later halvings to the nodes that missed costs more in
     # gathers than it saves.
-    value = np.empty(tr_c.shape)
     miss = np.empty(tr_c.shape, dtype=bool)
     amp = amplitude
     for k in range(MAX_HALVINGS + 1):
@@ -387,19 +440,20 @@ def random_body(
     out, so the contact-angle gate passes at any resolution.  If the
     perturbed field fails the convexity margin min_eig >= MARGIN*base_radius
     the amplitude is halved and the same u is retried; exceeding MAX_HALVINGS
-    raises RuntimeError.  Halvings that two shape tensors show to fail (see
-    _predicted_misses) are not tried, so an accepted body costs two shape
-    tensors and is the body the plain halving loop returns.
+    raises RuntimeError.  Halvings that the predicted tensor shows to fail
+    (see _predicted_misses) are not tried, so the only shape tensors are
+    those of the amplitudes tried on the exact values, and the accepted body
+    is the body the plain halving loop returns.
     """
     if base_radius <= 0:
         raise ValueError(f"base_radius must be positive, got {base_radius}")
     if amplitude < 0:
         raise ValueError(f"amplitude must be non-negative, got {amplitude}")
     rng = np.random.default_rng(seed)
-    u = _random_neumann_datum(grid, rng, mode_cap)
+    coef, u = _random_datum_terms(grid, rng, mode_cap)
     lv = _ell_column(grid)
     amp = float(amplitude)
-    misses = _predicted_misses(grid, lv, u, base_radius, amp)
+    misses = _predicted_misses(grid, u, coef, mode_cap, base_radius, amp)
     for k in range(MAX_HALVINGS + 1):
         if k >= misses:
             values = enforce_contact_angle(grid, base_radius * lv + amp * lv * u)

@@ -28,6 +28,10 @@ from ._stencil import CENTER_HALF, EDGE_POINTS, RadialStencil, fornberg, radial_
 
 MIN_RHO = 8
 MIN_PHI = 8
+# Largest node count (n_rho+1)*n_phi: a field of 2**24 float64 nodes is 128 MiB,
+# and a_of holds four such arrays at once.  Checked before any size becomes a
+# float or an array.
+MAX_NODES = 2**24
 
 # Certification gate for the Robin boundary condition, relative to the field's
 # sup norm.  Deliberately loose: it separates structurally incompatible data
@@ -39,7 +43,8 @@ ROBIN_GATE = 5e-2
 
 def check_grid(theta, n_rho, n_phi) -> tuple[float, int, int]:
     """(theta, n_rho, n_phi) as a CapGrid takes them, or a ValueError naming the
-    first rule broken: 0 < theta < pi, n_rho >= MIN_RHO, an even n_phi >= MIN_PHI."""
+    first rule broken: 0 < theta < pi, n_rho >= MIN_RHO, n_phi >= MIN_PHI,
+    (n_rho+1)*n_phi <= MAX_NODES and an even n_phi."""
     theta = float(theta)
     if not np.isfinite(theta) or not (0.0 < theta < np.pi):
         raise ValueError(f"invalid contact angle theta={theta!r}: need 0 < theta < pi")
@@ -49,6 +54,8 @@ def check_grid(theta, n_rho, n_phi) -> tuple[float, int, int]:
     if n_rho < MIN_RHO or n_phi < MIN_PHI:
         raise ValueError(f"grid too coarse: need n_rho >= {MIN_RHO} and n_phi >= {MIN_PHI}, "
                          f"got {n_rho}x{n_phi}")
+    if (n_rho + 1) * n_phi > MAX_NODES:
+        raise ValueError(f"grid too large: need (n_rho+1)*n_phi <= {MAX_NODES} nodes")
     if n_phi % 2 != 0:
         raise ValueError(f"n_phi must be even, got {n_phi}")
     return theta, n_rho, n_phi
@@ -226,11 +233,32 @@ def tensor_eigenvalues(A: ShapeTensor) -> tuple[np.ndarray, np.ndarray]:
     """Pointwise (smaller, larger) eigenvalues of a symmetric 2x2 tensor field."""
     mean = 0.5 * (A.rr + A.pp)
     half = 0.5 * (A.rr - A.pp)
-    with np.errstate(over="ignore"):
-        rad = np.sqrt(half * half + A.rp * A.rp)
-    if np.isinf(rad).any():  # where the squares overflowed, np.hypot squares nothing
-        rad = np.where(np.isinf(rad), np.hypot(half, A.rp), rad)
+    rad = _radius(half, A.rp)
     return mean - rad, mean + rad
+
+
+def min_eigenvalue(A: ShapeTensor) -> float:
+    """The smallest eigenvalue over all nodes: the minimum of
+    tensor_eigenvalues(A)[0], bit for bit, from three full-size buffers."""
+    half = np.subtract(A.rr, A.pp)
+    half *= 0.5
+    rad = _radius(half, A.rp)
+    mean = np.add(A.rr, A.pp)
+    mean *= 0.5
+    mean -= rad
+    return float(np.min(mean))
+
+
+def _radius(half: np.ndarray, rp: np.ndarray) -> np.ndarray:
+    """sqrt(half^2 + rp^2), and np.hypot, which squares nothing, where the
+    squares overflow."""
+    with np.errstate(over="ignore"):
+        rad = half * half
+        rad += rp * rp
+        np.sqrt(rad, out=rad)
+    if np.isinf(rad).any():
+        rad = np.where(np.isinf(rad), np.hypot(half, rp), rad)
+    return rad
 
 
 def robin_residual(grid: CapGrid, values: np.ndarray) -> np.ndarray:

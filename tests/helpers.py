@@ -72,7 +72,7 @@ def random_neumann_datum_by_loop(grid, rng, mode_cap):
 def random_body_by_halving(grid, seed, base_radius=1.0, amplitude=0.25, mode_cap=3):
     """capaf.random_body as the plain halving loop: a shape tensor for every
     amplitude tried, from the datum of the outer-product loop.  The reference
-    that the two-tensor prediction and the datum's contraction must match."""
+    that the predicted tensor and the datum's contraction must match."""
     capfun = capaf.capfun
     rng = np.random.default_rng(seed)
     u = random_neumann_datum_by_loop(grid, rng, mode_cap)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -148,10 +149,28 @@ def test_a_negative_seed_is_refused_while_parsing(tmp_path, capsys, command):
 @pytest.mark.parametrize("argv", [
     ["--theta", "nan"], ["--theta", "0"], ["--theta", repr(np.pi)], ["--theta", "4"],
     ["--grid", "7x8"], ["--grid", "8x7"], ["--grid", "16x15"], ["--sweep", "16,9"],
+    ["--sweep", "16,5000"],
 ], ids=" ".join)
 def test_a_bad_theta_or_grid_creates_no_out(tmp_path, capsys, argv):
     assert run(["spectrum", *argv, "--out", tmp_path / "out"]) == 3
     assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["quermass", "--grid", "1" + "0" * 400 + "x8"],
+    ["af", "--grid", "8x100000000000", "--trials", "1"],
+], ids=["quermass-1e400x8", "af-8x1e11"])
+def test_a_grid_too_large_exits_three_before_any_array(tmp_path, capsys, argv):
+    # 10**400 has no float; 8 x 10**11 nodes would take 6 TiB per field.
+    tracemalloc.start()
+    try:
+        assert run([*argv, "--theta", "1.2", "--out", tmp_path / "out"]) == 3
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert "grid too large" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -156,6 +156,18 @@ def test_load_body_refuses_an_integer_too_large_for_a_float(tmp_path, field, mes
                                f"{message}")
 
 
+@pytest.mark.parametrize("n_rho, n_phi", [(10**400, 16), (16, 10**11)])
+def test_load_body_without_a_grid_refuses_a_grid_too_large(tmp_path, n_rho, n_phi):
+    # The size check comes before any float conversion or array of that size.
+    data = {"theta": 1.2, "n_rho": n_rho, "n_phi": n_phi, "values": [1.0] * (17 * 16)}
+    path = tmp_path / "body.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError) as info:
+        capaf.load_body(path)
+    assert str(info.value) == (f"{path}: grid too large: need (n_rho+1)*n_phi <= "
+                               f"{capaf.capgrid.MAX_NODES} nodes")
+
+
 @pytest.mark.parametrize("theta", THETAS)
 def test_enforce_contact_angle_cancels_the_discrete_defect(theta):
     g = grid(theta, 16, 16)
@@ -284,12 +296,75 @@ def test_the_exact_check_decides_inside_the_guard_band(theta, monkeypatch):
     assert bands >= 6
 
 
+@pytest.mark.parametrize("theta", (0.01, 0.05, 1.2, 2.2, 3.1))
+@pytest.mark.parametrize("shape, mode_cap", [((8, 8), 5), ((16, 30), 3), ((256, 16), 3),
+                                             ((16, 256), 3), ((256, 256), 3)])
+def test_the_term_tables_give_the_enforced_datums_shape_tensor(theta, shape, mode_cap):
+    # (8, 8) with mode_cap 5 has aliased rows, m > n_phi/2, and a Nyquist row.
+    # Node by node within an eighth of PREDICTION_GUARD's band; the largest
+    # deviation measured is 4.9 guard scales (theta 3.1, 8x8, mode_cap 5).
+    g = grid(theta, *shape)
+    capfun = capaf.capfun
+    profiles, trig = capfun._table(g, capfun._mode_table, mode_cap)[:2]
+    lv = capfun._ell_column(g)
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        coef, u = capfun._random_datum_terms(g, rng, mode_cap)
+        assert u.tobytes() == capfun._random_neumann_datum(
+            g, np.random.default_rng(seed), mode_cap).tobytes()
+        # The coefficients are u's, divided by max|u| as u is.
+        assert np.max(np.abs(profiles.T @ (coef[:, None] * trig) - u)) < 1e-14
+        lu = capaf.enforce_contact_angle(g, lv * u)
+        scale = np.finfo(float).eps * (g.n_phi / 2 / g.sin_rho[0]) ** 2 * np.max(np.abs(lu))
+        for plane, exact in zip(capfun._datum_tensor(g, coef, mode_cap), capaf.a_of(g, lu)):
+            assert plane.shape == g.node_shape
+            assert np.max(np.abs(plane - exact)) <= capfun.PREDICTION_GUARD / 8 * scale
+
+
+def test_the_term_tables_are_built_once_per_grid_and_mode_cap_and_die_with_it(monkeypatch):
+    capfun = capaf.capfun
+    g = capaf.build_grid(2.2, 24, 24)
+    built = []
+    real = capfun._term_tensors
+
+    def term_tensors(grid_, mode_cap):
+        built.append(mode_cap)
+        return real(grid_, mode_cap)
+
+    monkeypatch.setattr(capfun, "_term_tensors", term_tensors)
+    for seed in range(3):
+        for mode_cap in (3, 2):
+            capaf.random_body(g, seed, amplitude=4.0, mode_cap=mode_cap)
+    assert built == [3, 2]
+    tables = [capfun._table(g, term_tensors, mode_cap) for mode_cap in (3, 2)]
+    assert built == [3, 2]
+    for table, mode_cap in zip(tables, (3, 2)):
+        terms = capfun._table(g, capfun._mode_table, mode_cap)[0].shape[0]
+        assert [a.shape for a in table] == [(25, terms)] * 3 + [(terms, 24)]
+        assert not any(a.flags.writeable for a in table)
+
+    # A prediction reads the tables and shapes no field.
+    def refuse(*args):
+        raise AssertionError("the prediction shaped a field")
+
+    coef, u = capfun._random_datum_terms(g, np.random.default_rng(1), 3)
+    capfun._table(g, capfun._cap_meridian_tensor)
+    monkeypatch.setattr(capfun, "a_of", refuse)
+    monkeypatch.setattr(capfun, "enforce_contact_angle", refuse)
+    assert capfun._predicted_misses(g, u, coef, 3, 1.0, 4.0) >= 1
+    refs = [weakref.ref(a) for table in tables for a in table] + [weakref.ref(g)]
+    monkeypatch.undo()
+    del g, tables, table
+    gc.collect()
+    assert all(ref() is None for ref in refs)
+
+
 def test_random_body_shapes_the_cap_once_per_grid_and_the_datum_once_per_body(monkeypatch):
     g = capaf.build_grid(1.2, 32, 32)
     capfun = capaf.capfun
     cap_values = capaf.enforce_contact_angle(g, capaf.ell_values(g)).tobytes()
-    calls, cap_calls, attempts = [], [], []
-    real_a_of, real_body = capfun.a_of, capfun.CapillaryBody
+    calls, cap_calls, attempts, enforced = [], [], [], []
+    real_a_of, real_body, real_enforce = capfun.a_of, capfun.CapillaryBody, capfun.enforce_contact_angle
 
     def a_of(grid_, values):
         calls.append(1)
@@ -301,15 +376,24 @@ def test_random_body_shapes_the_cap_once_per_grid_and_the_datum_once_per_body(mo
         attempts.append(1)
         return real_body(*args, **kwargs)
 
+    def enforce(grid_, values):
+        enforced.append(1)
+        return real_enforce(grid_, values)
+
     monkeypatch.setattr(capfun, "a_of", a_of)
     monkeypatch.setattr(capfun, "CapillaryBody", body)
+    monkeypatch.setattr(capfun, "enforce_contact_angle", enforce)
     tried, halvings = [], []
     for first, seed in ((True, 2), (False, 5)):
         calls.clear()
         attempts.clear()
+        enforced.clear()
         b = capaf.random_body(g, seed, amplitude=4.0)
         b.tensor  # the tensor that accepted the body
-        assert len(calls) == first + 1 + len(attempts)
+        # The prediction reads the term tables: one a_of and one enforced
+        # field per exact attempt, besides the grid's first shaping of the cap.
+        assert len(calls) == first + len(attempts)
+        assert len(enforced) == first + len(attempts)
         params = b.provenance["params"]
         halvings.append(round(np.log2(params["amplitude"] / params["effective_amplitude"])))
         tried.append(len(attempts))
@@ -317,25 +401,33 @@ def test_random_body_shapes_the_cap_once_per_grid_and_the_datum_once_per_body(mo
     # The halving loop would have shaped the body halvings + 1 times.
     assert tried == [1, 1] and min(halvings) >= 1
 
-    # The datum's mode table is built once per (grid, mode_cap), however
-    # many bodies and fields draw from it, and the tables die with the grid.
-    profiled = []
-    real_profiles = capfun._mode_profiles
+    # The datum's mode table and its term tensors are built once per
+    # (grid, mode_cap), however many bodies and fields draw from them, and the
+    # tables die with the grid.
+    profiled, termed = [], []
+    real_profiles, real_terms = capfun._mode_profiles, capfun._term_tensors
 
     def mode_profiles(grid_, mode_cap):
         profiled.append(mode_cap)
         return real_profiles(grid_, mode_cap)
 
+    def term_tensors(grid_, mode_cap):
+        termed.append(mode_cap)
+        return real_terms(grid_, mode_cap)
+
     monkeypatch.setattr(capfun, "_mode_profiles", mode_profiles)
+    monkeypatch.setattr(capfun, "_term_tensors", term_tensors)
     for seed in range(3):
         capaf.random_body(g, seed, mode_cap=2)
         capaf.random_capillary_field(g, seed)
         capaf.random_capillary_field(g, seed, mode_cap=2)
     assert profiled == [2]
+    assert termed == [2]
     assert len(cap_calls) == 1
     entries = [a for entry in capfun._TABLES[g].values()
                for a in (entry if isinstance(entry, tuple) else (entry,))]
-    assert len(entries) == 3 + 2 + 3 + 3  # cap tensor's planes, lifts, two mode tables
+    # The cap tensor's planes, the lifts, two mode tables and two term tables.
+    assert len(entries) == 3 + 2 + 4 + 4 + 4 + 4
     assert not any(a.flags.writeable for a in entries)
     refs = [weakref.ref(a) for a in entries] + [weakref.ref(g)]
     monkeypatch.undo()

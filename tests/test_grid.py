@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import capaf
-from capaf.capgrid import MIN_PHI, MIN_RHO, tensor_eigenvalues
+from capaf.capgrid import MAX_NODES, MIN_PHI, MIN_RHO, check_grid, min_eigenvalue, tensor_eigenvalues
 
 from helpers import grid, observed_orders, shape_tensor, tensor_bytes
 
@@ -28,6 +28,17 @@ def test_build_grid_rejects_coarse_and_odd_grids():
         capaf.build_grid(1.0, 16, MIN_PHI - 2)
     with pytest.raises(ValueError, match="even"):
         capaf.build_grid(1.0, 16, 17)
+
+
+def test_check_grid_refuses_a_grid_too_large_before_building_it():
+    # The sizes stay integers: 10**400 has no float, and 8 x 10**11 nodes
+    # would take 6 TiB per field.  Nothing of that size is allocated.
+    for n_rho, n_phi in ((10**400, 8), (8, 10**11), (MAX_NODES // 8, 8)):
+        with pytest.raises(ValueError, match=r"grid too large: need \(n_rho\+1\)\*n_phi"):
+            check_grid(1.2, n_rho, n_phi)
+    with pytest.raises(ValueError, match="grid too large"):
+        capaf.build_grid(1.2, 10**400, 8)
+    assert check_grid(1.2, MAX_NODES // 8 - 1, 8) == (1.2, MAX_NODES // 8 - 1, 8)
 
 
 def test_grid_layout():
@@ -355,6 +366,19 @@ def test_tensor_eigenvalues_stay_finite_where_the_squares_overflow():
     assert np.isfinite(lo).all() and np.isfinite(hi).all()
     for scaled, plain in zip((lo, hi), tensor_eigenvalues(unit)):
         np.testing.assert_allclose(scaled, 1e200 * plain, rtol=1e-14)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e200, 1e300])
+def test_min_eigenvalue_is_the_least_of_tensor_eigenvalues_bit_for_bit(scale):
+    # 1e200 and 1e300 overflow the squares and take the np.hypot fallback.
+    for theta, n in ((0.3, 16), (1.2, 32), (2.2, 24), (3.0, 16)):
+        g = grid(theta, n, n)
+        for seed in range(3):
+            T = capaf.ShapeTensor._make(
+                scale * plane for plane in capaf.random_body(g, seed, amplitude=2.0).tensor)
+            expected = float(np.min(tensor_eigenvalues(T)[0]))
+            assert np.isfinite(expected)
+            assert np.float64(min_eigenvalue(T)).tobytes() == np.float64(expected).tobytes()
 
 
 def test_horizontal_linears_annihilate_the_shape_tensor():
