@@ -321,44 +321,6 @@ def test_the_term_tables_give_the_enforced_datums_shape_tensor(theta, shape, mod
             assert np.max(np.abs(plane - exact)) <= capfun.PREDICTION_GUARD / 8 * scale
 
 
-def test_the_term_tables_are_built_once_per_grid_and_mode_cap_and_die_with_it(monkeypatch):
-    capfun = capaf.capfun
-    g = capaf.build_grid(2.2, 24, 24)
-    built = []
-    real = capfun._term_tensors
-
-    def term_tensors(grid_, mode_cap):
-        built.append(mode_cap)
-        return real(grid_, mode_cap)
-
-    monkeypatch.setattr(capfun, "_term_tensors", term_tensors)
-    for seed in range(3):
-        for mode_cap in (3, 2):
-            capaf.random_body(g, seed, amplitude=4.0, mode_cap=mode_cap)
-    assert built == [3, 2]
-    tables = [capfun._table(g, term_tensors, mode_cap) for mode_cap in (3, 2)]
-    assert built == [3, 2]
-    for table, mode_cap in zip(tables, (3, 2)):
-        terms = capfun._table(g, capfun._mode_table, mode_cap)[0].shape[0]
-        assert [a.shape for a in table] == [(25, terms)] * 3 + [(terms, 24)]
-        assert not any(a.flags.writeable for a in table)
-
-    # A prediction reads the tables and shapes no field.
-    def refuse(*args):
-        raise AssertionError("the prediction shaped a field")
-
-    coef, u = capfun._random_datum_terms(g, np.random.default_rng(1), 3)
-    capfun._table(g, capfun._cap_meridian_tensor)
-    monkeypatch.setattr(capfun, "a_of", refuse)
-    monkeypatch.setattr(capfun, "enforce_contact_angle", refuse)
-    assert capfun._predicted_misses(g, u, coef, 3, 1.0, 4.0) >= 1
-    refs = [weakref.ref(a) for table in tables for a in table] + [weakref.ref(g)]
-    monkeypatch.undo()
-    del g, tables, table
-    gc.collect()
-    assert all(ref() is None for ref in refs)
-
-
 def test_random_body_shapes_the_cap_once_per_grid_and_the_datum_once_per_body(monkeypatch):
     g = capaf.build_grid(1.2, 32, 32)
     capfun = capaf.capfun
