@@ -173,13 +173,6 @@ def finite_float(text: str) -> float:
     return x
 
 
-def finite_floats(text: str) -> str:
-    """argparse type for a comma list of finite reals; keeps the text as given."""
-    for part in text.split(","):
-        finite_float(part)
-    return text
-
-
 def sweep_sizes(text: str) -> list[int]:
     """The distinct square grid sizes of a --sweep list, ascending; none for ''."""
     return sorted({int(part) for part in text.split(",")}) if text else []
@@ -506,20 +499,19 @@ def cmd_spectrum(args) -> list[str]:
 
 def cmd_steiner(args) -> list[str]:
     grid, tol = setup(args)
-    t_values = [float(p) for p in args.t_samples.split(",")]
     body = random_body(grid, args.seed)
-    rep = steiner_check(grid, body, t_values)
+    rep = steiner_check(grid, body)
     minkowski = {f"k{k}": minkowski_identity_residual(grid, body, k) for k in (1, 2)}
-    rows = [[k, rep.coefficients[k], rep.references[k], rep.rel_errs[k]]
-            for k in range(4)]
+    rows = [[k, rep.swapped[k - 1], rep.quermass[k], rep.rel_errs[k - 1]] for k in (1, 2)]
     gates = [Gate("max_rel_err", rep.max_rel_err, tol["identity"], "<="),
              *(Gate(f"minkowski_{k}", v, tol["identity"], "<=") for k, v in minkowski.items())]
     return emit(args, "steiner_report", {
         "identity": "volume of the parallel body is a cubic in t with "
-                    "binomial quermassintegral coefficients",
+                    "binomial quermassintegral coefficients: the unit cap's "
+                    "slot swaps with the body's",
         "report": asdict(rep),
         "minkowski_residuals": minkowski,
-    }, gates, csv_table(["k", "coefficient", "reference", "rel_err"], rows))
+    }, gates, csv_table(["k", "swapped", "quermass", "rel_err"], rows))
 
 
 def cmd_reconstruct(args) -> list[str]:
@@ -659,7 +651,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("steiner", parents=[common],
                         help="parallel-volume polynomial check")
-    p.add_argument("--t-samples", type=finite_floats, default="0.1,0.4,0.8,1.2,1.6,2.0")
     p.set_defaults(func=cmd_steiner)
 
     p = subs.add_parser("reconstruct", parents=[common],

@@ -7,7 +7,9 @@ The mixed volume of support-like fields f1, f2, f3 is
 over the cap, where Q is the two-dimensional mixed discriminant and A[f] the
 shape tensor.  Quermassintegrals are mixed volumes against copies of the
 grid's one unit cap, ell(grid), and the Minkowski and Steiner identities
-become testable residuals (the tests check permutation symmetry).
+become testable residuals.  The Steiner cubic of a body against the cap is
+fixed by its quermassintegrals and two slot swaps against the cap; the tests
+check the other permutations.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .capgrid import CapGrid, ShapeTensor
-from .capfun import CapillaryBody, CapillaryField, as_field, ell
+from .capfun import CapillaryBody, as_field, ell
 
 
 def b_theta(theta: float) -> float:
@@ -128,47 +130,36 @@ def quermass_report(grid: CapGrid, body: CapillaryBody) -> QuermassReport:
 
 @dataclass
 class SteinerReport:
-    """Cubic fit of t -> |body + t * unit cap| against binomial quermass weights."""
+    """The Steiner cubic t -> |body + t * unit cap| read through its two slot
+    swaps against the cap.
 
-    t_values: list[float]
-    volumes: list[float]
-    coefficients: list[float]
-    references: list[float]
+    quermass holds W_0..W_3, swapped the volumes V(ell; h, h) and
+    V(ell; ell, h), and rel_errs the relative defects of the t and t^2
+    coefficients against 3 W_1 and 3 W_2.
+    """
+
+    quermass: list[float]
+    swapped: list[float]
     rel_errs: list[float]
     max_rel_err: float
-    fit_residual: float
 
 
-def steiner_check(grid: CapGrid, body: CapillaryBody, t_values) -> SteinerReport:
-    """Volume of the outer parallel bodies versus the quermassintegral cubic.
+def steiner_check(grid: CapGrid, body: CapillaryBody) -> SteinerReport:
+    """The Steiner cubic of body + t * (unit cap) against the quermassintegrals.
 
-    The enclosed volume of body + t * (unit cap) is a cubic in t whose t^k
-    coefficient is binom(3, k) times the k-th quermassintegral.  A least-squares
-    cubic fit over the sampled t recovers the coefficients; interpolation is
-    exact when exactly four samples are given.
+    The enclosed volume of h + t * ell is a cubic in t whose t^k coefficient
+    is binom(3, k) W_k.  The mixed volume is multilinear and q2 symmetric, so
+    the coefficients are W_0, V(ell; h, h) + 2 W_1, W_2 + 2 V(ell; ell, h)
+    and W_3: the t and t^2 rows hold exactly when the cap's slot swaps with
+    the body's, V(ell; h, h) = W_1 and V(ell; ell, h) = W_2.  The t^2 swap
+    enters its coefficient twice.  Each rel_err is taken from its swap's
+    difference, not from a coefficient minus its reference, so that it does
+    not cancel.  No shape tensor is computed beyond those of body and ell.
     """
-    ts = sorted(float(t) for t in t_values)
-    if len(ts) < 4:
-        raise ValueError(f"need at least 4 parallel distances, got {len(ts)}")
-    if any(t <= 0 for t in ts):
-        raise ValueError("parallel distances must be positive")
-    if any(b - a < 1e-12 for a, b in zip(ts, ts[1:])):
-        raise ValueError("parallel distances must be distinct")
     h = as_field(grid, body)
-    lv = ell(grid).values
-    vols = []
-    for t in ts:
-        g = CapillaryField(grid, h.values + t * lv)
-        vols.append(mixed_volume(grid, g, (g, g)))
-    # Vandermonde least squares in the monomial basis; t stays O(1) so
-    # conditioning is not a concern at degree 3.
-    v = np.vander(np.array(ts), 4, increasing=True)
-    coef, res, _, _ = np.linalg.lstsq(v, np.array(vols), rcond=None)
-    fit_residual = float(np.sqrt(res[0])) if res.size else float(
-        np.max(np.abs(v @ coef - np.array(vols)))
-    )
-    refs = [math.comb(3, k) * w for k, w in enumerate(quermassintegral(grid, h))]
-    errs = [float(abs(c - r)) / max(abs(r), 1e-300) for c, r in zip(coef, refs)]
-    return SteinerReport(
-        ts, vols, [float(c) for c in coef], refs, errs, max(errs), fit_residual
-    )
+    cap = ell(grid)
+    quermass = quermassintegral(grid, h)
+    swapped = [mixed_volume(grid, cap, (h, h)), mixed_volume(grid, cap, (cap, h))]
+    errs = [k * abs(s - w) / max(3.0 * abs(w), 1e-300)
+            for k, s, w in zip((1, 2), swapped, quermass[1:3])]
+    return SteinerReport(quermass, swapped, errs, max(errs))

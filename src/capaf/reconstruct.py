@@ -32,7 +32,7 @@ class EmbeddedPatch:
     """Triangulated embedded surface with per-node normals.
 
     support is the support function the patch was built from (the body itself
-    when embed is given one), values its node values; positions and normals
+    when embed is given one); positions and normals
     are (n_rho+1, n_phi, 3); triangles index the row-major flattening of the
     node array.  A polygon fan closes the pole hole inside the first node
     ring, so the mesh is a topological disk bounded by the contact ring.
@@ -44,10 +44,6 @@ class EmbeddedPatch:
     normals: np.ndarray
     triangles: np.ndarray
     degenerate_triangles: list[int] = field(default_factory=list)
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.support.values
 
     @property
     def flat_positions(self) -> np.ndarray:

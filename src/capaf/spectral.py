@@ -47,7 +47,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ._stencil import Stencil, azimuthal, on_rows, radial, sbp
-from .capgrid import CapGrid, ShapeTensor
+from .capgrid import CapGrid
 from .capfun import as_field, certify, ell, horizontal_linear
 from .mixedvol import mixed_sequence, q2
 
@@ -122,10 +122,6 @@ class WeightedSpace:
 
     def norm(self, u: np.ndarray) -> float:
         return math.sqrt(max(self.inner(u, u), 0.0))
-
-    def apply_tensor(self, Af: ShapeTensor) -> np.ndarray:
-        """The operator on a field given by its shape tensor Af."""
-        return self.f2 * q2(Af, self.A2) / self.detA2
 
 
 # -- matrix assembly -----------------------------------------------------------

@@ -311,7 +311,8 @@ def robin_fold_by_pass_through(groups, group, coef, basis):
 
 def apply(space: capaf.WeightedSpace, f) -> np.ndarray:
     """The weighted operator applied to f, pointwise through the grid derivatives."""
-    return space.apply_tensor(capaf.capfun.as_field(space.grid, f).tensor)
+    A = capaf.capfun.as_field(space.grid, f).tensor
+    return space.f2 * capaf.mixedvol.q2(A, space.A2) / space.detA2
 
 
 def bilinear(space: capaf.WeightedSpace, f, g) -> float:

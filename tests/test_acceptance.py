@@ -104,9 +104,7 @@ def test_geometric_identities_converge_at_high_order():
                 g, body.values, smooth_field(theta, n, n), capaf.ell_values(g)
             )
         )
-        errs["steiner"].append(
-            capaf.steiner_check(g, body, [0.5, 1.0, 1.5, 2.0]).max_rel_err
-        )
+        errs["steiner"].append(capaf.steiner_check(g, body).max_rel_err)
         errs["planarity"].append(
             capaf.planarity_residual(capaf.embed(g, cap_body(theta, n, n)))
         )

@@ -106,6 +106,7 @@ def test_config_errors_exit_three(tmp_path, capsys, monkeypatch):
     assert run(["reconstruct", "--out", tmp_path, "a.json", "b.json"]) == 3
     assert run(["af", "--json", "--out", tmp_path]) == 3
     assert run(["steiner", "--cap", "--out", tmp_path]) == 3
+    assert run(["steiner", "--t-samples", "0.5,1,1.5,2", "--out", tmp_path]) == 3
     assert run(["nosuchcommand"]) == 3
     assert run([]) == 3
     # Non-finite numbers are rejected while parsing, before any field is
@@ -114,9 +115,6 @@ def test_config_errors_exit_three(tmp_path, capsys, monkeypatch):
         ("--amplitude", ["gen", "--amplitude", "nan"]),
         ("--base-radius", ["gen", "--base-radius", "inf"]),
         ("--base-radius", ["gen", "--base-radius", "-inf"]),
-        ("--t-samples", ["steiner", "--t-samples", "nan,0.4,0.8,1.2"]),
-        ("--t-samples", ["steiner", "--t-samples", "0.1,0.4,0.8,inf"]),
-        ("--t-samples", ["steiner", "--t-samples", "0.1,0.4,x,1.2"]),
     ]:
         capsys.readouterr()
         assert run([*argv, "--grid", "16x16", "--out", tmp_path / "finite"]) == 3

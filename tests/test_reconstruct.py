@@ -158,7 +158,7 @@ def test_mesh_export_roundtrip_is_exact(tmp_path):
 def test_patch_keeps_the_support_values_it_was_built_from():
     g = grid(1.1, 16, 16)
     b = capaf.random_body(g, 5)
-    np.testing.assert_array_equal(capaf.embed(g, b).values, b.values)
+    np.testing.assert_array_equal(capaf.embed(g, b).support.values, b.values)
 
 
 # -- writer byte pins ------------------------------------------------------------
